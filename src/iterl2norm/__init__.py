@@ -24,17 +24,16 @@ from .fpformat import (
 )
 from .norm_core import (
     FixedSteps,
-    IterState,
     NormConfig,
     NormInputs,
     NormResult,
     Threshold,
-    init_a,
-    iterate_a,
+    init_a_values,
+    iterate_values,
     layernorm_iterl2,
     mean_shift,
     normalize_batch,
-    select_lambda,
+    select_lambda_values,
     squared_norm,
 )
 from .dynamics import (
@@ -60,8 +59,8 @@ __all__ = [
     "FormatSpec", "FpScalar", "FP32", "FP16", "BF16", "FORMATS",
     "decompose", "compose", "round_binary", "round_value", "round_array",
     "emu_add", "emu_sub", "emu_mul", "tree_sum", "tree_sum_values",
-    "NormInputs", "NormConfig", "FixedSteps", "Threshold", "IterState", "NormResult",
-    "mean_shift", "squared_norm", "init_a", "select_lambda", "iterate_a",
+    "NormInputs", "NormConfig", "FixedSteps", "Threshold", "NormResult",
+    "mean_shift", "squared_norm", "init_a_values", "select_lambda_values", "iterate_values",
     "layernorm_iterl2", "normalize_batch",
     "DynamicsParams", "k_fixed_points", "steady_norm_sq", "analytic_a",
     "lambda_lower_bound", "simulate_vector_recursion",

@@ -15,16 +15,9 @@ from .fpformat import (
     FpScalar,
     bits_to_values,
     round_array,
-    round_value,
     values_to_bits,
 )
-from .norm_core import (
-    BatchNormResult,
-    NormInputs,
-    NormResult,
-    _mean_shift_values,
-    _squared_norm_values,
-)
+from .norm_core import BatchNormResult, NormInputs, NormResult, _direct, _layernorm
 
 __all__ = [
     "FisrSpec",
@@ -94,38 +87,25 @@ def fisr_inv_sqrt(x: FpScalar, spec: FisrSpec) -> FpScalar:
     return FpScalar(int(values_to_bits(v, spec.format)[0]), spec.format)
 
 
-def fisr_batch(fmt: FormatSpec, x: np.ndarray, gamma: np.ndarray | None = None,
-               beta: np.ndarray | None = None, spec: FisrSpec | None = None) -> BatchNormResult:
-    """Layer normalization with the iteration replaced by FISR on m."""
+def _fisr(fmt: FormatSpec, spec: FisrSpec | None):
+    """Solver for the shared datapath: `a` is FISR of m."""
     spec = spec if spec is not None else FisrSpec(format=fmt)
     if spec.format != fmt:
         raise UsageError("FISR spec format does not match input format")
-    x = np.asarray(x, dtype=np.float64)
-    n, d = x.shape
-    gamma = np.ones(d) if gamma is None else np.asarray(gamma, dtype=np.float64)
-    beta = np.zeros(d) if beta is None else np.asarray(beta, dtype=np.float64)
-    y, mean = _mean_shift_values(x, fmt)
-    m = _squared_norm_values(y, fmt)
-    live = m > 0.0
-    a = np.zeros(n)
-    if live.any():
-        a[live] = fisr_inv_sqrt_values(m[live], spec)
-    sqrt_d = round_value(math.sqrt(d), fmt)
-    scale = np.where(live, round_array(a * sqrt_d, fmt), 0.0)
-    y_hat = round_array(scale[:, None] * y, fmt)
-    y_hat[~live] = 0.0
-    z = round_array(round_array(gamma[None, :] * y_hat, fmt) + beta[None, :], fmt)
-    if not live.all():
-        z[~live] = beta
-    return BatchNormResult(z, y_hat, mean, m, a[:, None].copy(), 0)
+    return lambda m, live: _direct(fisr_inv_sqrt_values(m, spec))
+
+
+def fisr_batch(fmt: FormatSpec, x: np.ndarray, gamma: np.ndarray | None = None,
+               beta: np.ndarray | None = None, spec: FisrSpec | None = None) -> BatchNormResult:
+    """Layer normalization with the iteration replaced by FISR on m."""
+    return _layernorm(fmt, x, gamma, beta, _fisr(fmt, spec))
 
 
 def layernorm_fisr(inputs: NormInputs, spec: FisrSpec | None = None) -> NormResult:
     """Single-vector FISR layer norm; same zero-variance guard as the
     iterative pipeline."""
-    res = fisr_batch(inputs.fmt, inputs.x[None, :], inputs.gamma, inputs.beta, spec)
-    return NormResult(res.z[0], res.y_hat[0], float(res.mean[0]), float(res.m[0]),
-                      tuple(res.a_trajectory[0]), 0, True)
+    return _layernorm(inputs.fmt, inputs.x[None, :], inputs.gamma, inputs.beta,
+                      _fisr(inputs.fmt, spec)).row(0)
 
 
 def reference_batch(fmt: FormatSpec, x: np.ndarray, gamma: np.ndarray | None = None,

@@ -1,8 +1,8 @@
 """Command-line benchmark harness.
 
 Subcommands: precision, convergence, compare-fisr, latency, normalize.
-Exit codes: 0 success, 2 usage error, 3 data error, 4 range error
-(squared-norm overflow).
+Exit codes: 0 success, 2 usage error, 3 data error (malformed, missing or
+unreadable input file), 4 range error (squared-norm overflow).
 """
 
 from __future__ import annotations

@@ -29,12 +29,10 @@ from .norm_core import (
     DEFAULT_STEPS,
     FixedSteps,
     NormConfig,
-    NormInputs,
     Threshold,
-    layernorm_iterl2,
     normalize_batch,
 )
-from .vecio import is_binary_file, read_vectors, write_vectors
+from .vecio import read_vectors, write_vectors
 
 __all__ = [
     "ExperimentSpec",
@@ -266,7 +264,11 @@ def run_latency(spec: ExperimentSpec) -> ExperimentResult:
 def run_normalize(spec: ExperimentSpec, gamma_path: str | None = None,
                   beta_path: str | None = None) -> NormalizeSummary:
     """Normalize vectors from a file; write outputs plus a JSON-lines
-    diagnostics sidecar (m, a-trajectory, steps) per vector."""
+    diagnostics sidecar (m, a-trajectory, steps, converged) per vector.
+
+    Vectors, gamma and beta are rounded to the format; all vectors of one
+    length go through `normalize_batch` together.  Every parameter length is
+    checked before anything is computed."""
     if not spec.input_path or not spec.output_path:
         raise UsageError("normalize needs --input and --out paths")
     vectors, file_fmt = read_vectors(spec.input_path)
@@ -278,41 +280,54 @@ def run_normalize(spec: ExperimentSpec, gamma_path: str | None = None,
     gammas = _read_params(gamma_path, len(vectors)) if gamma_path else None
     betas = _read_params(beta_path, len(vectors)) if beta_path else None
 
+    for params, label in ((gammas, "gamma"), (betas, "beta")):
+        if params is None:
+            continue
+        for i, vec in enumerate(vectors):
+            p = params[i % len(params)]
+            if len(p) != len(vec):
+                raise DataFormatError(f"vector {i}: {label} length {len(p)} != d {len(vec)}")
+
     if spec.delta_max is not None:
         config = NormConfig(stopping=Threshold(spec.delta_max),
                             lambda_override=spec.lambda_override)
     else:
         config = spec.norm_config(spec.steps[0])
 
-    outputs: list[np.ndarray] = []
-    meta: list[dict] = []
+    # One batch per vector length; outputs and sidecar keep the file order.
+    rows_by_d: dict[int, list[int]] = {}
     for i, vec in enumerate(vectors):
-        g = gammas[i % len(gammas)] if gammas else None
-        b = betas[i % len(betas)] if betas else None
-        for arr, label in ((g, "gamma"), (b, "beta")):
-            if arr is not None and len(arr) != len(vec):
-                raise DataFormatError(
-                    f"vector {i}: {label} length {len(arr)} != d {len(vec)}")
-        inputs = NormInputs.from_floats(fmt, vec, g, b)
-        res = layernorm_iterl2(inputs, config)
-        outputs.append(res.z)
-        meta.append({
-            "index": i,
-            "d": inputs.d,
-            "mean": res.mean,
-            "m": res.m,
-            "a_trajectory": list(res.a_trajectory),
-            "steps": res.steps_taken,
-            "converged": res.converged,
-        })
+        rows_by_d.setdefault(len(vec), []).append(i)
+    outputs: list = [None] * len(vectors)
+    meta: list = [None] * len(vectors)
+    for d, rows in rows_by_d.items():
+        x = round_array(np.array([vectors[i] for i in rows]), fmt)
+        res = normalize_batch(fmt, x, _group_params(gammas, rows, fmt),
+                              _group_params(betas, rows, fmt), config)
+        for j, i in enumerate(rows):
+            r = res.row(j)
+            outputs[i] = r.z
+            meta[i] = {"index": i, "d": d, "mean": r.mean, "m": r.m,
+                       "a_trajectory": list(r.a_trajectory), "steps": r.steps_taken,
+                       "converged": r.converged}
 
-    binary = is_binary_file(spec.input_path)
-    write_vectors(spec.output_path, outputs, fmt, binary=binary)
+    write_vectors(spec.output_path, outputs, fmt, binary=file_fmt is not None)
     sidecar = str(spec.output_path) + ".meta.jsonl"
     with open(sidecar, "w") as fh:
         for entry in meta:
             fh.write(json.dumps(entry) + "\n")
     return NormalizeSummary(len(outputs), str(spec.output_path), sidecar)
+
+
+def _group_params(params: list[np.ndarray] | None, rows: list[int],
+                  fmt: FormatSpec) -> np.ndarray | None:
+    """gamma or beta for the given rows, rounded to the format: the file's one
+    vector, shape (d,), or the rows' own vectors, shape (len(rows), d)."""
+    if params is None:
+        return None
+    if len(params) == 1:
+        return round_array(params[0], fmt)
+    return round_array(np.array([params[i] for i in rows]), fmt)
 
 
 def _read_params(path: str, n_vectors: int) -> list[np.ndarray]:

@@ -6,23 +6,24 @@ division-free fixed-point iteration da = lambda*m*a*(1 - m*a^2), and the
 final scale/shift.  `a` converges to 1/||y||_2, so sqrt(d)*a*y is the
 layer-norm core without any divide or square root at runtime.
 
-The scalar iteration runs in the target format's emulated arithmetic by
-default (the hardware iteration datapath uses the same format multipliers
-and adders); an exact binary64 mode exists for property tests.
+Every entry point runs one batched datapath (`_layernorm`); only the solver
+for `a` varies: the iteration, FISR (`baselines`), or an injected value.  The
+single-vector API is a batch of one.  The iteration runs in the target
+format's emulated arithmetic by default (the hardware iteration datapath uses
+the same format multipliers and adders); an exact binary64 mode exists for
+property tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .errors import RangeOverflowError, UsageError
 from .fpformat import (
     FormatSpec,
-    FpScalar,
     round_array,
     round_value,
     tree_sum_values,
@@ -33,19 +34,13 @@ __all__ = [
     "Threshold",
     "NormConfig",
     "NormInputs",
-    "IterState",
-    "IterResult",
     "NormResult",
     "BatchNormResult",
     "mean_shift",
     "squared_norm",
-    "init_a",
-    "init_a_exact",
     "init_a_values",
-    "select_lambda",
-    "select_lambda_exact",
     "select_lambda_values",
-    "iterate_a",
+    "iterate_values",
     "layernorm_iterl2",
     "normalize_batch",
 ]
@@ -66,7 +61,7 @@ class FixedSteps:
 
 @dataclass(frozen=True)
 class Threshold:
-    """Iterate until |da| <= delta_max, capped at `max_steps`."""
+    """Iterate until the change in `a` is <= delta_max, capped at `max_steps`."""
 
     delta_max: float
     max_steps: int = 50
@@ -82,26 +77,11 @@ class Threshold:
 class NormConfig:
     stopping: FixedSteps | Threshold = field(default_factory=FixedSteps)
     lambda_override: float | None = None
-    # Seed for the threshold loop guard (delta_0 > delta_max); defaults to
-    # 2 * delta_max, which only primes the first loop entry.
-    initial_delta: float | None = None
     exact_arithmetic: bool = False
 
     def __post_init__(self) -> None:
         if self.lambda_override is not None and not self.lambda_override > 0:
             raise UsageError("lambda override must be positive")
-        if self.initial_delta is not None:
-            if not self.initial_delta > 0:
-                raise UsageError("initial_delta must be positive")
-            if isinstance(self.stopping, Threshold) and not self.stopping.delta_max < self.initial_delta:
-                raise UsageError("Threshold mode requires delta_max < initial_delta")
-
-    def seed_delta(self) -> float:
-        if self.initial_delta is not None:
-            return self.initial_delta
-        if isinstance(self.stopping, Threshold):
-            return 2.0 * self.stopping.delta_max
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -144,30 +124,6 @@ class NormInputs:
         return len(self.x)
 
 
-@dataclass
-class IterState:
-    """Scalar state of the fixed-point iteration."""
-
-    a: float
-    m: float
-    lam: float
-    step: int = 0
-    delta_a: float = math.inf
-
-    def __post_init__(self) -> None:
-        if self.m < 0:
-            raise UsageError("m must be >= 0")
-        if self.m > 0 and not self.a > 0:
-            raise UsageError("a must be positive when m > 0")
-
-
-@dataclass(frozen=True)
-class IterResult:
-    a_final: float
-    trajectory: tuple[float, ...]
-    converged: bool
-
-
 @dataclass(frozen=True)
 class NormResult:
     z: np.ndarray
@@ -185,221 +141,197 @@ class BatchNormResult:
     y_hat: np.ndarray
     mean: np.ndarray
     m: np.ndarray
-    a_trajectory: np.ndarray  # shape (n, steps+1)
-    steps_taken: int
+    a_trajectory: np.ndarray  # shape (n, steps_taken+1)
+    steps_taken: int  # loop steps run: the largest per-row step count
+    steps: np.ndarray  # per row
+    converged: np.ndarray  # per row
+
+    def row(self, i: int) -> NormResult:
+        """Row `i` as a single-vector result, its trajectory cut at its own
+        step count."""
+        k = int(self.steps[i])
+        return NormResult(self.z[i], self.y_hat[i], float(self.mean[i]), float(self.m[i]),
+                          tuple(self.a_trajectory[i, :k + 1].tolist()), k,
+                          bool(self.converged[i]))
 
 
 # ---------------------------------------------------------------------------
 # Pipeline stages
 # ---------------------------------------------------------------------------
 
-def _mean_shift_values(x: np.ndarray, fmt: FormatSpec) -> tuple[np.ndarray, np.ndarray]:
-    d = x.shape[-1]
-    inv_d = round_value(1.0 / d, fmt)  # pre-stored constant
-    total = tree_sum_values(x, fmt)
-    mean = round_array(total * inv_d, fmt)
-    y = round_array(x - mean[..., None], fmt)
-    return y, mean
-
-
-def mean_shift(x: np.ndarray | list, fmt: FormatSpec) -> tuple[np.ndarray, float]:
-    """Shift the mean of one vector to zero.
+def mean_shift(x: np.ndarray | list, fmt: FormatSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Shift the mean of each vector (the last axis of `x`) to zero.
 
     The sum runs through the adder trees and is multiplied by the pre-rounded
     constant 1/d; each element then subtracts the mean with one rounding.
-    Returns (y, mean).
+    Returns (y, mean); `mean` has shape x.shape[:-1].
     """
-    arr = _as_format_vector(x, fmt)
-    y, mean = _mean_shift_values(arr[None, :], fmt)
-    return y[0], float(mean[0])
+    x = np.asarray(x, dtype=np.float64)
+    inv_d = round_value(1.0 / x.shape[-1], fmt)  # pre-stored constant
+    mean = round_array(tree_sum_values(x, fmt) * inv_d, fmt)
+    return round_array(x - mean[..., None], fmt), mean
 
 
-def _squared_norm_values(y: np.ndarray, fmt: FormatSpec) -> np.ndarray:
-    sq = round_array(y * y, fmt)
-    m = tree_sum_values(sq, fmt)
+def squared_norm(y: np.ndarray | list, fmt: FormatSpec) -> np.ndarray:
+    """||y||_2^2 of each vector (the last axis of `y`): elementwise squares
+    reduced through the adder trees."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape[-1] == 0:
+        raise UsageError("y must be nonempty")
+    m = tree_sum_values(round_array(y * y, fmt), fmt)
     if not np.isfinite(m).all():
         raise RangeOverflowError("squared norm overflowed the format")
     return m
 
 
-def squared_norm(y: np.ndarray | list, fmt: FormatSpec) -> float:
-    """||y||_2^2: elementwise squares reduced through the adder trees."""
-    arr = _as_format_vector(y, fmt)
-    if arr.size == 0:
-        raise UsageError("y must be nonempty")
-    return float(_squared_norm_values(arr[None, :], fmt)[0])
-
-
-def _as_format_vector(x, fmt: FormatSpec) -> np.ndarray:
-    if isinstance(x, np.ndarray):
-        return np.asarray(x, dtype=np.float64)
-    if len(x) and isinstance(x[0], FpScalar):
-        return np.array([s.value for s in x], dtype=np.float64)
-    return np.asarray(x, dtype=np.float64)
-
-
-def _normalized_exponent(m: float) -> int:
-    """Unbiased exponent e with 2^e <= m < 2^(e+1); subnormals use the
-    equivalent normalized exponent."""
-    frac, e2 = math.frexp(m)  # m = frac * 2^e2, frac in [0.5, 1)
-    return e2 - 1
-
-
-def _init_a_from_exponent(e: int, inv_sqrt2: float) -> float:
-    t = e + 1
-    q, r = divmod(t, 2)
-    a0 = math.ldexp(1.0, -q)
-    return a0 * inv_sqrt2 if r else a0
-
-
-def init_a(m: FpScalar | float, fmt: FormatSpec | None = None) -> float:
-    """a0 = 2^(-(E(m)-bias+1)/2), built from the exponent of m alone.
+def init_a_values(m: np.ndarray, fmt: FormatSpec, exact: bool = False) -> np.ndarray:
+    """a0 = 2^(-(E(m)-bias+1)/2) for positive finite m, from the exponent alone.
 
     Even exponent sums give an exact power of two; odd ones multiply in the
-    format's pre-stored 2^-1/2 constant, so no square root is evaluated.
-    The result is exactly representable in the format.
+    format's pre-stored 2^-1/2 constant (binary64 sqrt(1/2) when `exact`), so
+    no square root is evaluated.  Subnormal m uses its normalized exponent.
     """
-    if isinstance(m, FpScalar):
-        fmt = m.fmt
-        mv = m.value
-    else:
-        if fmt is None:
-            raise UsageError("init_a needs a format when given a bare float")
-        mv = float(m)
-    if not (mv > 0 and math.isfinite(mv)):
-        raise ValueError("init_a requires finite m > 0 (degenerate input)")
-    return _init_a_from_exponent(_normalized_exponent(mv), fmt.inv_sqrt2)
-
-
-def init_a_exact(m: float) -> float:
-    """Binary64 twin of :func:`init_a` for the exact-arithmetic path."""
-    if not (m > 0 and math.isfinite(m)):
-        raise ValueError("init_a requires finite m > 0 (degenerate input)")
-    return _init_a_from_exponent(_normalized_exponent(m), math.sqrt(0.5))
-
-
-def select_lambda(m: FpScalar | float, override: float | None = None,
-                  fmt: FormatSpec | None = None) -> float:
-    """Default update rate 2^(-(E(m)-bias+1)), a power of two strictly above
-    the 0.345 * 2^(-(E(m)-bias)) convergence bound (0.5 > 0.345)."""
-    if override is not None:
-        if not override > 0:
-            raise UsageError("lambda override must be positive")
-        return override
-    mv = m.value if isinstance(m, FpScalar) else float(m)
-    if not (mv > 0 and math.isfinite(mv)):
-        raise ValueError("select_lambda requires finite m > 0")
-    return math.ldexp(1.0, -(_normalized_exponent(mv) + 1))
-
-
-select_lambda_exact = select_lambda
-
-
-def init_a_values(m: np.ndarray, fmt: FormatSpec, exact: bool = False) -> np.ndarray:
-    """Vectorized :func:`init_a` over positive finite m values."""
-    m = np.asarray(m, dtype=np.float64)
-    e = np.frexp(m)[1] - 1
-    t = e + 1
-    q = t >> 1
+    t = np.frexp(m)[1]  # E(m) - bias + 1
     odd = (t & 1).astype(bool)
     inv_sqrt2 = math.sqrt(0.5) if exact else fmt.inv_sqrt2
-    return np.ldexp(1.0, -q) * np.where(odd, inv_sqrt2, 1.0)
+    return np.ldexp(1.0, -(t >> 1)) * np.where(odd, inv_sqrt2, 1.0)
 
 
 def select_lambda_values(m: np.ndarray) -> np.ndarray:
-    """Vectorized default update rate over positive finite m values."""
-    m = np.asarray(m, dtype=np.float64)
+    """Default update rate 2^(-(E(m)-bias+1)) for positive finite m, a power
+    of two strictly above the 0.345 * 2^(-(E(m)-bias)) convergence bound
+    (0.5 > 0.345)."""
     return np.ldexp(1.0, -np.frexp(m)[1])
 
 
-def iterate_a(state: IterState, config: NormConfig, fmt: FormatSpec | None = None) -> IterResult:
-    """Run da = lambda*m*a*(1 - m*a^2); a += da until the stopping rule fires.
+def iterate_values(a0: np.ndarray, m: np.ndarray, lam: np.ndarray, config: NormConfig,
+                   fmt: FormatSpec | None = None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run da = lambda*m*a*(1 - m*a^2); a += da on every row.
 
     Emulated mode rounds every primitive op to `fmt` in the order
-    t1 = m*a, t2 = t1*a, t3 = 1 - t2, t4 = lambda*t1, da = t4*t3, a += da.
-    The default lambda is a power of two, so the lambda multiply is an
-    exponent shift in hardware; it is applied as an exact binary64 scale
-    with a single rounding, which also covers exponents outside the
-    format's range (possible for subnormal m).
+    t1 = m*a, t2 = t1*a, t3 = 1 - t2, t4 = lambda*t1, da = t4*t3, a += da;
+    `exact_arithmetic` keeps binary64 and needs no format.  The default
+    lambda is a power of two, so the lambda multiply is an exponent shift in
+    hardware; it is applied as an exact binary64 scale with a single
+    rounding, which also covers exponents outside the format's range
+    (possible for subnormal m).
+
+    Under Threshold a row stops after the first step whose change in `a`
+    (binary64 difference) is <= delta_max, or after max_steps with
+    converged False; a stopped row keeps its value in later trajectory
+    columns.  Returns (trajectory of shape (n, steps run + 1), steps per row,
+    converged per row, final a).
     """
-    exact = config.exact_arithmetic
-    if not exact and fmt is None:
-        raise UsageError("iterate_a needs a format unless exact_arithmetic is set")
+    stop = config.stopping
+    threshold = isinstance(stop, Threshold)
 
-    def rnd(v: float) -> float:
-        return v if exact else round_value(v, fmt)
+    def rnd(v: np.ndarray) -> np.ndarray:
+        return v if config.exact_arithmetic else round_array(v, fmt)
 
-    a = rnd(state.a)
-    m = rnd(state.m)
-    lam = state.lam
+    a = np.asarray(a0, dtype=np.float64)
+    active = np.ones(a.shape, dtype=bool)
+    steps = np.zeros(a.shape, dtype=np.int64)
     traj = [a]
-    if isinstance(config.stopping, FixedSteps):
-        for _ in range(config.stopping.n_iter):
-            a = _step(a, m, lam, rnd)
-            traj.append(a)
-        return IterResult(a, tuple(traj), True)
-
-    delta = config.seed_delta()
-    converged = True
-    steps = 0
-    while abs(delta) > config.stopping.delta_max:
-        if steps >= config.stopping.max_steps:
-            converged = False
+    for _ in range(stop.max_steps if threshold else stop.n_iter):
+        if threshold and not active.any():
             break
-        new_a = _step(a, m, lam, rnd)
-        delta = new_a - a
+        t1 = rnd(m * a)
+        t2 = rnd(t1 * a)
+        t3 = rnd(1.0 - t2)
+        t4 = rnd(lam * t1)
+        da = rnd(t4 * t3)
+        new_a = np.where(active, rnd(a + da), a)
+        steps += active
+        if threshold:
+            # NaN changes also stop a row, as `not |delta| > delta_max`
+            active &= np.abs(new_a - a) > stop.delta_max
         a = new_a
         traj.append(a)
-        steps += 1
-    return IterResult(a, tuple(traj), converged)
-
-
-def _step(a: float, m: float, lam: float, rnd: Callable[[float], float]) -> float:
-    t1 = rnd(m * a)
-    t2 = rnd(t1 * a)
-    t3 = rnd(1.0 - t2)
-    t4 = rnd(lam * t1)
-    da = rnd(t4 * t3)
-    return rnd(a + da)
+    converged = ~active if threshold else np.ones(a.shape, dtype=bool)
+    return np.stack(traj, axis=1), steps, converged, a
 
 
 # ---------------------------------------------------------------------------
 # Full layer normalization
 # ---------------------------------------------------------------------------
+#
+# A solver maps (m of the live rows, live mask of the batch) to (trajectory,
+# steps, converged, a) for the live rows; `_layernorm` runs everything else.
+
+def _iteration(config: NormConfig, fmt: FormatSpec):
+    """Solver: the iteration from the exponent-based a0 and update rate."""
+    def solve(m: np.ndarray, live: np.ndarray):
+        a0 = init_a_values(m, fmt, config.exact_arithmetic)
+        if config.lambda_override is None:
+            lam = select_lambda_values(m)
+        else:
+            lam = np.full(m.shape, float(config.lambda_override))
+        return iterate_values(a0, m, lam, config, fmt)
+    return solve
+
+
+def _direct(a: np.ndarray):
+    """Solver result for an `a` set without iterating: 0 steps, converged."""
+    return a[:, None], np.zeros(a.shape, dtype=np.int64), np.ones(a.shape, dtype=bool), a
+
+
+def _injected(inject_a, fmt: FormatSpec):
+    """Solver for the `inject_a` test hook: a scalar or one `a` per row,
+    rounded to the format."""
+    def solve(m: np.ndarray, live: np.ndarray):
+        a = np.broadcast_to(np.asarray(inject_a, dtype=np.float64), live.shape)[live]
+        return _direct(round_array(a, fmt))
+    return solve
+
+
+def _layernorm(fmt: FormatSpec, x: np.ndarray, gamma: np.ndarray | None,
+               beta: np.ndarray | None, solve) -> BatchNormResult:
+    """The layer-norm datapath shared by every public entry point: mean
+    shift, squared norm m, `a` from `solve` for the rows with m > 0, then
+    scale and shift.  Zero-variance rows (m == 0) give a = 0, 0 steps,
+    y_hat = +0 and z = beta."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise UsageError("x must have shape (n, d)")
+    n, d = x.shape
+    if d < 1:
+        raise UsageError("d must be >= 1")
+    gamma = np.broadcast_to(1.0 if gamma is None else np.asarray(gamma, dtype=np.float64), (n, d))
+    beta = np.broadcast_to(0.0 if beta is None else np.asarray(beta, dtype=np.float64), (n, d))
+
+    y, mean = mean_shift(x, fmt)
+    m = squared_norm(y, fmt)
+    live = m > 0.0
+    traj_live, steps_live, converged_live, a = solve(m[live], live)
+    traj = np.zeros((n, traj_live.shape[1]))
+    traj[live] = traj_live
+    steps = np.zeros(n, dtype=np.int64)
+    steps[live] = steps_live
+    converged = np.ones(n, dtype=bool)
+    converged[live] = converged_live
+
+    sqrt_d = round_value(math.sqrt(d), fmt)  # pre-stored constant
+    scale = np.zeros(n)
+    scale[live] = round_array(a * sqrt_d, fmt)
+    y_hat = round_array(scale[:, None] * y, fmt)
+    y_hat[~live] = 0.0  # +0.0: 0 * y would carry y's sign
+    z = round_array(round_array(gamma * y_hat, fmt) + beta, fmt)
+    z[~live] = beta[~live]
+    return BatchNormResult(z, y_hat, mean, m, traj, traj.shape[1] - 1, steps, converged)
+
 
 def layernorm_iterl2(inputs: NormInputs, config: NormConfig = NormConfig(),
                      inject_a: float | None = None) -> NormResult:
-    """Layer-normalize one vector with the iterative scheme.
+    """Layer-normalize one vector with the iterative scheme: a batch of one.
 
     Zero-variance input (m == 0) short-circuits to y_hat = 0, z = beta.
     `inject_a` is a test hook that bypasses the iteration and feeds the given
     scalar (rounded to the format) straight into the scale/shift stages.
     """
     fmt = inputs.fmt
-    y, mean = mean_shift(inputs.x, fmt)
-    m = squared_norm(y, fmt)
-    if m == 0.0:
-        y_hat = np.zeros(inputs.d)
-        z = inputs.beta.copy()
-        return NormResult(z, y_hat, mean, m, (0.0,), 0, True)
-
-    if inject_a is not None:
-        a_final = round_value(inject_a, fmt)
-        traj: tuple[float, ...] = (a_final,)
-        steps = 0
-        converged = True
-    else:
-        a0 = init_a_exact(m) if config.exact_arithmetic else init_a(m, fmt)
-        lam = select_lambda(m, config.lambda_override)
-        res = iterate_a(IterState(a=a0, m=m, lam=lam), config, fmt)
-        a_final, traj, converged = res.a_final, res.trajectory, res.converged
-        steps = len(traj) - 1
-
-    sqrt_d = round_value(math.sqrt(inputs.d), fmt)  # pre-stored constant
-    scale = round_value(a_final * sqrt_d, fmt)
-    y_hat = round_array(scale * y, fmt)
-    z = round_array(round_array(inputs.gamma * y_hat, fmt) + inputs.beta, fmt)
-    return NormResult(z, y_hat, mean, m, traj, steps, converged)
+    solve = _iteration(config, fmt) if inject_a is None else _injected(inject_a, fmt)
+    return _layernorm(fmt, inputs.x[None, :], inputs.gamma, inputs.beta, solve).row(0)
 
 
 def normalize_batch(fmt: FormatSpec, x: np.ndarray, gamma: np.ndarray | None = None,
@@ -408,60 +340,11 @@ def normalize_batch(fmt: FormatSpec, x: np.ndarray, gamma: np.ndarray | None = N
     """Vectorized layer normalization of a batch of same-length vectors.
 
     `x` has shape (n, d) with format-representable float64 entries; `gamma`
-    and `beta` are shared across the batch.  Only FixedSteps stopping is
-    supported here (threshold stopping is per-vector; use layernorm_iterl2).
-    Bit-identical to the scalar path for every vector.
+    and `beta` have shape (d,), shared across the batch, or (n, d), one per
+    row.  FixedSteps runs every row for the same step count; under Threshold
+    each row stops on its own, and `steps` and `converged` report it per row.
+    `inject_a` (a scalar or one value per row) is the test hook of
+    :func:`layernorm_iterl2`.
     """
-    if not isinstance(config.stopping, FixedSteps) and inject_a is None:
-        raise UsageError("normalize_batch supports FixedSteps stopping only")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise UsageError("x must have shape (n, d)")
-    n, d = x.shape
-    if d < 1:
-        raise UsageError("d must be >= 1")
-    gamma = np.ones(d) if gamma is None else np.asarray(gamma, dtype=np.float64)
-    beta = np.zeros(d) if beta is None else np.asarray(beta, dtype=np.float64)
-
-    y, mean = _mean_shift_values(x, fmt)
-    m = _squared_norm_values(y, fmt)
-    live = m > 0.0
-
-    if inject_a is not None:
-        a = np.where(live, round_array(np.asarray(inject_a, dtype=np.float64), fmt), 0.0)
-        traj = a[:, None].copy()
-        steps = 0
-    else:
-        steps = config.stopping.n_iter
-        a = np.zeros(n)
-        lam = np.zeros(n)
-        if live.any():
-            m_safe = np.where(live, m, 1.0)
-            a = np.where(live, init_a_values(m_safe, fmt, config.exact_arithmetic), 0.0)
-            if config.lambda_override is not None:
-                lam = np.full(n, float(config.lambda_override))
-            else:
-                lam = select_lambda_values(m_safe)
-        traj = np.empty((n, steps + 1))
-        traj[:, 0] = a
-
-        def rnd(v: np.ndarray) -> np.ndarray:
-            return v if config.exact_arithmetic else round_array(v, fmt)
-
-        for k in range(steps):
-            t1 = rnd(m * a)
-            t2 = rnd(t1 * a)
-            t3 = rnd(1.0 - t2)
-            t4 = rnd(lam * t1)
-            da = rnd(t4 * t3)
-            a = np.where(live, rnd(a + da), 0.0)
-            traj[:, k + 1] = a
-
-    sqrt_d = round_value(math.sqrt(d), fmt)
-    scale = np.where(live, round_array(a * sqrt_d, fmt), 0.0)
-    y_hat = round_array(scale[:, None] * y, fmt)
-    y_hat[~live] = 0.0
-    z = round_array(round_array(gamma[None, :] * y_hat, fmt) + beta[None, :], fmt)
-    if not live.all():
-        z[~live] = beta
-    return BatchNormResult(z, y_hat, mean, m, traj, steps)
+    solve = _iteration(config, fmt) if inject_a is None else _injected(inject_a, fmt)
+    return _layernorm(fmt, x, gamma, beta, solve)

@@ -42,11 +42,15 @@ def read_vectors(path: str | Path) -> tuple[list[np.ndarray], FormatSpec | None]
     """Read vectors from a text or binary container.
 
     Returns (vectors, fmt) where fmt is None for text input (the caller
-    chooses the format) and the header's format for binary input.
+    chooses the format) and the header's format for binary input.  A file
+    that cannot be opened or read is a DataFormatError.
     """
-    if is_binary_file(path):
-        return _read_binary(path)
-    return _read_text(path), None
+    try:
+        if is_binary_file(path):
+            return _read_binary(path)
+        return _read_text(path), None
+    except OSError as exc:
+        raise DataFormatError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _read_text(path: str | Path) -> list[np.ndarray]:

@@ -159,3 +159,32 @@ def oracle_op(a_bits: int, b_bits: int, op: str, fmt: FormatSpec) -> int:
             s = sa & (sb ^ 1)
         return s << (fmt.total_bits - 1)
     return oracle_round(r, fmt)
+
+
+def oracle_iteration(a_bits: int, m_bits: int, lam_exp: int, fmt: FormatSpec,
+                     steps: int, delta_max: float | None = None
+                     ) -> tuple[list[int], int, bool]:
+    """Per-op reference of the `a` iteration with update rate 2^lam_exp.
+
+    Each step is t1 = m*a, t2 = t1*a, t3 = 1 - t2, t4 = 2^lam_exp * t1,
+    da = t4*t3, a + da, each rounded once by the integer oracle.  Without
+    `delta_max` it runs `steps` steps; with it, `steps` is the cap and the
+    run stops after the first step whose exact change in `a` is <= delta_max
+    (the package takes that change in binary64, which is exact for the
+    operands here).  Returns (bit patterns of a_0..a_k, k, converged).
+    """
+    one = dyadic_round(0, 1, 0, fmt)
+    traj = [a_bits]
+    for _ in range(steps):
+        a = traj[-1]
+        t1 = oracle_op_fast(m_bits, a, "mul", fmt)
+        t2 = oracle_op_fast(t1, a, "mul", fmt)
+        t3 = oracle_op_fast(one, t2, "sub", fmt)
+        sign, mant, exp = _decode_dyadic(t1, fmt)
+        t4 = dyadic_round(sign, mant, exp + lam_exp, fmt)
+        da = oracle_op_fast(t4, t3, "mul", fmt)
+        traj.append(oracle_op_fast(a, da, "add", fmt))
+        change = abs(oracle_value(traj[-1], fmt) - oracle_value(a, fmt))
+        if delta_max is not None and change <= Fraction(delta_max):
+            return traj, len(traj) - 1, True
+    return traj, steps, delta_max is None

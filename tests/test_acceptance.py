@@ -38,10 +38,8 @@ from iterl2norm.latency import StageCosts, estimate_cycles
 from iterl2norm.norm_core import (
     FixedSteps,
     NormConfig,
-    init_a,
     init_a_values,
     normalize_batch,
-    select_lambda,
     select_lambda_values,
 )
 
@@ -111,10 +109,6 @@ class TestCriterion2InitializationBand:
             violations += int(np.count_nonzero(eq & ~sig_one))
             worst_lo = min(worst_lo, float(ratio.min()))
             worst_hi = max(worst_hi, float(ratio.max()))
-        # the vectorized sweep is the scalar op, spot-tied here
-        rng = np.random.default_rng(5)
-        for v in sampled_fp32_normals(2000, seed=9):
-            assert init_a(float(v), FP32) == float(init_a_values(np.array([v]), FP32)[0])
         report(2, "initialization band", violations == 0,
                f"0 violations; a0*sqrt(m) in [{worst_lo:.8f}, {worst_hi:.8f}]")
 
@@ -141,9 +135,8 @@ class TestCriterion3LambdaBound:
             a0 = init_a_values(m, fmt)
             term = (1.0 - m * a0 * a0) * np.exp(-2.0 * m * 5 * lam)
             worst_term = max(worst_term, float(term.max()))
-        for v in sampled_fp32_normals(1000, seed=11):
-            e = math.frexp(v)[1] - 1
-            assert select_lambda(float(v)) > 0.345 * math.ldexp(1.0, -e)
+        v = sampled_fp32_normals(1000, seed=11)
+        assert (select_lambda_values(v) > 0.345 * np.ldexp(1.0, -(np.frexp(v)[1] - 1))).all()
         ok &= worst_term <= self.TERM_CEILING
         ok &= abs(worst_term - self.WORST_CASE) < 1e-4
         report(3, "update-rate bound", ok,
@@ -289,9 +282,12 @@ class TestCriterion9FormatGroundTruth:
         report(9, "decompose/compose round-trip", mismatches == 0,
                "all 2^16 fp16 and 2^16 bf16 patterns")
 
+    # Fixed per-format seeds: str hashes change with PYTHONHASHSEED.
+    PAIR_SEEDS = {"fp32": 9032, "fp16": 9016, "bf16": 9116}
+
     @pytest.mark.parametrize("fmt", [FP32, FP16, BF16], ids=lambda f: f.name)
     def test_emulated_ops_vs_rational_oracle(self, fmt):
-        rng = np.random.default_rng(hash(fmt.name) % 2 ** 31)
+        rng = np.random.default_rng(self.PAIR_SEEDS[fmt.name])
         n_pairs = 1_000_000
         raw = rng.integers(0, 1 << fmt.total_bits, size=int(2.3 * 2 * n_pairs), dtype=np.int64)
         finite = ((raw >> fmt.mant_bits) & fmt.exp_mask) != fmt.exp_mask

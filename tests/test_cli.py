@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from iterl2norm.cli import main
 from iterl2norm.fpformat import FP32, round_array
@@ -44,6 +45,16 @@ class TestExitCodes:
                            "--out", str(tmp_path / "o"))
         assert code == 3
         assert "data error" in err
+
+    @pytest.mark.parametrize("flag", ["--input", "--gamma", "--beta"])
+    def test_unreadable_file_is_3(self, capsys, tmp_path, flag):
+        inp = tmp_path / "v.txt"
+        inp.write_text("1.0,2.0\n")
+        paths = {"--input": str(inp), flag: str(tmp_path / "missing.txt")}
+        code, _, err = run(capsys, "normalize", *[a for kv in paths.items() for a in kv],
+                           "--out", str(tmp_path / "o"))
+        assert code == 3
+        assert err.startswith(f"data error: {tmp_path / 'missing.txt'}: ")
 
     def test_range_error_is_4(self, capsys, tmp_path):
         big = tmp_path / "big.txt"

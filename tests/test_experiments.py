@@ -19,7 +19,8 @@ from iterl2norm.experiments import (
     run_precision,
     write_csv,
 )
-from iterl2norm.fpformat import FP16, FP32, round_array
+from iterl2norm.fpformat import BF16, FP16, FP32, round_array
+from iterl2norm.norm_core import NormConfig, NormInputs, Threshold, layernorm_iterl2
 from iterl2norm.vecio import read_vectors, write_vectors
 
 
@@ -226,6 +227,33 @@ class TestNormalize:
         meta = [json.loads(l) for l in open(summary.sidecar_path)]
         assert meta[0]["converged"]
         assert meta[0]["steps"] >= 1
+
+    def test_ragged_rows_match_single_vector_path(self, tmp_path):
+        # rows of several lengths, shuffled, each with its own gamma
+        inp, gam, out = tmp_path / "in.txt", tmp_path / "g.txt", tmp_path / "out.txt"
+        rng = np.random.default_rng(17)
+        dims = list(rng.permutation([5] * 4 + [16] * 5 + [33] * 3 + [64] * 2))
+        vecs = [rng.uniform(-1, 1, d) * 2.0 ** rng.uniform(-4, 4) for d in dims]
+        vecs[2] = np.full(dims[2], 0.5)
+        gammas = [rng.uniform(0.5, 1.5, d) for d in dims]
+        self._write_text_vectors(inp, vecs)
+        self._write_text_vectors(gam, gammas)
+        spec = ExperimentSpec(kind="normalize", formats=("bf16",), delta_max=1e-3,
+                              input_path=str(inp), output_path=str(out))
+        run_normalize(spec, gamma_path=str(gam))
+        got, _ = read_vectors(out)
+        meta = [json.loads(l) for l in open(str(out) + ".meta.jsonl")]
+        config = NormConfig(stopping=Threshold(1e-3))
+        for i, (x, g) in enumerate(zip(vecs, gammas)):
+            want = layernorm_iterl2(NormInputs.from_floats(BF16, x, g), config)
+            assert np.array_equal(got[i], want.z)
+            assert meta[i]["index"] == i and meta[i]["d"] == dims[i]
+            assert (meta[i]["mean"], meta[i]["m"]) == (want.mean, want.m)
+            assert tuple(meta[i]["a_trajectory"]) == want.a_trajectory
+            assert meta[i]["steps"] == want.steps_taken
+            assert meta[i]["converged"] == want.converged
+            assert len(meta[i]["a_trajectory"]) == meta[i]["steps"] + 1
+        assert len({m["steps"] for m in meta}) > 2
 
     def test_gamma_length_mismatch(self, tmp_path):
         inp, gam = tmp_path / "in.txt", tmp_path / "g.txt"

@@ -14,6 +14,7 @@ from .fpformat import (
     FormatSpec,
     FpScalar,
     bits_to_values,
+    carried,
     round_array,
     values_to_bits,
 )
@@ -60,14 +61,15 @@ class FisrSpec:
 
 def fisr_inv_sqrt_values(x: np.ndarray, spec: FisrSpec) -> np.ndarray:
     """Vectorized FISR: seed magic - (bits >> 1), then Newton steps
-    y <- y * (1.5 - ((0.5*x) * y) * y) in emulated format arithmetic."""
+    y <- y * (1.5 - ((0.5*x) * y) * y) in emulated format arithmetic, in the
+    precision `x` is carried in (see `carried`)."""
     fmt = spec.format
-    x = np.asarray(x, dtype=np.float64)
+    x = carried(x)
     if not (x > 0).all():
         raise ValueError("FISR requires strictly positive input")
     bits = values_to_bits(x, fmt).astype(np.int64)
     seed = spec.magic - (bits >> 1)
-    y = bits_to_values(seed, fmt)
+    y = bits_to_values(seed, fmt).astype(x.dtype, copy=False)
     x_half = round_array(0.5 * x, fmt)
     for _ in range(spec.newton_iters):
         t1 = round_array(x_half * y, fmt)

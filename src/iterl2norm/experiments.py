@@ -138,8 +138,10 @@ class ErrorStats:
         if top <= 0.0:
             top = 1.0  # all-zero errors: any positive range works
         edges = tuple(top * 10.0 ** (k - n_decades + 1) for k in range(n_decades))
-        idx = np.digitize(flat, edges[:-1], right=True)
-        counts = np.bincount(idx, minlength=n_decades)
+        # bucket k holds edges[k-1] < e <= edges[k]; NaN and everything above
+        # the second-highest edge land in the top bucket
+        at_most = [np.count_nonzero(flat <= e) for e in edges[:-1]]
+        counts = np.diff([0, *at_most, flat.size])
         return cls(avg, mx, tuple(int(c) for c in counts), edges)
 
     def top_decade_fraction(self) -> float:

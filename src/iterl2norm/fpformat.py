@@ -1,15 +1,28 @@
 """Bit-exact emulation of FP32, FP16 and BFloat16 scalars.
 
-Every emulated operation computes the exact result in binary64 and rounds
-once to the target format with round-to-nearest, ties-to-even.  This matches
-a one-rounding-per-op hardware FPU: for a target precision p, an intermediate
-with at least 2p + 2 significand bits makes the double rounding innocuous,
-and binary64 (p = 53) covers FP32 (2*24 + 2 = 50), FP16 and BFloat16.
+Every emulated operation rounds its exact result once to the target format
+with round-to-nearest, ties-to-even, as a one-rounding-per-op hardware FPU
+does.
 
-Vectors are carried as float64 numpy arrays whose entries are exactly
-representable in the tagged format; :class:`FpScalar` is the scalar unit
-used where individual bit patterns matter (bit inspection, the iteration
-datapath, FISR seeds).
+The layer-norm datapath carries format values in float32 numpy arrays: each
++, - or * is one native binary32 ufunc, and :func:`round_array` then rounds
+the binary32 result to the format.  Rounding first to an intermediate
+precision p' and then to the target precision p gives the correctly rounded
+result of one such operation whenever p' >= 2p + 2 (Figueroa, "When is
+double rounding innocuous?", SIGNUM 1995).  Binary32 has p' = 24: enough
+for FP16 (2*11 + 2 = 24) and BFloat16 (2*8 + 2 = 18); for FP32 the binary32
+ufunc is itself the one correctly rounded operation.  Overflow in binary32
+gives the same infinity the format's rounding gives.
+
+Values outside the datapath (inputs, the binary64 `exact_arithmetic`
+iteration, tests) are float64 arrays, and :func:`round_array` rounds a
+float64 array from binary64 (p' = 53 also covers all three formats).  The
+condition holds for the result of one operation on format values, not for an
+arbitrary binary64 value: FP16 therefore rounds binary64 straight to
+binary16, while BFloat16 rounds through binary32, which can double-round such
+a value (1 + 2^-8 + 2^-40 gives 1, not 1 + 2^-7).  :class:`FpScalar` is the
+scalar unit used where individual bit patterns matter (bit inspection, FISR
+seeds).
 """
 
 from __future__ import annotations
@@ -33,6 +46,7 @@ __all__ = [
     "round_binary",
     "round_value",
     "round_array",
+    "carried",
     "values_to_bits",
     "bits_to_values",
     "emu_add",
@@ -193,34 +207,85 @@ def compose(sign: int, biased_exponent: int, significand_field: int, fmt: Format
 # ---------------------------------------------------------------------------
 
 def round_array(x: np.ndarray | float, fmt: FormatSpec) -> np.ndarray:
-    """Round binary64 values to the nearest representable values of `fmt`.
+    """Round values to the nearest representable values of `fmt`.
 
-    Ties to even, subnormals preserved, overflow saturates to infinity.
-    Returns float64 values (every output is exactly representable in `fmt`).
+    Ties to even, subnormals preserved, overflow saturates to infinity.  The
+    result keeps the input's precision: a float32 array (the datapath's
+    binary32 carry) is rounded from binary32 and returned as float32; any
+    other input is rounded from binary64 and returned as float64.  Every
+    output is exactly representable in `fmt`.
     """
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if fmt is FP32 or fmt.name == "fp32":
-        with np.errstate(over="ignore"):
-            out = arr.astype(np.float32).astype(np.float64)
-    elif fmt is FP16 or fmt.name == "fp16":
-        with np.errstate(over="ignore"):
-            out = arr.astype(np.float16).astype(np.float64)
-    elif fmt is BF16 or fmt.name == "bf16":
-        # binary64 -> binary32 keeps >= 2p+2 bits for p=8, then the bit trick
-        # rounds binary32 -> bfloat16 with ties to even.
-        with np.errstate(over="ignore"):
-            f32 = arr.astype(np.float32)
-        u = f32.view(np.uint32)
-        nan = np.isnan(f32)
-        r16 = ((u + np.uint32(0x7FFF) + ((u >> np.uint32(16)) & np.uint32(1)))
-               >> np.uint32(16)).astype(np.uint32)
-        out = (r16 << np.uint32(16)).view(np.float32).astype(np.float64)
-        if nan.any():
-            out[nan] = np.nan  # encodes to the canonical quiet-NaN pattern 0x7FC0
-    else:
+    if fmt.name not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    shape = np.shape(x)
-    return out.reshape(shape) if shape else out.reshape(())
+    arr = carried(x)
+    return _round(arr, fmt) if arr.ndim else _round(arr.reshape(1), fmt).reshape(())
+
+
+def _round(arr: np.ndarray, fmt: FormatSpec) -> np.ndarray:
+    """:func:`round_array` on a float32 or float64 array of at least one
+    dimension."""
+    if arr.dtype == np.float32:  # the datapath's binary32 carry
+        if fmt.name == "fp32":
+            return arr
+        return _round_fp16(arr) if fmt.name == "fp16" else _round_bf16(arr)
+    with np.errstate(over="ignore"):
+        if fmt.name == "fp16":
+            # binary64 converts straight to binary16: a binary32 step first
+            # would double-round arbitrary binary64 values
+            return arr.astype(np.float16).astype(np.float64)
+        f32 = arr.astype(np.float32)
+    return (f32 if fmt.name == "fp32" else _round_bf16(f32)).astype(np.float64)
+
+
+def _round_bf16(f32: np.ndarray) -> np.ndarray:
+    """Round binary32 values to bfloat16 with ties to even (the bit trick on
+    the binary32 encoding); returns float32."""
+    u = f32.view(np.uint32)
+    r = u >> 16
+    r &= 1
+    r += 0x7FFF
+    r += u
+    r &= 0xFFFF0000
+    out = r.view(np.float32)
+    if f32.size and np.isnan(f32.max()):
+        out[np.isnan(f32)] = np.nan  # encodes to the canonical quiet-NaN pattern 0x7FC0
+    return out
+
+
+# Binary32 encodings of the magnitudes whose FP16 rounding is a normal
+# number: from 2^-14 up to, not including, 65520 (which rounds to infinity).
+_FP16_NORMAL_LO = 0x38800000
+_FP16_NORMAL_SPAN = 0x477FF000 - _FP16_NORMAL_LO
+
+
+def _round_fp16(f32: np.ndarray) -> np.ndarray:
+    """Round binary32 values to binary16 with ties to even; returns float32.
+
+    Where the result is an FP16 normal number, this is the bit trick on the
+    binary32 encoding (drop 13 significand bits), several times faster than
+    numpy's float16 conversion; zeros, subnormal results, overflow, inf and
+    NaN go through that conversion."""
+    u = f32.view(np.uint32)
+    r = u >> 13
+    r &= 1
+    r += 0xFFF
+    r += u
+    r &= 0xFFFFE000
+    out = r.view(np.float32)
+    mag = u & 0x7FFFFFFF
+    mag -= _FP16_NORMAL_LO  # magnitudes below 2^-14 wrap to the top
+    other = mag >= _FP16_NORMAL_SPAN
+    if other.any():
+        with np.errstate(over="ignore"):
+            out[other] = f32[other].astype(np.float16).astype(np.float32)
+    return out
+
+
+def carried(x: np.ndarray | float) -> np.ndarray:
+    """`x` as an array in the precision the datapath carries it in: a float32
+    array stays binary32, anything else becomes float64."""
+    arr = np.asarray(x)
+    return arr if arr.dtype == np.float32 else arr.astype(np.float64, copy=False)
 
 
 def round_value(x: float, fmt: FormatSpec) -> float:
@@ -301,11 +366,12 @@ def tree_sum_values(values: np.ndarray, fmt: FormatSpec, arity: int = 8) -> np.n
     sequentially in chunk order, mirroring the partial-sum buffer.  The last
     chunk is zero-padded.  Each 2-input add rounds once.
 
-    `values` has shape (..., d); the result drops the last axis.
+    `values` has shape (..., d); the result drops the last axis and keeps the
+    precision of `values` (see :func:`carried`).
     """
     if arity < 2:
         raise ValueError("arity must be >= 2")
-    arr = np.asarray(values, dtype=np.float64)
+    arr = carried(values)
     if arr.ndim == 1:
         arr = arr[None, :]
         squeeze = True
@@ -314,12 +380,13 @@ def tree_sum_values(values: np.ndarray, fmt: FormatSpec, arity: int = 8) -> np.n
     n, d = arr.shape[0], arr.shape[-1]
     chunk = arity * arity
     if d == 0:
-        total = np.zeros(arr.shape[:-1])
+        total = np.zeros(arr.shape[:-1], dtype=arr.dtype)
     else:
         nchunk = -(-d // chunk)
         pad = nchunk * chunk - d
         if pad:
-            arr = np.concatenate([arr, np.zeros(arr.shape[:-1] + (pad,))], axis=-1)
+            arr = np.concatenate([arr, np.zeros(arr.shape[:-1] + (pad,), dtype=arr.dtype)],
+                                 axis=-1)
         level = arr.reshape(arr.shape[:-1] + (nchunk, chunk))
         while level.shape[-1] > 1:
             w = level.shape[-1]
@@ -327,10 +394,10 @@ def tree_sum_values(values: np.ndarray, fmt: FormatSpec, arity: int = 8) -> np.n
             if w % 2:
                 pairs = np.concatenate([pairs, level[..., -1:]], axis=-1)
             level = pairs
-        partials = level[..., 0]
-        total = partials[..., 0]
-        for k in range(1, nchunk):
-            total = round_array(total + partials[..., k], fmt)
+        partials = np.moveaxis(level[..., 0], -1, 0).copy()  # one contiguous row per chunk
+        total = partials[0]
+        for part in partials[1:]:
+            total = round_array(total + part, fmt)
     return total[0] if squeeze else total
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import RangeOverflowError, UsageError
 from .fpformat import (
     FormatSpec,
+    carried,
     round_array,
     round_value,
     tree_sum_values,
@@ -164,9 +165,10 @@ def mean_shift(x: np.ndarray | list, fmt: FormatSpec) -> tuple[np.ndarray, np.nd
 
     The sum runs through the adder trees and is multiplied by the pre-rounded
     constant 1/d; each element then subtracts the mean with one rounding.
-    Returns (y, mean); `mean` has shape x.shape[:-1].
+    Returns (y, mean) in the precision of `x` (see `carried`); `mean` has
+    shape x.shape[:-1].
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = carried(x)
     inv_d = round_value(1.0 / x.shape[-1], fmt)  # pre-stored constant
     mean = round_array(tree_sum_values(x, fmt) * inv_d, fmt)
     return round_array(x - mean[..., None], fmt), mean
@@ -175,7 +177,7 @@ def mean_shift(x: np.ndarray | list, fmt: FormatSpec) -> tuple[np.ndarray, np.nd
 def squared_norm(y: np.ndarray | list, fmt: FormatSpec) -> np.ndarray:
     """||y||_2^2 of each vector (the last axis of `y`): elementwise squares
     reduced through the adder trees."""
-    y = np.asarray(y, dtype=np.float64)
+    y = carried(y)
     if y.shape[-1] == 0:
         raise UsageError("y must be nonempty")
     m = tree_sum_values(round_array(y * y, fmt), fmt)
@@ -210,18 +212,20 @@ def iterate_values(a0: np.ndarray, m: np.ndarray, lam: np.ndarray, config: NormC
     """Run da = lambda*m*a*(1 - m*a^2); a += da on every row.
 
     Emulated mode rounds every primitive op to `fmt` in the order
-    t1 = m*a, t2 = t1*a, t3 = 1 - t2, t4 = lambda*t1, da = t4*t3, a += da;
-    `exact_arithmetic` keeps binary64 and needs no format.  The default
-    lambda is a power of two, so the lambda multiply is an exponent shift in
-    hardware; it is applied as an exact binary64 scale with a single
-    rounding, which also covers exponents outside the format's range
-    (possible for subnormal m).
+    t1 = m*a, t2 = t1*a, t3 = 1 - t2, t4 = lambda*t1, da = t4*t3, a += da,
+    in the precision `m` is carried in (see `carried`);
+    `exact_arithmetic` keeps binary64 and needs no format.  The lambda
+    multiply is a binary64 product rounded once: the default lambda is a
+    power of two (an exponent shift in hardware) that can lie outside the
+    binary32 range for subnormal m, and an override such as 0.3 is no
+    binary32 value.
 
     Under Threshold a row stops after the first step whose change in `a`
     (binary64 difference) is <= delta_max, or after max_steps with
     converged False; a stopped row keeps its value in later trajectory
-    columns.  Returns (trajectory of shape (n, steps run + 1), steps per row,
-    converged per row, final a).
+    columns.  A row whose `a` leaves the finite range stops there under
+    Threshold, and never counts as converged.  Returns (trajectory of shape
+    (n, steps run + 1), steps per row, converged per row, final a).
     """
     stop = config.stopping
     threshold = isinstance(stop, Threshold)
@@ -229,26 +233,32 @@ def iterate_values(a0: np.ndarray, m: np.ndarray, lam: np.ndarray, config: NormC
     def rnd(v: np.ndarray) -> np.ndarray:
         return v if config.exact_arithmetic else round_array(v, fmt)
 
-    a = np.asarray(a0, dtype=np.float64)
+    m = np.asarray(m, dtype=np.float64) if config.exact_arithmetic else carried(m)
+    a = np.asarray(a0, dtype=m.dtype)
+    lam = np.asarray(lam, dtype=np.float64)
     active = np.ones(a.shape, dtype=bool)
     steps = np.zeros(a.shape, dtype=np.int64)
     traj = [a]
-    for _ in range(stop.max_steps if threshold else stop.n_iter):
-        if threshold and not active.any():
-            break
-        t1 = rnd(m * a)
-        t2 = rnd(t1 * a)
-        t3 = rnd(1.0 - t2)
-        t4 = rnd(lam * t1)
-        da = rnd(t4 * t3)
-        new_a = np.where(active, rnd(a + da), a)
-        steps += active
-        if threshold:
-            # NaN changes also stop a row, as `not |delta| > delta_max`
-            active &= np.abs(new_a - a) > stop.delta_max
-        a = new_a
-        traj.append(a)
-    converged = ~active if threshold else np.ones(a.shape, dtype=bool)
+    # A diverging row runs through inf and NaN; that is reported per row,
+    # not as a floating-point warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(stop.max_steps if threshold else stop.n_iter):
+            if threshold and not active.any():
+                break
+            t1 = rnd(m * a)
+            t2 = rnd(t1 * a)
+            t3 = rnd(1.0 - t2)
+            t4 = rnd(lam * t1).astype(a.dtype, copy=False)
+            da = rnd(t4 * t3)
+            new_a = np.where(active, rnd(a + da), a)
+            steps += active
+            if threshold:
+                # binary64 change against the binary64 delta_max
+                change = np.abs(new_a.astype(np.float64) - a)
+                active &= np.isfinite(new_a) & (change > stop.delta_max)
+            a = new_a
+            traj.append(a)
+    converged = np.isfinite(a) & ~active if threshold else np.isfinite(a)
     return np.stack(traj, axis=1), steps, converged, a
 
 
@@ -290,35 +300,53 @@ def _layernorm(fmt: FormatSpec, x: np.ndarray, gamma: np.ndarray | None,
     """The layer-norm datapath shared by every public entry point: mean
     shift, squared norm m, `a` from `solve` for the rows with m > 0, then
     scale and shift.  Zero-variance rows (m == 0) give a = 0, 0 steps,
-    y_hat = +0 and z = beta."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise UsageError("x must have shape (n, d)")
-    n, d = x.shape
-    if d < 1:
-        raise UsageError("d must be >= 1")
-    gamma = np.broadcast_to(1.0 if gamma is None else np.asarray(gamma, dtype=np.float64), (n, d))
-    beta = np.broadcast_to(0.0 if beta is None else np.asarray(beta, dtype=np.float64), (n, d))
+    y_hat = +0 and z = beta.
 
-    y, mean = mean_shift(x, fmt)
-    m = squared_norm(y, fmt)
-    live = m > 0.0
-    traj_live, steps_live, converged_live, a = solve(m[live], live)
-    traj = np.zeros((n, traj_live.shape[1]))
-    traj[live] = traj_live
-    steps = np.zeros(n, dtype=np.int64)
-    steps[live] = steps_live
-    converged = np.ones(n, dtype=bool)
-    converged[live] = converged_live
+    x, gamma and beta are narrowed to binary32 once; every stage computes on
+    that carry (see `fpformat`), and the results are widened back to
+    float64 once at the end.  Overflow and invalid operations give the
+    format's infinities and NaNs, as in hardware, without a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.asarray(x, dtype=np.float32)
+        if x.ndim != 2:
+            raise UsageError("x must have shape (n, d)")
+        n, d = x.shape
+        if d < 1:
+            raise UsageError("d must be >= 1")
 
-    sqrt_d = round_value(math.sqrt(d), fmt)  # pre-stored constant
-    scale = np.zeros(n)
-    scale[live] = round_array(a * sqrt_d, fmt)
-    y_hat = round_array(scale[:, None] * y, fmt)
-    y_hat[~live] = 0.0  # +0.0: 0 * y would carry y's sign
-    z = round_array(round_array(gamma * y_hat, fmt) + beta, fmt)
-    z[~live] = beta[~live]
-    return BatchNormResult(z, y_hat, mean, m, traj, traj.shape[1] - 1, steps, converged)
+        y, mean = mean_shift(x, fmt)
+        m = squared_norm(y, fmt)
+        live = m > 0.0
+        traj_live, steps_live, converged_live, a = solve(m[live], live)
+        traj = np.zeros((n, traj_live.shape[1]))
+        traj[live] = traj_live
+        steps = np.zeros(n, dtype=np.int64)
+        steps[live] = steps_live
+        converged = np.ones(n, dtype=bool)
+        converged[live] = converged_live
+
+        sqrt_d = round_value(math.sqrt(d), fmt)  # pre-stored constant
+        scale = np.zeros(n, dtype=np.float32)
+        # a binary64 `a` (exact arithmetic, injected) is rounded from binary64
+        scale[live] = round_array(a * sqrt_d, fmt)
+        y_hat = round_array(scale[:, None] * y, fmt)
+        y_hat[~live] = 0.0  # +0.0: 0 * y would carry y's sign
+        # The defaults gamma = 1 and beta = 0 need no rounding: 1 * y_hat is
+        # exact, and y_hat + 0 is exact (it only turns -0 into +0).
+        z = y_hat
+        if gamma is not None:
+            z = round_array(np.broadcast_to(np.asarray(gamma, dtype=np.float32), (n, d)) * z,
+                            fmt)
+        if beta is None:
+            z = z + np.float32(0.0)
+            z[~live] = 0.0
+        else:
+            beta = np.broadcast_to(np.asarray(beta, dtype=np.float32), (n, d))
+            z = round_array(z + beta, fmt)
+            z[~live] = beta[~live]
+    f64 = np.float64
+    return BatchNormResult(z.astype(f64), y_hat.astype(f64), mean.astype(f64), m.astype(f64),
+                           traj, traj.shape[1] - 1, steps, converged)
 
 
 def layernorm_iterl2(inputs: NormInputs, config: NormConfig = NormConfig(),

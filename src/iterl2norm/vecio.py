@@ -119,5 +119,5 @@ def write_vectors(path: str | Path, vectors: list[np.ndarray],
     else:
         with open(path, "w") as fh:
             for v in vectors:
-                fh.write(",".join(repr(float(t)) for t in v))
+                fh.write(",".join(map(repr, np.asarray(v, dtype=np.float64).tolist())))
                 fh.write("\n")

@@ -294,10 +294,17 @@ class TestCriterion9FormatGroundTruth:
         pairs = raw[finite][: 2 * n_pairs].reshape(-1, 2)
         va = bits_to_values(pairs[:, 0], fmt)
         vb = bits_to_values(pairs[:, 1], fmt)
+        # the datapath's binary32 carry: a native binary32 op, then the
+        # float32 branch of round_array
+        a32, b32 = va.astype(np.float32), vb.astype(np.float32)
+        with np.errstate(over="ignore"):
+            carried = {"add": round_array(a32 + b32, fmt), "mul": round_array(a32 * b32, fmt)}
         mismatches = 0
         for op, res_vals in (("add", round_array(va + vb, fmt)),
                              ("mul", round_array(va * vb, fmt))):
             got = values_to_bits(res_vals, fmt).astype(np.int64)
+            assert carried[op].dtype == np.float32
+            mismatches += int(np.count_nonzero(values_to_bits(carried[op], fmt) != got))
             for i in range(len(pairs)):
                 want = oracle_op_fast(int(pairs[i, 0]), int(pairs[i, 1]), op, fmt)
                 if got[i] != want:
@@ -309,4 +316,5 @@ class TestCriterion9FormatGroundTruth:
             assert emu_add(a, b).bits == oracle_op_fast(a.bits, b.bits, "add", fmt)
             assert emu_mul(a, b).bits == oracle_op_fast(a.bits, b.bits, "mul", fmt)
         report(9, f"emulated ops vs exact oracle [{fmt.name}]", mismatches == 0,
-               f"{n_pairs} random operand pairs, add and mul, 0 mismatches")
+               f"{n_pairs} random operand pairs, add and mul, binary64 and binary32 "
+               "carry, 0 mismatches")

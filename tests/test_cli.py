@@ -64,6 +64,19 @@ class TestExitCodes:
         assert code == 4
         assert "range error" in err
 
+    def test_diverging_threshold_row_is_not_converged(self, capsys, tmp_path):
+        # lambda 0.3 on m = 42 drives a to infinity; the row stops there
+        inp, out = tmp_path / "v.txt", tmp_path / "z.txt"
+        inp.write_text("1,2,3,4,5,6,7,8\n")
+        code, _, err = run(capsys, "normalize", "--input", str(inp), "--out", str(out),
+                           "--lambda", "0.3", "--delta-max", "1e-5")
+        assert code == 0 and err == ""
+        meta = json.loads((tmp_path / "z.txt.meta.jsonl").read_text())
+        traj = meta["a_trajectory"]
+        assert meta["converged"] is False
+        assert meta["steps"] == len(traj) - 1
+        assert np.isfinite(traj[:-1]).all() and np.isinf(traj[-1])
+
 
 class TestOutputs:
     def test_stdout_when_no_out(self, capsys):

@@ -70,6 +70,19 @@ class TestErrorStats:
         assert sum(st.histogram) == 10
         assert st.histogram[0] == 10
 
+    @pytest.mark.parametrize("errs,top", [
+        (np.array([0.0, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 5e-7, 0.5]), 1.0),
+        (np.zeros(10), None),
+        (np.array([np.nan, 1e-9, 1e-3, 1.0, np.nan]), 1.0),
+        (np.array([np.nan, 1e-3, 2.0]), None),
+        (np.abs(np.random.default_rng(3).standard_normal((40, 25))) * 1e-3, None),
+    ], ids=["ties-at-edges", "all-zero", "nan-with-top", "nan", "random"])
+    def test_histogram_matches_digitize(self, errs, top):
+        st = ErrorStats.from_errors(errs, top=top)
+        # the histogram as np.digitize(right=True) bins it
+        idx = np.digitize(errs.ravel(), st.bucket_edges[:-1], right=True)
+        assert st.histogram == tuple(np.bincount(idx, minlength=8).tolist())
+
     def test_top_decade_fraction(self):
         errs = np.array([1.0] + [1e-9] * 99)
         st = ErrorStats.from_errors(errs)

@@ -197,6 +197,20 @@ class TestIterateA:
         assert not converged
         assert len(traj) == 5 and steps == 4
 
+    @pytest.mark.parametrize("stopping", [FixedSteps(8), Threshold(1e-5, 20)],
+                             ids=["fixed8", "threshold"])
+    def test_diverging_row_is_not_converged(self, stopping):
+        # lambda*m = 12.6 drives a out of the finite range; lambda*m = 0.3
+        # converges
+        traj, steps, converged, a = iterate_values(
+            np.array([0.125, 0.125]), np.array([42.0, 42.0]), np.array([0.3, 0.3 / 42]),
+            NormConfig(stopping=stopping), FP32)
+        assert converged.tolist() == [False, True]
+        assert not np.isfinite(a[0]) and np.isfinite(a[1])
+        if isinstance(stopping, Threshold):  # stops at the first non-finite a
+            k = int(steps[0])
+            assert np.isfinite(traj[0, :k]).all() and not np.isfinite(traj[0, k])
+
     def test_threshold_rows_stop_independently(self):
         # a fixed-point row stops after one step; a slow row runs to the cap
         cfg = NormConfig(stopping=Threshold(delta_max=1e-9, max_steps=6), exact_arithmetic=True)

@@ -14,9 +14,9 @@ from .fpformat import (
     FormatSpec,
     FpScalar,
     bits_to_values,
-    carried,
     round_array,
     values_to_bits,
+    _carried,
 )
 from .norm_core import BatchNormResult, NormInputs, NormResult, _direct, _layernorm
 
@@ -62,9 +62,9 @@ class FisrSpec:
 def fisr_inv_sqrt_values(x: np.ndarray, spec: FisrSpec) -> np.ndarray:
     """Vectorized FISR: seed magic - (bits >> 1), then Newton steps
     y <- y * (1.5 - ((0.5*x) * y) * y) in emulated format arithmetic, in the
-    precision `x` is carried in (see `carried`)."""
+    precision `x` is carried in (see `fpformat._carried`)."""
     fmt = spec.format
-    x = carried(x)
+    x = _carried(x)
     if not (x > 0).all():
         raise ValueError("FISR requires strictly positive input")
     bits = values_to_bits(x, fmt).astype(np.int64)

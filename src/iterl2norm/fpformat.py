@@ -46,7 +46,6 @@ __all__ = [
     "round_binary",
     "round_value",
     "round_array",
-    "carried",
     "values_to_bits",
     "bits_to_values",
     "emu_add",
@@ -217,24 +216,21 @@ def round_array(x: np.ndarray | float, fmt: FormatSpec) -> np.ndarray:
     """
     if fmt.name not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    arr = carried(x)
+    arr = _carried(x)
     return _round(arr, fmt) if arr.ndim else _round(arr.reshape(1), fmt).reshape(())
 
 
 def _round(arr: np.ndarray, fmt: FormatSpec) -> np.ndarray:
     """:func:`round_array` on a float32 or float64 array of at least one
-    dimension."""
-    if arr.dtype == np.float32:  # the datapath's binary32 carry
-        if fmt.name == "fp32":
-            return arr
-        return _round_fp16(arr) if fmt.name == "fp16" else _round_bf16(arr)
+    dimension; the result has the dtype of `arr`."""
     with np.errstate(over="ignore"):
         if fmt.name == "fp16":
             # binary64 converts straight to binary16: a binary32 step first
             # would double-round arbitrary binary64 values
-            return arr.astype(np.float16).astype(np.float64)
-        f32 = arr.astype(np.float32)
-    return (f32 if fmt.name == "fp32" else _round_bf16(f32)).astype(np.float64)
+            return arr.astype(np.float16).astype(arr.dtype)
+        f32 = arr.astype(np.float32, copy=False)
+    out = f32 if fmt.name == "fp32" else _round_bf16(f32)
+    return out.astype(arr.dtype, copy=False)
 
 
 def _round_bf16(f32: np.ndarray) -> np.ndarray:
@@ -252,36 +248,7 @@ def _round_bf16(f32: np.ndarray) -> np.ndarray:
     return out
 
 
-# Binary32 encodings of the magnitudes whose FP16 rounding is a normal
-# number: from 2^-14 up to, not including, 65520 (which rounds to infinity).
-_FP16_NORMAL_LO = 0x38800000
-_FP16_NORMAL_SPAN = 0x477FF000 - _FP16_NORMAL_LO
-
-
-def _round_fp16(f32: np.ndarray) -> np.ndarray:
-    """Round binary32 values to binary16 with ties to even; returns float32.
-
-    Where the result is an FP16 normal number, this is the bit trick on the
-    binary32 encoding (drop 13 significand bits), several times faster than
-    numpy's float16 conversion; zeros, subnormal results, overflow, inf and
-    NaN go through that conversion."""
-    u = f32.view(np.uint32)
-    r = u >> 13
-    r &= 1
-    r += 0xFFF
-    r += u
-    r &= 0xFFFFE000
-    out = r.view(np.float32)
-    mag = u & 0x7FFFFFFF
-    mag -= _FP16_NORMAL_LO  # magnitudes below 2^-14 wrap to the top
-    other = mag >= _FP16_NORMAL_SPAN
-    if other.any():
-        with np.errstate(over="ignore"):
-            out[other] = f32[other].astype(np.float16).astype(np.float32)
-    return out
-
-
-def carried(x: np.ndarray | float) -> np.ndarray:
+def _carried(x: np.ndarray | float) -> np.ndarray:
     """`x` as an array in the precision the datapath carries it in: a float32
     array stays binary32, anything else becomes float64."""
     arr = np.asarray(x)
@@ -367,11 +334,11 @@ def tree_sum_values(values: np.ndarray, fmt: FormatSpec, arity: int = 8) -> np.n
     chunk is zero-padded.  Each 2-input add rounds once.
 
     `values` has shape (..., d); the result drops the last axis and keeps the
-    precision of `values` (see :func:`carried`).
+    precision of `values` (see :func:`_carried`).
     """
     if arity < 2:
         raise ValueError("arity must be >= 2")
-    arr = carried(values)
+    arr = _carried(values)
     if arr.ndim == 1:
         arr = arr[None, :]
         squeeze = True

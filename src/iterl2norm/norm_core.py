@@ -24,10 +24,10 @@ import numpy as np
 from .errors import RangeOverflowError, UsageError
 from .fpformat import (
     FormatSpec,
-    carried,
     round_array,
     round_value,
     tree_sum_values,
+    _carried,
 )
 
 __all__ = [
@@ -165,10 +165,10 @@ def mean_shift(x: np.ndarray | list, fmt: FormatSpec) -> tuple[np.ndarray, np.nd
 
     The sum runs through the adder trees and is multiplied by the pre-rounded
     constant 1/d; each element then subtracts the mean with one rounding.
-    Returns (y, mean) in the precision of `x` (see `carried`); `mean` has
-    shape x.shape[:-1].
+    Returns (y, mean) in the precision of `x` (see `fpformat._carried`);
+    `mean` has shape x.shape[:-1].
     """
-    x = carried(x)
+    x = _carried(x)
     inv_d = round_value(1.0 / x.shape[-1], fmt)  # pre-stored constant
     mean = round_array(tree_sum_values(x, fmt) * inv_d, fmt)
     return round_array(x - mean[..., None], fmt), mean
@@ -177,7 +177,7 @@ def mean_shift(x: np.ndarray | list, fmt: FormatSpec) -> tuple[np.ndarray, np.nd
 def squared_norm(y: np.ndarray | list, fmt: FormatSpec) -> np.ndarray:
     """||y||_2^2 of each vector (the last axis of `y`): elementwise squares
     reduced through the adder trees."""
-    y = carried(y)
+    y = _carried(y)
     if y.shape[-1] == 0:
         raise UsageError("y must be nonempty")
     m = tree_sum_values(round_array(y * y, fmt), fmt)
@@ -213,7 +213,7 @@ def iterate_values(a0: np.ndarray, m: np.ndarray, lam: np.ndarray, config: NormC
 
     Emulated mode rounds every primitive op to `fmt` in the order
     t1 = m*a, t2 = t1*a, t3 = 1 - t2, t4 = lambda*t1, da = t4*t3, a += da,
-    in the precision `m` is carried in (see `carried`);
+    in the precision `m` is carried in (see `fpformat._carried`);
     `exact_arithmetic` keeps binary64 and needs no format.  The lambda
     multiply is a binary64 product rounded once: the default lambda is a
     power of two (an exponent shift in hardware) that can lie outside the
@@ -223,9 +223,10 @@ def iterate_values(a0: np.ndarray, m: np.ndarray, lam: np.ndarray, config: NormC
     Under Threshold a row stops after the first step whose change in `a`
     (binary64 difference) is <= delta_max, or after max_steps with
     converged False; a stopped row keeps its value in later trajectory
-    columns.  A row whose `a` leaves the finite range stops there under
-    Threshold, and never counts as converged.  Returns (trajectory of shape
-    (n, steps run + 1), steps per row, converged per row, final a).
+    columns; a row whose `a` leaves the finite range stops there, not
+    converged.  Under FixedSteps every row counts as converged.  Returns
+    (trajectory of shape (n, steps run + 1), steps per row, converged per
+    row, final a).
     """
     stop = config.stopping
     threshold = isinstance(stop, Threshold)
@@ -233,7 +234,7 @@ def iterate_values(a0: np.ndarray, m: np.ndarray, lam: np.ndarray, config: NormC
     def rnd(v: np.ndarray) -> np.ndarray:
         return v if config.exact_arithmetic else round_array(v, fmt)
 
-    m = np.asarray(m, dtype=np.float64) if config.exact_arithmetic else carried(m)
+    m = np.asarray(m, dtype=np.float64) if config.exact_arithmetic else _carried(m)
     a = np.asarray(a0, dtype=m.dtype)
     lam = np.asarray(lam, dtype=np.float64)
     active = np.ones(a.shape, dtype=bool)
@@ -258,7 +259,7 @@ def iterate_values(a0: np.ndarray, m: np.ndarray, lam: np.ndarray, config: NormC
                 active &= np.isfinite(new_a) & (change > stop.delta_max)
             a = new_a
             traj.append(a)
-    converged = np.isfinite(a) & ~active if threshold else np.isfinite(a)
+    converged = np.isfinite(a) & ~active if threshold else np.ones(a.shape, dtype=bool)
     return np.stack(traj, axis=1), steps, converged, a
 
 
@@ -313,6 +314,10 @@ def _layernorm(fmt: FormatSpec, x: np.ndarray, gamma: np.ndarray | None,
         n, d = x.shape
         if d < 1:
             raise UsageError("d must be >= 1")
+        f32 = np.float32
+        gamma = np.broadcast_to(f32(1.0) if gamma is None else np.asarray(gamma, dtype=f32),
+                                (n, d))
+        beta = np.broadcast_to(f32(0.0) if beta is None else np.asarray(beta, dtype=f32), (n, d))
 
         y, mean = mean_shift(x, fmt)
         m = squared_norm(y, fmt)
@@ -331,19 +336,8 @@ def _layernorm(fmt: FormatSpec, x: np.ndarray, gamma: np.ndarray | None,
         scale[live] = round_array(a * sqrt_d, fmt)
         y_hat = round_array(scale[:, None] * y, fmt)
         y_hat[~live] = 0.0  # +0.0: 0 * y would carry y's sign
-        # The defaults gamma = 1 and beta = 0 need no rounding: 1 * y_hat is
-        # exact, and y_hat + 0 is exact (it only turns -0 into +0).
-        z = y_hat
-        if gamma is not None:
-            z = round_array(np.broadcast_to(np.asarray(gamma, dtype=np.float32), (n, d)) * z,
-                            fmt)
-        if beta is None:
-            z = z + np.float32(0.0)
-            z[~live] = 0.0
-        else:
-            beta = np.broadcast_to(np.asarray(beta, dtype=np.float32), (n, d))
-            z = round_array(z + beta, fmt)
-            z[~live] = beta[~live]
+        z = round_array(round_array(gamma * y_hat, fmt) + beta, fmt)
+        z[~live] = beta[~live]
     f64 = np.float64
     return BatchNormResult(z.astype(f64), y_hat.astype(f64), mean.astype(f64), m.astype(f64),
                            traj, traj.shape[1] - 1, steps, converged)

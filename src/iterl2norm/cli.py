@@ -13,7 +13,6 @@ import sys
 
 from .errors import DataFormatError, RangeOverflowError, UsageError
 from .experiments import (
-    CONVERGENCE_STEPS,
     ExperimentSpec,
     run_compare_fisr,
     run_convergence,
@@ -22,7 +21,7 @@ from .experiments import (
     run_precision,
     write_csv,
 )
-from .latency import StageCosts, stage_costs_from_dict
+from .latency import stage_costs_from_dict
 from .norm_core import DEFAULT_STEPS
 
 EXIT_OK = 0
@@ -55,8 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--num-vectors", type=int, default=1000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--steps", type=_int_list, default=None,
-                       help=f"iteration steps (default {DEFAULT_STEPS}); "
-                            "a comma list sweeps step counts for `convergence`")
+                       help=f"iteration steps (default {DEFAULT_STEPS}; `convergence` "
+                            "sweeps 1,...,10); a comma list sweeps step counts "
+                            "for `convergence`")
         p.add_argument("--lambda", dest="lambda_override", type=float, default=None,
                        help="override the per-vector default update rate")
         p.add_argument("--delta-max", type=float, default=None,
@@ -79,6 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str | None) -> dict:
+    """The `--config` JSON as ExperimentSpec fields: stage costs, and the
+    FISR Newton step count and magic constants."""
     if path is None:
         return {}
     try:
@@ -90,45 +92,34 @@ def _load_config(path: str | None) -> dict:
         raise DataFormatError(f"bad JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise DataFormatError(f"{path}: config must be a JSON object")
-    return data
+    fisr, costs = data.get("fisr", {}), data.get("stage_costs", {})
+    if not (isinstance(fisr, dict) and isinstance(costs, dict)):
+        raise DataFormatError(f"{path}: \"fisr\" and \"stage_costs\" must be JSON objects")
+    try:
+        newton_iters = int(fisr.get("newton_iters", 1))
+        magic = {key.removesuffix("_magic"): int(v, 0) if isinstance(v, str) else int(v)
+                 for key, v in fisr.items() if key in ("fp32_magic", "bf16_magic")}
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: bad fisr setting: {exc}") from exc
+    return {"stage_costs": stage_costs_from_dict(costs),
+            "fisr_newton_iters": newton_iters, "fisr_magic": magic}
 
 
 def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
-    cfg = _load_config(args.config)
-    costs = stage_costs_from_dict(cfg.get("stage_costs", {})) if cfg.get("stage_costs") \
-        else StageCosts()
-    fisr_cfg = cfg.get("fisr", {})
-    magic = {}
-    for name in ("fp32", "bf16"):
-        if f"{name}_magic" in fisr_cfg:
-            magic[name] = int(fisr_cfg[f"{name}_magic"], 0) \
-                if isinstance(fisr_cfg[f"{name}_magic"], str) else int(fisr_cfg[f"{name}_magic"])
-    kind = args.command
-    formats = tuple(args.formats) if getattr(args, "formats", None) else None
-    if formats is None:
-        if kind == "compare-fisr":
-            formats = ("fp32", "bf16")
-        elif kind == "normalize":
-            formats = ()  # binary headers carry their own format; text defaults to fp32
-        else:
-            formats = ("fp32", "fp16", "bf16")
-    steps = tuple(args.steps) if args.steps else None
-    if steps is None:
-        steps = CONVERGENCE_STEPS if kind == "convergence" else (DEFAULT_STEPS,)
+    """The spec from the flags the user gave; the rest take the kind's
+    defaults in ExperimentSpec."""
     return ExperimentSpec(
-        kind=kind,
-        formats=formats,
-        dims=tuple(args.dims) if args.dims else (),
+        kind=args.command,
+        formats=tuple(getattr(args, "formats", None) or ()),
+        dims=args.dims or (),
         num_vectors=args.num_vectors,
         seed=args.seed,
-        steps=steps,
+        steps=args.steps or (),
         lambda_override=args.lambda_override,
         delta_max=args.delta_max,
         input_path=getattr(args, "input", None),
         output_path=args.out,
-        stage_costs=costs,
-        fisr_newton_iters=int(fisr_cfg.get("newton_iters", 1)),
-        fisr_magic=magic,
+        **_load_config(args.config),
     )
 
 

@@ -58,7 +58,19 @@ OPT_DIMS = (768, 1024, 2048, 2560, 4096, 5120, 7168, 9216, 12288)
 LATENCY_DIMS = tuple(range(64, 1025, 64))
 CONVERGENCE_STEPS = tuple(range(1, 11))
 
-KINDS = ("precision", "convergence", "compare-fisr", "latency", "normalize")
+_ALL_FORMATS = ("fp32", "fp16", "bf16")
+# Per kind, the (formats, dims, steps) a spec gets for the fields it leaves
+# empty.  FISR needs an 8-bit exponent; a binary `normalize` input names its
+# own format and text input defaults to fp32.  The order fixes the kind ids
+# of the RNG keys.
+_DEFAULTS = {
+    "precision": (_ALL_FORMATS, PRECISION_DIMS, (DEFAULT_STEPS,)),
+    "convergence": (_ALL_FORMATS, (1024,), CONVERGENCE_STEPS),
+    "compare-fisr": (("fp32", "bf16"), OPT_DIMS, (DEFAULT_STEPS,)),
+    "latency": (_ALL_FORMATS, LATENCY_DIMS, (DEFAULT_STEPS,)),
+    "normalize": ((), (), (DEFAULT_STEPS,)),
+}
+KINDS = tuple(_DEFAULTS)
 _KIND_IDS = {k: i for i, k in enumerate(KINDS)}
 _FORMAT_IDS = {"fp32": 0, "fp16": 1, "bf16": 2}
 RNG_NAME = "philox"
@@ -66,12 +78,15 @@ RNG_NAME = "philox"
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """One experiment run; `formats`, `dims` and `steps` left empty take the
+    kind's defaults."""
+
     kind: str
-    formats: tuple[str, ...] = ("fp32", "fp16", "bf16")
+    formats: tuple[str, ...] = ()
     dims: tuple[int, ...] = ()
     num_vectors: int = 1000
     seed: int = 0
-    steps: tuple[int, ...] = (DEFAULT_STEPS,)
+    steps: tuple[int, ...] = ()
     lambda_override: float | None = None
     delta_max: float | None = None
     input_path: str | None = None
@@ -83,6 +98,9 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise UsageError(f"unknown experiment kind {self.kind!r}")
+        for name, default in zip(("formats", "dims", "steps"), _DEFAULTS[self.kind]):
+            if not getattr(self, name):
+                object.__setattr__(self, name, default)
         for f in self.formats:
             if f not in FORMATS:
                 raise UsageError(f"unknown format {f!r}")
@@ -97,56 +115,24 @@ class ExperimentSpec:
                              "batch experiments run a fixed step count")
         if len(self.steps) > 1 and self.kind != "convergence":
             raise UsageError("a steps sweep applies to `convergence` only")
-        if not self.dims:
-            object.__setattr__(self, "dims", _default_dims(self.kind))
-        if self.kind == "convergence":
-            if len(self.dims) > 1:
-                raise UsageError("convergence sweeps steps at one fixed d")
-            if self.steps == (DEFAULT_STEPS,):
-                object.__setattr__(self, "steps", CONVERGENCE_STEPS)
+        if self.kind == "convergence" and len(self.dims) > 1:
+            raise UsageError("convergence sweeps steps at one fixed d")
 
     def norm_config(self, steps: int) -> NormConfig:
         return NormConfig(stopping=FixedSteps(steps), lambda_override=self.lambda_override)
 
 
-def _default_dims(kind: str) -> tuple[int, ...]:
-    if kind == "compare-fisr":
-        return OPT_DIMS
-    if kind == "latency":
-        return LATENCY_DIMS
-    if kind == "convergence":
-        return (1024,)
-    return PRECISION_DIMS
-
-
 @dataclass(frozen=True)
 class ErrorStats:
-    """Aggregate absolute-error statistics with a decade histogram."""
+    """Mean and maximum absolute error."""
 
     avg_abs_err: float
     max_abs_err: float
-    histogram: tuple[int, ...]      # counts, lowest decade first
-    bucket_edges: tuple[float, ...]  # ascending upper edges; last is the range top
 
     @classmethod
-    def from_errors(cls, errs: np.ndarray, n_decades: int = 8,
-                    top: float | None = None) -> "ErrorStats":
+    def from_errors(cls, errs: np.ndarray) -> "ErrorStats":
         flat = np.asarray(errs, dtype=np.float64).ravel()
-        avg = float(flat.mean())
-        mx = float(flat.max())
-        top = mx if top is None else float(top)
-        if top <= 0.0:
-            top = 1.0  # all-zero errors: any positive range works
-        edges = tuple(top * 10.0 ** (k - n_decades + 1) for k in range(n_decades))
-        # bucket k holds edges[k-1] < e <= edges[k]; NaN and everything above
-        # the second-highest edge land in the top bucket
-        at_most = [np.count_nonzero(flat <= e) for e in edges[:-1]]
-        counts = np.diff([0, *at_most, flat.size])
-        return cls(avg, mx, tuple(int(c) for c in counts), edges)
-
-    def top_decade_fraction(self) -> float:
-        total = sum(self.histogram)
-        return self.histogram[-1] / total if total else 0.0
+        return cls(float(flat.mean()), float(flat.max()))
 
 
 @dataclass
@@ -154,7 +140,6 @@ class ExperimentResult:
     spec: ExperimentSpec
     columns: tuple[str, ...]
     rows: list[tuple]
-    stats: dict = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
 
 
@@ -179,40 +164,41 @@ def _draw_inputs(spec: ExperimentSpec, fmt: FormatSpec, d: int) -> np.ndarray:
 # Experiment runners
 # ---------------------------------------------------------------------------
 
-def run_precision(spec: ExperimentSpec) -> ExperimentResult:
-    """Error of the iterative pipeline against the binary64 reference for
-    each (format, d); gamma = 1, beta = 0."""
-    result = ExperimentResult(spec, ("format", "d", "avg_abs_err", "max_abs_err"), [])
-    steps = spec.steps[0]
+def _error_runs(spec: ExperimentSpec):
+    """The error tables' one loop.  For each format and d it draws one batch
+    and its binary64 reference, then runs the iterative pipeline at each
+    step count and, for compare-fisr, FISR; gamma = 1, beta = 0.  Yields
+    (format, d, steps, method, BatchNormResult, ErrorStats) one run at a
+    time (steps is None for FISR): a run's outputs are dropped once the
+    caller moves on."""
     for name in spec.formats:
         fmt = FORMATS[name]
         for d in spec.dims:
             x = _draw_inputs(spec, fmt, d)
-            out = normalize_batch(fmt, x, config=spec.norm_config(steps))
             ref = reference_batch(fmt, x)
-            errs = np.abs(out.z - ref)
-            st = ErrorStats.from_errors(errs)
-            result.stats[(name, d)] = st
-            result.rows.append((name, d, st.avg_abs_err, st.max_abs_err))
-    return result
+            for steps in spec.steps:
+                out = normalize_batch(fmt, x, config=spec.norm_config(steps))
+                yield (name, d, steps, "iterl2norm", out,
+                       ErrorStats.from_errors(np.abs(out.z - ref)))
+            if spec.kind == "compare-fisr":
+                fspec = FisrSpec(format=fmt, magic=spec.fisr_magic.get(name),
+                                 newton_iters=spec.fisr_newton_iters)
+                out = fisr_batch(fmt, x, spec=fspec)
+                yield name, d, None, "fisr", out, ErrorStats.from_errors(np.abs(out.z - ref))
+
+
+def run_precision(spec: ExperimentSpec) -> ExperimentResult:
+    """Error of the iterative pipeline against the binary64 reference for
+    each (format, d)."""
+    return ExperimentResult(spec, ("format", "d", "avg_abs_err", "max_abs_err"), [
+        (name, d, st.avg_abs_err, st.max_abs_err) for name, d, _, _, _, st in _error_runs(spec)])
 
 
 def run_convergence(spec: ExperimentSpec) -> ExperimentResult:
-    """Average error versus iteration step count at fixed d (default 1024).
-    The same input batch is reused across step counts."""
-    result = ExperimentResult(spec, ("format", "steps", "avg_abs_err"), [])
-    d = spec.dims[0]
-    for name in spec.formats:
-        fmt = FORMATS[name]
-        x = _draw_inputs(spec, fmt, d)
-        ref = reference_batch(fmt, x)
-        for steps in spec.steps:
-            out = normalize_batch(fmt, x, config=spec.norm_config(steps))
-            errs = np.abs(out.z - ref)
-            st = ErrorStats.from_errors(errs)
-            result.stats[(name, steps)] = st
-            result.rows.append((name, steps, st.avg_abs_err))
-    return result
+    """Average error versus iteration step count at one d; every step count
+    runs on the same input batch."""
+    return ExperimentResult(spec, ("format", "steps", "avg_abs_err"), [
+        (name, steps, st.avg_abs_err) for name, _, steps, _, _, st in _error_runs(spec)])
 
 
 def run_compare_fisr(spec: ExperimentSpec) -> ExperimentResult:
@@ -223,25 +209,12 @@ def run_compare_fisr(spec: ExperimentSpec) -> ExperimentResult:
         raise UsageError(f"FISR comparison supports fp32/bf16 only (8-bit exponent); got {bad}")
     result = ExperimentResult(
         spec, ("format", "d", "method", "avg_abs_err", "max_abs_err"), [])
-    steps = spec.steps[0]
-    for name in spec.formats:
-        fmt = FORMATS[name]
-        fspec = FisrSpec(format=fmt, magic=spec.fisr_magic.get(name),
-                         newton_iters=spec.fisr_newton_iters)
-        for d in spec.dims:
-            x = _draw_inputs(spec, fmt, d)
-            ref = reference_batch(fmt, x)
-            out_iter = normalize_batch(fmt, x, config=spec.norm_config(steps))
-            out_fisr = fisr_batch(fmt, x, spec=fspec)
-            st_iter = ErrorStats.from_errors(np.abs(out_iter.z - ref))
-            st_fisr = ErrorStats.from_errors(np.abs(out_fisr.z - ref))
-            result.stats[(name, d, "iterl2norm")] = st_iter
-            result.stats[(name, d, "fisr")] = st_fisr
-            result.rows.append((name, d, "iterl2norm", st_iter.avg_abs_err, st_iter.max_abs_err))
-            result.rows.append((name, d, "fisr", st_fisr.avg_abs_err, st_fisr.max_abs_err))
+    for name, d, _, method, out, st in _error_runs(spec):
+        result.rows.append((name, d, method, st.avg_abs_err, st.max_abs_err))
+        if method == "iterl2norm":
             # Document the update-rate sensitivity: the iterative error is
             # driven by where ||y||^2 lands inside its binade.
-            live_m = out_iter.m[out_iter.m > 0]
+            live_m = out.m[out.m > 0]
             sig = float(np.mean(2.0 * np.frexp(live_m)[0])) if live_m.size else math.nan
             result.notes.append(
                 f"lambda_sensitivity format={name} d={d} mean_significand={sig:.4f}")
@@ -306,18 +279,22 @@ def run_normalize(spec: ExperimentSpec, gamma_path: str | None = None,
         x = round_array(np.array([vectors[i] for i in rows]), fmt)
         res = normalize_batch(fmt, x, _group_params(gammas, rows, fmt),
                               _group_params(betas, rows, fmt), config)
+        # JSON has no infinities or NaN: those are written as null
+        mean, m, traj = (np.where(np.isfinite(v), v, None).tolist()
+                         for v in (res.mean, res.m, res.a_trajectory))
+        steps, converged = res.steps.tolist(), res.converged.tolist()
         for j, i in enumerate(rows):
-            r = res.row(j)
-            outputs[i] = r.z
-            meta[i] = {"index": i, "d": d, "mean": r.mean, "m": r.m,
-                       "a_trajectory": list(r.a_trajectory), "steps": r.steps_taken,
-                       "converged": r.converged}
+            outputs[i] = res.z[j]
+            meta[i] = {"index": i, "d": d, "mean": mean[j], "m": m[j],
+                       "a_trajectory": traj[j][:steps[j] + 1], "steps": steps[j],
+                       "converged": converged[j]}
 
     write_vectors(spec.output_path, outputs, fmt, binary=file_fmt is not None)
     sidecar = str(spec.output_path) + ".meta.jsonl"
+    encode = json.JSONEncoder(allow_nan=False).encode
     with open(sidecar, "w") as fh:
         for entry in meta:
-            fh.write(json.dumps(entry) + "\n")
+            fh.write(encode(entry) + "\n")
     return NormalizeSummary(len(outputs), str(spec.output_path), sidecar)
 
 

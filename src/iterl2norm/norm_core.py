@@ -224,9 +224,9 @@ def iterate_values(a0: np.ndarray, m: np.ndarray, lam: np.ndarray, config: NormC
     (binary64 difference) is <= delta_max, or after max_steps with
     converged False; a stopped row keeps its value in later trajectory
     columns; a row whose `a` leaves the finite range stops there, not
-    converged.  Under FixedSteps every row counts as converged.  Returns
-    (trajectory of shape (n, steps run + 1), steps per row, converged per
-    row, final a).
+    converged.  Under FixedSteps every row whose final `a` is finite counts
+    as converged.  Returns (trajectory of shape (n, steps run + 1), steps
+    per row, converged per row, final a).
     """
     stop = config.stopping
     threshold = isinstance(stop, Threshold)
@@ -259,7 +259,7 @@ def iterate_values(a0: np.ndarray, m: np.ndarray, lam: np.ndarray, config: NormC
                 active &= np.isfinite(new_a) & (change > stop.delta_max)
             a = new_a
             traj.append(a)
-    converged = np.isfinite(a) & ~active if threshold else np.ones(a.shape, dtype=bool)
+    converged = np.isfinite(a) & ~active if threshold else np.isfinite(a)
     return np.stack(traj, axis=1), steps, converged, a
 
 

@@ -33,6 +33,11 @@ _TAG_TO_NAME = {v: k for k, v in FORMAT_TAGS.items()}
 _HEADER = struct.Struct("<4sIII")
 
 
+def _word(fmt: FormatSpec) -> np.dtype:
+    """The little-endian unsigned integer dtype of one element's bits."""
+    return np.dtype(f"<u{fmt.total_bits // 8}")
+
+
 def is_binary_file(path: str | Path) -> bool:
     with open(path, "rb") as fh:
         return fh.read(4) == MAGIC
@@ -85,18 +90,11 @@ def _read_binary(path: str | Path) -> tuple[list[np.ndarray], FormatSpec]:
         raise DataFormatError(f"{path}: header declares d={d}, count={count}")
     fmt = FORMATS[_TAG_TO_NAME[tag]]
     payload = raw[_HEADER.size:]
-    if fmt.name == "fp32":
-        data = np.frombuffer(payload, dtype="<f4")
-        values = data.astype(np.float64)
-    elif fmt.name == "fp16":
-        data = np.frombuffer(payload, dtype="<f2")
-        values = data.astype(np.float64)
-    else:
-        data = np.frombuffer(payload, dtype="<u2")
-        values = bits_to_values(data, fmt)
-    if values.size != d * count:
-        raise DataFormatError(f"{path}: payload holds {values.size} elements, "
-                              f"header declares {d * count}")
+    word = _word(fmt)
+    if len(payload) != d * count * word.itemsize:
+        raise DataFormatError(f"{path}: payload holds {len(payload)} bytes, header "
+                              f"declares {d * count} elements of {word.itemsize} bytes")
+    values = bits_to_values(np.frombuffer(payload, dtype=word), fmt)
     return [values[i * d:(i + 1) * d].copy() for i in range(count)], fmt
 
 
@@ -110,12 +108,7 @@ def write_vectors(path: str | Path, vectors: list[np.ndarray],
         flat = np.concatenate([np.asarray(v, dtype=np.float64) for v in vectors])
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(MAGIC, FORMAT_TAGS[fmt.name], d, len(vectors)))
-            if fmt.name == "fp32":
-                fh.write(flat.astype("<f4").tobytes())
-            elif fmt.name == "fp16":
-                fh.write(flat.astype("<f2").tobytes())
-            else:
-                fh.write(values_to_bits(flat, fmt).astype("<u2").tobytes())
+            fh.write(values_to_bits(flat, fmt).astype(_word(fmt)).tobytes())
     else:
         with open(path, "w") as fh:
             for v in vectors:

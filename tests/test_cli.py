@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from iterl2norm.cli import main
-from iterl2norm.fpformat import FP32, round_array
+from iterl2norm.fpformat import BF16, FP16, FP32, round_array
 from iterl2norm.vecio import write_vectors
 
 
@@ -12,6 +12,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """json.loads that rejects the non-JSON tokens NaN and +-Infinity."""
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=reject)
 
 
 class TestExitCodes:
@@ -56,6 +63,30 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith(f"data error: {tmp_path / 'missing.txt'}: ")
 
+    @pytest.mark.parametrize("fmt", [FP32, FP16, BF16], ids=["fp32", "fp16", "bf16"])
+    def test_truncated_binary_payload_is_3(self, capsys, tmp_path, fmt):
+        inp = tmp_path / "v.bin"
+        write_vectors(inp, [np.ones(4), np.zeros(4)], fmt, binary=True)
+        inp.write_bytes(inp.read_bytes()[:-1])
+        code, _, err = run(capsys, "normalize", "--input", str(inp),
+                           "--out", str(tmp_path / "o"))
+        assert code == 3
+        assert err.startswith("data error: ") and "payload holds" in err
+
+    @pytest.mark.parametrize("cfg", [
+        {"fisr": {"fp32_magic": "zz"}},
+        {"fisr": {"newton_iters": "two"}},
+        {"fisr": []},
+        {"stage_costs": [1]},
+    ], ids=["magic", "newton_iters", "fisr-list", "stage_costs-list"])
+    def test_malformed_config_is_3(self, capsys, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run(capsys, "compare-fisr", "--format", "fp32", "--dims", "16",
+                           "--num-vectors", "4", "--config", str(path))
+        assert code == 3
+        assert err.startswith(f"data error: {path}: ")
+
     def test_range_error_is_4(self, capsys, tmp_path):
         big = tmp_path / "big.txt"
         big.write_text(",".join(["60000", "-60000"] * 4) + "\n")
@@ -71,11 +102,24 @@ class TestExitCodes:
         code, _, err = run(capsys, "normalize", "--input", str(inp), "--out", str(out),
                            "--lambda", "0.3", "--delta-max", "1e-5")
         assert code == 0 and err == ""
-        meta = json.loads((tmp_path / "z.txt.meta.jsonl").read_text())
+        meta = strict_json((tmp_path / "z.txt.meta.jsonl").read_text())
         traj = meta["a_trajectory"]
         assert meta["converged"] is False
         assert meta["steps"] == len(traj) - 1
-        assert np.isfinite(traj[:-1]).all() and np.isinf(traj[-1])
+        assert np.isfinite(traj[:-1]).all() and traj[-1] is None
+
+    def test_diverging_fixed_steps_row_is_not_converged(self, capsys, tmp_path):
+        # the same row under --steps 8 ends with a NaN `a` and NaN outputs
+        inp, out = tmp_path / "v.txt", tmp_path / "z.txt"
+        inp.write_text("1,2,3,4,5,6,7,8\n")
+        code, _, err = run(capsys, "normalize", "--input", str(inp), "--out", str(out),
+                           "--lambda", "0.3", "--steps", "8")
+        assert code == 0 and err == ""
+        meta = strict_json((tmp_path / "z.txt.meta.jsonl").read_text())
+        traj = meta["a_trajectory"]
+        assert meta["converged"] is False
+        assert (meta["steps"], len(traj), meta["m"]) == (8, 9, 42.0)
+        assert traj[0] == 0.125 and traj[-1] is None
 
 
 class TestOutputs:
@@ -98,6 +142,14 @@ class TestOutputs:
         assert code == 0
         rows = [l for l in out.splitlines() if l.startswith("fp32,")]
         assert len(rows) == 3
+
+    def test_convergence_single_step_count(self, capsys):
+        code, out, _ = run(capsys, "convergence", "--format", "fp32", "--dims", "32",
+                           "--num-vectors", "6", "--steps", "5")
+        assert code == 0
+        assert " steps=5 " in out
+        assert [l.split(",")[:2] for l in out.splitlines() if l.startswith("fp32,")] \
+            == [["fp32", "5"]]
 
     def test_stage_cost_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

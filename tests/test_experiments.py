@@ -33,9 +33,14 @@ def small_spec(kind, **kw):
 class TestExperimentSpec:
     def test_default_dims_by_kind(self):
         assert ExperimentSpec(kind="precision").dims == PRECISION_DIMS
-        assert ExperimentSpec(kind="compare-fisr", formats=("fp32", "bf16")).dims == OPT_DIMS
+        fisr = ExperimentSpec(kind="compare-fisr")
+        assert (fisr.formats, fisr.dims, fisr.steps) == (("fp32", "bf16"), OPT_DIMS, (5,))
         assert ExperimentSpec(kind="convergence").dims == (1024,)
         assert ExperimentSpec(kind="convergence").steps == CONVERGENCE_STEPS
+        # a step count that equals the default is not the sweep
+        assert ExperimentSpec(kind="convergence", steps=(5,)).steps == (5,)
+        # a binary file names its own format
+        assert ExperimentSpec(kind="normalize").formats == ()
 
     def test_validation(self):
         with pytest.raises(UsageError):
@@ -60,33 +65,11 @@ class TestErrorStats:
         errs = np.abs(rng.standard_normal((50, 30))) * 1e-4
         st = ErrorStats.from_errors(errs)
         assert st.max_abs_err >= st.avg_abs_err >= 0
-        assert sum(st.histogram) == errs.size
-        assert len(st.histogram) == len(st.bucket_edges) == 8
-        assert st.bucket_edges[-1] == st.max_abs_err
+        assert (st.avg_abs_err, st.max_abs_err) == (errs.ravel().mean(), errs.max())
 
     def test_all_zero_errors(self):
         st = ErrorStats.from_errors(np.zeros(10))
         assert st.avg_abs_err == st.max_abs_err == 0.0
-        assert sum(st.histogram) == 10
-        assert st.histogram[0] == 10
-
-    @pytest.mark.parametrize("errs,top", [
-        (np.array([0.0, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 5e-7, 0.5]), 1.0),
-        (np.zeros(10), None),
-        (np.array([np.nan, 1e-9, 1e-3, 1.0, np.nan]), 1.0),
-        (np.array([np.nan, 1e-3, 2.0]), None),
-        (np.abs(np.random.default_rng(3).standard_normal((40, 25))) * 1e-3, None),
-    ], ids=["ties-at-edges", "all-zero", "nan-with-top", "nan", "random"])
-    def test_histogram_matches_digitize(self, errs, top):
-        st = ErrorStats.from_errors(errs, top=top)
-        # the histogram as np.digitize(right=True) bins it
-        idx = np.digitize(errs.ravel(), st.bucket_edges[:-1], right=True)
-        assert st.histogram == tuple(np.bincount(idx, minlength=8).tolist())
-
-    def test_top_decade_fraction(self):
-        errs = np.array([1.0] + [1e-9] * 99)
-        st = ErrorStats.from_errors(errs)
-        assert st.top_decade_fraction() == pytest.approx(0.01)
 
 
 class TestDeterminism:
@@ -112,10 +95,10 @@ class TestPrecision:
         spec = small_spec("precision", formats=("fp32", "fp16"), dims=(16, 32))
         res = run_precision(spec)
         assert res.columns == ("format", "d", "avg_abs_err", "max_abs_err")
-        assert len(res.rows) == 4
+        assert [r[:2] for r in res.rows] == [("fp32", 16), ("fp32", 32),
+                                             ("fp16", 16), ("fp16", 32)]
         for fmt, d, avg, mx in res.rows:
             assert 0 <= avg <= mx
-            assert res.stats[(fmt, d)].avg_abs_err == avg
 
     def test_histogram_concentration_at_d384(self):
         # the worst cases are marginal: under 1% of elements err at or above
@@ -128,9 +111,9 @@ class TestPrecision:
                               dims=(384,), num_vectors=300, seed=0)
         res = run_precision(spec)
         rng = np.random.default_rng(123)
-        for name in ("fp32", "fp16", "bf16"):
-            st = res.stats[(name, 384)]
-            assert st.avg_abs_err <= st.max_abs_err
+        assert [r[0] for r in res.rows] == ["fp32", "fp16", "bf16"]
+        for name, d, avg, mx in res.rows:
+            assert d == 384 and avg <= mx
             fmt = FORMATS[name]
             x = round_array(rng.uniform(-1, 1, (300, 384)), fmt)
             errs = np.abs(normalize_batch(fmt, x).z - reference_batch(fmt, x))
@@ -222,6 +205,19 @@ class TestNormalize:
         got, fmt = read_vectors(out)
         assert fmt is FP16 or fmt.name == "fp16"
         assert all(len(v) == 8 for v in got)
+
+    @pytest.mark.parametrize("fmt,payload", [
+        (FP32, np.array([1.0, -2.0, 0.1], dtype="<f4").tobytes()),
+        (FP16, np.array([1.0, -2.0, 0.1], dtype="<f2").tobytes()),
+        (BF16, bytes([0x80, 0x3F, 0x00, 0xC0, 0xCD, 0x3D])),
+    ], ids=["fp32", "fp16", "bf16"])
+    def test_binary_payload_bytes(self, tmp_path, fmt, payload):
+        path = tmp_path / "v.bin"
+        vec = round_array(np.array([1.0, -2.0, 0.1]), fmt)
+        write_vectors(path, [vec], fmt, binary=True)
+        assert path.read_bytes()[16:] == payload
+        got, got_fmt = read_vectors(path)
+        assert got_fmt is fmt and np.array_equal(got[0], vec)
 
     def test_binary_format_conflict(self, tmp_path):
         inp = tmp_path / "in.bin"

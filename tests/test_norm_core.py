@@ -201,14 +201,13 @@ class TestIterateA:
                              ids=["fixed8", "threshold"])
     def test_diverging_row_is_not_converged(self, stopping):
         # lambda*m = 12.6 drives a out of the finite range; lambda*m = 0.3
-        # converges.  FixedSteps reports every row converged.
+        # converges.  Neither stopping rule reports a non-finite a converged.
         traj, steps, converged, a = iterate_values(
             np.array([0.125, 0.125]), np.array([42.0, 42.0]), np.array([0.3, 0.3 / 42]),
             NormConfig(stopping=stopping), FP32)
-        threshold = isinstance(stopping, Threshold)
-        assert converged.tolist() == ([False, True] if threshold else [True, True])
+        assert converged.tolist() == [False, True]
         assert not np.isfinite(a[0]) and np.isfinite(a[1])
-        if threshold:  # stops at the first non-finite a
+        if isinstance(stopping, Threshold):  # stops at the first non-finite a
             k = int(steps[0])
             assert np.isfinite(traj[0, :k]).all() and not np.isfinite(traj[0, k])
 

@@ -5,7 +5,9 @@ The default rate 2^-(E(m)-bias+1) puts lambda*m in [0.5, 1), so the
 iteration's contraction factor |1 - 2*lambda*m| depends on where ||y||^2
 lands inside its binade.  This sweep quantifies that sensitivity for one
 vector length: it normalizes the same seeded batch under a grid of
-lambda*m targets and prints the resulting average error per format.
+lambda*m targets and prints the resulting average error per format.  The
+batch's vector stages (mean shift and squared norm) run once and are
+reused for every target.
 """
 
 import argparse
@@ -15,7 +17,7 @@ import numpy as np
 
 from iterl2norm.baselines import reference_batch
 from iterl2norm.fpformat import FORMATS, round_array
-from iterl2norm.norm_core import FixedSteps, NormConfig, normalize_batch
+from iterl2norm.norm_core import FixedSteps, NormConfig, normalize_batch, shift_batch
 
 
 def sweep(fmt_name: str, d: int, num_vectors: int, steps: int, seed: int,
@@ -24,8 +26,9 @@ def sweep(fmt_name: str, d: int, num_vectors: int, steps: int, seed: int,
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     x = round_array(rng.uniform(-1.0, 1.0, size=(num_vectors, d)), fmt)
     ref = reference_batch(fmt, x)
+    shifted = shift_batch(fmt, x)
 
-    default = normalize_batch(fmt, x, config=NormConfig(stopping=FixedSteps(steps)))
+    default = normalize_batch(fmt, shifted, config=NormConfig(stopping=FixedSteps(steps)))
     err_default = float(np.abs(default.z - ref).mean())
     m_mean = float(default.m.mean())
     sig = 2.0 * math.frexp(m_mean)[0]
@@ -34,7 +37,7 @@ def sweep(fmt_name: str, d: int, num_vectors: int, steps: int, seed: int,
     print(f"  {'default':>9s} {'2^-(e+1)':>12s} {err_default:12.3e}")
     for t in targets:
         lam = t / m_mean
-        out = normalize_batch(fmt, x, config=NormConfig(
+        out = normalize_batch(fmt, shifted, config=NormConfig(
             stopping=FixedSteps(steps), lambda_override=lam))
         err = float(np.abs(out.z - ref).mean())
         print(f"  {t:9.3f} {lam:12.4e} {err:12.3e}")

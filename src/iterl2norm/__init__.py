@@ -27,13 +27,16 @@ from .norm_core import (
     NormConfig,
     NormInputs,
     NormResult,
+    Shifted,
     Threshold,
     init_a_values,
     iterate_values,
     layernorm_iterl2,
     mean_shift,
     normalize_batch,
+    normalize_batches,
     select_lambda_values,
+    shift_batch,
     squared_norm,
 )
 from .dynamics import (
@@ -61,7 +64,7 @@ __all__ = [
     "emu_add", "emu_sub", "emu_mul", "tree_sum", "tree_sum_values",
     "NormInputs", "NormConfig", "FixedSteps", "Threshold", "NormResult",
     "mean_shift", "squared_norm", "init_a_values", "select_lambda_values", "iterate_values",
-    "layernorm_iterl2", "normalize_batch",
+    "Shifted", "shift_batch", "layernorm_iterl2", "normalize_batch", "normalize_batches",
     "DynamicsParams", "k_fixed_points", "steady_norm_sq", "analytic_a",
     "lambda_lower_bound", "simulate_vector_recursion",
     "FisrSpec", "fisr_inv_sqrt", "layernorm_fisr", "layernorm_reference",

@@ -18,7 +18,7 @@ from .fpformat import (
     values_to_bits,
     _carried,
 )
-from .norm_core import BatchNormResult, NormInputs, NormResult, _direct, _layernorm
+from .norm_core import BatchNormResult, NormInputs, NormResult, Shifted, _direct, _layernorm
 
 __all__ = [
     "FisrSpec",
@@ -97,9 +97,10 @@ def _fisr(fmt: FormatSpec, spec: FisrSpec | None):
     return lambda m, live: _direct(fisr_inv_sqrt_values(m, spec))
 
 
-def fisr_batch(fmt: FormatSpec, x: np.ndarray, gamma: np.ndarray | None = None,
+def fisr_batch(fmt: FormatSpec, x: np.ndarray | Shifted, gamma: np.ndarray | None = None,
                beta: np.ndarray | None = None, spec: FisrSpec | None = None) -> BatchNormResult:
-    """Layer normalization with the iteration replaced by FISR on m."""
+    """Layer normalization with the iteration replaced by FISR on m; `x` is
+    an (n, d) batch or its `Shifted`, as in `normalize_batch`."""
     return _layernorm(fmt, x, gamma, beta, _fisr(fmt, spec))
 
 

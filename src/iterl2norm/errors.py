@@ -14,4 +14,11 @@ class DataFormatError(ValueError):
 
 
 class RangeOverflowError(ArithmeticError):
-    """The squared norm overflowed the target format; the iteration cannot run."""
+    """The squared norm overflowed the target format; the iteration cannot run.
+
+    `row` is the first row of the batch whose squared norm overflowed, or
+    None."""
+
+    def __init__(self, message: str, row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row

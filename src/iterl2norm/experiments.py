@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import FisrSpec, fisr_batch, reference_batch
-from .errors import DataFormatError, UsageError
+from .errors import DataFormatError, RangeOverflowError, UsageError
 from .fpformat import FORMATS, FormatSpec, round_array
 from .latency import MacroGeometry, StageCosts, PHASES, estimate_cycles
 from .norm_core import (
@@ -31,6 +31,8 @@ from .norm_core import (
     NormConfig,
     Threshold,
     normalize_batch,
+    normalize_batches,
+    shift_batch,
 )
 from .vecio import read_vectors, write_vectors
 
@@ -60,14 +62,14 @@ CONVERGENCE_STEPS = tuple(range(1, 11))
 
 _ALL_FORMATS = ("fp32", "fp16", "bf16")
 # Per kind, the (formats, dims, steps) a spec gets for the fields it leaves
-# empty.  FISR needs an 8-bit exponent; a binary `normalize` input names its
-# own format and text input defaults to fp32.  The order fixes the kind ids
-# of the RNG keys.
+# empty.  FISR needs an 8-bit exponent; the cycle model has no format; a
+# binary `normalize` input names its own format and text input defaults to
+# fp32.  The order fixes the kind ids of the RNG keys.
 _DEFAULTS = {
     "precision": (_ALL_FORMATS, PRECISION_DIMS, (DEFAULT_STEPS,)),
     "convergence": (_ALL_FORMATS, (1024,), CONVERGENCE_STEPS),
     "compare-fisr": (("fp32", "bf16"), OPT_DIMS, (DEFAULT_STEPS,)),
-    "latency": (_ALL_FORMATS, LATENCY_DIMS, (DEFAULT_STEPS,)),
+    "latency": ((), LATENCY_DIMS, (DEFAULT_STEPS,)),
     "normalize": ((), (), (DEFAULT_STEPS,)),
 }
 KINDS = tuple(_DEFAULTS)
@@ -165,9 +167,10 @@ def _draw_inputs(spec: ExperimentSpec, fmt: FormatSpec, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _error_runs(spec: ExperimentSpec):
-    """The error tables' one loop.  For each format and d it draws one batch
-    and its binary64 reference, then runs the iterative pipeline at each
-    step count and, for compare-fisr, FISR; gamma = 1, beta = 0.  Yields
+    """The error tables' one loop.  For each format and d it draws one batch,
+    computes its binary64 reference and its vector stages once, then runs
+    the iterative pipeline at each step count and, for compare-fisr, FISR on
+    those stages; gamma = 1, beta = 0.  Yields
     (format, d, steps, method, BatchNormResult, ErrorStats) one run at a
     time (steps is None for FISR): a run's outputs are dropped once the
     caller moves on."""
@@ -176,15 +179,23 @@ def _error_runs(spec: ExperimentSpec):
         for d in spec.dims:
             x = _draw_inputs(spec, fmt, d)
             ref = reference_batch(fmt, x)
+            shifted = shift_batch(fmt, x)
             for steps in spec.steps:
-                out = normalize_batch(fmt, x, config=spec.norm_config(steps))
-                yield (name, d, steps, "iterl2norm", out,
-                       ErrorStats.from_errors(np.abs(out.z - ref)))
+                out = normalize_batch(fmt, shifted, config=spec.norm_config(steps))
+                yield name, d, steps, "iterl2norm", out, _error_stats(out.z, ref)
             if spec.kind == "compare-fisr":
                 fspec = FisrSpec(format=fmt, magic=spec.fisr_magic.get(name),
                                  newton_iters=spec.fisr_newton_iters)
-                out = fisr_batch(fmt, x, spec=fspec)
-                yield name, d, None, "fisr", out, ErrorStats.from_errors(np.abs(out.z - ref))
+                out = fisr_batch(fmt, shifted, spec=fspec)
+                yield name, d, None, "fisr", out, _error_stats(out.z, ref)
+
+
+def _error_stats(z: np.ndarray, ref: np.ndarray) -> ErrorStats:
+    """ErrorStats of |z - ref|, computed in one temporary array: the
+    largest batches are several MB, and the error tables keep the batch,
+    its reference, its vector stages and a result alive meanwhile."""
+    err = z - ref
+    return ErrorStats.from_errors(np.abs(err, out=err))
 
 
 def run_precision(spec: ExperimentSpec) -> ExperimentResult:
@@ -241,9 +252,12 @@ def run_normalize(spec: ExperimentSpec, gamma_path: str | None = None,
     """Normalize vectors from a file; write outputs plus a JSON-lines
     diagnostics sidecar (m, a-trajectory, steps, converged) per vector.
 
-    Vectors, gamma and beta are rounded to the format; all vectors of one
-    length go through `normalize_batch` together.  Every parameter length is
-    checked before anything is computed."""
+    Vectors, gamma and beta are rounded to the format; the vectors of one
+    length form one batch, and `normalize_batches` solves for `a` once over
+    every batch of the file.  Every parameter length is checked before
+    anything is computed.  A non-finite input value (a data error) and a
+    squared norm that overflows the format (a range error) name the first
+    such vector of the file, the data error first."""
     if not spec.input_path or not spec.output_path:
         raise UsageError("normalize needs --input and --out paths")
     vectors, file_fmt = read_vectors(spec.input_path)
@@ -269,16 +283,39 @@ def run_normalize(spec: ExperimentSpec, gamma_path: str | None = None,
     else:
         config = spec.norm_config(spec.steps[0])
 
-    # One batch per vector length; outputs and sidecar keep the file order.
+    # One batch per vector length and one solve for the whole file; outputs
+    # and sidecar keep the file order.
     rows_by_d: dict[int, list[int]] = {}
     for i, vec in enumerate(vectors):
         rows_by_d.setdefault(len(vec), []).append(i)
+    groups = list(rows_by_d.values())
+    parts, non_finite, overflow = [], [], []
+    for rows in groups:
+        x = np.array([vectors[i] for i in rows])
+        try:
+            shifted = shift_batch(fmt, round_array(x, fmt))
+        except RangeOverflowError as exc:
+            # a NaN or infinite input value also makes its m non-finite
+            finite = np.isfinite(x).all(axis=1)
+            if finite.all():
+                overflow.append(rows[exc.row])
+            else:
+                non_finite.append(rows[int(np.argmin(finite))])
+            continue
+        parts.append((shifted, _group_params(gammas, rows, fmt),
+                      _group_params(betas, rows, fmt)))
+    if non_finite:
+        raise DataFormatError(f"vector {min(non_finite)}: non-finite value")
+    if overflow:
+        raise RangeOverflowError(f"vector {min(overflow)}: squared norm overflowed {fmt.name}")
+    results = normalize_batches(fmt, parts, config)
+    # Only the solve holds the shifted batches now, and zip(strict=True) runs
+    # it to its end, so they are freed before the output is written.
+    del parts, shifted, x
     outputs: list = [None] * len(vectors)
     meta: list = [None] * len(vectors)
-    for d, rows in rows_by_d.items():
-        x = round_array(np.array([vectors[i] for i in rows]), fmt)
-        res = normalize_batch(fmt, x, _group_params(gammas, rows, fmt),
-                              _group_params(betas, rows, fmt), config)
+    for rows, res in zip(groups, results, strict=True):
+        d = res.z.shape[1]
         # JSON has no infinities or NaN: those are written as null
         mean, m, traj = (np.where(np.isfinite(v), v, None).tolist()
                          for v in (res.mean, res.m, res.a_trajectory))
@@ -331,13 +368,17 @@ def csv_text(result: ExperimentResult) -> str:
     """Render an experiment result as CSV with a reproducibility header."""
     spec = result.spec
     buf = io.StringIO()
+    dims, steps = ",".join(map(str, spec.dims)), ",".join(map(str, spec.steps))
     buf.write(f"# iterl2norm v{__version__} {spec.kind}\n")
-    buf.write(f"# seed={spec.seed} rng={RNG_NAME} "
-              f"(SeedSequence spawn_key=(kind,format,d))\n")
-    lam = "default" if spec.lambda_override is None else f"{spec.lambda_override!r}"
-    buf.write(f"# formats={','.join(spec.formats)} dims={','.join(map(str, spec.dims))} "
-              f"num_vectors={spec.num_vectors} steps={','.join(map(str, spec.steps))} "
-              f"lambda={lam}\n")
+    if spec.kind == "latency":
+        # the cycle model draws nothing and reads only the lengths and steps
+        buf.write(f"# dims={dims} steps={steps}\n")
+    else:
+        buf.write(f"# seed={spec.seed} rng={RNG_NAME} "
+                  f"(SeedSequence spawn_key=(kind,format,d))\n")
+        lam = "default" if spec.lambda_override is None else f"{spec.lambda_override!r}"
+        buf.write(f"# formats={','.join(spec.formats)} dims={dims} "
+                  f"num_vectors={spec.num_vectors} steps={steps} lambda={lam}\n")
     for note in result.notes:
         buf.write(f"# {note}\n")
     buf.write(",".join(result.columns) + "\n")

@@ -6,9 +6,11 @@ division-free fixed-point iteration da = lambda*m*a*(1 - m*a^2), and the
 final scale/shift.  `a` converges to 1/||y||_2, so sqrt(d)*a*y is the
 layer-norm core without any divide or square root at runtime.
 
-Every entry point runs one batched datapath (`_layernorm`); only the solver
-for `a` varies: the iteration, FISR (`baselines`), or an injected value.  The
-single-vector API is a batch of one.  The iteration runs in the target
+Every entry point runs one batched datapath, split at the solver for `a`:
+the vector stages (`shift_batch`), one solve, then the scale and shift
+stages.  Only the solver varies: the iteration, FISR (`baselines`), or an
+injected value; one solve may cover several batches (`normalize_batches`).
+The single-vector API is a batch of one.  The iteration runs in the target
 format's emulated arithmetic by default (the hardware iteration datapath uses
 the same format multipliers and adders); an exact binary64 mode exists for
 property tests.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -42,8 +45,11 @@ __all__ = [
     "init_a_values",
     "select_lambda_values",
     "iterate_values",
+    "Shifted",
+    "shift_batch",
     "layernorm_iterl2",
     "normalize_batch",
+    "normalize_batches",
 ]
 
 DEFAULT_STEPS = 5
@@ -176,13 +182,16 @@ def mean_shift(x: np.ndarray | list, fmt: FormatSpec) -> tuple[np.ndarray, np.nd
 
 def squared_norm(y: np.ndarray | list, fmt: FormatSpec) -> np.ndarray:
     """||y||_2^2 of each vector (the last axis of `y`): elementwise squares
-    reduced through the adder trees."""
+    reduced through the adder trees.  A result that is not finite raises
+    RangeOverflowError with the index of the first such vector as `row`."""
     y = _carried(y)
     if y.shape[-1] == 0:
         raise UsageError("y must be nonempty")
     m = tree_sum_values(round_array(y * y, fmt), fmt)
-    if not np.isfinite(m).all():
-        raise RangeOverflowError("squared norm overflowed the format")
+    finite = np.isfinite(m).reshape(-1)
+    if not finite.all():
+        raise RangeOverflowError(f"squared norm overflowed {fmt.name}",
+                                 row=int(np.argmin(finite)))
     return m
 
 
@@ -267,8 +276,13 @@ def iterate_values(a0: np.ndarray, m: np.ndarray, lam: np.ndarray, config: NormC
 # Full layer normalization
 # ---------------------------------------------------------------------------
 #
-# A solver maps (m of the live rows, live mask of the batch) to (trajectory,
-# steps, converged, a) for the live rows; `_layernorm` runs everything else.
+# The datapath runs in three parts, as the macro does: the vector stages of
+# each batch (`shift_batch`), one scalar solve for `a` over the rows of every
+# batch at hand (`_solve`), then the scale and shift stages of each batch
+# (`_finish`).  A solver maps (m of the live rows, live mask) to (trajectory,
+# steps, converged, a) for those rows.  Every solver is elementwise per row,
+# so one solve over several batches gives each row what a solve of its own
+# batch would.
 
 def _iteration(config: NormConfig, fmt: FormatSpec):
     """Solver: the iteration from the exponent-based a0 and update rate."""
@@ -296,42 +310,83 @@ def _injected(inject_a, fmt: FormatSpec):
     return solve
 
 
-def _layernorm(fmt: FormatSpec, x: np.ndarray, gamma: np.ndarray | None,
-               beta: np.ndarray | None, solve) -> BatchNormResult:
-    """The layer-norm datapath shared by every public entry point: mean
-    shift, squared norm m, `a` from `solve` for the rows with m > 0, then
-    scale and shift.  Zero-variance rows (m == 0) give a = 0, 0 steps,
-    y_hat = +0 and z = beta.
+class Shifted(NamedTuple):
+    """A batch after the vector stages: the mean-shifted rows `y`, shape
+    (n, d), and each row's `mean` and squared norm `m`, shape (n,), all in
+    the binary32 carry (see `fpformat`)."""
 
-    x, gamma and beta are narrowed to binary32 once; every stage computes on
-    that carry (see `fpformat`), and the results are widened back to
-    float64 once at the end.  Overflow and invalid operations give the
-    format's infinities and NaNs, as in hardware, without a numpy warning."""
+    y: np.ndarray
+    mean: np.ndarray
+    m: np.ndarray
+
+
+def shift_batch(fmt: FormatSpec, x: np.ndarray) -> Shifted:
+    """The vector stages: narrow x, shape (n, d), to binary32 once, shift
+    each row's mean to zero and reduce its squared norm.  A squared norm that
+    overflows the format raises RangeOverflowError naming the first such
+    row."""
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.asarray(x, dtype=np.float32)
         if x.ndim != 2:
             raise UsageError("x must have shape (n, d)")
-        n, d = x.shape
-        if d < 1:
+        if x.shape[1] < 1:
             raise UsageError("d must be >= 1")
-        f32 = np.float32
-        gamma = np.broadcast_to(f32(1.0) if gamma is None else np.asarray(gamma, dtype=f32),
-                                (n, d))
-        beta = np.broadcast_to(f32(0.0) if beta is None else np.asarray(beta, dtype=f32), (n, d))
-
         y, mean = mean_shift(x, fmt)
-        m = squared_norm(y, fmt)
-        live = m > 0.0
-        traj_live, steps_live, converged_live, a = solve(m[live], live)
-        traj = np.zeros((n, traj_live.shape[1]))
-        traj[live] = traj_live
+        return Shifted(y, mean, squared_norm(y, fmt))
+
+
+class _Solved(NamedTuple):
+    """One batch of a solve: its vector stages, gamma and beta, the live
+    mask (m > 0) and the solver's result for its live rows."""
+
+    shifted: Shifted
+    gamma: np.ndarray | None
+    beta: np.ndarray | None
+    live: np.ndarray
+    solution: tuple
+
+
+def _solve(fmt: FormatSpec, parts, solve) -> Iterator[_Solved]:
+    """Run the vector stages of every (x or Shifted, gamma, beta) part, then
+    one `solve` over the rows with m > 0 of all of them; yield each part
+    with its share of the solution."""
+    shifted = [x if isinstance(x, Shifted) else shift_batch(fmt, x) for x, _, _ in parts]
+    lives = [sh.m > 0.0 for sh in shifted]
+    live = np.concatenate(lives)
+    with np.errstate(over="ignore", invalid="ignore"):
+        solution = solve(np.concatenate([sh.m for sh in shifted])[live], live)
+    stop = 0
+    for sh, (_, gamma, beta), part_live in zip(shifted, parts, lives):
+        start, stop = stop, stop + int(part_live.sum())
+        yield _Solved(sh, gamma, beta, part_live, tuple(v[start:stop] for v in solution))
+
+
+def _finish(fmt: FormatSpec, part: _Solved) -> BatchNormResult:
+    """The scale and shift stages of one batch.  Zero-variance rows (m == 0)
+    give a = 0, 0 steps, y_hat = +0 and z = beta.  The trajectory ends at the
+    batch's largest step count (a stopped row repeats its last value).
+
+    gamma and beta are narrowed to binary32 once; the results are widened
+    back to float64 once.  Overflow and invalid operations give the format's
+    infinities and NaNs, as in hardware, without a numpy warning."""
+    y, live = part.shifted.y, part.live
+    traj_live, steps_live, converged_live, a = part.solution
+    n, d = y.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        f32 = np.float32
+        gamma = np.broadcast_to(
+            f32(1.0) if part.gamma is None else np.asarray(part.gamma, dtype=f32), (n, d))
+        beta = np.broadcast_to(
+            f32(0.0) if part.beta is None else np.asarray(part.beta, dtype=f32), (n, d))
         steps = np.zeros(n, dtype=np.int64)
         steps[live] = steps_live
+        traj = np.zeros((n, int(steps.max(initial=0)) + 1))
+        traj[live] = traj_live[:, :traj.shape[1]]
         converged = np.ones(n, dtype=bool)
         converged[live] = converged_live
 
         sqrt_d = round_value(math.sqrt(d), fmt)  # pre-stored constant
-        scale = np.zeros(n, dtype=np.float32)
+        scale = np.zeros(n, dtype=f32)
         # a binary64 `a` (exact arithmetic, injected) is rounded from binary64
         scale[live] = round_array(a * sqrt_d, fmt)
         y_hat = round_array(scale[:, None] * y, fmt)
@@ -339,8 +394,16 @@ def _layernorm(fmt: FormatSpec, x: np.ndarray, gamma: np.ndarray | None,
         z = round_array(round_array(gamma * y_hat, fmt) + beta, fmt)
         z[~live] = beta[~live]
     f64 = np.float64
-    return BatchNormResult(z.astype(f64), y_hat.astype(f64), mean.astype(f64), m.astype(f64),
-                           traj, traj.shape[1] - 1, steps, converged)
+    return BatchNormResult(z.astype(f64), y_hat.astype(f64), part.shifted.mean.astype(f64),
+                           part.shifted.m.astype(f64), traj, traj.shape[1] - 1, steps,
+                           converged)
+
+
+def _layernorm(fmt: FormatSpec, x: np.ndarray | Shifted, gamma: np.ndarray | None,
+               beta: np.ndarray | None, solve) -> BatchNormResult:
+    """The whole datapath on one batch: the one shared by every public entry
+    point."""
+    return _finish(fmt, next(_solve(fmt, [(x, gamma, beta)], solve)))
 
 
 def layernorm_iterl2(inputs: NormInputs, config: NormConfig = NormConfig(),
@@ -356,17 +419,38 @@ def layernorm_iterl2(inputs: NormInputs, config: NormConfig = NormConfig(),
     return _layernorm(fmt, inputs.x[None, :], inputs.gamma, inputs.beta, solve).row(0)
 
 
-def normalize_batch(fmt: FormatSpec, x: np.ndarray, gamma: np.ndarray | None = None,
+def normalize_batch(fmt: FormatSpec, x: np.ndarray | Shifted, gamma: np.ndarray | None = None,
                     beta: np.ndarray | None = None, config: NormConfig = NormConfig(),
                     inject_a: np.ndarray | None = None) -> BatchNormResult:
     """Vectorized layer normalization of a batch of same-length vectors.
 
-    `x` has shape (n, d) with format-representable float64 entries; `gamma`
-    and `beta` have shape (d,), shared across the batch, or (n, d), one per
-    row.  FixedSteps runs every row for the same step count; under Threshold
-    each row stops on its own, and `steps` and `converged` report it per row.
-    `inject_a` (a scalar or one value per row) is the test hook of
-    :func:`layernorm_iterl2`.
+    `x` has shape (n, d) with format-representable float64 entries, or is
+    the `Shifted` that `shift_batch` made of such a batch (to run several
+    configurations on one batch without repeating its vector stages);
+    `gamma` and `beta` have shape (d,), shared across the batch, or (n, d),
+    one per row.  FixedSteps runs every row for the same step count; under
+    Threshold each row stops on its own, and `steps` and `converged` report
+    it per row.  `inject_a` (a scalar or one value per row) is the test hook
+    of :func:`layernorm_iterl2`.
     """
+    if isinstance(x, _Solved):  # one batch of `normalize_batches`
+        return _finish(fmt, x)
     solve = _iteration(config, fmt) if inject_a is None else _injected(inject_a, fmt)
     return _layernorm(fmt, x, gamma, beta, solve)
+
+
+def normalize_batches(fmt: FormatSpec, parts, config: NormConfig = NormConfig()
+                      ) -> Iterator[BatchNormResult]:
+    """:func:`normalize_batch` on several batches, each of its own length d,
+    with one solve for `a` over the rows of all of them.
+
+    `parts` is a sequence of (x or Shifted, gamma, beta), as in
+    `normalize_batch`.  Yields one BatchNormResult per part, in order, equal
+    to what `normalize_batch` gives that part alone.  A part's scale and
+    shift stages run when its result is asked for, so a caller that drops
+    each result in turn holds one part's outputs at a time.  Every result
+    is returned by a `normalize_batch` call, so a wrapper of
+    `normalize_batch` (a profiler or tracer) sees every row.
+    """
+    for part in _solve(fmt, parts, _iteration(config, fmt)):
+        yield normalize_batch(fmt, part)

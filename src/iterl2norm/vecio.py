@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -111,6 +112,34 @@ def write_vectors(path: str | Path, vectors: list[np.ndarray],
             fh.write(values_to_bits(flat, fmt).astype(_word(fmt)).tobytes())
     else:
         with open(path, "w") as fh:
-            for v in vectors:
-                fh.write(",".join(map(repr, np.asarray(v, dtype=np.float64).tolist())))
+            for line in _text_rows(vectors, fmt):
+                fh.write(line)
                 fh.write("\n")
+
+
+def _text_rows(vectors: list[np.ndarray], fmt: FormatSpec) -> Iterator[str]:
+    """Each vector, in turn, as the comma-separated `repr`s of its float64
+    values.
+
+    A file of a 16-bit format holds few distinct values (a few thousand in a
+    bf16 file), so for fp16 and bf16 each distinct bit pattern is converted
+    once, through a table; a value the format cannot hold exactly is
+    converted on its own, as given."""
+    rows = [np.asarray(v, dtype=np.float64) for v in vectors]
+    if fmt.total_bits != 16:
+        for v in rows:
+            yield ",".join(map(repr, v.tolist()))
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        bits = [values_to_bits(v, fmt) for v in rows]
+    seen = np.zeros(1 << 16, dtype=bool)
+    for b in bits:
+        seen[b] = True
+    used = np.flatnonzero(seen)
+    table = np.empty(1 << 16, dtype=object)
+    table[used] = [repr(v) for v in bits_to_values(used, fmt).tolist()]
+    for v, b in zip(rows, bits):
+        tokens = table[b]
+        inexact = np.flatnonzero(bits_to_values(b, fmt).view(np.int64) != v.view(np.int64))
+        tokens[inexact] = [repr(x) for x in v[inexact].tolist()]
+        yield ",".join(tokens.tolist())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from iterl2norm.cli import main
+from iterl2norm.experiments import ExperimentSpec, csv_text, run_latency
 from iterl2norm.fpformat import BF16, FP16, FP32, round_array
 from iterl2norm.vecio import write_vectors
 
@@ -95,6 +96,30 @@ class TestExitCodes:
         assert code == 4
         assert "range error" in err
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_value_is_3(self, capsys, tmp_path, token):
+        inp, out = tmp_path / "v.txt", tmp_path / "z.txt"
+        # rows 1 (d=2) and 2 (d=3) are bad; the d=3 batch comes first
+        inp.write_text(f"1,2,3\n4,{token}\n1,{token},2\n{token},0,0\n")
+        code, _, err = run(capsys, "normalize", "--input", str(inp), "--out", str(out))
+        assert (code, err) == (3, "data error: vector 1: non-finite value\n")
+        assert not out.exists()
+
+    def test_non_finite_binary_value_is_3(self, capsys, tmp_path):
+        inp = tmp_path / "v.bin"
+        write_vectors(inp, [np.ones(4), np.array([1.0, np.nan, 0.0, 2.0])], BF16, binary=True)
+        code, _, err = run(capsys, "normalize", "--input", str(inp), "--out", str(tmp_path / "o"))
+        assert (code, err) == (3, "data error: vector 1: non-finite value\n")
+
+    def test_overflow_names_first_file_row(self, capsys, tmp_path):
+        # rows 1 (d=3) and 2 (d=4) overflow fp16; the d=4 batch comes first
+        inp, out = tmp_path / "v.txt", tmp_path / "z.txt"
+        inp.write_text("1,2,3,4\n300,-300,1\n300,-300,1,2\n1,2,3\n")
+        code, _, err = run(capsys, "normalize", "--format", "fp16", "--input", str(inp),
+                           "--out", str(out))
+        assert (code, err) == (4, "range error: vector 1: squared norm overflowed fp16\n")
+        assert not out.exists()
+
     def test_diverging_threshold_row_is_not_converged(self, capsys, tmp_path):
         # lambda 0.3 on m = 42 drives a to infinity; the row stops there
         inp, out = tmp_path / "v.txt", tmp_path / "z.txt"
@@ -150,6 +175,18 @@ class TestOutputs:
         assert " steps=5 " in out
         assert [l.split(",")[:2] for l in out.splitlines() if l.startswith("fp32,")] \
             == [["fp32", "5"]]
+
+    def test_latency_output_ignores_unused_flags(self, capsys, tmp_path):
+        # the cycle model reads only the lengths and the step count
+        base = ["latency", "--dims", "64,1024", "--steps", "4"]
+        code, want, _ = run(capsys, *base)
+        assert code == 0
+        assert want.splitlines()[1] == "# dims=64,1024 steps=4"
+        code, got, _ = run(capsys, *base, "--num-vectors", "5", "--seed", "9")
+        assert (code, got) == (0, want)
+        spec = ExperimentSpec(kind="latency", formats=("fp16",), dims=(64, 1024),
+                              steps=(4,), num_vectors=5)
+        assert csv_text(run_latency(spec)) == want
 
     def test_stage_cost_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -17,10 +17,12 @@ from iterl2norm.norm_core import (
     layernorm_iterl2,
     mean_shift,
     normalize_batch,
+    normalize_batches,
     select_lambda_values,
+    shift_batch,
     squared_norm,
 )
-from iterl2norm.baselines import reference_batch
+from iterl2norm.baselines import fisr_batch, reference_batch
 
 from oracles import oracle_iteration
 
@@ -328,6 +330,71 @@ class TestBatchAgreement:
             assert got[:k + 1] == want
             assert got[k:] == [want[-1]] * (len(got) - k)
         assert res.steps_taken == res.a_trajectory.shape[1] - 1 == res.steps.max()
+
+
+def assert_same_result(got, want):
+    """Every field of two BatchNormResults, bit for bit."""
+    for name in ("z", "y_hat", "mean", "m", "a_trajectory", "steps", "converged"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
+    assert got.steps_taken == want.steps_taken
+
+
+def rows_with_edge_cases(fmt, n: int, d: int, seed: int) -> np.ndarray:
+    """Rows whose m spans many binades, one zero-variance row, and one row
+    that diverges under lambda = 0.3 while the small-m rows converge."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, (n, d)) * 2.0 ** rng.uniform(-4, 2, (n, 1))
+    x[0] = 0.75
+    x[1] = np.linspace(-8.0, 8.0, d)
+    return round_array(x, fmt)
+
+
+CONFIGS = [NormConfig(stopping=Threshold(1e-6)),
+           NormConfig(stopping=Threshold(1e-6), lambda_override=0.3),
+           NormConfig(stopping=FixedSteps(5), lambda_override=0.3)]
+CONFIG_IDS = ["thr1e-6", "thr1e-6-lam0.3", "fixed5-lam0.3"]
+
+
+class TestShiftedDatapath:
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+    def test_shifted_input_matches_array_input(self, fmt, config):
+        x = rows_with_edge_cases(fmt, 12, 40, seed=3)
+        gamma = round_array(np.linspace(0.5, 1.5, 40), fmt)
+        beta = round_array(np.linspace(-0.25, 0.25, 40), fmt)
+        shifted = shift_batch(fmt, x)
+        want = normalize_batch(fmt, x, gamma, beta, config)
+        assert want.m[0] == 0.0 and want.steps[0] == 0
+        if config.lambda_override is not None:
+            assert not want.converged[1]
+            assert not np.isfinite(want.a_trajectory[1, want.steps[1]])
+        assert_same_result(normalize_batch(fmt, shifted, gamma, beta, config), want)
+        if fmt.exp_bits == 8:  # FISR needs an 8-bit exponent
+            assert_same_result(fisr_batch(fmt, shifted, gamma, beta), fisr_batch(fmt, x, gamma, beta))
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+    def test_one_solve_over_parts_matches_separate_calls(self, fmt, config):
+        rng = np.random.default_rng(8)
+        parts = []
+        for i, d in enumerate((3, 64, 130)):
+            x = rows_with_edge_cases(fmt, 5 + i, d, seed=d)
+            gamma = round_array(rng.uniform(0.5, 1.5, d if i % 2 else (len(x), d)), fmt)
+            parts.append((x if i == 1 else shift_batch(fmt, x), gamma, None))
+        # a part whose rows all have zero variance has no row to solve
+        parts.append((round_array(np.full((2, 8), 1.5), fmt), None, None))
+        got = list(normalize_batches(fmt, parts, config))
+        assert len(got) == len(parts)
+        for res, (x, gamma, beta) in zip(got, parts):
+            assert_same_result(res, normalize_batch(fmt, x, gamma, beta, config))
+        assert got[-1].steps_taken == 0 and got[-1].a_trajectory.shape == (2, 1)
+
+    def test_overflowing_row_is_named(self):
+        x = round_array(np.array([[1.0, 2.0, 3.0, 4.0], [300.0, -300.0, 1.0, 2.0]]), FP16)
+        with pytest.raises(RangeOverflowError) as info:
+            shift_batch(FP16, x)
+        assert info.value.row == 1
 
 
 class TestExactPathProperties:

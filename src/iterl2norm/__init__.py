@@ -10,16 +10,8 @@ from .fpformat import (
     FP32,
     FORMATS,
     FormatSpec,
-    FpScalar,
-    compose,
-    decompose,
-    emu_add,
-    emu_mul,
-    emu_sub,
     round_array,
-    round_binary,
     round_value,
-    tree_sum,
     tree_sum_values,
 )
 from .norm_core import (
@@ -49,9 +41,7 @@ from .dynamics import (
 )
 from .baselines import (
     FisrSpec,
-    fisr_inv_sqrt,
     layernorm_fisr,
-    layernorm_reference,
     reference_batch,
 )
 from .latency import CycleReport, MacroGeometry, StageCosts, estimate_cycles
@@ -59,15 +49,13 @@ from .latency import CycleReport, MacroGeometry, StageCosts, estimate_cycles
 __all__ = [
     "__version__",
     "UsageError", "DataFormatError", "RangeOverflowError",
-    "FormatSpec", "FpScalar", "FP32", "FP16", "BF16", "FORMATS",
-    "decompose", "compose", "round_binary", "round_value", "round_array",
-    "emu_add", "emu_sub", "emu_mul", "tree_sum", "tree_sum_values",
+    "FormatSpec", "FP32", "FP16", "BF16", "FORMATS",
+    "round_value", "round_array", "tree_sum_values",
     "NormInputs", "NormConfig", "FixedSteps", "Threshold", "NormResult",
     "mean_shift", "squared_norm", "init_a_values", "select_lambda_values", "iterate_values",
     "Shifted", "shift_batch", "layernorm_iterl2", "normalize_batch", "normalize_batches",
     "DynamicsParams", "k_fixed_points", "steady_norm_sq", "analytic_a",
     "lambda_lower_bound", "simulate_vector_recursion",
-    "FisrSpec", "fisr_inv_sqrt", "layernorm_fisr", "layernorm_reference",
-    "reference_batch",
+    "FisrSpec", "layernorm_fisr", "reference_batch",
     "MacroGeometry", "StageCosts", "CycleReport", "estimate_cycles",
 ]

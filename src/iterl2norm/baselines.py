@@ -12,7 +12,6 @@ from .errors import UsageError
 from .fpformat import (
     FP32,
     FormatSpec,
-    FpScalar,
     bits_to_values,
     round_array,
     values_to_bits,
@@ -24,11 +23,9 @@ __all__ = [
     "FisrSpec",
     "FP32_MAGIC",
     "BF16_MAGIC",
-    "fisr_inv_sqrt",
     "fisr_inv_sqrt_values",
     "layernorm_fisr",
     "fisr_batch",
-    "layernorm_reference",
     "reference_batch",
 ]
 
@@ -79,16 +76,6 @@ def fisr_inv_sqrt_values(x: np.ndarray, spec: FisrSpec) -> np.ndarray:
     return y
 
 
-def fisr_inv_sqrt(x: FpScalar, spec: FisrSpec) -> FpScalar:
-    """Approximate 1/sqrt(x) for one scalar."""
-    if x.fmt != spec.format:
-        raise UsageError(f"input format {x.fmt.name} does not match spec {spec.format.name}")
-    if x.is_nan or x.is_inf or not x.value > 0:
-        raise ValueError("FISR requires a finite input > 0")
-    v = fisr_inv_sqrt_values(np.array([x.value]), spec)
-    return FpScalar(int(values_to_bits(v, spec.format)[0]), spec.format)
-
-
 def _fisr(fmt: FormatSpec, spec: FisrSpec | None):
     """Solver for the shared datapath: `a` is FISR of m."""
     spec = spec if spec is not None else FisrSpec(format=fmt)
@@ -132,16 +119,3 @@ def reference_batch(fmt: FormatSpec, x: np.ndarray, gamma: np.ndarray | None = N
         z[~live] = beta
     return z
 
-
-def layernorm_reference(inputs: NormInputs) -> NormResult:
-    """Single-vector reference oracle."""
-    z = reference_batch(inputs.fmt, inputs.x[None, :], inputs.gamma, inputs.beta)[0]
-    x = inputs.x
-    mean = float(np.mean(x))
-    y = x - mean
-    m = float(y @ y)
-    if m > 0:
-        y_hat = math.sqrt(inputs.d) * y / math.sqrt(m)
-    else:
-        y_hat = np.zeros(inputs.d)
-    return NormResult(z, y_hat, mean, m, (0.0,), 0, True)

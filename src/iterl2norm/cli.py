@@ -2,8 +2,8 @@
 
 Subcommands: precision, convergence, compare-fisr, latency, normalize.
 Exit codes: 0 success, 2 usage error, 3 data error (malformed, missing or
-unreadable input file, non-finite input value), 4 range error (squared-norm
-overflow).
+unreadable input file, non-finite input, gamma or beta value), 4 range
+error (an input value or a squared norm out of the format's range).
 """
 
 from __future__ import annotations

@@ -255,9 +255,11 @@ def run_normalize(spec: ExperimentSpec, gamma_path: str | None = None,
     Vectors, gamma and beta are rounded to the format; the vectors of one
     length form one batch, and `normalize_batches` solves for `a` once over
     every batch of the file.  Every parameter length is checked before
-    anything is computed.  A non-finite input value (a data error) and a
-    squared norm that overflows the format (a range error) name the first
-    such vector of the file, the data error first."""
+    anything is computed; a NaN or infinite gamma or beta value is a data
+    error.  A non-finite input value (a data error), and a finite value that
+    rounds to infinity or a squared norm that overflows the format (range
+    errors), name the first such vector of the file, the data error
+    first."""
     if not spec.input_path or not spec.output_path:
         raise UsageError("normalize needs --input and --out paths")
     vectors, file_fmt = read_vectors(spec.input_path)
@@ -266,8 +268,8 @@ def run_normalize(spec: ExperimentSpec, gamma_path: str | None = None,
             f"--format {spec.formats[0]} conflicts with the binary header "
             f"({file_fmt.name}); drop the flag or re-encode")
     fmt = file_fmt or (FORMATS[spec.formats[0]] if spec.formats else FORMATS["fp32"])
-    gammas = _read_params(gamma_path, len(vectors)) if gamma_path else None
-    betas = _read_params(beta_path, len(vectors)) if beta_path else None
+    gammas = _read_params(gamma_path, len(vectors), fmt) if gamma_path else None
+    betas = _read_params(beta_path, len(vectors), fmt) if beta_path else None
 
     for params, label in ((gammas, "gamma"), (betas, "beta")):
         if params is None:
@@ -295,19 +297,23 @@ def run_normalize(spec: ExperimentSpec, gamma_path: str | None = None,
         try:
             shifted = shift_batch(fmt, round_array(x, fmt))
         except RangeOverflowError as exc:
-            # a NaN or infinite input value also makes its m non-finite
+            # a NaN or infinite input value also makes its m non-finite, and
+            # so does a finite value that rounds to infinity
             finite = np.isfinite(x).all(axis=1)
-            if finite.all():
-                overflow.append(rows[exc.row])
-            else:
+            if not finite.all():
                 non_finite.append(rows[int(np.argmin(finite))])
+            elif np.isfinite(round_array(x[exc.row], fmt)).all():
+                overflow.append((rows[exc.row], "squared norm overflowed"))
+            else:
+                overflow.append((rows[exc.row], "value out of range for"))
             continue
         parts.append((shifted, _group_params(gammas, rows, fmt),
                       _group_params(betas, rows, fmt)))
     if non_finite:
         raise DataFormatError(f"vector {min(non_finite)}: non-finite value")
     if overflow:
-        raise RangeOverflowError(f"vector {min(overflow)}: squared norm overflowed {fmt.name}")
+        row, what = min(overflow)
+        raise RangeOverflowError(f"vector {row}: {what} {fmt.name}")
     results = normalize_batches(fmt, parts, config)
     # Only the solve holds the shifted batches now, and zip(strict=True) runs
     # it to its end, so they are freed before the output is written.
@@ -346,11 +352,18 @@ def _group_params(params: list[np.ndarray] | None, rows: list[int],
     return round_array(np.array([params[i] for i in rows]), fmt)
 
 
-def _read_params(path: str, n_vectors: int) -> list[np.ndarray]:
+def _read_params(path: str, n_vectors: int, fmt: FormatSpec) -> list[np.ndarray]:
+    """gamma or beta vectors from `path`; a value that is NaN or infinite in
+    the format is a data error naming the first such vector."""
     params, _ = read_vectors(path)
     if len(params) not in (1, n_vectors):
         raise DataFormatError(
             f"{path}: expected 1 or {n_vectors} parameter vectors, found {len(params)}")
+    finite = np.isfinite(round_array(np.concatenate(params), fmt))
+    if not finite.all():
+        ends = np.cumsum([len(p) for p in params])
+        i = int(np.searchsorted(ends, np.argmin(finite), side="right"))
+        raise DataFormatError(f"{path}: vector {i}: non-finite value")
     return params
 
 

@@ -1,4 +1,4 @@
-"""Bit-exact emulation of FP32, FP16 and BFloat16 scalars.
+"""Bit-exact emulation of FP32, FP16 and BFloat16 arithmetic.
 
 Every emulated operation rounds its exact result once to the target format
 with round-to-nearest, ties-to-even, as a one-rounding-per-op hardware FPU
@@ -20,38 +20,28 @@ float64 array from binary64 (p' = 53 also covers all three formats).  The
 condition holds for the result of one operation on format values, not for an
 arbitrary binary64 value: FP16 therefore rounds binary64 straight to
 binary16, while BFloat16 rounds through binary32, which can double-round such
-a value (1 + 2^-8 + 2^-40 gives 1, not 1 + 2^-7).  :class:`FpScalar` is the
-scalar unit used where individual bit patterns matter (bit inspection, FISR
-seeds).
+a value (1 + 2^-8 + 2^-40 gives 1, not 1 + 2^-7).  Where bit patterns matter
+(file I/O, FISR seeds), :func:`values_to_bits` and :func:`bits_to_values`
+encode and decode whole arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "FormatSpec",
-    "FpScalar",
     "FP32",
     "FP16",
     "BF16",
     "FORMATS",
-    "decompose",
-    "compose",
-    "split_bits",
-    "round_binary",
     "round_value",
     "round_array",
     "values_to_bits",
     "bits_to_values",
-    "emu_add",
-    "emu_sub",
-    "emu_mul",
-    "tree_sum",
     "tree_sum_values",
 ]
 
@@ -77,15 +67,6 @@ class FormatSpec:
         return (1 << self.exp_bits) - 1
 
     @property
-    def mant_mask(self) -> int:
-        return (1 << self.mant_bits) - 1
-
-    @property
-    def min_normal_exp(self) -> int:
-        """Smallest unbiased exponent of a normal number (1 - bias)."""
-        return 1 - self.bias
-
-    @property
     def quantum_exp(self) -> int:
         """Unbiased exponent of the smallest subnormal step."""
         return 1 - self.bias - self.mant_bits
@@ -108,97 +89,6 @@ FP16 = FormatSpec("fp16", exp_bits=5, mant_bits=10, bias=15, total_bits=16)
 BF16 = FormatSpec("bf16", exp_bits=8, mant_bits=7, bias=127, total_bits=16)
 
 FORMATS = {f.name: f for f in (FP32, FP16, BF16)}
-
-
-@dataclass(frozen=True)
-class FpScalar:
-    """A format-tagged scalar carried as a raw bit pattern."""
-
-    bits: int
-    fmt: FormatSpec
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.bits < (1 << self.fmt.total_bits):
-            raise ValueError(f"bit pattern {self.bits:#x} out of range for {self.fmt.name}")
-
-    @classmethod
-    def from_value(cls, x: float, fmt: FormatSpec) -> "FpScalar":
-        return round_binary(x, fmt)
-
-    @property
-    def sign(self) -> int:
-        return (self.bits >> (self.fmt.total_bits - 1)) & 1
-
-    @property
-    def biased_exponent(self) -> int:
-        return (self.bits >> self.fmt.mant_bits) & self.fmt.exp_mask
-
-    @property
-    def significand_field(self) -> int:
-        return self.bits & self.fmt.mant_mask
-
-    @property
-    def value(self) -> float:
-        """Exact binary64 decode of the bit pattern."""
-        fmt = self.fmt
-        e = self.biased_exponent
-        f = self.significand_field
-        if e == fmt.exp_mask:
-            mag = math.inf if f == 0 else math.nan
-        elif e == 0:
-            mag = math.ldexp(f, fmt.quantum_exp)
-        else:
-            mag = math.ldexp((1 << fmt.mant_bits) + f, e - fmt.bias - fmt.mant_bits)
-        return -mag if self.sign and not math.isnan(mag) else mag
-
-    @property
-    def is_nan(self) -> bool:
-        return self.biased_exponent == self.fmt.exp_mask and self.significand_field != 0
-
-    @property
-    def is_inf(self) -> bool:
-        return self.biased_exponent == self.fmt.exp_mask and self.significand_field == 0
-
-    @property
-    def is_finite(self) -> bool:
-        return self.biased_exponent != self.fmt.exp_mask
-
-    def __float__(self) -> float:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"FpScalar({self.bits:#0{2 + self.fmt.total_bits // 4}x}, {self.fmt.name})"
-
-
-def split_bits(bits: int, fmt: FormatSpec) -> tuple[int, int, int]:
-    """Split any bit pattern (including NaN/Inf) into its raw fields."""
-    sign = (bits >> (fmt.total_bits - 1)) & 1
-    e = (bits >> fmt.mant_bits) & fmt.exp_mask
-    f = bits & fmt.mant_mask
-    return sign, e, f
-
-
-def decompose(x: FpScalar) -> tuple[int, int, int]:
-    """Return (sign, biased_exponent, significand_field) of a finite scalar.
-
-    NaN and infinity have no sensible exponent/significand reading for the
-    initialization formulas, so they are rejected.
-    """
-    if not x.is_finite:
-        raise ValueError(f"cannot decompose non-finite value {x!r}")
-    return split_bits(x.bits, x.fmt)
-
-
-def compose(sign: int, biased_exponent: int, significand_field: int, fmt: FormatSpec) -> FpScalar:
-    """Pack raw fields back into a scalar (total: accepts any field values in range)."""
-    if sign not in (0, 1):
-        raise ValueError("sign must be 0 or 1")
-    if not 0 <= biased_exponent <= fmt.exp_mask:
-        raise ValueError("biased exponent out of range")
-    if not 0 <= significand_field <= fmt.mant_mask:
-        raise ValueError("significand field out of range")
-    bits = (sign << (fmt.total_bits - 1)) | (biased_exponent << fmt.mant_bits) | significand_field
-    return FpScalar(bits, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +150,6 @@ def round_value(x: float, fmt: FormatSpec) -> float:
     return float(round_array(x, fmt))
 
 
-def round_binary(x: float, fmt: FormatSpec) -> FpScalar:
-    """Round a binary64 value to the nearest `fmt` scalar (ties to even)."""
-    return FpScalar(int(values_to_bits(round_array(x, fmt), fmt)), fmt)
-
-
 def values_to_bits(values: np.ndarray, fmt: FormatSpec) -> np.ndarray:
     """Encode already-representable float64 values into raw bit patterns."""
     arr = np.asarray(values, dtype=np.float64)
@@ -290,34 +175,6 @@ def bits_to_values(bits: np.ndarray, fmt: FormatSpec) -> np.ndarray:
         if fmt.name == "bf16":
             return (b.astype(np.uint32) << np.uint32(16)).view(np.float32).astype(np.float64)
     raise ValueError(f"unknown format {fmt!r}")
-
-
-# ---------------------------------------------------------------------------
-# Emulated primitive operations
-# ---------------------------------------------------------------------------
-
-def _check_same_format(a: FpScalar, b: FpScalar) -> FormatSpec:
-    if a.fmt is not b.fmt and a.fmt != b.fmt:
-        raise ValueError(f"format mismatch: {a.fmt.name} vs {b.fmt.name}")
-    return a.fmt
-
-
-def emu_add(a: FpScalar, b: FpScalar) -> FpScalar:
-    """a + b with one rounding to the shared format."""
-    fmt = _check_same_format(a, b)
-    return round_binary(a.value + b.value, fmt)
-
-
-def emu_sub(a: FpScalar, b: FpScalar) -> FpScalar:
-    """a - b with one rounding to the shared format."""
-    fmt = _check_same_format(a, b)
-    return round_binary(a.value - b.value, fmt)
-
-
-def emu_mul(a: FpScalar, b: FpScalar) -> FpScalar:
-    """a * b with one rounding to the shared format."""
-    fmt = _check_same_format(a, b)
-    return round_binary(a.value * b.value, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -367,16 +224,3 @@ def tree_sum_values(values: np.ndarray, fmt: FormatSpec, arity: int = 8) -> np.n
             total = round_array(total + part, fmt)
     return total[0] if squeeze else total
 
-
-def tree_sum(xs: Sequence[FpScalar], arity: int = 8, fmt: FormatSpec | None = None) -> FpScalar:
-    """Adder-tree reduction of scalars; an empty sequence yields format zero."""
-    if xs:
-        fmt = _check_same_format(xs[0], xs[-1])
-        for s in xs:
-            _check_same_format(xs[0], s)
-    elif fmt is None:
-        raise ValueError("empty input needs an explicit fmt")
-    else:
-        return FpScalar(0, fmt)
-    vals = np.array([s.value for s in xs], dtype=np.float64)
-    return round_binary(float(tree_sum_values(vals, fmt, arity=arity)), fmt)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from iterl2norm.fpformat import FormatSpec, split_bits
+from iterl2norm.fpformat import FormatSpec
 
 HALF = Fraction(1, 2)
 
@@ -18,9 +18,15 @@ def pow2(k: int) -> Fraction:
     return Fraction(1 << k) if k >= 0 else Fraction(1, 1 << -k)
 
 
+def split_fields(bits: int, fmt: FormatSpec) -> tuple[int, int, int]:
+    """(sign, biased exponent, significand field) of any bit pattern."""
+    sign = bits >> (fmt.total_bits - 1)
+    return sign, (bits >> fmt.mant_bits) & fmt.exp_mask, bits & ((1 << fmt.mant_bits) - 1)
+
+
 def oracle_value(bits: int, fmt: FormatSpec) -> Fraction:
     """Exact rational value of a finite bit pattern."""
-    sign, e, f = split_bits(bits, fmt)
+    sign, e, f = split_fields(bits, fmt)
     if e == fmt.exp_mask:
         raise ValueError("non-finite pattern")
     if e == 0:
@@ -69,7 +75,7 @@ def oracle_round(fr: Fraction, fmt: FormatSpec) -> int:
 
 def _decode_dyadic(bits: int, fmt: FormatSpec) -> tuple[int, int, int]:
     """(sign, mantissa, exponent) with value = +-mantissa * 2^exponent."""
-    sign, e, f = split_bits(bits, fmt)
+    sign, e, f = split_fields(bits, fmt)
     if e == fmt.exp_mask:
         raise ValueError("non-finite pattern")
     if e == 0:

@@ -24,14 +24,8 @@ from iterl2norm.fpformat import (
     BF16,
     FP16,
     FP32,
-    FpScalar,
     bits_to_values,
-    compose,
-    decompose,
-    emu_add,
-    emu_mul,
     round_array,
-    split_bits,
     values_to_bits,
 )
 from iterl2norm.latency import StageCosts, estimate_cycles
@@ -272,15 +266,16 @@ class TestCriterion9FormatGroundTruth:
     def test_roundtrip_exhaustive(self):
         mismatches = 0
         for fmt in (FP16, BF16):
-            for bits in range(1 << 16):
-                s, e, f = split_bits(bits, fmt)
-                if compose(s, e, f, fmt).bits != bits:
-                    mismatches += 1
-                if e != fmt.exp_mask:
-                    if decompose(FpScalar(bits, fmt)) != (s, e, f):
-                        mismatches += 1
-        report(9, "decompose/compose round-trip", mismatches == 0,
-               "all 2^16 fp16 and 2^16 bf16 patterns")
+            bits = np.arange(1 << 16, dtype=np.uint16)
+            back = values_to_bits(bits_to_values(bits, fmt), fmt)
+            nan = (((bits >> fmt.mant_bits) & fmt.exp_mask) == fmt.exp_mask) & (
+                (bits & ((1 << fmt.mant_bits) - 1)) != 0)
+            back_nan = np.isnan(bits_to_values(back, fmt))
+            # a NaN pattern need only come back as a NaN
+            mismatches += int(np.count_nonzero(back_nan != nan))
+            mismatches += int(np.count_nonzero(back[~nan] != bits[~nan]))
+        report(9, "bit codec round-trip", mismatches == 0,
+               "all 2^16 fp16 and 2^16 bf16 patterns, NaNs by class")
 
     # Fixed per-format seeds: str hashes change with PYTHONHASHSEED.
     PAIR_SEEDS = {"fp32": 9032, "fp16": 9016, "bf16": 9116}
@@ -309,12 +304,6 @@ class TestCriterion9FormatGroundTruth:
                 want = oracle_op_fast(int(pairs[i, 0]), int(pairs[i, 1]), op, fmt)
                 if got[i] != want:
                     mismatches += 1
-        # the scalar op wrappers ride the same rounding; tie a subsample
-        for i in range(0, len(pairs), len(pairs) // 512):
-            a = FpScalar(int(pairs[i, 0]), fmt)
-            b = FpScalar(int(pairs[i, 1]), fmt)
-            assert emu_add(a, b).bits == oracle_op_fast(a.bits, b.bits, "add", fmt)
-            assert emu_mul(a, b).bits == oracle_op_fast(a.bits, b.bits, "mul", fmt)
         report(9, f"emulated ops vs exact oracle [{fmt.name}]", mismatches == 0,
                f"{n_pairs} random operand pairs, add and mul, binary64 and binary32 "
                "carry, 0 mismatches")

@@ -9,14 +9,13 @@ from iterl2norm.baselines import (
     BF16_MAGIC,
     FP32_MAGIC,
     FisrSpec,
-    fisr_inv_sqrt,
+    fisr_batch,
     fisr_inv_sqrt_values,
     layernorm_fisr,
-    layernorm_reference,
     reference_batch,
 )
 from iterl2norm.errors import UsageError
-from iterl2norm.fpformat import BF16, FP16, FP32, round_array, round_binary
+from iterl2norm.fpformat import BF16, FP16, FP32, round_array, round_value
 from iterl2norm.norm_core import NormInputs, layernorm_iterl2
 
 
@@ -48,47 +47,61 @@ class TestFisrSpec:
             FisrSpec(magic=1 << 40)
 
 
+def fisr(x: float, spec: FisrSpec) -> float:
+    """FISR of one value: `fisr_inv_sqrt_values` on a 1-element array."""
+    return float(fisr_inv_sqrt_values(np.array([x]), spec)[0])
+
+
+def reference(inputs: NormInputs) -> np.ndarray:
+    """The reference output of one vector: a batch of one."""
+    return reference_batch(inputs.fmt, inputs.x[None, :], inputs.gamma, inputs.beta)[0]
+
+
 class TestFisrInvSqrt:
     def test_classic_value_at_one(self):
-        got = fisr_inv_sqrt(round_binary(1.0, FP32), FisrSpec())
-        assert got.value == _fisr_float32_oracle(1.0)
-        assert abs(got.value - 0.998307) < 5e-7
+        got = fisr(1.0, FisrSpec())
+        assert got == _fisr_float32_oracle(1.0)
+        assert abs(got - 0.998307) < 5e-7
 
     def test_one_newton_step_at_four(self):
-        got = fisr_inv_sqrt(round_binary(4.0, FP32), FisrSpec()).value
+        got = fisr(4.0, FisrSpec())
         assert abs(got - 0.5) / 0.5 < 0.002
 
     def test_matches_float32_oracle_on_randoms(self):
         rng = np.random.default_rng(13)
-        for _ in range(200):
-            x = round_binary(float(np.exp2(rng.uniform(-20, 20))), FP32)
-            mine = fisr_inv_sqrt(x, FisrSpec()).value
-            assert mine == _fisr_float32_oracle(x.value)
+        x = round_array(np.exp2(rng.uniform(-20, 20, 200)), FP32)
+        mine = fisr_inv_sqrt_values(x, FisrSpec())
+        # the binary32 carry gives the same bits
+        assert np.array_equal(fisr_inv_sqrt_values(x.astype(np.float32), FisrSpec()), mine)
+        for xi, yi in zip(x.tolist(), mine.tolist()):
+            assert yi == _fisr_float32_oracle(xi)
 
     @pytest.mark.parametrize("x,p", [(4.0, 1), (16.0, 2), (2.0 ** -12, -6)])
     def test_even_power_of_two_converges_to_fixed_point(self, x, p):
-        from iterl2norm.fpformat import emu_mul, emu_sub
-
         # 2^-p is an exact fixed point of the rounded Newton update
-        y_star = round_binary(2.0 ** -p, FP32)
-        xh = round_binary(0.5 * x, FP32)
-        t3 = emu_sub(round_binary(1.5, FP32), emu_mul(emu_mul(xh, y_star), y_star))
-        assert emu_mul(y_star, t3).bits == y_star.bits
+        y_star = 2.0 ** -p
+        xh = round_value(0.5 * x, FP32)
+        t2 = round_value(round_value(xh * y_star, FP32) * y_star, FP32)
+        t3 = round_value(1.5 - t2, FP32)
+        assert round_value(y_star * t3, FP32) == y_star
         # the seeded iteration lands within one ulp of it (rounding can stall
         # the last quadratic step one step short)
-        got = fisr_inv_sqrt(round_binary(x, FP32), FisrSpec(newton_iters=8))
+        got = fisr(x, FisrSpec(newton_iters=8))
         ulp = float(np.spacing(np.float32(2.0 ** -p)))
-        assert abs(got.value - 2.0 ** -p) <= ulp
+        assert abs(got - 2.0 ** -p) <= ulp
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            fisr_inv_sqrt(round_binary(0.0, FP32), FisrSpec())
+            fisr(0.0, FisrSpec())
         with pytest.raises(ValueError):
-            fisr_inv_sqrt(round_binary(-2.0, FP32), FisrSpec())
+            fisr(-2.0, FisrSpec())
 
     def test_format_mismatch(self):
+        x = round_array(np.array([[1.0, 2.0, 3.0, 4.0]]), BF16)
         with pytest.raises(UsageError):
-            fisr_inv_sqrt(round_binary(1.0, BF16), FisrSpec(format=FP32))
+            fisr_batch(BF16, x, spec=FisrSpec(format=FP32))
+        with pytest.raises(UsageError):
+            layernorm_fisr(NormInputs(BF16, x[0], np.ones(4), np.zeros(4)), FisrSpec(format=FP32))
 
     def test_one_step_error_bound_over_binade_sweep(self):
         # classic worst case after one Newton step is ~0.175%
@@ -102,16 +115,16 @@ class TestFisrInvSqrt:
         assert worst <= 0.002
 
     def test_bf16_path_runs(self):
-        y = fisr_inv_sqrt(round_binary(4.0, BF16), FisrSpec(format=BF16))
-        assert abs(y.value - 0.5) / 0.5 < 0.02
+        y = fisr(4.0, FisrSpec(format=BF16))
+        assert abs(y - 0.5) / 0.5 < 0.02
 
 
 class TestLayernormFisr:
     def test_example_vector_within_half_percent(self):
         inputs = NormInputs.from_floats(FP32, [1.0, 2.0, 3.0, 4.0])
         res = layernorm_fisr(inputs)
-        ref = layernorm_reference(inputs)
-        rel = np.abs(res.z - ref.z) / np.abs(ref.z)
+        ref = reference(inputs)
+        rel = np.abs(res.z - ref) / np.abs(ref)
         assert rel.max() < 0.005
 
     def test_constant_input_returns_beta(self):
@@ -128,19 +141,17 @@ class TestLayernormFisr:
 class TestLayernormReference:
     def test_example_vector(self):
         inputs = NormInputs.from_floats(FP32, [1.0, 2.0, 3.0, 4.0])
-        res = layernorm_reference(inputs)
         want = np.array([-1.341641, -0.447214, 0.447214, 1.341641])
-        assert np.abs(res.z - want).max() < 1e-6
+        assert np.abs(reference(inputs) - want).max() < 1e-6
 
     def test_zero_mean_unit_norm_input(self):
         x = np.array([0.5, -0.5, 0.5, -0.5])
         inputs = NormInputs.from_floats(FP32, x)
-        res = layernorm_reference(inputs)
-        assert np.array_equal(res.z, 2.0 * x)  # sqrt(d) * x exactly
+        assert np.array_equal(reference(inputs), 2.0 * x)  # sqrt(d) * x exactly
 
     def test_d_one_returns_beta(self):
         inputs = NormInputs.from_floats(FP16, [7.0], beta=[0.25])
-        assert np.array_equal(layernorm_reference(inputs).z, [0.25])
+        assert np.array_equal(reference(inputs), [0.25])
 
     @given(
         grid=st.lists(st.integers(-2 ** 16, 2 ** 16), min_size=2, max_size=12),
@@ -176,7 +187,7 @@ class TestPipelineComparison:
         rng = np.random.default_rng(21)
         x = round_array(rng.uniform(-1, 1, 256), FP32)
         inputs = NormInputs(FP32, x, np.ones(256), np.zeros(256))
-        ref = layernorm_reference(inputs).z
+        ref = reference(inputs)
         it = layernorm_iterl2(inputs).z
         fi = layernorm_fisr(inputs).z
         assert np.abs(it - ref).mean() < 0.05

@@ -120,6 +120,41 @@ class TestExitCodes:
         assert (code, err) == (4, "range error: vector 1: squared norm overflowed fp16\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("row,message", [
+        ("1,2,3,70000", "value out of range for fp16"),
+        ("300,-300,1,2", "squared norm overflowed fp16"),
+    ], ids=["element", "squared-norm"])
+    def test_range_error_names_its_cause(self, capsys, tmp_path, row, message):
+        # 70000 is finite but rounds to infinity in fp16; 300^2 + 300^2 is
+        # in range only before the squared norm
+        inp, out = tmp_path / "v.txt", tmp_path / "z.txt"
+        inp.write_text(f"1,2,3,4\n{row}\n")
+        code, _, err = run(capsys, "normalize", "--format", "fp16", "--input", str(inp),
+                           "--out", str(out))
+        assert (code, err) == (4, f"range error: vector 1: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--gamma", "--beta"])
+    def test_non_finite_param_is_3(self, capsys, tmp_path, flag, token):
+        inp, par, out = tmp_path / "v.txt", tmp_path / "p.txt", tmp_path / "z.txt"
+        inp.write_text("1,2,3,4\n")
+        par.write_text(f"1,{token},1,1\n")
+        code, _, err = run(capsys, "normalize", "--input", str(inp), flag, str(par),
+                           "--out", str(out))
+        assert (code, err) == (3, f"data error: {par}: vector 0: non-finite value\n")
+        assert not out.exists()
+
+    def test_param_out_of_range_is_3(self, capsys, tmp_path):
+        # finite in the file, infinite once rounded to fp16; one vector per row
+        inp, par, out = tmp_path / "v.txt", tmp_path / "g.txt", tmp_path / "z.txt"
+        inp.write_text("1,2,3,4\n5,6,7,9\n")
+        par.write_text("1,1,1,1\n1,1,70000,1\n")
+        code, _, err = run(capsys, "normalize", "--format", "fp16", "--input", str(inp),
+                           "--gamma", str(par), "--out", str(out))
+        assert (code, err) == (3, f"data error: {par}: vector 1: non-finite value\n")
+        assert not out.exists()
+
     def test_diverging_threshold_row_is_not_converged(self, capsys, tmp_path):
         # lambda 0.3 on m = 42 drives a to infinity; the row stops there
         inp, out = tmp_path / "v.txt", tmp_path / "z.txt"

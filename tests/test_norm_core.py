@@ -63,7 +63,7 @@ class TestMeanShift:
         assert np.array_equal(y, [0.0])
 
     def test_uses_prerounded_inverse_d(self):
-        # d = 3: mean = tree_sum(x) * round(1/3), not an exact division
+        # d = 3: mean = tree_sum_values(x) * round(1/3), not an exact division
         x = round_array(np.array([1.0, 1.0, 1.0]), BF16)
         _, mean = mean_shift(x, BF16)
         assert mean == round_value(3.0 * round_value(1.0 / 3.0, BF16), BF16)

@@ -45,8 +45,7 @@ def sweep(fmt_name: str, d: int, num_vectors: int, steps: int, seed: int,
 
 if __name__ == "__main__":
     p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--format", dest="formats", action="append",
-                   choices=["fp32", "fp16", "bf16"])
+    p.add_argument("--format", dest="formats", action="append", choices=tuple(FORMATS))
     p.add_argument("--d", type=int, default=1024)
     p.add_argument("--num-vectors", type=int, default=300)
     p.add_argument("--steps", type=int, default=5)
@@ -54,5 +53,5 @@ if __name__ == "__main__":
     p.add_argument("--targets", type=lambda s: [float(t) for t in s.split(",")],
                    default=[0.3, 0.345, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
     a = p.parse_args()
-    for name in a.formats or ["fp32", "fp16", "bf16"]:
+    for name in a.formats or FORMATS:
         sweep(name, a.d, a.num_vectors, a.steps, a.seed, a.targets)

@@ -44,7 +44,7 @@ from .baselines import (
     layernorm_fisr,
     reference_batch,
 )
-from .latency import CycleReport, MacroGeometry, StageCosts, estimate_cycles
+from .latency import CycleReport, StageCosts, estimate_cycles
 
 __all__ = [
     "__version__",
@@ -57,5 +57,5 @@ __all__ = [
     "DynamicsParams", "k_fixed_points", "steady_norm_sq", "analytic_a",
     "lambda_lower_bound", "simulate_vector_recursion",
     "FisrSpec", "layernorm_fisr", "reference_batch",
-    "MacroGeometry", "StageCosts", "CycleReport", "estimate_cycles",
+    "StageCosts", "CycleReport", "estimate_cycles",
 ]

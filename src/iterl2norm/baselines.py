@@ -62,8 +62,8 @@ def fisr_inv_sqrt_values(x: np.ndarray, spec: FisrSpec) -> np.ndarray:
     precision `x` is carried in (see `fpformat._carried`)."""
     fmt = spec.format
     x = _carried(x)
-    if not (x > 0).all():
-        raise ValueError("FISR requires strictly positive input")
+    if not ((x > 0) & np.isfinite(x)).all():
+        raise ValueError("FISR requires positive finite input")
     bits = values_to_bits(x, fmt).astype(np.int64)
     seed = spec.magic - (bits >> 1)
     y = bits_to_values(seed, fmt).astype(x.dtype, copy=False)

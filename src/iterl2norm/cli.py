@@ -22,13 +22,25 @@ from .experiments import (
     run_precision,
     write_csv,
 )
+from .fpformat import FORMATS
 from .latency import stage_costs_from_dict
-from .norm_core import DEFAULT_STEPS
+from .norm_core import DEFAULT_STEPS, FixedSteps, NormConfig, Threshold
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_RANGE = 4
+
+_RUNNERS = {
+    "precision": run_precision,
+    "convergence": run_convergence,
+    "compare-fisr": run_compare_fisr,
+    "latency": run_latency,
+}
+# The ExperimentSpec fields the experiment flags set; a flag left out takes
+# the spec's default.
+_SPEC_FIELDS = ("dims", "num_vectors", "seed", "steps", "lambda_override")
+_FISR_FIELDS = ("newton_iters", "fp32_magic", "bf16_magic")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -38,50 +50,61 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+_FLAGS = {
+    "--format": dict(action="append", dest="formats", choices=tuple(FORMATS),
+                     help="target format; repeatable"),
+    "--dims": dict(type=_int_list, help="comma-separated vector lengths"),
+    "--num-vectors": dict(type=int, help="vectors per (format, d) (default 1000)"),
+    "--seed": dict(type=int, help="RNG seed (default 0)"),
+    "--steps": dict(type=_int_list,
+                    help=f"iteration steps (default {DEFAULT_STEPS}; `convergence` sweeps "
+                         "1,...,10 and takes a comma list)"),
+    "--lambda": dict(dest="lambda_override", type=float,
+                     help="override the per-vector default update rate"),
+    "--out": dict(help="output path (default: stdout)"),
+    "--config": dict(help="JSON config: stage costs, FISR magic/newton overrides"),
+}
+_ERROR_TABLE_FLAGS = ("--format", "--dims", "--num-vectors", "--seed", "--steps", "--lambda",
+                      "--out")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iterl2norm",
         description="Iterative division-free layer normalization benchmark harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, flags in (
+        ("precision", "error vs the binary64 reference", _ERROR_TABLE_FLAGS),
+        ("convergence", "error vs iteration steps", _ERROR_TABLE_FLAGS),
+        ("compare-fisr", "paired table against FISR", _ERROR_TABLE_FLAGS + ("--config",)),
+        # --seed draws nothing; perfbench and run_paper_experiments.py pass it to all
+        ("latency", "macro cycle counts", ("--dims", "--seed", "--steps", "--out", "--config")),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
 
-    def common(p: argparse.ArgumentParser, formats: bool = True) -> None:
-        if formats:
-            p.add_argument("--format", action="append", dest="formats",
-                           choices=["fp32", "fp16", "bf16"],
-                           help="target format; repeatable")
-        p.add_argument("--dims", type=_int_list, default=None,
-                       help="comma-separated vector lengths")
-        p.add_argument("--num-vectors", type=int, default=1000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--steps", type=_int_list, default=None,
-                       help=f"iteration steps (default {DEFAULT_STEPS}; `convergence` "
-                            "sweeps 1,...,10); a comma list sweeps step counts "
-                            "for `convergence`")
-        p.add_argument("--lambda", dest="lambda_override", type=float, default=None,
-                       help="override the per-vector default update rate")
-        p.add_argument("--delta-max", type=float, default=None,
-                       help="threshold stopping: iterate until |da| <= DELTA_MAX")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--config", default=None,
-                       help="JSON config: stage costs, FISR magic/newton overrides")
-
-    common(sub.add_parser("precision", help="error vs the binary64 reference"))
-    common(sub.add_parser("convergence", help="error vs iteration steps"))
-    common(sub.add_parser("compare-fisr", help="paired table against FISR"))
-    common(sub.add_parser("latency", help="macro cycle counts"), formats=False)
-
-    p_norm = sub.add_parser("normalize", help="normalize vectors from a file")
-    common(p_norm)
-    p_norm.add_argument("--input", required=True, help="vector file (text or binary)")
-    p_norm.add_argument("--gamma", default=None, help="scale parameter file")
-    p_norm.add_argument("--beta", default=None, help="shift parameter file")
+    p = sub.add_parser("normalize", help="normalize vectors from a file")
+    p.add_argument("--input", required=True, help="vector file (text or binary)")
+    p.add_argument("--out", required=True,
+                   help="output vector file; diagnostics go to <out>.meta.jsonl")
+    p.add_argument("--format", choices=tuple(FORMATS),
+                   help="format of a text input (default fp32); a binary file names its own")
+    p.add_argument("--gamma", help="scale parameter file")
+    p.add_argument("--beta", help="shift parameter file")
+    stop = p.add_mutually_exclusive_group()
+    stop.add_argument("--steps", type=int, help=f"iteration steps (default {DEFAULT_STEPS})")
+    stop.add_argument("--delta-max", type=float,
+                      help="threshold stopping: iterate until |da| <= DELTA_MAX")
+    p.add_argument("--lambda", **_FLAGS["--lambda"])
     return parser
 
 
 def _load_config(path: str | None) -> dict:
     """The `--config` JSON as ExperimentSpec fields: stage costs, and the
-    FISR Newton step count and magic constants."""
+    FISR Newton step count and magic constants.  A key it does not read is
+    a usage error."""
     if path is None:
         return {}
     try:
@@ -96,10 +119,15 @@ def _load_config(path: str | None) -> dict:
     fisr, costs = data.get("fisr", {}), data.get("stage_costs", {})
     if not (isinstance(fisr, dict) and isinstance(costs, dict)):
         raise DataFormatError(f"{path}: \"fisr\" and \"stage_costs\" must be JSON objects")
+    for keys, known, what in ((data, ("fisr", "stage_costs"), "config keys"),
+                              (fisr, _FISR_FIELDS, "fisr fields")):
+        unknown = sorted(set(keys) - set(known))
+        if unknown:
+            raise UsageError(f"{path}: unknown {what}: {unknown}")
     try:
         newton_iters = int(fisr.get("newton_iters", 1))
         magic = {key.removesuffix("_magic"): int(v, 0) if isinstance(v, str) else int(v)
-                 for key, v in fisr.items() if key in ("fp32_magic", "bf16_magic")}
+                 for key, v in fisr.items() if key != "newton_iters"}
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: bad fisr setting: {exc}") from exc
     return {"stage_costs": stage_costs_from_dict(costs),
@@ -109,39 +137,33 @@ def _load_config(path: str | None) -> dict:
 def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
     """The spec from the flags the user gave; the rest take the kind's
     defaults in ExperimentSpec."""
+    given = {k: v for k, v in vars(args).items() if v is not None}
     return ExperimentSpec(
         kind=args.command,
-        formats=tuple(getattr(args, "formats", None) or ()),
-        dims=args.dims or (),
-        num_vectors=args.num_vectors,
-        seed=args.seed,
-        steps=args.steps or (),
-        lambda_override=args.lambda_override,
-        delta_max=args.delta_max,
-        input_path=getattr(args, "input", None),
-        output_path=args.out,
-        **_load_config(args.config),
+        formats=tuple(given.get("formats", ())),
+        **{k: given[k] for k in _SPEC_FIELDS if k in given},
+        **_load_config(given.get("config")),
     )
 
 
+def _normalize(args: argparse.Namespace) -> None:
+    # --steps has no argparse default: one would hide `--steps 5 --delta-max X`
+    # from the mutually exclusive group
+    stopping = (Threshold(args.delta_max) if args.delta_max is not None
+                else FixedSteps(DEFAULT_STEPS if args.steps is None else args.steps))
+    summary = run_normalize(args.input, args.out, NormConfig(stopping, args.lambda_override),
+                            args.format, args.gamma, args.beta)
+    print(f"normalized {summary.count} vectors -> {summary.out_path} "
+          f"(diagnostics: {summary.sidecar_path})")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        spec = _build_spec(args)
         if args.command == "normalize":
-            summary = run_normalize(spec, gamma_path=args.gamma, beta_path=args.beta)
-            print(f"normalized {summary.count} vectors -> {summary.output_path} "
-                  f"(diagnostics: {summary.sidecar_path})")
+            _normalize(args)
             return EXIT_OK
-        runner = {
-            "precision": run_precision,
-            "convergence": run_convergence,
-            "compare-fisr": run_compare_fisr,
-            "latency": run_latency,
-        }[args.command]
-        result = runner(spec)
-        text = write_csv(result, args.out)
+        text = write_csv(_RUNNERS[args.command](_build_spec(args)), args.out)
         if args.out is None:
             sys.stdout.write(text)
         return EXIT_OK

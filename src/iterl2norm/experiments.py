@@ -1,5 +1,5 @@
-"""Benchmark experiments: precision sweeps, convergence curves, FISR
-comparison tables, latency curves, and file normalization.  All experiment
+"""Benchmark experiments (precision sweeps, convergence curves, FISR
+comparison tables, latency curves) and file normalization.  All experiment
 output is CSV with a header comment block recording the run parameters and
 seed.
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +24,11 @@ from . import __version__
 from .baselines import FisrSpec, fisr_batch, reference_batch
 from .errors import DataFormatError, RangeOverflowError, UsageError
 from .fpformat import FORMATS, FormatSpec, round_array
-from .latency import MacroGeometry, StageCosts, PHASES, estimate_cycles
+from .latency import PHASES, StageCosts, estimate_cycles
 from .norm_core import (
     DEFAULT_STEPS,
     FixedSteps,
     NormConfig,
-    Threshold,
     normalize_batch,
     normalize_batches,
     shift_batch,
@@ -62,15 +61,13 @@ CONVERGENCE_STEPS = tuple(range(1, 11))
 
 _ALL_FORMATS = ("fp32", "fp16", "bf16")
 # Per kind, the (formats, dims, steps) a spec gets for the fields it leaves
-# empty.  FISR needs an 8-bit exponent; the cycle model has no format; a
-# binary `normalize` input names its own format and text input defaults to
-# fp32.  The order fixes the kind ids of the RNG keys.
+# empty.  FISR needs an 8-bit exponent; the cycle model has no format.  The
+# order fixes the kind ids of the RNG keys.
 _DEFAULTS = {
     "precision": (_ALL_FORMATS, PRECISION_DIMS, (DEFAULT_STEPS,)),
     "convergence": (_ALL_FORMATS, (1024,), CONVERGENCE_STEPS),
     "compare-fisr": (("fp32", "bf16"), OPT_DIMS, (DEFAULT_STEPS,)),
     "latency": ((), LATENCY_DIMS, (DEFAULT_STEPS,)),
-    "normalize": ((), (), (DEFAULT_STEPS,)),
 }
 KINDS = tuple(_DEFAULTS)
 _KIND_IDS = {k: i for i, k in enumerate(KINDS)}
@@ -90,9 +87,6 @@ class ExperimentSpec:
     seed: int = 0
     steps: tuple[int, ...] = ()
     lambda_override: float | None = None
-    delta_max: float | None = None
-    input_path: str | None = None
-    output_path: str | None = None
     stage_costs: StageCosts = field(default_factory=StageCosts)
     fisr_newton_iters: int = 1
     fisr_magic: dict[str, int] = field(default_factory=dict)
@@ -112,9 +106,6 @@ class ExperimentSpec:
             raise UsageError("dims must all be >= 1")
         if any(s < 0 for s in self.steps):
             raise UsageError("steps must be >= 0")
-        if self.delta_max is not None and self.kind != "normalize":
-            raise UsageError("--delta-max applies to `normalize` only; "
-                             "batch experiments run a fixed step count")
         if len(self.steps) > 1 and self.kind != "convergence":
             raise UsageError("a steps sweep applies to `convergence` only")
         if self.kind == "convergence" and len(self.dims) > 1:
@@ -148,7 +139,7 @@ class ExperimentResult:
 @dataclass(frozen=True)
 class NormalizeSummary:
     count: int
-    output_path: str
+    out_path: str
     sidecar_path: str
 
 
@@ -237,37 +228,38 @@ def run_compare_fisr(spec: ExperimentSpec) -> ExperimentResult:
 
 def run_latency(spec: ExperimentSpec) -> ExperimentResult:
     """Cycle counts from the macro model, one row per d."""
-    geom = MacroGeometry()
     result = ExperimentResult(
         spec, ("d", "total_cycles") + tuple(f"cycles_{p}" for p in PHASES), [])
     steps = spec.steps[0]
     for d in spec.dims:
-        rep = estimate_cycles(d, steps, geom, spec.stage_costs)
+        rep = estimate_cycles(d, steps, spec.stage_costs)
         result.rows.append((d, rep.total) + tuple(rep.per_phase[p] for p in PHASES))
     return result
 
 
-def run_normalize(spec: ExperimentSpec, gamma_path: str | None = None,
+def run_normalize(in_path: str, out_path: str, config: NormConfig = NormConfig(),
+                  fmt_name: str | None = None, gamma_path: str | None = None,
                   beta_path: str | None = None) -> NormalizeSummary:
-    """Normalize vectors from a file; write outputs plus a JSON-lines
-    diagnostics sidecar (m, a-trajectory, steps, converged) per vector.
+    """Normalize the vectors of file `in_path` into `out_path`, plus a
+    JSON-lines diagnostics sidecar (m, a-trajectory, steps, converged) per
+    vector.
 
-    Vectors, gamma and beta are rounded to the format; the vectors of one
-    length form one batch, and `normalize_batches` solves for `a` once over
-    every batch of the file.  Every parameter length is checked before
+    A binary file names its own format (`fmt_name`, if given, must match
+    it); a text file is read as `fmt_name`, default fp32.  Vectors, gamma
+    and beta are rounded to the format; the vectors of one length form one
+    batch, and `normalize_batches` solves for `a` once over every batch of
+    the file.  Every parameter length is checked before
     anything is computed; a NaN or infinite gamma or beta value is a data
     error.  A non-finite input value (a data error), and a finite value that
     rounds to infinity or a squared norm that overflows the format (range
     errors), name the first such vector of the file, the data error
     first."""
-    if not spec.input_path or not spec.output_path:
-        raise UsageError("normalize needs --input and --out paths")
-    vectors, file_fmt = read_vectors(spec.input_path)
-    if file_fmt is not None and spec.formats and FORMATS[spec.formats[0]] != file_fmt:
+    vectors, file_fmt = read_vectors(in_path)
+    if file_fmt is not None and fmt_name and FORMATS[fmt_name] != file_fmt:
         raise UsageError(
-            f"--format {spec.formats[0]} conflicts with the binary header "
+            f"--format {fmt_name} conflicts with the binary header "
             f"({file_fmt.name}); drop the flag or re-encode")
-    fmt = file_fmt or (FORMATS[spec.formats[0]] if spec.formats else FORMATS["fp32"])
+    fmt = file_fmt or FORMATS[fmt_name or "fp32"]
     gammas = _read_params(gamma_path, len(vectors), fmt) if gamma_path else None
     betas = _read_params(beta_path, len(vectors), fmt) if beta_path else None
 
@@ -278,12 +270,6 @@ def run_normalize(spec: ExperimentSpec, gamma_path: str | None = None,
             p = params[i % len(params)]
             if len(p) != len(vec):
                 raise DataFormatError(f"vector {i}: {label} length {len(p)} != d {len(vec)}")
-
-    if spec.delta_max is not None:
-        config = NormConfig(stopping=Threshold(spec.delta_max),
-                            lambda_override=spec.lambda_override)
-    else:
-        config = spec.norm_config(spec.steps[0])
 
     # One batch per vector length and one solve for the whole file; outputs
     # and sidecar keep the file order.
@@ -332,13 +318,13 @@ def run_normalize(spec: ExperimentSpec, gamma_path: str | None = None,
                        "a_trajectory": traj[j][:steps[j] + 1], "steps": steps[j],
                        "converged": converged[j]}
 
-    write_vectors(spec.output_path, outputs, fmt, binary=file_fmt is not None)
-    sidecar = str(spec.output_path) + ".meta.jsonl"
+    write_vectors(out_path, outputs, fmt, binary=file_fmt is not None)
+    sidecar = str(out_path) + ".meta.jsonl"
     encode = json.JSONEncoder(allow_nan=False).encode
     with open(sidecar, "w") as fh:
         for entry in meta:
             fh.write(encode(entry) + "\n")
-    return NormalizeSummary(len(outputs), str(spec.output_path), sidecar)
+    return NormalizeSummary(len(outputs), str(out_path), sidecar)
 
 
 def _group_params(params: list[np.ndarray] | None, rows: list[int],
@@ -384,8 +370,14 @@ def csv_text(result: ExperimentResult) -> str:
     dims, steps = ",".join(map(str, spec.dims)), ",".join(map(str, spec.steps))
     buf.write(f"# iterl2norm v{__version__} {spec.kind}\n")
     if spec.kind == "latency":
-        # the cycle model draws nothing and reads only the lengths and steps
+        # the cycle model draws nothing and reads only the lengths, the steps
+        # and the stage costs; a default cost is left out of the header
         buf.write(f"# dims={dims} steps={steps}\n")
+        costs = spec.stage_costs
+        changed = {f.name: getattr(costs, f.name) for f in fields(costs)
+                   if getattr(costs, f.name) != f.default}
+        if changed:
+            buf.write(f"# stage_costs={json.dumps(changed)}\n")
     else:
         buf.write(f"# seed={spec.seed} rng={RNG_NAME} "
                   f"(SeedSequence spawn_key=(kind,format,d))\n")

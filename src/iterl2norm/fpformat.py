@@ -42,6 +42,7 @@ __all__ = [
     "round_array",
     "values_to_bits",
     "bits_to_values",
+    "CHUNK_SIZE",
     "tree_sum_values",
 ]
 
@@ -181,43 +182,39 @@ def bits_to_values(bits: np.ndarray, fmt: FormatSpec) -> np.ndarray:
 # Adder-tree reduction
 # ---------------------------------------------------------------------------
 
-def tree_sum_values(values: np.ndarray, fmt: FormatSpec, arity: int = 8) -> np.ndarray:
+# The macro's reduction unit: two levels of 8-input adder trees.
+CHUNK_SIZE = 64
+
+
+def tree_sum_values(values: np.ndarray, fmt: FormatSpec) -> np.ndarray:
     """Sum along the last axis in the macro's fixed reduction order.
 
-    Consecutive chunks of ``arity**2`` elements (64 for the default 8-input
-    L1/L2 adder trees) are each reduced by a balanced pairwise-adjacent
-    binary tree; the per-chunk partial sums are then accumulated
-    sequentially in chunk order, mirroring the partial-sum buffer.  The last
-    chunk is zero-padded.  Each 2-input add rounds once.
+    Consecutive chunks of CHUNK_SIZE elements are each reduced by a balanced
+    pairwise-adjacent binary tree; the per-chunk partial sums are then
+    accumulated sequentially in chunk order, mirroring the partial-sum
+    buffer.  The last chunk is zero-padded.  Each 2-input add rounds once.
 
     `values` has shape (..., d); the result drops the last axis and keeps the
     precision of `values` (see :func:`_carried`).
     """
-    if arity < 2:
-        raise ValueError("arity must be >= 2")
     arr = _carried(values)
     if arr.ndim == 1:
         arr = arr[None, :]
         squeeze = True
     else:
         squeeze = False
-    n, d = arr.shape[0], arr.shape[-1]
-    chunk = arity * arity
+    d = arr.shape[-1]
     if d == 0:
         total = np.zeros(arr.shape[:-1], dtype=arr.dtype)
     else:
-        nchunk = -(-d // chunk)
-        pad = nchunk * chunk - d
+        nchunk = -(-d // CHUNK_SIZE)
+        pad = nchunk * CHUNK_SIZE - d
         if pad:
             arr = np.concatenate([arr, np.zeros(arr.shape[:-1] + (pad,), dtype=arr.dtype)],
                                  axis=-1)
-        level = arr.reshape(arr.shape[:-1] + (nchunk, chunk))
-        while level.shape[-1] > 1:
-            w = level.shape[-1]
-            pairs = round_array(level[..., 0 : w - (w % 2) : 2] + level[..., 1::2], fmt)
-            if w % 2:
-                pairs = np.concatenate([pairs, level[..., -1:]], axis=-1)
-            level = pairs
+        level = arr.reshape(arr.shape[:-1] + (nchunk, CHUNK_SIZE))
+        while level.shape[-1] > 1:  # CHUNK_SIZE is a power of two: no odd level
+            level = round_array(level[..., 0::2] + level[..., 1::2], fmt)
         partials = np.moveaxis(level[..., 0], -1, 0).copy()  # one contiguous row per chunk
         total = partials[0]
         for part in partials[1:]:

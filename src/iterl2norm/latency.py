@@ -1,6 +1,8 @@
 """Parameterized cycle-count model of the normalization macro.
 
-The macro works on 64-element chunks (eight banks times eight lanes), so
+The macro has one fixed geometry: eight banks of eight lanes, sixteen rows
+deep.  It works on CHUNK_SIZE = 64-element chunks (the reduction unit of
+`fpformat.tree_sum_values`) and holds at most D_MAX = 1024 elements, so
 chunk-scaled phases cost `fixed + per_chunk * ceil(d/64)` cycles and the
 iteration phase is linear in the programmed step count.  The model counts
 cycles only; it does not simulate buffer contents or data values.
@@ -15,43 +17,21 @@ hardware.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 
 from .errors import UsageError
+from .fpformat import CHUNK_SIZE
 
 __all__ = [
-    "MacroGeometry",
+    "D_MAX",
     "StageCosts",
     "CycleReport",
     "estimate_cycles",
     "stage_costs_from_dict",
-    "load_stage_costs",
 ]
 
-
-@dataclass(frozen=True)
-class MacroGeometry:
-    """Input-buffer geometry: n_banks * bank_width elements per chunk pass,
-    bank_height rows deep."""
-
-    n_banks: int = 8
-    bank_width: int = 8
-    bank_height: int = 16
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if getattr(self, f.name) < 1:
-                raise UsageError(f"{f.name} must be >= 1")
-
-    @property
-    def chunk_size(self) -> int:
-        return self.n_banks * self.bank_width
-
-    @property
-    def d_max(self) -> int:
-        return self.n_banks * self.bank_width * self.bank_height
+# Sixteen buffer rows of one chunk each.
+D_MAX = 16 * CHUNK_SIZE
 
 
 @dataclass(frozen=True)
@@ -103,14 +83,13 @@ PHASES = ("control", "mean_sum", "mean_mul", "mean_shift", "inner_product",
           "iteration", "output_scale", "output_affine")
 
 
-def estimate_cycles(d: int, n_iter: int, geom: MacroGeometry = MacroGeometry(),
-                    costs: StageCosts = StageCosts()) -> CycleReport:
+def estimate_cycles(d: int, n_iter: int, costs: StageCosts = StageCosts()) -> CycleReport:
     """Cycle count for normalizing one d-long vector with n_iter steps."""
-    if not 1 <= d <= geom.d_max:
-        raise UsageError(f"d must lie in [1, {geom.d_max}]")
+    if not 1 <= d <= D_MAX:
+        raise UsageError(f"d must lie in [1, {D_MAX}]")
     if n_iter < 0:
         raise UsageError("n_iter must be >= 0")
-    chunks = -(-d // geom.chunk_size)
+    chunks = -(-d // CHUNK_SIZE)
     per_phase = {
         "control": costs.control_fixed
                    + ((chunks - 1) // costs.chunk_group_size) * costs.chunk_group_cost,
@@ -132,15 +111,3 @@ def stage_costs_from_dict(overrides: dict) -> StageCosts:
     if unknown:
         raise UsageError(f"unknown stage cost fields: {sorted(unknown)}")
     return replace(StageCosts(), **overrides)
-
-
-def load_stage_costs(path: str | Path) -> StageCosts:
-    """Load stage-cost overrides from a JSON config file
-    ({"stage_costs": {...}}; a bare mapping also works)."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if isinstance(data, dict) and "stage_costs" in data:
-        data = data["stage_costs"]
-    if not isinstance(data, dict):
-        raise UsageError("stage-cost config must be a JSON object")
-    return stage_costs_from_dict(data)

@@ -96,6 +96,13 @@ class TestFisrInvSqrt:
         with pytest.raises(ValueError):
             fisr(-2.0, FisrSpec())
 
+    def test_rejects_non_finite(self):
+        # the seed of +inf is a negative value: without the guard the
+        # result is [-inf, 0.499]
+        for x in ([np.inf, 4.0], [4.0, np.nan]):
+            with pytest.raises(ValueError):
+                fisr_inv_sqrt_values(np.array(x), FisrSpec())
+
     def test_format_mismatch(self):
         x = round_array(np.array([[1.0, 2.0, 3.0, 4.0]]), BF16)
         with pytest.raises(UsageError):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from iterl2norm.baselines import FisrSpec, fisr_batch, fisr_inv_sqrt_values
-from iterl2norm.experiments import ExperimentSpec, run_normalize
+from iterl2norm.experiments import run_normalize
 from iterl2norm.fpformat import (
     BF16,
     FP16,
@@ -113,8 +113,7 @@ class TestTrap1Fp16Boundary:
         rows = v.reshape(2, -1)
         inp, out = tmp_path / "v.txt", tmp_path / "z.txt"
         write_vectors(inp, list(rows), FP16, binary=False)
-        run_normalize(ExperimentSpec(kind="normalize", formats=("fp16",),
-                                     input_path=str(inp), output_path=str(out)))
+        run_normalize(str(inp), str(out), fmt_name="fp16")
         z, _ = read_vectors(out)
         want = normalize_batch(FP16, direct.reshape(2, -1)).z
         assert np.array_equal(bits(np.array(z)), bits(want))

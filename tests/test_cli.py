@@ -10,7 +10,10 @@ from iterl2norm.vecio import write_vectors
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejected the command line
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -44,7 +47,55 @@ class TestExitCodes:
         code, _, err = run(capsys, "precision", "--dims", "16",
                            "--num-vectors", "4", "--delta-max", "1e-4")
         assert code == 2
-        assert "normalize" in err
+        assert "unrecognized arguments: --delta-max" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["normalize", "--seed", "9"],
+        ["normalize", "--dims", "7"],
+        ["normalize", "--num-vectors", "3"],
+        ["normalize", "--config", "c.json"],
+        ["normalize", "--steps", "2", "--delta-max", "1e-5"],
+        ["normalize", "--steps", "5", "--delta-max", "1e-5"],
+        ["normalize", "--steps", "2,3"],
+        ["precision", "--config", "c.json"],
+        ["precision", "--delta-max", "1e-5"],
+        ["convergence", "--config", "c.json"],
+        ["convergence", "--delta-max", "1e-5"],
+        ["latency", "--num-vectors", "3"],
+        ["latency", "--lambda", "0.3"],
+        ["latency", "--format", "fp32"],
+        ["compare-fisr", "--delta-max", "1e-5"],
+        ["precision", "--format", "fp8"],
+    ], ids=lambda a: "_".join(a).replace("--", ""))
+    def test_unread_flag_is_2(self, capsys, tmp_path, argv):
+        # every flag a subcommand accepts is read; the rest are usage errors
+        inp, out = tmp_path / "v.txt", tmp_path / "z.txt"
+        inp.write_text("1,2,3,4\n")
+        if argv[0] == "normalize":
+            argv = argv + ["--input", str(inp), "--out", str(out)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "error:" in err
+        assert not out.exists()
+
+    def test_normalize_needs_out(self, capsys, tmp_path):
+        inp = tmp_path / "v.txt"
+        inp.write_text("1,2,3,4\n")
+        code, _, err = run(capsys, "normalize", "--input", str(inp))
+        assert code == 2 and "--out" in err
+
+    @pytest.mark.parametrize("cfg,key", [
+        ({"stage_cost": {"control_fixed": 30}}, "stage_cost"),
+        ({"control_fixed": 30}, "control_fixed"),
+        ({"fisr": {"newton_iter": 0}}, "newton_iter"),
+        ({"stage_costs": {"warp_drive": 1}}, "warp_drive"),
+    ], ids=["top-level", "bare-mapping", "fisr", "stage-cost"])
+    @pytest.mark.parametrize("command", ["latency", "compare-fisr"])
+    def test_unread_config_key_is_2(self, capsys, tmp_path, cfg, key, command):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, command, "--dims", "64", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ") and repr(key) in err
 
     def test_data_error_is_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -217,7 +268,7 @@ class TestOutputs:
         code, want, _ = run(capsys, *base)
         assert code == 0
         assert want.splitlines()[1] == "# dims=64,1024 steps=4"
-        code, got, _ = run(capsys, *base, "--num-vectors", "5", "--seed", "9")
+        code, got, _ = run(capsys, *base, "--seed", "9")
         assert (code, got) == (0, want)
         spec = ExperimentSpec(kind="latency", formats=("fp16",), dims=(64, 1024),
                               steps=(4,), num_vectors=5)
@@ -229,6 +280,20 @@ class TestOutputs:
         code, out, _ = run(capsys, "latency", "--dims", "64", "--config", str(cfg))
         assert code == 0
         assert "64,56" in out  # 116 - 5*12
+
+    def test_latency_header_records_stage_costs(self, capsys, tmp_path):
+        # the header names each overridden cost, as a --config that
+        # reproduces the file
+        cfg, again = tmp_path / "cfg.json", tmp_path / "again.json"
+        cfg.write_text(json.dumps({"stage_costs": {"control_fixed": 30, "iteration_per_step": 0,
+                                                   "mul_latency": 2}}))
+        code, want, _ = run(capsys, "latency", "--dims", "64,1024", "--config", str(cfg))
+        assert code == 0
+        line = want.splitlines()[2]
+        assert line == '# stage_costs={"control_fixed": 30, "iteration_per_step": 0}'
+        again.write_text(json.dumps({"stage_costs": json.loads(line.split("=", 1)[1])}))
+        code, got, _ = run(capsys, "latency", "--dims", "64,1024", "--config", str(again))
+        assert (code, got) == (0, want)
 
     def test_normalize_end_to_end(self, capsys, tmp_path):
         inp, out = tmp_path / "v.txt", tmp_path / "z.txt"

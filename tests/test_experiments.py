@@ -20,7 +20,7 @@ from iterl2norm.experiments import (
     write_csv,
 )
 from iterl2norm.fpformat import BF16, FP16, FP32, round_array
-from iterl2norm.norm_core import NormConfig, NormInputs, Threshold, layernorm_iterl2
+from iterl2norm.norm_core import FixedSteps, NormConfig, NormInputs, Threshold, layernorm_iterl2
 from iterl2norm.vecio import read_vectors, write_vectors
 
 
@@ -39,8 +39,6 @@ class TestExperimentSpec:
         assert ExperimentSpec(kind="convergence").steps == CONVERGENCE_STEPS
         # a step count that equals the default is not the sweep
         assert ExperimentSpec(kind="convergence", steps=(5,)).steps == (5,)
-        # a binary file names its own format
-        assert ExperimentSpec(kind="normalize").formats == ()
 
     def test_validation(self):
         with pytest.raises(UsageError):
@@ -55,8 +53,9 @@ class TestExperimentSpec:
             ExperimentSpec(kind="precision", steps=(3, 5))
         with pytest.raises(UsageError):
             ExperimentSpec(kind="convergence", dims=(256, 1024))
+        # normalize is not an experiment: run_normalize takes its own config
         with pytest.raises(UsageError):
-            ExperimentSpec(kind="precision", delta_max=1e-4)
+            ExperimentSpec(kind="normalize")
 
 
 class TestErrorStats:
@@ -181,10 +180,8 @@ class TestNormalize:
     def test_text_roundtrip_with_sidecar(self, tmp_path):
         inp, out = tmp_path / "in.txt", tmp_path / "out.txt"
         self._write_text_vectors(inp, [[1.0, 2.0, 3.0, 4.0], [0.5, -0.5]])
-        spec = ExperimentSpec(kind="normalize", formats=("fp32",),
-                              input_path=str(inp), output_path=str(out))
-        summary = run_normalize(spec)
-        assert summary.count == 2
+        summary = run_normalize(str(inp), str(out), fmt_name="fp32")
+        assert summary.count == 2 and summary.out_path == str(out)
         vecs, fmt = read_vectors(out)
         assert fmt is None and len(vecs) == 2
         assert np.abs(vecs[0] - [-1.34164, -0.44721, 0.44721, 1.34164]).max() < 1e-3
@@ -198,13 +195,13 @@ class TestNormalize:
         rng = np.random.default_rng(3)
         vecs = [round_array(rng.uniform(-1, 1, 8), FP16) for _ in range(3)]
         write_vectors(inp, vecs, FP16, binary=True)
-        spec = ExperimentSpec(kind="normalize", formats=(),
-                              input_path=str(inp), output_path=str(out))
-        summary = run_normalize(spec)
+        summary = run_normalize(str(inp), str(out), NormConfig(FixedSteps(2)))
         assert summary.count == 3
         got, fmt = read_vectors(out)
         assert fmt is FP16 or fmt.name == "fp16"
         assert all(len(v) == 8 for v in got)
+        meta = [json.loads(l) for l in open(summary.sidecar_path)]
+        assert [m["steps"] for m in meta] == [2, 2, 2]
 
     @pytest.mark.parametrize("fmt,payload", [
         (FP32, np.array([1.0, -2.0, 0.1], dtype="<f4").tobytes()),
@@ -222,17 +219,13 @@ class TestNormalize:
     def test_binary_format_conflict(self, tmp_path):
         inp = tmp_path / "in.bin"
         write_vectors(inp, [np.ones(4)], FP16, binary=True)
-        spec = ExperimentSpec(kind="normalize", formats=("fp32",),
-                              input_path=str(inp), output_path=str(tmp_path / "o"))
         with pytest.raises(UsageError):
-            run_normalize(spec)
+            run_normalize(str(inp), str(tmp_path / "o"), fmt_name="fp32")
 
     def test_threshold_stopping_recorded(self, tmp_path):
         inp, out = tmp_path / "in.txt", tmp_path / "out.txt"
         self._write_text_vectors(inp, [[1.0, 2.0, 3.0, 4.0]])
-        spec = ExperimentSpec(kind="normalize", formats=("fp32",), delta_max=1e-5,
-                              input_path=str(inp), output_path=str(out))
-        summary = run_normalize(spec)
+        summary = run_normalize(str(inp), str(out), NormConfig(Threshold(1e-5)))
         meta = [json.loads(l) for l in open(summary.sidecar_path)]
         assert meta[0]["converged"]
         assert meta[0]["steps"] >= 1
@@ -247,9 +240,8 @@ class TestNormalize:
         gammas = [rng.uniform(0.5, 1.5, d) for d in dims]
         self._write_text_vectors(inp, vecs)
         self._write_text_vectors(gam, gammas)
-        spec = ExperimentSpec(kind="normalize", formats=("bf16",), delta_max=1e-3,
-                              input_path=str(inp), output_path=str(out))
-        run_normalize(spec, gamma_path=str(gam))
+        run_normalize(str(inp), str(out), NormConfig(Threshold(1e-3)), "bf16",
+                      gamma_path=str(gam))
         got, _ = read_vectors(out)
         meta = [json.loads(l) for l in open(str(out) + ".meta.jsonl")]
         config = NormConfig(stopping=Threshold(1e-3))
@@ -268,26 +260,20 @@ class TestNormalize:
         inp, gam = tmp_path / "in.txt", tmp_path / "g.txt"
         self._write_text_vectors(inp, [[1.0, 2.0, 3.0]])
         self._write_text_vectors(gam, [[1.0, 1.0]])
-        spec = ExperimentSpec(kind="normalize", formats=("fp32",),
-                              input_path=str(inp), output_path=str(tmp_path / "o"))
         with pytest.raises(DataFormatError):
-            run_normalize(spec, gamma_path=str(gam))
+            run_normalize(str(inp), str(tmp_path / "o"), gamma_path=str(gam))
 
     def test_malformed_text(self, tmp_path):
         inp = tmp_path / "in.txt"
         inp.write_text("1.0,zebra,3.0\n")
-        spec = ExperimentSpec(kind="normalize", formats=("fp32",),
-                              input_path=str(inp), output_path=str(tmp_path / "o"))
         with pytest.raises(DataFormatError):
-            run_normalize(spec)
+            run_normalize(str(inp), str(tmp_path / "o"))
 
     def test_overflow_maps_to_range_error(self, tmp_path):
         inp = tmp_path / "in.txt"
         inp.write_text(",".join(["60000", "-60000"] * 8) + "\n")
-        spec = ExperimentSpec(kind="normalize", formats=("fp16",),
-                              input_path=str(inp), output_path=str(tmp_path / "o"))
         with pytest.raises(RangeOverflowError):
-            run_normalize(spec)
+            run_normalize(str(inp), str(tmp_path / "o"), fmt_name="fp16")
 
 
 class TestInjectionHook:

@@ -228,11 +228,11 @@ class TestEmulatedOps:
                 f"{g32:#x} (binary32), oracle {want:#x}")
 
 
-def scalar_tree_sum(bits, fmt, arity=8):
+def scalar_tree_sum(bits, fmt, chunk=64):
     """The adder tree one 2-input add at a time, each add rounded by the
-    integer oracle: chunks of arity**2 zero-padded elements, each reduced by
-    a pairwise-adjacent tree, then the chunk sums accumulated in order."""
-    chunk = arity * arity
+    integer oracle: chunks of 64 zero-padded elements (two levels of 8-input
+    trees), each reduced by a pairwise-adjacent tree, then the chunk sums
+    accumulated in order."""
     bits = list(bits) + [0] * (-len(bits) % chunk)
     total = None
     for start in range(0, len(bits), chunk):
@@ -255,10 +255,6 @@ class TestTreeSum:
         z = tree_sum_values(np.zeros(0), BF16)
         assert z.shape == () and z == 0.0
         assert np.array_equal(tree_sum_values(np.zeros((3, 0)), BF16), np.zeros(3))
-
-    def test_arity_validated(self):
-        with pytest.raises(ValueError):
-            tree_sum_values(np.ones(4), FP32, arity=1)
 
     def test_order_sensitivity_fp16(self):
         # 1.0 followed by 63 copies of 2^-11: sequential accumulation ties to

@@ -4,27 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iterl2norm.cli import main
 from iterl2norm.errors import UsageError
+from iterl2norm.fpformat import CHUNK_SIZE
 from iterl2norm.latency import (
+    D_MAX,
     CycleReport,
-    MacroGeometry,
     StageCosts,
     estimate_cycles,
-    load_stage_costs,
     stage_costs_from_dict,
 )
 
 
 class TestGeometry:
     def test_defaults(self):
-        g = MacroGeometry()
-        assert g.chunk_size == 64
-        assert g.d_max == 1024
-        assert g.d_max == g.n_banks * g.bank_width * g.bank_height
-
-    def test_validation(self):
-        with pytest.raises(UsageError):
-            MacroGeometry(n_banks=0)
+        # 8 banks x 8 lanes per chunk, 16 rows deep
+        assert CHUNK_SIZE == 8 * 8 == 64
+        assert D_MAX == 16 * CHUNK_SIZE == 1024
 
 
 class TestEstimateCycles:
@@ -97,14 +93,13 @@ class TestStageCostConfig:
         with pytest.raises(UsageError):
             stage_costs_from_dict({"mean_sum_fixed": -1})
 
-    def test_load_from_json(self, tmp_path):
+    def test_load_from_json(self, tmp_path, capsys):
+        # the one reader of a config file is the CLI's --config
         path = tmp_path / "costs.json"
-        path.write_text(json.dumps({"stage_costs": {"iteration_per_step": 20}}))
-        c = load_stage_costs(path)
+        overrides = {"iteration_per_step": 20}
+        path.write_text(json.dumps({"stage_costs": overrides}))
+        c = stage_costs_from_dict(overrides)
         assert c.iteration_per_step == 20
         assert estimate_cycles(64, 5, costs=c).total == 116 + 5 * 8
-
-    def test_load_bare_mapping(self, tmp_path):
-        path = tmp_path / "costs.json"
-        path.write_text(json.dumps({"control_fixed": 30}))
-        assert load_stage_costs(path).control_fixed == 30
+        assert main(["latency", "--dims", "64", "--config", str(path)]) == 0
+        assert "\n64,156," in capsys.readouterr().out

@@ -31,12 +31,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_RANGE = 4
 
-_RUNNERS = {
-    "precision": run_precision,
-    "convergence": run_convergence,
-    "compare-fisr": run_compare_fisr,
-    "latency": run_latency,
-}
 # The ExperimentSpec fields the experiment flags set; a flag left out takes
 # the spec's default.
 _SPEC_FIELDS = ("dims", "num_vectors", "seed", "steps", "lambda_override")
@@ -45,9 +39,13 @@ _FISR_FIELDS = ("newton_iters", "fp32_magic", "bf16_magic")
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok)
+        values = tuple(int(tok) for tok in text.split(",") if tok)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    if not values:
+        raise argparse.ArgumentTypeError("expected a comma-separated list of integers, "
+                                         f"got {text!r}")
+    return values
 
 
 _FLAGS = {
@@ -68,23 +66,46 @@ _ERROR_TABLE_FLAGS = ("--format", "--dims", "--num-vectors", "--seed", "--steps"
                       "--out")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# (runner, help, flags) of each experiment subcommand; `normalize` is built
+# on its own.
+_EXPERIMENTS = {
+    "precision": (run_precision, "error vs the binary64 reference", _ERROR_TABLE_FLAGS),
+    "convergence": (run_convergence, "error vs iteration steps", _ERROR_TABLE_FLAGS),
+    "compare-fisr": (run_compare_fisr, "paired table against FISR",
+                     _ERROR_TABLE_FLAGS + ("--config",)),
+    # --seed draws nothing; perfbench and run_paper_experiments.py pass it to all
+    "latency": (run_latency, "macro cycle counts",
+                ("--dims", "--seed", "--steps", "--out", "--config")),
+}
+_COMMANDS = tuple(_EXPERIMENTS) + ("normalize",)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Given a known `command`, only that
+    subcommand is built: a command line that starts with it parses, and
+    fails, as it does under the parser of every subcommand.  Otherwise
+    every subcommand is built, for `-h`, a missing or an unknown command."""
+    names = (command,) if command in _COMMANDS else _COMMANDS
     parser = argparse.ArgumentParser(
         prog="iterl2norm",
         description="Iterative division-free layer normalization benchmark harness",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, flags in (
-        ("precision", "error vs the binary64 reference", _ERROR_TABLE_FLAGS),
-        ("convergence", "error vs iteration steps", _ERROR_TABLE_FLAGS),
-        ("compare-fisr", "paired table against FISR", _ERROR_TABLE_FLAGS + ("--config",)),
-        # --seed draws nothing; perfbench and run_paper_experiments.py pass it to all
-        ("latency", "macro cycle counts", ("--dims", "--seed", "--steps", "--out", "--config")),
-    ):
+    # the usage line of an error in the subcommand's arguments lists every
+    # command either way
+    metavar = None if names == _COMMANDS else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        if name == "normalize":
+            _add_normalize(sub)
+            continue
+        _, help_text, flags = _EXPERIMENTS[name]
         p = sub.add_parser(name, help=help_text)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
+    return parser
 
+
+def _add_normalize(sub) -> None:
     p = sub.add_parser("normalize", help="normalize vectors from a file")
     p.add_argument("--input", required=True, help="vector file (text or binary)")
     p.add_argument("--out", required=True,
@@ -98,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     stop.add_argument("--delta-max", type=float,
                       help="threshold stopping: iterate until |da| <= DELTA_MAX")
     p.add_argument("--lambda", **_FLAGS["--lambda"])
-    return parser
 
 
 def _load_config(path: str | None) -> dict:
@@ -158,12 +178,13 @@ def _normalize(args: argparse.Namespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if args.command == "normalize":
             _normalize(args)
             return EXIT_OK
-        text = write_csv(_RUNNERS[args.command](_build_spec(args)), args.out)
+        text = write_csv(_EXPERIMENTS[args.command][0](_build_spec(args)), args.out)
         if args.out is None:
             sys.stdout.write(text)
         return EXIT_OK

@@ -33,7 +33,7 @@ from .norm_core import (
     normalize_batches,
     shift_batch,
 )
-from .vecio import read_vectors, write_vectors
+from .vecio import read_vectors, write_sidecar, write_vectors
 
 __all__ = [
     "ExperimentSpec",
@@ -246,10 +246,10 @@ def run_normalize(in_path: str, out_path: str, config: NormConfig = NormConfig()
 
     A binary file names its own format (`fmt_name`, if given, must match
     it); a text file is read as `fmt_name`, default fp32.  Vectors, gamma
-    and beta are rounded to the format; the vectors of one length form one
-    batch, and `normalize_batches` solves for `a` once over every batch of
-    the file.  Every parameter length is checked before
-    anything is computed; a NaN or infinite gamma or beta value is a data
+    and beta are rounded to the format, unless a binary file of the format
+    holds them; the vectors of one length form one batch, and
+    `normalize_batches` solves for `a` once over every batch of the file.
+    Every parameter length is checked before anything is computed; a NaN or infinite gamma or beta value is a data
     error.  A non-finite input value (a data error), and a finite value that
     rounds to infinity or a squared norm that overflows the format (range
     errors), name the first such vector of the file, the data error
@@ -281,7 +281,7 @@ def run_normalize(in_path: str, out_path: str, config: NormConfig = NormConfig()
     for rows in groups:
         x = np.array([vectors[i] for i in rows])
         try:
-            shifted = shift_batch(fmt, round_array(x, fmt))
+            shifted = shift_batch(fmt, x if file_fmt is not None else round_array(x, fmt))
         except RangeOverflowError as exc:
             # a NaN or infinite input value also makes its m non-finite, and
             # so does a finite value that rounds to infinity
@@ -293,8 +293,7 @@ def run_normalize(in_path: str, out_path: str, config: NormConfig = NormConfig()
             else:
                 overflow.append((rows[exc.row], "value out of range for"))
             continue
-        parts.append((shifted, _group_params(gammas, rows, fmt),
-                      _group_params(betas, rows, fmt)))
+        parts.append((shifted, _group_params(gammas, rows), _group_params(betas, rows)))
     if non_finite:
         raise DataFormatError(f"vector {min(non_finite)}: non-finite value")
     if overflow:
@@ -305,49 +304,42 @@ def run_normalize(in_path: str, out_path: str, config: NormConfig = NormConfig()
     # it to its end, so they are freed before the output is written.
     del parts, shifted, x
     outputs: list = [None] * len(vectors)
-    meta: list = [None] * len(vectors)
-    for rows, res in zip(groups, results, strict=True):
-        d = res.z.shape[1]
-        # JSON has no infinities or NaN: those are written as null
-        mean, m, traj = (np.where(np.isfinite(v), v, None).tolist()
-                         for v in (res.mean, res.m, res.a_trajectory))
-        steps, converged = res.steps.tolist(), res.converged.tolist()
+    batches = list(zip(groups, results, strict=True))
+    for rows, res in batches:
         for j, i in enumerate(rows):
             outputs[i] = res.z[j]
-            meta[i] = {"index": i, "d": d, "mean": mean[j], "m": m[j],
-                       "a_trajectory": traj[j][:steps[j] + 1], "steps": steps[j],
-                       "converged": converged[j]}
 
     write_vectors(out_path, outputs, fmt, binary=file_fmt is not None)
     sidecar = str(out_path) + ".meta.jsonl"
-    encode = json.JSONEncoder(allow_nan=False).encode
-    with open(sidecar, "w") as fh:
-        for entry in meta:
-            fh.write(encode(entry) + "\n")
+    write_sidecar(sidecar, fmt, batches)
     return NormalizeSummary(len(outputs), str(out_path), sidecar)
 
 
-def _group_params(params: list[np.ndarray] | None, rows: list[int],
-                  fmt: FormatSpec) -> np.ndarray | None:
-    """gamma or beta for the given rows, rounded to the format: the file's one
-    vector, shape (d,), or the rows' own vectors, shape (len(rows), d)."""
+def _group_params(params: list[np.ndarray] | None, rows: list[int]) -> np.ndarray | None:
+    """gamma or beta for the given rows: the file's one vector, shape (d,),
+    or the rows' own vectors, shape (len(rows), d)."""
     if params is None:
         return None
     if len(params) == 1:
-        return round_array(params[0], fmt)
-    return round_array(np.array([params[i] for i in rows]), fmt)
+        return params[0]
+    return np.array([params[i] for i in rows])
 
 
 def _read_params(path: str, n_vectors: int, fmt: FormatSpec) -> list[np.ndarray]:
-    """gamma or beta vectors from `path`; a value that is NaN or infinite in
-    the format is a data error naming the first such vector."""
-    params, _ = read_vectors(path)
+    """gamma or beta vectors from `path`, rounded to the format unless a
+    binary file of the format holds them; a value that is NaN or infinite
+    in the format is a data error naming the first such vector."""
+    params, file_fmt = read_vectors(path)
     if len(params) not in (1, n_vectors):
         raise DataFormatError(
             f"{path}: expected 1 or {n_vectors} parameter vectors, found {len(params)}")
-    finite = np.isfinite(round_array(np.concatenate(params), fmt))
+    ends = np.cumsum([len(p) for p in params])
+    flat = np.concatenate(params)
+    if file_fmt != fmt:
+        flat = round_array(flat, fmt)
+        params = np.split(flat, ends[:-1])
+    finite = np.isfinite(flat)
     if not finite.all():
-        ends = np.cumsum([len(p) for p in params])
         i = int(np.searchsorted(ends, np.argmin(finite), side="right"))
         raise DataFormatError(f"{path}: vector {i}: non-finite value")
     return params
@@ -368,7 +360,7 @@ def csv_text(result: ExperimentResult) -> str:
     spec = result.spec
     buf = io.StringIO()
     dims, steps = ",".join(map(str, spec.dims)), ",".join(map(str, spec.steps))
-    buf.write(f"# iterl2norm v{__version__} {spec.kind}\n")
+    buf.write(f"# iterl2norm v{__version__} {spec.kind} numpy={np.__version__}\n")
     if spec.kind == "latency":
         # the cycle model draws nothing and reads only the lengths, the steps
         # and the stage costs; a default cost is left out of the header

@@ -1,4 +1,5 @@
-"""Vector file I/O for the normalize subcommand.
+"""Vector file I/O for the normalize subcommand, and the decimal rendering
+of format values in its text files and its diagnostics sidecar.
 
 Two containers:
 
@@ -11,21 +12,25 @@ Two containers:
 
 from __future__ import annotations
 
+import io
 import struct
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from .errors import DataFormatError
 from .fpformat import FORMATS, FormatSpec, bits_to_values, values_to_bits
 
+if TYPE_CHECKING:
+    from .norm_core import BatchNormResult
+
 __all__ = [
     "MAGIC",
     "FORMAT_TAGS",
     "read_vectors",
     "write_vectors",
-    "is_binary_file",
+    "write_sidecar",
 ]
 
 MAGIC = b"ILN1"
@@ -39,52 +44,46 @@ def _word(fmt: FormatSpec) -> np.dtype:
     return np.dtype(f"<u{fmt.total_bits // 8}")
 
 
-def is_binary_file(path: str | Path) -> bool:
-    with open(path, "rb") as fh:
-        return fh.read(4) == MAGIC
-
-
 def read_vectors(path: str | Path) -> tuple[list[np.ndarray], FormatSpec | None]:
     """Read vectors from a text or binary container.
 
     Returns (vectors, fmt) where fmt is None for text input (the caller
-    chooses the format) and the header's format for binary input.  A file
-    that cannot be opened or read is a DataFormatError.
+    chooses the format) and the header's format for binary input; the rows
+    of a binary file are views of one decoded array.  A file that cannot be
+    opened or read is a DataFormatError.
     """
     try:
-        if is_binary_file(path):
-            return _read_binary(path)
-        return _read_text(path), None
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc.strerror or exc}") from exc
+    if raw[:len(MAGIC)] == MAGIC:
+        return _read_binary(path, raw)
+    return _read_text(path, raw), None
 
 
-def _read_text(path: str | Path) -> list[np.ndarray]:
+def _read_text(path: str | Path, raw: bytes) -> list[np.ndarray]:
     vectors = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                vec = np.array([float(tok) for tok in line.split(",")], dtype=np.float64)
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-            if vec.size == 0:
-                raise DataFormatError(f"{path}:{lineno}: empty vector")
-            vectors.append(vec)
+    # decoded and split into lines as `open(path)` does
+    for lineno, line in enumerate(io.TextIOWrapper(io.BytesIO(raw)), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            vec = np.array([float(tok) for tok in line.split(",")], dtype=np.float64)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+        if vec.size == 0:
+            raise DataFormatError(f"{path}:{lineno}: empty vector")
+        vectors.append(vec)
     if not vectors:
         raise DataFormatError(f"{path}: no vectors found")
     return vectors
 
 
-def _read_binary(path: str | Path) -> tuple[list[np.ndarray], FormatSpec]:
-    raw = Path(path).read_bytes()
+def _read_binary(path: str | Path, raw: bytes) -> tuple[list[np.ndarray], FormatSpec]:
     if len(raw) < _HEADER.size:
         raise DataFormatError(f"{path}: truncated header")
-    magic, tag, d, count = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise DataFormatError(f"{path}: bad magic {magic!r}")
+    _, tag, d, count = _HEADER.unpack_from(raw)
     if tag not in _TAG_TO_NAME:
         raise DataFormatError(f"{path}: unknown format tag {tag}")
     if d < 1 or count < 1:
@@ -96,7 +95,7 @@ def _read_binary(path: str | Path) -> tuple[list[np.ndarray], FormatSpec]:
         raise DataFormatError(f"{path}: payload holds {len(payload)} bytes, header "
                               f"declares {d * count} elements of {word.itemsize} bytes")
     values = bits_to_values(np.frombuffer(payload, dtype=word), fmt)
-    return [values[i * d:(i + 1) * d].copy() for i in range(count)], fmt
+    return list(values.reshape(count, d)), fmt
 
 
 def write_vectors(path: str | Path, vectors: list[np.ndarray],
@@ -119,27 +118,75 @@ def write_vectors(path: str | Path, vectors: list[np.ndarray],
 
 def _text_rows(vectors: list[np.ndarray], fmt: FormatSpec) -> Iterator[str]:
     """Each vector, in turn, as the comma-separated `repr`s of its float64
-    values.
+    values."""
+    for tokens in _reprs([np.asarray(v, dtype=np.float64) for v in vectors], fmt):
+        yield ",".join(tokens)
 
-    A file of a 16-bit format holds few distinct values (a few thousand in a
-    bf16 file), so for fp16 and bf16 each distinct bit pattern is converted
-    once, through a table; a value the format cannot hold exactly is
-    converted on its own, as given."""
-    rows = [np.asarray(v, dtype=np.float64) for v in vectors]
+
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def write_sidecar(path: str | Path, fmt: FormatSpec,
+                  batches: list[tuple[list[int], BatchNormResult]]) -> None:
+    """Write the diagnostics of a normalized file as JSON lines, one per
+    vector in file order: index, d, mean, m, the `a` trajectory up to the
+    vector's step count, steps and converged.
+
+    `batches` holds one (rows, result) per batch: the file indices of its
+    rows and its BatchNormResult.  Each line is the one
+    `json.JSONEncoder(allow_nan=False)` writes for those keys, with a NaN or
+    infinite value (which JSON has no token for) written as null."""
+    values = []
+    for _, res in batches:
+        # the trajectory entries written, in row order
+        written = np.arange(res.a_trajectory.shape[1]) <= res.steps[:, None]
+        values.append((res.mean, res.m, res.a_trajectory[written]))
+    tokens = _reprs([v for batch in values for v in batch], fmt)
+    lines: list = [None] * sum(len(rows) for rows, _ in batches)
+    for (rows, res), batch in zip(batches, values):
+        mean, m, traj = (_nulls(next(tokens), v) for v in batch)
+        d = res.z.shape[1]
+        steps, converged = res.steps.tolist(), res.converged.tolist()
+        end = 0
+        for j, i in enumerate(rows):
+            start, end = end, end + steps[j] + 1
+            lines[i] = (f'{{"index": {i}, "d": {d}, "mean": {mean[j]}, "m": {m[j]}, '
+                        f'"a_trajectory": [{", ".join(traj[start:end])}], '
+                        f'"steps": {steps[j]}, "converged": {_JSON_BOOL[converged[j]]}}}\n')
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+
+
+def _nulls(tokens: list[str], values: np.ndarray) -> list[str]:
+    """`tokens` with the JSON null in place of each NaN or infinite value."""
+    for k in np.flatnonzero(~np.isfinite(values)).tolist():
+        tokens[k] = "null"
+    return tokens
+
+
+def _reprs(arrays: list[np.ndarray], fmt: FormatSpec) -> Iterator[list[str]]:
+    """The `repr`s of the float64 values of each 1-D array, in turn.
+
+    A 16-bit format holds few distinct values (a few thousand in a bf16
+    file), so for fp16 and bf16 each distinct bit pattern of all the arrays
+    is converted once, through one table; a value the format cannot hold
+    exactly is converted on its own, as given."""
     if fmt.total_bits != 16:
-        for v in rows:
-            yield ",".join(map(repr, v.tolist()))
+        for v in arrays:
+            yield list(map(repr, v.tolist()))
         return
     with np.errstate(over="ignore", invalid="ignore"):
-        bits = [values_to_bits(v, fmt) for v in rows]
+        bits = [values_to_bits(v, fmt) for v in arrays]
     seen = np.zeros(1 << 16, dtype=bool)
     for b in bits:
         seen[b] = True
     used = np.flatnonzero(seen)
-    table = np.empty(1 << 16, dtype=object)
-    table[used] = [repr(v) for v in bits_to_values(used, fmt).tolist()]
-    for v, b in zip(rows, bits):
-        tokens = table[b]
+    # the table: each pattern's position among the used patterns' reprs
+    table = np.zeros(1 << 16, dtype=np.intp)
+    table[used] = np.arange(used.size)
+    reprs = np.array([repr(v) for v in bits_to_values(used, fmt).tolist()], dtype=object)
+    for v, b in zip(arrays, bits):
+        tokens = reprs[table[b]]
         inexact = np.flatnonzero(bits_to_values(b, fmt).view(np.int64) != v.view(np.int64))
         tokens[inexact] = [repr(x) for x in v[inexact].tolist()]
-        yield ",".join(tokens.tolist())
+        yield tokens.tolist()

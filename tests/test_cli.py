@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from iterl2norm import cli
 from iterl2norm.cli import main
 from iterl2norm.experiments import ExperimentSpec, csv_text, run_latency
 from iterl2norm.fpformat import BF16, FP16, FP32, round_array
@@ -16,6 +20,44 @@ def run(capsys, *argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _parse(parser, argv):
+    """(Namespace or None, exit code or None, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    args = code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return args, code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(autouse=True)
+def one_subcommand_parses_as_all(monkeypatch):
+    """Every command line `main` parses in these tests, valid or not, gives
+    the same Namespace, exit code and output from the parser `main` builds
+    as from the parser of every subcommand."""
+    build = cli.build_parser
+
+    def checked_build(command=None):
+        parser = build(command)
+
+        def parse_args(argv):
+            got = _parse(build(command), argv)
+            assert got == _parse(build(), argv)
+            args, code, out, err = got
+            print(out, end="")
+            print(err, end="", file=sys.stderr)
+            if code is not None:
+                raise SystemExit(code)
+            return args
+
+        parser.parse_args = parse_args
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", checked_build)
 
 
 def strict_json(text):
@@ -76,6 +118,31 @@ class TestExitCodes:
         code, _, err = run(capsys, *argv)
         assert code == 2 and "error:" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["precision", "--dims", ""],
+        ["precision", "--dims", ","],
+        ["convergence", "--steps", ","],
+        ["latency", "--steps", ""],
+    ], ids=lambda a: "_".join(a).replace("--", ""))
+    def test_empty_int_list_is_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"argument {argv[1]}: expected a comma-separated list of integers" in err
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--help"], ["precison"], ["-h", "precision"], ["precision", "-h"],
+        ["normalize", "--help"], ["latency", "--bogus"], ["--", "latency"],
+    ], ids=lambda a: "_".join(a).replace("-", "") or "empty")
+    def test_help_and_unknown_command(self, capsys, argv):
+        # parsed by both parsers in the autouse fixture; help exits 0, the
+        # rest are usage errors
+        code, out, err = run(capsys, *argv)
+        help_asked = any(a in ("-h", "--help") for a in argv)
+        assert code == (0 if help_asked else 2)
+        assert (out if help_asked else err).startswith("usage: iterl2norm")
+        if argv in ([], ["-h"], ["precison"]):
+            assert "{precision,convergence,compare-fisr,latency,normalize}" in out + err
 
     def test_normalize_needs_out(self, capsys, tmp_path):
         inp = tmp_path / "v.txt"

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from iterl2norm import __version__
 from iterl2norm.errors import DataFormatError, RangeOverflowError, UsageError
 from iterl2norm.experiments import (
     CONVERGENCE_STEPS,
@@ -20,7 +21,14 @@ from iterl2norm.experiments import (
     write_csv,
 )
 from iterl2norm.fpformat import BF16, FP16, FP32, round_array
-from iterl2norm.norm_core import FixedSteps, NormConfig, NormInputs, Threshold, layernorm_iterl2
+from iterl2norm.norm_core import (
+    FixedSteps,
+    NormConfig,
+    NormInputs,
+    Threshold,
+    layernorm_iterl2,
+    normalize_batch,
+)
 from iterl2norm.vecio import read_vectors, write_vectors
 
 
@@ -162,6 +170,14 @@ class TestLatencyRunner:
 
 
 class TestCsv:
+    @pytest.mark.parametrize("kind,runner", [
+        ("precision", run_precision), ("convergence", run_convergence),
+        ("compare-fisr", run_compare_fisr), ("latency", run_latency),
+    ])
+    def test_header_records_numpy_version(self, kind, runner):
+        text = csv_text(runner(small_spec(kind, steps=(5,))))
+        assert text.splitlines()[0] == f"# iterl2norm v{__version__} {kind} numpy={np.__version__}"
+
     def test_header_records_spec(self, tmp_path):
         spec = small_spec("precision")
         text = write_csv(run_precision(spec), tmp_path / "out.csv")
@@ -215,6 +231,23 @@ class TestNormalize:
         assert path.read_bytes()[16:] == payload
         got, got_fmt = read_vectors(path)
         assert got_fmt is fmt and np.array_equal(got[0], vec)
+
+    def test_param_file_of_another_format_is_rounded(self, tmp_path):
+        # a bf16 input with an fp32 gamma file and a bf16 beta file: gamma is
+        # rounded to bf16, the bf16 values are used as they are
+        inp, gam, bet, out = (tmp_path / n for n in ("x.bin", "g.bin", "b.bin", "z.bin"))
+        rng = np.random.default_rng(5)
+        x = round_array(rng.uniform(-1, 1, (3, 16)), BF16)
+        gamma = round_array(rng.uniform(0.5, 1.5, 16), FP32)
+        beta = round_array(rng.uniform(-0.5, 0.5, 16), BF16)
+        assert not np.array_equal(round_array(gamma, BF16), gamma)
+        write_vectors(inp, list(x), BF16, binary=True)
+        write_vectors(gam, [gamma], FP32, binary=True)
+        write_vectors(bet, [beta], BF16, binary=True)
+        run_normalize(str(inp), str(out), gamma_path=str(gam), beta_path=str(bet))
+        got, _ = read_vectors(out)
+        want = normalize_batch(BF16, x, round_array(gamma, BF16), beta).z
+        assert np.array_equal(np.array(got), want)
 
     def test_binary_format_conflict(self, tmp_path):
         inp = tmp_path / "in.bin"

@@ -17,8 +17,6 @@ from .fpformat import (
 from .norm_core import (
     FixedSteps,
     NormConfig,
-    NormInputs,
-    NormResult,
     Shifted,
     Threshold,
     init_a_values,
@@ -41,7 +39,6 @@ from .dynamics import (
 )
 from .baselines import (
     FisrSpec,
-    layernorm_fisr,
     reference_batch,
 )
 from .latency import CycleReport, StageCosts, estimate_cycles
@@ -51,11 +48,11 @@ __all__ = [
     "UsageError", "DataFormatError", "RangeOverflowError",
     "FormatSpec", "FP32", "FP16", "BF16", "FORMATS",
     "round_value", "round_array", "tree_sum_values",
-    "NormInputs", "NormConfig", "FixedSteps", "Threshold", "NormResult",
+    "NormConfig", "FixedSteps", "Threshold",
     "mean_shift", "squared_norm", "init_a_values", "select_lambda_values", "iterate_values",
     "Shifted", "shift_batch", "layernorm_iterl2", "normalize_batch", "normalize_batches",
     "DynamicsParams", "k_fixed_points", "steady_norm_sq", "analytic_a",
     "lambda_lower_bound", "simulate_vector_recursion",
-    "FisrSpec", "layernorm_fisr", "reference_batch",
+    "FisrSpec", "reference_batch",
     "StageCosts", "CycleReport", "estimate_cycles",
 ]

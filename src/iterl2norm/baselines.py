@@ -17,14 +17,13 @@ from .fpformat import (
     values_to_bits,
     _carried,
 )
-from .norm_core import BatchNormResult, NormInputs, NormResult, Shifted, _direct, _layernorm
+from .norm_core import BatchNormResult, Shifted, _direct, _layernorm
 
 __all__ = [
     "FisrSpec",
     "FP32_MAGIC",
     "BF16_MAGIC",
     "fisr_inv_sqrt_values",
-    "layernorm_fisr",
     "fisr_batch",
     "reference_batch",
 ]
@@ -89,13 +88,6 @@ def fisr_batch(fmt: FormatSpec, x: np.ndarray | Shifted, gamma: np.ndarray | Non
     """Layer normalization with the iteration replaced by FISR on m; `x` is
     an (n, d) batch or its `Shifted`, as in `normalize_batch`."""
     return _layernorm(fmt, x, gamma, beta, _fisr(fmt, spec))
-
-
-def layernorm_fisr(inputs: NormInputs, spec: FisrSpec | None = None) -> NormResult:
-    """Single-vector FISR layer norm; same zero-variance guard as the
-    iterative pipeline."""
-    return _layernorm(inputs.fmt, inputs.x[None, :], inputs.gamma, inputs.beta,
-                      _fisr(inputs.fmt, spec)).row(0)
 
 
 def reference_batch(fmt: FormatSpec, x: np.ndarray, gamma: np.ndarray | None = None,

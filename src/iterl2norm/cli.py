@@ -128,11 +128,11 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise DataFormatError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"bad JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise DataFormatError(f"{path}: config must be a JSON object")

@@ -14,15 +14,16 @@ for FP16 (2*11 + 2 = 24) and BFloat16 (2*8 + 2 = 18); for FP32 the binary32
 ufunc is itself the one correctly rounded operation.  Overflow in binary32
 gives the same infinity the format's rounding gives.
 
-Values outside the datapath (inputs, the binary64 `exact_arithmetic`
-iteration, tests) are float64 arrays, and :func:`round_array` rounds a
-float64 array from binary64 (p' = 53 also covers all three formats).  The
-condition holds for the result of one operation on format values, not for an
-arbitrary binary64 value: FP16 therefore rounds binary64 straight to
-binary16, while BFloat16 rounds through binary32, which can double-round such
-a value (1 + 2^-8 + 2^-40 gives 1, not 1 + 2^-7).  Where bit patterns matter
-(file I/O, FISR seeds), :func:`values_to_bits` and :func:`bits_to_values`
-encode and decode whole arrays.
+Values outside the datapath (inputs, the binary64 iteration that
+`norm_core.iterate_values` runs without a format, tests) are float64 arrays,
+and :func:`round_array` rounds a float64 array from binary64 (p' = 53 also
+covers all three formats).  The condition holds for the result of one
+operation on format values, not for an arbitrary binary64 value: FP16
+therefore rounds binary64 straight to binary16, while BFloat16 rounds through
+binary32, which can double-round such a value (1 + 2^-8 + 2^-40 gives 1, not
+1 + 2^-7).  Where bit patterns matter (file I/O, FISR seeds),
+:func:`values_to_bits` and :func:`bits_to_values` encode and decode whole
+arrays.
 """
 
 from __future__ import annotations
@@ -54,14 +55,14 @@ class FormatSpec:
     name: str
     exp_bits: int
     mant_bits: int
-    bias: int
-    total_bits: int
 
-    def __post_init__(self) -> None:
-        if self.total_bits != 1 + self.exp_bits + self.mant_bits:
-            raise ValueError(f"{self.name}: total_bits must be 1 + exp_bits + mant_bits")
-        if self.bias != (1 << (self.exp_bits - 1)) - 1:
-            raise ValueError(f"{self.name}: bias must be 2^(exp_bits-1) - 1")
+    @property
+    def bias(self) -> int:
+        return (1 << (self.exp_bits - 1)) - 1
+
+    @property
+    def total_bits(self) -> int:
+        return 1 + self.exp_bits + self.mant_bits
 
     @property
     def exp_mask(self) -> int:
@@ -85,9 +86,9 @@ class FormatSpec:
         return f"FormatSpec({self.name})"
 
 
-FP32 = FormatSpec("fp32", exp_bits=8, mant_bits=23, bias=127, total_bits=32)
-FP16 = FormatSpec("fp16", exp_bits=5, mant_bits=10, bias=15, total_bits=16)
-BF16 = FormatSpec("bf16", exp_bits=8, mant_bits=7, bias=127, total_bits=16)
+FP32 = FormatSpec("fp32", exp_bits=8, mant_bits=23)
+FP16 = FormatSpec("fp16", exp_bits=5, mant_bits=10)
+BF16 = FormatSpec("bf16", exp_bits=8, mant_bits=7)
 
 FORMATS = {f.name: f for f in (FP32, FP16, BF16)}
 

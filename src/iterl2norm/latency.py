@@ -39,12 +39,10 @@ class StageCosts:
     """Per-phase cycle parameters (all nonnegative integers).
 
     Mul and Add blocks share a two-cycle latency; one iteration step runs
-    four multiplies, one subtract and one add, hence the default 12 cycles
-    per step.
+    four multiplies, one subtract and one add, hence the default
+    4*2 + 2*2 = 12 cycles per step.
     """
 
-    mul_latency: int = 2
-    add_latency: int = 2
     control_fixed: int = 25
     mean_sum_fixed: int = 4
     mean_sum_per_chunk: int = 2

@@ -11,9 +11,9 @@ the vector stages (`shift_batch`), one solve, then the scale and shift
 stages.  Only the solver varies: the iteration, FISR (`baselines`), or an
 injected value; one solve may cover several batches (`normalize_batches`).
 The single-vector API is a batch of one.  The iteration runs in the target
-format's emulated arithmetic by default (the hardware iteration datapath uses
-the same format multipliers and adders); an exact binary64 mode exists for
-property tests.
+format's emulated arithmetic (the hardware iteration datapath uses the same
+format multipliers and adders); `init_a_values` and `iterate_values` run in
+binary64 when given no format, for property tests.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ __all__ = [
     "FixedSteps",
     "Threshold",
     "NormConfig",
-    "NormInputs",
-    "NormResult",
     "BatchNormResult",
     "mean_shift",
     "squared_norm",
@@ -84,62 +82,10 @@ class Threshold:
 class NormConfig:
     stopping: FixedSteps | Threshold = field(default_factory=FixedSteps)
     lambda_override: float | None = None
-    exact_arithmetic: bool = False
 
     def __post_init__(self) -> None:
         if self.lambda_override is not None and not self.lambda_override > 0:
             raise UsageError("lambda override must be positive")
-
-
-@dataclass(frozen=True)
-class NormInputs:
-    """One input vector with its scale/shift parameters, all in one format.
-
-    `x`, `gamma` and `beta` are float64 arrays whose entries are exactly
-    representable in `fmt`.
-    """
-
-    fmt: FormatSpec
-    x: np.ndarray
-    gamma: np.ndarray
-    beta: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("x", "gamma", "beta"):
-            v = np.asarray(getattr(self, name), dtype=np.float64)
-            object.__setattr__(self, name, v)
-            if v.ndim != 1:
-                raise UsageError(f"{name} must be one-dimensional")
-            if not np.array_equal(round_array(v, self.fmt), v, equal_nan=True):
-                raise UsageError(f"{name} contains values not representable in {self.fmt.name}")
-        if len(self.x) < 1:
-            raise UsageError("d must be >= 1")
-        if not len(self.x) == len(self.gamma) == len(self.beta):
-            raise UsageError("x, gamma, beta must share one length")
-
-    @classmethod
-    def from_floats(cls, fmt: FormatSpec, x, gamma=None, beta=None) -> "NormInputs":
-        """Round arbitrary binary64 inputs into the format and wrap them."""
-        xr = round_array(np.asarray(x, dtype=np.float64), fmt)
-        d = len(xr)
-        g = np.ones(d) if gamma is None else round_array(np.asarray(gamma, dtype=np.float64), fmt)
-        b = np.zeros(d) if beta is None else round_array(np.asarray(beta, dtype=np.float64), fmt)
-        return cls(fmt, xr, g, b)
-
-    @property
-    def d(self) -> int:
-        return len(self.x)
-
-
-@dataclass(frozen=True)
-class NormResult:
-    z: np.ndarray
-    y_hat: np.ndarray
-    mean: float
-    m: float
-    a_trajectory: tuple[float, ...]
-    steps_taken: int
-    converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -152,14 +98,6 @@ class BatchNormResult:
     steps_taken: int  # loop steps run: the largest per-row step count
     steps: np.ndarray  # per row
     converged: np.ndarray  # per row
-
-    def row(self, i: int) -> NormResult:
-        """Row `i` as a single-vector result, its trajectory cut at its own
-        step count."""
-        k = int(self.steps[i])
-        return NormResult(self.z[i], self.y_hat[i], float(self.mean[i]), float(self.m[i]),
-                          tuple(self.a_trajectory[i, :k + 1].tolist()), k,
-                          bool(self.converged[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +133,17 @@ def squared_norm(y: np.ndarray | list, fmt: FormatSpec) -> np.ndarray:
     return m
 
 
-def init_a_values(m: np.ndarray, fmt: FormatSpec, exact: bool = False) -> np.ndarray:
+def init_a_values(m: np.ndarray, fmt: FormatSpec | None) -> np.ndarray:
     """a0 = 2^(-(E(m)-bias+1)/2) for positive finite m, from the exponent alone.
 
     Even exponent sums give an exact power of two; odd ones multiply in the
-    format's pre-stored 2^-1/2 constant (binary64 sqrt(1/2) when `exact`), so
-    no square root is evaluated.  Subnormal m uses its normalized exponent.
+    format's pre-stored 2^-1/2 constant (binary64 sqrt(1/2) when `fmt` is
+    None), so no square root is evaluated.  Subnormal m uses its normalized
+    exponent.
     """
     t = np.frexp(m)[1]  # E(m) - bias + 1
     odd = (t & 1).astype(bool)
-    inv_sqrt2 = math.sqrt(0.5) if exact else fmt.inv_sqrt2
+    inv_sqrt2 = math.sqrt(0.5) if fmt is None else fmt.inv_sqrt2
     return np.ldexp(1.0, -(t >> 1)) * np.where(odd, inv_sqrt2, 1.0)
 
 
@@ -215,15 +154,15 @@ def select_lambda_values(m: np.ndarray) -> np.ndarray:
     return np.ldexp(1.0, -np.frexp(m)[1])
 
 
-def iterate_values(a0: np.ndarray, m: np.ndarray, lam: np.ndarray, config: NormConfig,
-                   fmt: FormatSpec | None = None
+def iterate_values(a0: np.ndarray, m: np.ndarray, lam: np.ndarray,
+                   stop: FixedSteps | Threshold, fmt: FormatSpec | None
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run da = lambda*m*a*(1 - m*a^2); a += da on every row.
 
     Emulated mode rounds every primitive op to `fmt` in the order
     t1 = m*a, t2 = t1*a, t3 = 1 - t2, t4 = lambda*t1, da = t4*t3, a += da,
-    in the precision `m` is carried in (see `fpformat._carried`);
-    `exact_arithmetic` keeps binary64 and needs no format.  The lambda
+    in the precision `m` is carried in (see `fpformat._carried`); with
+    `fmt` None every op is an unrounded binary64 op.  The lambda
     multiply is a binary64 product rounded once: the default lambda is a
     power of two (an exponent shift in hardware) that can lie outside the
     binary32 range for subnormal m, and an override such as 0.3 is no
@@ -237,13 +176,12 @@ def iterate_values(a0: np.ndarray, m: np.ndarray, lam: np.ndarray, config: NormC
     as converged.  Returns (trajectory of shape (n, steps run + 1), steps
     per row, converged per row, final a).
     """
-    stop = config.stopping
     threshold = isinstance(stop, Threshold)
 
     def rnd(v: np.ndarray) -> np.ndarray:
-        return v if config.exact_arithmetic else round_array(v, fmt)
+        return v if fmt is None else round_array(v, fmt)
 
-    m = np.asarray(m, dtype=np.float64) if config.exact_arithmetic else _carried(m)
+    m = np.asarray(m, dtype=np.float64) if fmt is None else _carried(m)
     a = np.asarray(a0, dtype=m.dtype)
     lam = np.asarray(lam, dtype=np.float64)
     active = np.ones(a.shape, dtype=bool)
@@ -287,12 +225,12 @@ def iterate_values(a0: np.ndarray, m: np.ndarray, lam: np.ndarray, config: NormC
 def _iteration(config: NormConfig, fmt: FormatSpec):
     """Solver: the iteration from the exponent-based a0 and update rate."""
     def solve(m: np.ndarray, live: np.ndarray):
-        a0 = init_a_values(m, fmt, config.exact_arithmetic)
+        a0 = init_a_values(m, fmt)
         if config.lambda_override is None:
             lam = select_lambda_values(m)
         else:
             lam = np.full(m.shape, float(config.lambda_override))
-        return iterate_values(a0, m, lam, config, fmt)
+        return iterate_values(a0, m, lam, config.stopping, fmt)
     return solve
 
 
@@ -349,8 +287,14 @@ class _Solved(NamedTuple):
 def _solve(fmt: FormatSpec, parts, solve) -> Iterator[_Solved]:
     """Run the vector stages of every (x or Shifted, gamma, beta) part, then
     one `solve` over the rows with m > 0 of all of them; yield each part
-    with its share of the solution."""
+    with its share of the solution.  A gamma or beta whose shape is neither
+    (d,) nor (n, d) is a UsageError."""
     shifted = [x if isinstance(x, Shifted) else shift_batch(fmt, x) for x, _, _ in parts]
+    for sh, (_, gamma, beta) in zip(shifted, parts):
+        for name, v in (("gamma", gamma), ("beta", beta)):
+            if v is not None and np.shape(v) not in (sh.y.shape[1:], sh.y.shape):
+                raise UsageError(f"{name} has shape {np.shape(v)}, not {sh.y.shape[1:]} "
+                                 f"or {sh.y.shape}")
     lives = [sh.m > 0.0 for sh in shifted]
     live = np.concatenate(lives)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -387,7 +331,7 @@ def _finish(fmt: FormatSpec, part: _Solved) -> BatchNormResult:
 
         sqrt_d = round_value(math.sqrt(d), fmt)  # pre-stored constant
         scale = np.zeros(n, dtype=f32)
-        # a binary64 `a` (exact arithmetic, injected) is rounded from binary64
+        # an injected `a` is binary64, and is rounded from binary64
         scale[live] = round_array(a * sqrt_d, fmt)
         y_hat = round_array(scale[:, None] * y, fmt)
         y_hat[~live] = 0.0  # +0.0: 0 * y would carry y's sign
@@ -406,17 +350,25 @@ def _layernorm(fmt: FormatSpec, x: np.ndarray | Shifted, gamma: np.ndarray | Non
     return _finish(fmt, next(_solve(fmt, [(x, gamma, beta)], solve)))
 
 
-def layernorm_iterl2(inputs: NormInputs, config: NormConfig = NormConfig(),
-                     inject_a: float | None = None) -> NormResult:
+def layernorm_iterl2(fmt: FormatSpec, x: np.ndarray, gamma: np.ndarray | None = None,
+                     beta: np.ndarray | None = None,
+                     config: NormConfig = NormConfig()) -> BatchNormResult:
     """Layer-normalize one vector with the iterative scheme: a batch of one.
 
-    Zero-variance input (m == 0) short-circuits to y_hat = 0, z = beta.
-    `inject_a` is a test hook that bypasses the iteration and feeds the given
-    scalar (rounded to the format) straight into the scale/shift stages.
+    `x`, and `gamma` and `beta` when given, are 1-D arrays of one length
+    d >= 1 whose entries are representable in `fmt`; anything else is a
+    UsageError (the shared datapath checks d and the lengths).  Returns the
+    one-row BatchNormResult that `normalize_batch` gives for `x[None, :]`.
     """
-    fmt = inputs.fmt
-    solve = _iteration(config, fmt) if inject_a is None else _injected(inject_a, fmt)
-    return _layernorm(fmt, inputs.x[None, :], inputs.gamma, inputs.beta, solve).row(0)
+    given = {name: np.asarray(v, dtype=np.float64)
+             for name, v in (("x", x), ("gamma", gamma), ("beta", beta)) if v is not None}
+    for name, v in given.items():
+        if v.ndim != 1:
+            raise UsageError(f"{name} must be one-dimensional")
+        if not np.array_equal(round_array(v, fmt), v, equal_nan=True):
+            raise UsageError(f"{name} contains values not representable in {fmt.name}")
+    return _layernorm(fmt, given["x"][None, :], given.get("gamma"), given.get("beta"),
+                      _iteration(config, fmt))
 
 
 def normalize_batch(fmt: FormatSpec, x: np.ndarray | Shifted, gamma: np.ndarray | None = None,
@@ -430,8 +382,9 @@ def normalize_batch(fmt: FormatSpec, x: np.ndarray | Shifted, gamma: np.ndarray 
     `gamma` and `beta` have shape (d,), shared across the batch, or (n, d),
     one per row.  FixedSteps runs every row for the same step count; under
     Threshold each row stops on its own, and `steps` and `converged` report
-    it per row.  `inject_a` (a scalar or one value per row) is the test hook
-    of :func:`layernorm_iterl2`.
+    it per row.  `inject_a` (a scalar or one value per row) is a test hook
+    that bypasses the iteration and feeds the given `a`, rounded to the
+    format, straight into the scale and shift stages.
     """
     if isinstance(x, _Solved):  # one batch of `normalize_batches`
         return _finish(fmt, x)

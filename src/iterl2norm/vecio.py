@@ -63,18 +63,22 @@ def read_vectors(path: str | Path) -> tuple[list[np.ndarray], FormatSpec | None]
 
 def _read_text(path: str | Path, raw: bytes) -> list[np.ndarray]:
     vectors = []
-    # decoded and split into lines as `open(path)` does
-    for lineno, line in enumerate(io.TextIOWrapper(io.BytesIO(raw)), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            vec = np.array([float(tok) for tok in line.split(",")], dtype=np.float64)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-        if vec.size == 0:
-            raise DataFormatError(f"{path}:{lineno}: empty vector")
-        vectors.append(vec)
+    # decoded and split into lines as `open(path, encoding="utf-8")` does
+    lines = enumerate(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"), start=1)
+    try:
+        for lineno, line in lines:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                vec = np.array([float(tok) for tok in line.split(",")], dtype=np.float64)
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+            if vec.size == 0:
+                raise DataFormatError(f"{path}:{lineno}: empty vector")
+            vectors.append(vec)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     if not vectors:
         raise DataFormatError(f"{path}: no vectors found")
     return vectors

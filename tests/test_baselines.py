@@ -11,12 +11,11 @@ from iterl2norm.baselines import (
     FisrSpec,
     fisr_batch,
     fisr_inv_sqrt_values,
-    layernorm_fisr,
     reference_batch,
 )
 from iterl2norm.errors import UsageError
 from iterl2norm.fpformat import BF16, FP16, FP32, round_array, round_value
-from iterl2norm.norm_core import NormInputs, layernorm_iterl2
+from iterl2norm.norm_core import normalize_batch
 
 
 def _fisr_float32_oracle(x: float, iters: int = 1) -> float:
@@ -52,9 +51,9 @@ def fisr(x: float, spec: FisrSpec) -> float:
     return float(fisr_inv_sqrt_values(np.array([x]), spec)[0])
 
 
-def reference(inputs: NormInputs) -> np.ndarray:
+def reference(fmt, x, gamma=None, beta=None) -> np.ndarray:
     """The reference output of one vector: a batch of one."""
-    return reference_batch(inputs.fmt, inputs.x[None, :], inputs.gamma, inputs.beta)[0]
+    return reference_batch(fmt, np.asarray(x)[None, :], gamma, beta)[0]
 
 
 class TestFisrInvSqrt:
@@ -107,8 +106,6 @@ class TestFisrInvSqrt:
         x = round_array(np.array([[1.0, 2.0, 3.0, 4.0]]), BF16)
         with pytest.raises(UsageError):
             fisr_batch(BF16, x, spec=FisrSpec(format=FP32))
-        with pytest.raises(UsageError):
-            layernorm_fisr(NormInputs(BF16, x[0], np.ones(4), np.zeros(4)), FisrSpec(format=FP32))
 
     def test_one_step_error_bound_over_binade_sweep(self):
         # classic worst case after one Newton step is ~0.175%
@@ -128,37 +125,34 @@ class TestFisrInvSqrt:
 
 class TestLayernormFisr:
     def test_example_vector_within_half_percent(self):
-        inputs = NormInputs.from_floats(FP32, [1.0, 2.0, 3.0, 4.0])
-        res = layernorm_fisr(inputs)
-        ref = reference(inputs)
-        rel = np.abs(res.z - ref) / np.abs(ref)
+        x = round_array(np.array([[1.0, 2.0, 3.0, 4.0]]), FP32)
+        res = fisr_batch(FP32, x)
+        ref = reference(FP32, x[0])
+        rel = np.abs(res.z[0] - ref) / np.abs(ref)
         assert rel.max() < 0.005
 
     def test_constant_input_returns_beta(self):
         beta = round_array(np.linspace(-2, 2, 5), BF16)
-        inputs = NormInputs.from_floats(BF16, np.full(5, 1.5), beta=beta)
-        assert np.array_equal(layernorm_fisr(inputs).z, beta)
+        x = round_array(np.full((1, 5), 1.5), BF16)
+        assert np.array_equal(fisr_batch(BF16, x, beta=beta).z[0], beta)
 
     def test_zero_gamma_returns_beta(self):
         beta = round_array(np.linspace(0, 1, 5), FP32)
-        inputs = NormInputs.from_floats(FP32, np.arange(5.0), gamma=np.zeros(5), beta=beta)
-        assert np.array_equal(layernorm_fisr(inputs).z, beta)
+        x = round_array(np.arange(5.0)[None, :], FP32)
+        assert np.array_equal(fisr_batch(FP32, x, np.zeros(5), beta).z[0], beta)
 
 
 class TestLayernormReference:
     def test_example_vector(self):
-        inputs = NormInputs.from_floats(FP32, [1.0, 2.0, 3.0, 4.0])
         want = np.array([-1.341641, -0.447214, 0.447214, 1.341641])
-        assert np.abs(reference(inputs) - want).max() < 1e-6
+        assert np.abs(reference(FP32, [1.0, 2.0, 3.0, 4.0]) - want).max() < 1e-6
 
     def test_zero_mean_unit_norm_input(self):
         x = np.array([0.5, -0.5, 0.5, -0.5])
-        inputs = NormInputs.from_floats(FP32, x)
-        assert np.array_equal(reference(inputs), 2.0 * x)  # sqrt(d) * x exactly
+        assert np.array_equal(reference(FP32, x), 2.0 * x)  # sqrt(d) * x exactly
 
     def test_d_one_returns_beta(self):
-        inputs = NormInputs.from_floats(FP16, [7.0], beta=[0.25])
-        assert np.array_equal(reference(inputs), [0.25])
+        assert np.array_equal(reference(FP16, [7.0], beta=np.array([0.25])), [0.25])
 
     @given(
         grid=st.lists(st.integers(-2 ** 16, 2 ** 16), min_size=2, max_size=12),
@@ -192,10 +186,9 @@ class TestLayernormReference:
 class TestPipelineComparison:
     def test_fisr_vs_iterative_on_identical_inputs(self):
         rng = np.random.default_rng(21)
-        x = round_array(rng.uniform(-1, 1, 256), FP32)
-        inputs = NormInputs(FP32, x, np.ones(256), np.zeros(256))
-        ref = reference(inputs)
-        it = layernorm_iterl2(inputs).z
-        fi = layernorm_fisr(inputs).z
+        x = round_array(rng.uniform(-1, 1, (1, 256)), FP32)
+        ref = reference_batch(FP32, x)
+        it = normalize_batch(FP32, x).z
+        fi = fisr_batch(FP32, x).z
         assert np.abs(it - ref).mean() < 0.05
         assert np.abs(fi - ref).mean() < 0.05

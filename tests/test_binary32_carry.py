@@ -154,7 +154,7 @@ class TestTrap2LambdaProduct:
         want = step(lam)
         assert (want != step(lam.astype(np.float32).astype(np.float64))).any()
         traj, _, _, _ = iterate_values(a.astype(np.float32), np.ones(a.size, dtype=np.float32),
-                                       lam, NormConfig(stopping=FixedSteps(1)), fmt)
+                                       lam, FixedSteps(1), fmt)
         assert traj.dtype == np.float32
         assert np.array_equal(traj[:, 1], want)
 
@@ -203,7 +203,7 @@ class TestTrap3ThresholdInBinary64:
         rows = np.flatnonzero(stops | goes_on)
         traj, steps, converged, _ = iterate_values(
             a[rows], np.ones(rows.size, dtype=np.float32), lam[rows],
-            NormConfig(stopping=Threshold(delta, max_steps=2)), FP32)
+            Threshold(delta, max_steps=2), FP32)
         assert traj.dtype == np.float32
         assert np.array_equal(traj[:, 1], new[rows])
         assert np.array_equal(steps, np.where(stops[rows], 1, 2))

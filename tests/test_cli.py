@@ -155,7 +155,10 @@ class TestExitCodes:
         ({"control_fixed": 30}, "control_fixed"),
         ({"fisr": {"newton_iter": 0}}, "newton_iter"),
         ({"stage_costs": {"warp_drive": 1}}, "warp_drive"),
-    ], ids=["top-level", "bare-mapping", "fisr", "stage-cost"])
+        # no stage reads a block latency: iteration_per_step holds the budget
+        ({"stage_costs": {"mul_latency": 50}}, "mul_latency"),
+        ({"stage_costs": {"add_latency": 9}}, "add_latency"),
+    ], ids=["top-level", "bare-mapping", "fisr", "stage-cost", "mul-latency", "add-latency"])
     @pytest.mark.parametrize("command", ["latency", "compare-fisr"])
     def test_unread_config_key_is_2(self, capsys, tmp_path, cfg, key, command):
         path = tmp_path / "cfg.json"
@@ -181,6 +184,22 @@ class TestExitCodes:
                            "--out", str(tmp_path / "o"))
         assert code == 3
         assert err.startswith(f"data error: {tmp_path / 'missing.txt'}: ")
+
+    @pytest.mark.parametrize("flag", ["--input", "--gamma", "--beta", "--config"])
+    def test_non_utf8_file_is_3(self, capsys, tmp_path, flag):
+        # "1,2" behind the byte 0xff, which starts no UTF-8 sequence
+        bad, inp = tmp_path / "bad.txt", tmp_path / "v.txt"
+        bad.write_bytes(b"\xff1,2\n")
+        inp.write_text("1.0,2.0\n")
+        if flag == "--config":
+            argv = ["latency", "--dims", "64", "--config", str(bad)]
+        else:
+            paths = {"--input": str(inp), flag: str(bad)}
+            argv = ["normalize", *[a for kv in paths.items() for a in kv],
+                    "--out", str(tmp_path / "o")]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("data error: ") and f"{bad}: " in err
 
     @pytest.mark.parametrize("fmt", [FP32, FP16, BF16], ids=["fp32", "fp16", "bf16"])
     def test_truncated_binary_payload_is_3(self, capsys, tmp_path, fmt):
@@ -353,7 +372,7 @@ class TestOutputs:
         # reproduces the file
         cfg, again = tmp_path / "cfg.json", tmp_path / "again.json"
         cfg.write_text(json.dumps({"stage_costs": {"control_fixed": 30, "iteration_per_step": 0,
-                                                   "mul_latency": 2}}))
+                                                   "mean_mul_fixed": 2}}))
         code, want, _ = run(capsys, "latency", "--dims", "64,1024", "--config", str(cfg))
         assert code == 0
         line = want.splitlines()[2]

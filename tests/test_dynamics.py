@@ -14,10 +14,8 @@ from iterl2norm.dynamics import (
     simulate_vector_recursion,
     steady_norm_sq,
 )
-from iterl2norm.fpformat import FP32
 from iterl2norm.norm_core import (
     FixedSteps,
-    NormConfig,
     init_a_values,
     iterate_values,
     select_lambda_values,
@@ -136,7 +134,7 @@ class TestExponentialTerm:
             m = float(sig)  # e = 0 binade is representative: the term only
             # depends on the significand
             lam = lambda_lower_bound(0)
-            a0 = float(init_a_values(np.array([m]), FP32, exact=True)[0])
+            a0 = float(init_a_values(np.array([m]), None)[0])
             term = exponential_term(DynamicsParams(norm_sq=m, lam=lam, a0=a0), 5)
             worst = max(worst, term)
         assert worst <= 1.6e-2
@@ -150,7 +148,7 @@ class TestDiscreteVsContinuous:
         for k in range(3):
             lam, n = 0.05 / 2 ** k, 8 * 2 ** k
             eu = iterate_values(np.array([a0]), np.array([m]), np.array([lam]),
-                                NormConfig(stopping=FixedSteps(n), exact_arithmetic=True))[3][0]
+                                FixedSteps(n), None)[3][0]
             an = analytic_a(DynamicsParams(norm_sq=m, lam=lam, a0=a0), n)
             errs.append(abs(eu - an))
         assert errs[1] < 0.7 * errs[0]

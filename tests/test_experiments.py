@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,12 +25,15 @@ from iterl2norm.fpformat import BF16, FP16, FP32, round_array
 from iterl2norm.norm_core import (
     FixedSteps,
     NormConfig,
-    NormInputs,
     Threshold,
     layernorm_iterl2,
     normalize_batch,
 )
 from iterl2norm.vecio import read_vectors, write_vectors
+
+
+def read_sidecar(path) -> list[dict]:
+    return [json.loads(line) for line in Path(path).read_text().splitlines()]
 
 
 def small_spec(kind, **kw):
@@ -201,7 +205,7 @@ class TestNormalize:
         vecs, fmt = read_vectors(out)
         assert fmt is None and len(vecs) == 2
         assert np.abs(vecs[0] - [-1.34164, -0.44721, 0.44721, 1.34164]).max() < 1e-3
-        meta = [json.loads(l) for l in open(summary.sidecar_path)]
+        meta = read_sidecar(summary.sidecar_path)
         assert meta[0]["steps"] == 5
         assert len(meta[0]["a_trajectory"]) == 6
         assert meta[0]["m"] == 5.0
@@ -216,7 +220,7 @@ class TestNormalize:
         got, fmt = read_vectors(out)
         assert fmt is FP16 or fmt.name == "fp16"
         assert all(len(v) == 8 for v in got)
-        meta = [json.loads(l) for l in open(summary.sidecar_path)]
+        meta = read_sidecar(summary.sidecar_path)
         assert [m["steps"] for m in meta] == [2, 2, 2]
 
     @pytest.mark.parametrize("fmt,payload", [
@@ -259,7 +263,7 @@ class TestNormalize:
         inp, out = tmp_path / "in.txt", tmp_path / "out.txt"
         self._write_text_vectors(inp, [[1.0, 2.0, 3.0, 4.0]])
         summary = run_normalize(str(inp), str(out), NormConfig(Threshold(1e-5)))
-        meta = [json.loads(l) for l in open(summary.sidecar_path)]
+        meta = read_sidecar(summary.sidecar_path)
         assert meta[0]["converged"]
         assert meta[0]["steps"] >= 1
 
@@ -276,16 +280,17 @@ class TestNormalize:
         run_normalize(str(inp), str(out), NormConfig(Threshold(1e-3)), "bf16",
                       gamma_path=str(gam))
         got, _ = read_vectors(out)
-        meta = [json.loads(l) for l in open(str(out) + ".meta.jsonl")]
+        meta = read_sidecar(str(out) + ".meta.jsonl")
         config = NormConfig(stopping=Threshold(1e-3))
         for i, (x, g) in enumerate(zip(vecs, gammas)):
-            want = layernorm_iterl2(NormInputs.from_floats(BF16, x, g), config)
-            assert np.array_equal(got[i], want.z)
+            want = layernorm_iterl2(BF16, round_array(x, BF16), round_array(g, BF16),
+                                    config=config)
+            assert np.array_equal(got[i], want.z[0])
             assert meta[i]["index"] == i and meta[i]["d"] == dims[i]
-            assert (meta[i]["mean"], meta[i]["m"]) == (want.mean, want.m)
-            assert tuple(meta[i]["a_trajectory"]) == want.a_trajectory
-            assert meta[i]["steps"] == want.steps_taken
-            assert meta[i]["converged"] == want.converged
+            assert (meta[i]["mean"], meta[i]["m"]) == (want.mean[0], want.m[0])
+            assert meta[i]["a_trajectory"] == want.a_trajectory[0].tolist()
+            assert meta[i]["steps"] == want.steps_taken == want.steps[0]
+            assert meta[i]["converged"] == want.converged[0]
             assert len(meta[i]["a_trajectory"]) == meta[i]["steps"] + 1
         assert len({m["steps"] for m in meta}) > 2
 

@@ -75,8 +75,7 @@ class TestEstimateCycles:
 
     def test_iteration_is_mul_add_latency_budget(self):
         # 4 two-cycle multiplies + subtract + accumulate per step
-        c = StageCosts()
-        assert c.iteration_per_step == 4 * c.mul_latency + 2 * c.add_latency
+        assert StageCosts().iteration_per_step == 4 * 2 + 2 * 2 == 12
 
 
 class TestStageCostConfig:

@@ -10,7 +10,6 @@ from iterl2norm.fpformat import BF16, FP16, FP32, round_array, round_value, valu
 from iterl2norm.norm_core import (
     FixedSteps,
     NormConfig,
-    NormInputs,
     Threshold,
     init_a_values,
     iterate_values,
@@ -29,19 +28,19 @@ from oracles import oracle_iteration
 ALL_FORMATS = [FP32, FP16, BF16]
 
 
-def a0_of(m: float, fmt=FP32, exact: bool = False) -> float:
-    """init_a_values on a 1-element array."""
-    return float(init_a_values(np.array([m]), fmt, exact)[0])
+def a0_of(m: float, fmt=FP32) -> float:
+    """init_a_values on a 1-element array (binary64 when `fmt` is None)."""
+    return float(init_a_values(np.array([m]), fmt)[0])
 
 
 def lam_of(m: float) -> float:
     return float(select_lambda_values(np.array([m]))[0])
 
 
-def iterate(a0: float, m: float, lam: float, config: NormConfig, fmt=None):
+def iterate(a0: float, m: float, lam: float, stop, fmt):
     """iterate_values on a 1-element array: (trajectory, steps, converged)."""
     traj, steps, converged, a = iterate_values(np.array([a0]), np.array([m]), np.array([lam]),
-                                               config, fmt)
+                                               stop, fmt)
     assert traj[0, -1] == a[0]
     return tuple(traj[0].tolist()), int(steps[0]), bool(converged[0])
 
@@ -139,9 +138,9 @@ class TestSelectLambda:
     def test_override_wins(self):
         x = round_array(np.array([[1.0, 2.0, 3.0, 4.0]]), FP32)  # m = 5
         res = normalize_batch(FP32, x, config=NormConfig(lambda_override=0.01))
-        want, _, _ = iterate(a0_of(5.0), 5.0, 0.01, NormConfig(), FP32)
+        want, _, _ = iterate(a0_of(5.0), 5.0, 0.01, FixedSteps(), FP32)
         assert tuple(res.a_trajectory[0]) == want
-        assert want != iterate(a0_of(5.0), 5.0, lam_of(5.0), NormConfig(), FP32)[0]
+        assert want != iterate(a0_of(5.0), 5.0, lam_of(5.0), FixedSteps(), FP32)[0]
 
     def test_bad_override(self):
         with pytest.raises(UsageError):
@@ -159,43 +158,39 @@ class TestSelectLambda:
 class TestIterateA:
     def test_m_five_converges_in_five_steps(self):
         m = 5.0
-        traj, steps, _ = iterate(a0_of(m), m, lam_of(m),
-                                 NormConfig(stopping=FixedSteps(5)), FP32)
+        traj, steps, _ = iterate(a0_of(m), m, lam_of(m), FixedSteps(5), FP32)
         assert len(traj) == 6 and steps == 5
         assert abs(traj[-1] * math.sqrt(5.0) - 1.0) < 1e-4
         assert abs(traj[-1] - 0.44718) < 5e-5
 
     def test_exact_mode_matches_hand_iteration(self):
         m, a0, lam = 5.0, 2.0 ** -1.5, 0.125
-        traj, _, _ = iterate(a0, m, lam,
-                             NormConfig(stopping=FixedSteps(5), exact_arithmetic=True))
+        traj, _, _ = iterate(a0, m, lam, FixedSteps(5), None)
         a = a0
         for _ in range(5):
             a = a + lam * m * a * (1.0 - m * a * a)
         assert traj[-1] == a
 
     def test_m_one_reaches_unity(self):
-        traj, _, _ = iterate(a0_of(1.0, exact=True), 1.0, 0.5,
-                             NormConfig(stopping=FixedSteps(30), exact_arithmetic=True))
+        traj, _, _ = iterate(a0_of(1.0, None), 1.0, 0.5, FixedSteps(30), None)
         assert abs(traj[-1] - 1.0) < 1e-12
 
     def test_exact_fixed_point_never_moves(self):
         # m * a^2 == 1 exactly: da = 0 forever
-        traj, _, _ = iterate(0.5, 4.0, 0.25, NormConfig(stopping=FixedSteps(7)), FP16)
+        traj, _, _ = iterate(0.5, 4.0, 0.25, FixedSteps(7), FP16)
         assert traj == (0.5,) * 8
 
     def test_threshold_stops_on_small_delta(self):
         m = 5.0
-        cfg = NormConfig(stopping=Threshold(delta_max=1e-6, max_steps=50))
-        traj, steps, converged = iterate(a0_of(m), m, lam_of(m), cfg, FP32)
+        stop = Threshold(delta_max=1e-6, max_steps=50)
+        traj, steps, converged = iterate(a0_of(m), m, lam_of(m), stop, FP32)
         assert converged
         assert 1 <= steps <= 50 and len(traj) == steps + 1
         assert abs(traj[-1] * math.sqrt(m) - 1.0) < 1e-4
 
     def test_threshold_reports_non_convergence(self):
-        cfg = NormConfig(stopping=Threshold(delta_max=1e-12, max_steps=4),
-                         exact_arithmetic=True)
-        traj, steps, converged = iterate(0.1, 1.0, 1e-4, cfg)
+        stop = Threshold(delta_max=1e-12, max_steps=4)
+        traj, steps, converged = iterate(0.1, 1.0, 1e-4, stop, None)
         assert not converged
         assert len(traj) == 5 and steps == 4
 
@@ -206,7 +201,7 @@ class TestIterateA:
         # converges.  Neither stopping rule reports a non-finite a converged.
         traj, steps, converged, a = iterate_values(
             np.array([0.125, 0.125]), np.array([42.0, 42.0]), np.array([0.3, 0.3 / 42]),
-            NormConfig(stopping=stopping), FP32)
+            stopping, FP32)
         assert converged.tolist() == [False, True]
         assert not np.isfinite(a[0]) and np.isfinite(a[1])
         if isinstance(stopping, Threshold):  # stops at the first non-finite a
@@ -215,9 +210,9 @@ class TestIterateA:
 
     def test_threshold_rows_stop_independently(self):
         # a fixed-point row stops after one step; a slow row runs to the cap
-        cfg = NormConfig(stopping=Threshold(delta_max=1e-9, max_steps=6), exact_arithmetic=True)
         traj, steps, converged, a = iterate_values(
-            np.array([0.5, 0.1]), np.array([4.0, 1.0]), np.array([0.25, 1e-4]), cfg)
+            np.array([0.5, 0.1]), np.array([4.0, 1.0]), np.array([0.25, 1e-4]),
+            Threshold(delta_max=1e-9, max_steps=6), None)
         assert steps.tolist() == [1, 6] and converged.tolist() == [True, False]
         assert traj.shape == (2, 7)
         assert (traj[0] == 0.5).all()
@@ -230,50 +225,52 @@ class TestIterateA:
     @given(n=st.integers(0, 12))
     @settings(max_examples=40)
     def test_trajectory_length_invariant(self, n):
-        traj, steps, _ = iterate(a0_of(3.0), 3.0, lam_of(3.0),
-                                 NormConfig(stopping=FixedSteps(n)), FP32)
+        traj, steps, _ = iterate(a0_of(3.0), 3.0, lam_of(3.0), FixedSteps(n), FP32)
         assert len(traj) == n + 1 and steps == n
 
 
 class TestLayerNorm:
     def test_example_vector(self):
-        inputs = NormInputs.from_floats(FP32, [1.0, 2.0, 3.0, 4.0])
-        res = layernorm_iterl2(inputs)
+        res = layernorm_iterl2(FP32, round_array(np.array([1.0, 2.0, 3.0, 4.0]), FP32))
         want = np.array([-1.34164079, -0.4472136, 0.4472136, 1.34164079])
-        assert np.abs(res.z - want).max() < 1e-3
-        assert res.steps_taken == 5
-        assert len(res.a_trajectory) == 6
-        assert res.m == 5.0 and res.mean == 2.5
+        assert np.abs(res.z[0] - want).max() < 1e-3
+        assert res.steps_taken == 5 and res.steps.tolist() == [5]
+        assert res.a_trajectory.shape == (1, 6)
+        assert (res.m.tolist(), res.mean.tolist()) == ([5.0], [2.5])
 
     def test_constant_input_returns_beta(self):
         beta = round_array(np.linspace(-1, 1, 8), FP16)
-        inputs = NormInputs.from_floats(FP16, np.full(8, 3.25), beta=beta)
-        res = layernorm_iterl2(inputs)
-        assert np.array_equal(res.z, beta)
-        assert np.array_equal(res.y_hat, np.zeros(8))
-        assert res.m == 0.0
+        res = layernorm_iterl2(FP16, round_array(np.full(8, 3.25), FP16), beta=beta)
+        assert np.array_equal(res.z[0], beta)
+        assert np.array_equal(res.y_hat[0], np.zeros(8))
+        assert res.m.tolist() == [0.0]
 
     def test_zero_gamma_annihilates(self):
         beta = round_array(np.linspace(0.5, 2.0, 6), BF16)
-        inputs = NormInputs.from_floats(BF16, np.arange(6, dtype=float),
-                                        gamma=np.zeros(6), beta=beta)
-        res = layernorm_iterl2(inputs)
-        assert np.array_equal(res.z, beta)
+        res = layernorm_iterl2(BF16, round_array(np.arange(6, dtype=float), BF16),
+                               gamma=np.zeros(6), beta=beta)
+        assert np.array_equal(res.z[0], beta)
 
     def test_inject_a_hook(self):
-        inputs = NormInputs.from_floats(FP32, [1.0, 2.0, 3.0, 4.0])
-        res = layernorm_iterl2(inputs, inject_a=5.0 ** -0.5)
+        x = round_array(np.array([[1.0, 2.0, 3.0, 4.0]]), FP32)
+        res = normalize_batch(FP32, x, inject_a=5.0 ** -0.5)
         assert res.steps_taken == 0
-        want = reference_batch(FP32, inputs.x[None, :])[0]
-        assert np.abs(res.z - want).max() < 1e-6
+        want = reference_batch(FP32, x)[0]
+        assert np.abs(res.z[0] - want).max() < 1e-6
 
     def test_inputs_validation(self):
-        with pytest.raises(UsageError):
-            NormInputs.from_floats(FP32, [])
-        with pytest.raises(UsageError):
-            NormInputs(FP32, np.array([1.0]), np.array([1.0, 2.0]), np.array([0.0]))
-        with pytest.raises(UsageError):
-            NormInputs(FP16, np.array([1.0 + 2.0 ** -20]), np.array([1.0]), np.array([0.0]))
+        one = np.array([1.0])
+        for fmt, x, gamma, beta in [
+                (FP32, [], None, None),                           # d = 0
+                (FP32, one, np.array([1.0, 2.0]), None),          # lengths differ
+                (FP32, one, None, np.zeros(2)),
+                (FP32, np.ones((2, 3)), None, None),              # not 1-D
+                (FP32, one, np.ones((1, 1)), None),
+                (FP16, np.array([1.0 + 2.0 ** -20]), None, None),  # not fp16 values
+                (FP16, one, np.array([0.1]), None),
+                (BF16, one, None, np.array([1.0 + 2.0 ** -10]))]:
+            with pytest.raises(UsageError):
+                layernorm_iterl2(fmt, x, gamma, beta)
 
 
 class TestBatchAgreement:
@@ -288,15 +285,26 @@ class TestBatchAgreement:
                     NormConfig(stopping=Threshold(1e-4, max_steps=20))):
             batch = normalize_batch(fmt, x, gamma, beta, cfg)
             for i in range(len(x)):
-                single = layernorm_iterl2(NormInputs(fmt, x[i], gamma, beta), cfg)
-                assert np.array_equal(batch.z[i], single.z)
-                assert np.array_equal(batch.y_hat[i], single.y_hat)
-                assert batch.m[i] == single.m
-                assert batch.mean[i] == single.mean
-                assert batch.steps[i] == single.steps_taken
-                assert batch.converged[i] == single.converged
+                single = layernorm_iterl2(fmt, x[i], gamma, beta, cfg)
+                for name in ("z", "y_hat", "mean", "m", "steps", "converged"):
+                    assert np.array_equal(getattr(batch, name)[i], getattr(single, name)[0])
                 k = single.steps_taken
-                assert np.array_equal(batch.a_trajectory[i, :k + 1], single.a_trajectory)
+                assert single.steps.tolist() == [k]
+                assert np.array_equal(batch.a_trajectory[i, :k + 1], single.a_trajectory[0])
+
+    def test_bad_gamma_or_beta_shape_is_usage_error(self):
+        x = round_array(np.random.default_rng(4).uniform(-1, 1, (3, 5)), FP32)
+        shifted = shift_batch(FP32, x)
+        for gamma, beta in [(np.ones(4), None), (None, np.zeros((3, 4))),
+                            (np.ones((2, 5)), None), (None, np.zeros((1, 5))),
+                            (np.ones((3, 5, 1)), None), (np.float64(1.0), None)]:
+            name = "gamma" if gamma is not None else "beta"
+            with pytest.raises(UsageError, match=name):
+                normalize_batch(FP32, x, gamma, beta)
+            with pytest.raises(UsageError, match=name):
+                fisr_batch(FP32, shifted, gamma, beta)
+            with pytest.raises(UsageError, match=name):
+                next(normalize_batches(FP32, [(x, None, None), (shifted, gamma, beta)]))
 
     def test_zero_variance_rows_inside_batch(self):
         x = round_array(np.vstack([np.full(16, 2.5), np.random.default_rng(0).uniform(-1, 1, 16)]), FP16)
@@ -401,8 +409,7 @@ class TestExactPathProperties:
     def _exact_yhat(self, x: np.ndarray, steps: int = 5):
         y = x - x.mean()
         m = float(y @ y)
-        traj, _, _ = iterate(a0_of(m, exact=True), m, lam_of(m),
-                             NormConfig(stopping=FixedSteps(steps), exact_arithmetic=True))
+        traj, _, _ = iterate(a0_of(m, None), m, lam_of(m), FixedSteps(steps), None)
         return math.sqrt(len(x)) * traj[-1] * y
 
     @given(

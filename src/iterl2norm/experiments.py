@@ -311,7 +311,7 @@ def run_normalize(in_path: str, out_path: str, config: NormConfig = NormConfig()
 
     write_vectors(out_path, outputs, fmt, binary=file_fmt is not None)
     sidecar = str(out_path) + ".meta.jsonl"
-    write_sidecar(sidecar, fmt, batches)
+    write_sidecar(sidecar, batches)
     return NormalizeSummary(len(outputs), str(out_path), sidecar)
 
 

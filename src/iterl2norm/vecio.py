@@ -1,5 +1,5 @@
 """Vector file I/O for the normalize subcommand, and the decimal rendering
-of format values in its text files and its diagnostics sidecar.
+of values in its text files and its diagnostics sidecar.
 
 Two containers:
 
@@ -8,16 +8,22 @@ Two containers:
   uint32 count, all little-endian) followed by count*d elements.  fp32
   elements are 4-byte IEEE singles; fp16 are 2-byte IEEE halves; bf16 are
   2-byte raw bit patterns.
+
+Decimals go through orjson, which prints and parses binary64 in C: every
+value written is the `repr` of its float64, and every text file reads as
+`float()` of each token would read it.
 """
 
 from __future__ import annotations
 
 import io
+import re
 import struct
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
+import orjson
 
 from .errors import DataFormatError
 from .fpformat import FORMATS, FormatSpec, bits_to_values, values_to_bits
@@ -62,6 +68,50 @@ def read_vectors(path: str | Path) -> tuple[list[np.ndarray], FormatSpec | None]
 
 
 def _read_text(path: str | Path, raw: bytes) -> list[np.ndarray]:
+    vectors = _read_json_rows(raw)
+    if vectors is None:
+        vectors = _read_float_rows(path, raw)
+    if not vectors:
+        raise DataFormatError(f"{path}: no vectors found")
+    return vectors
+
+
+# the bytes of JSON numbers, commas and the whitespace JSON and str.strip share
+_JSON_ROW_BYTES = b"0123456789eE+-.,\n\r\t "
+# a -0 in integer syntax, which orjson reads as +0 (`1e-0` matches too; it
+# only sends its file to the float() reader)
+_INTEGER_MINUS_ZERO = re.compile(rb"-0(?![0-9.eE])")
+
+
+def _read_json_rows(raw: bytes) -> list[np.ndarray] | None:
+    """The rows of a text file parsed one line at a time by orjson, or None
+    when the file may hold a token that orjson reads otherwise than
+    `float()` (an integer-syntax -0, looked for on lines that read a zero)
+    or a line break that is not a newline (a lone carriage return, which
+    ends a line in universal-newlines mode).
+
+    A file of JSON numbers reads the same either way; any other syntax is a
+    JSONDecodeError, and that file is read by `_read_float_rows`."""
+    if raw.translate(None, _JSON_ROW_BYTES) or (
+            b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n")):
+        return None
+    vectors = []
+    try:
+        for line in io.BytesIO(raw):
+            if not line.strip():
+                continue
+            vec = np.array(orjson.loads(b"[" + line + b"]"), dtype=np.float64)
+            if not vec.all() and _INTEGER_MINUS_ZERO.search(line):
+                return None
+            vectors.append(vec)
+    except orjson.JSONDecodeError:
+        return None
+    return vectors
+
+
+def _read_float_rows(path: str | Path, raw: bytes) -> list[np.ndarray]:
+    """The rows of a text file, each token read by `float()`; a token it
+    rejects is a DataFormatError naming its line."""
     vectors = []
     # decoded and split into lines as `open(path, encoding="utf-8")` does
     lines = enumerate(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"), start=1)
@@ -71,16 +121,12 @@ def _read_text(path: str | Path, raw: bytes) -> list[np.ndarray]:
             if not line:
                 continue
             try:
-                vec = np.array([float(tok) for tok in line.split(",")], dtype=np.float64)
+                vectors.append(np.array([float(tok) for tok in line.split(",")],
+                                        dtype=np.float64))
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-            if vec.size == 0:
-                raise DataFormatError(f"{path}:{lineno}: empty vector")
-            vectors.append(vec)
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from exc
-    if not vectors:
-        raise DataFormatError(f"{path}: no vectors found")
     return vectors
 
 
@@ -104,6 +150,8 @@ def _read_binary(path: str | Path, raw: bytes) -> tuple[list[np.ndarray], Format
 
 def write_vectors(path: str | Path, vectors: list[np.ndarray],
                   fmt: FormatSpec, binary: bool) -> None:
+    """Write vectors to a binary container of `fmt`, or to a text file with
+    the `repr` of each float64 value and a newline after each row."""
     if binary:
         lengths = {len(v) for v in vectors}
         if len(lengths) != 1:
@@ -114,24 +162,16 @@ def write_vectors(path: str | Path, vectors: list[np.ndarray],
             fh.write(_HEADER.pack(MAGIC, FORMAT_TAGS[fmt.name], d, len(vectors)))
             fh.write(values_to_bits(flat, fmt).astype(_word(fmt)).tobytes())
     else:
-        with open(path, "w") as fh:
-            for line in _text_rows(vectors, fmt):
-                fh.write(line)
-                fh.write("\n")
+        with open(path, "wb") as fh:
+            for v in vectors:
+                fh.write(_reprs(v))
+                fh.write(b"\n")
 
 
-def _text_rows(vectors: list[np.ndarray], fmt: FormatSpec) -> Iterator[str]:
-    """Each vector, in turn, as the comma-separated `repr`s of its float64
-    values."""
-    for tokens in _reprs([np.asarray(v, dtype=np.float64) for v in vectors], fmt):
-        yield ",".join(tokens)
+_JSON_BOOL = {True: b"true", False: b"false"}
 
 
-_JSON_BOOL = {True: "true", False: "false"}
-
-
-def write_sidecar(path: str | Path, fmt: FormatSpec,
-                  batches: list[tuple[list[int], BatchNormResult]]) -> None:
+def write_sidecar(path: str | Path, batches: list[tuple[list[int], BatchNormResult]]) -> None:
     """Write the diagnostics of a normalized file as JSON lines, one per
     vector in file order: index, d, mean, m, the `a` trajectory up to the
     vector's step count, steps and converged.
@@ -140,57 +180,49 @@ def write_sidecar(path: str | Path, fmt: FormatSpec,
     rows and its BatchNormResult.  Each line is the one
     `json.JSONEncoder(allow_nan=False)` writes for those keys, with a NaN or
     infinite value (which JSON has no token for) written as null."""
-    values = []
-    for _, res in batches:
+    lines: list = [None] * sum(len(rows) for rows, _ in batches)
+    for rows, res in batches:
         # the trajectory entries written, in row order
         written = np.arange(res.a_trajectory.shape[1]) <= res.steps[:, None]
-        values.append((res.mean, res.m, res.a_trajectory[written]))
-    tokens = _reprs([v for batch in values for v in batch], fmt)
-    lines: list = [None] * sum(len(rows) for rows, _ in batches)
-    for (rows, res), batch in zip(batches, values):
-        mean, m, traj = (_nulls(next(tokens), v) for v in batch)
+        mean, m, traj = (_nulls(_reprs(v).split(b","), v)
+                         for v in (res.mean, res.m, res.a_trajectory[written]))
         d = res.z.shape[1]
         steps, converged = res.steps.tolist(), res.converged.tolist()
         end = 0
         for j, i in enumerate(rows):
             start, end = end, end + steps[j] + 1
-            lines[i] = (f'{{"index": {i}, "d": {d}, "mean": {mean[j]}, "m": {m[j]}, '
-                        f'"a_trajectory": [{", ".join(traj[start:end])}], '
-                        f'"steps": {steps[j]}, "converged": {_JSON_BOOL[converged[j]]}}}\n')
-    with open(path, "w") as fh:
+            lines[i] = (b'{"index": %d, "d": %d, "mean": %b, "m": %b, "a_trajectory": [%b], '
+                        b'"steps": %d, "converged": %b}\n'
+                        % (i, d, mean[j], m[j], b", ".join(traj[start:end]), steps[j],
+                           _JSON_BOOL[converged[j]]))
+    with open(path, "wb") as fh:
         fh.writelines(lines)
 
 
-def _nulls(tokens: list[str], values: np.ndarray) -> list[str]:
+def _nulls(tokens: list[bytes], values: np.ndarray) -> list[bytes]:
     """`tokens` with the JSON null in place of each NaN or infinite value."""
     for k in np.flatnonzero(~np.isfinite(values)).tolist():
-        tokens[k] = "null"
+        tokens[k] = b"null"
     return tokens
 
 
-def _reprs(arrays: list[np.ndarray], fmt: FormatSpec) -> Iterator[list[str]]:
-    """The `repr`s of the float64 values of each 1-D array, in turn.
+def _reprs(v: np.ndarray) -> bytes:
+    """The `repr`s of the float64 values of the 1-D array v, joined by
+    commas, as ASCII.
 
-    A 16-bit format holds few distinct values (a few thousand in a bf16
-    file), so for fp16 and bf16 each distinct bit pattern of all the arrays
-    is converted once, through one table; a value the format cannot hold
-    exactly is converted on its own, as given."""
-    if fmt.total_bits != 16:
-        for v in arrays:
-            yield list(map(repr, v.tolist()))
-        return
-    with np.errstate(over="ignore", invalid="ignore"):
-        bits = [values_to_bits(v, fmt) for v in arrays]
-    seen = np.zeros(1 << 16, dtype=bool)
-    for b in bits:
-        seen[b] = True
-    used = np.flatnonzero(seen)
-    # the table: each pattern's position among the used patterns' reprs
-    table = np.zeros(1 << 16, dtype=np.intp)
-    table[used] = np.arange(used.size)
-    reprs = np.array([repr(v) for v in bits_to_values(used, fmt).tolist()], dtype=object)
-    for v, b in zip(arrays, bits):
-        tokens = reprs[table[b]]
-        inexact = np.flatnonzero(bits_to_values(b, fmt).view(np.int64) != v.view(np.int64))
-        tokens[inexact] = [repr(x) for x in v[inexact].tolist()]
-        yield tokens.tolist()
+    orjson prints the shortest round-trip digits, which are `repr`'s
+    wherever both write fixed notation: at +-0 and for 1e-4 <= |v| < 1e16.
+    Elsewhere the spellings differ (orjson writes `0.00001` and `1e16` where
+    `repr` writes `1e-05` and `1e+16`, and null for NaN and +-inf), so
+    those values are written by `repr` itself."""
+    v = np.ascontiguousarray(v, dtype=np.float64)
+    text = orjson.dumps(v, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    magnitude = np.abs(v)
+    fixed = (magnitude >= 1e-4) & (magnitude < 1e16)
+    if fixed.all():
+        return text
+    tokens = text.split(b",")
+    others = np.flatnonzero(~fixed & (v != 0))
+    for k, value in zip(others.tolist(), v[others].tolist()):
+        tokens[k] = repr(value).encode()
+    return b",".join(tokens)

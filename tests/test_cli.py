@@ -175,6 +175,13 @@ class TestExitCodes:
         assert code == 3
         assert "data error" in err
 
+    def test_lone_carriage_return_ends_a_line(self, capsys, tmp_path):
+        inp = tmp_path / "v.txt"
+        inp.write_bytes(b"1,2\r,3,4\n")
+        code, _, err = run(capsys, "normalize", "--input", str(inp),
+                           "--out", str(tmp_path / "o"))
+        assert (code, err) == (3, f"data error: {inp}:2: could not convert string to float: ''\n")
+
     @pytest.mark.parametrize("flag", ["--input", "--gamma", "--beta"])
     def test_unreadable_file_is_3(self, capsys, tmp_path, flag):
         inp = tmp_path / "v.txt"
@@ -389,6 +396,16 @@ class TestOutputs:
         assert code == 0
         assert "normalized 1 vectors" in msg
         assert out.exists() and (str(out) + ".meta.jsonl") in msg
+
+    def test_integer_minus_zero_row(self, capsys, tmp_path):
+        inp, out = tmp_path / "v.txt", tmp_path / "z.txt"
+        inp.write_text("-0,1,2,3\n")
+        code, _, _ = run(capsys, "normalize", "--input", str(inp), "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == (b"-1.341533899307251,-0.4471779763698578,"
+                                    b"0.4471779763698578,1.341533899307251\n")
+        meta = json.loads((tmp_path / "z.txt.meta.jsonl").read_bytes())
+        assert (meta["mean"], meta["m"]) == (1.5, 5.0)
 
     def test_lambda_override_flag(self, capsys):
         code, out, _ = run(capsys, "precision", "--format", "fp32", "--dims", "16",

@@ -1,26 +1,29 @@
-"""Vector files and the normalize sidecar: the repr table of the 16-bit
-formats, binary rows read in one pass, and sidecar lines equal to what
+"""Vector files and the normalize sidecar: every decimal written is the
+`repr` of its float64, every text file reads as `float()` of each token,
+binary rows are read in one pass, and sidecar lines equal what
 `json.JSONEncoder` writes."""
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iterl2norm.fpformat import BF16, FP16, FP32, round_array
+from iterl2norm.errors import DataFormatError
+from iterl2norm.fpformat import BF16, FP16, FP32, bits_to_values, round_array
 from iterl2norm.norm_core import BatchNormResult
-from iterl2norm.vecio import read_vectors, write_sidecar, write_vectors
+from iterl2norm.vecio import _read_json_rows, _reprs, read_vectors, write_sidecar, write_vectors
 
 FORMATS = [FP32, FP16, BF16]
 
 
-def repr_lines(rows) -> str:
+def repr_lines(rows) -> bytes:
     return "".join(",".join(map(repr, np.asarray(r, dtype=np.float64).tolist())) + "\n"
-                   for r in rows)
+                   for r in rows).encode()
 
 
 def subnormals(fmt):
@@ -29,7 +32,7 @@ def subnormals(fmt):
     return tiny, 3 * tiny
 
 
-@pytest.mark.parametrize("fmt", [FP16, BF16], ids=["fp16", "bf16"])
+@pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
 def test_text_rows_equal_per_element_repr(tmp_path, fmt):
     rng = np.random.default_rng(12)
     rows = [round_array(rng.uniform(-4, 4, d), fmt) for d in (1, 7, 300, 64)]
@@ -40,9 +43,131 @@ def test_text_rows_equal_per_element_repr(tmp_path, fmt):
     assert not np.array_equal(round_array(rows[-1], fmt), rows[-1])
     path = tmp_path / "v.txt"
     write_vectors(path, rows, fmt, binary=False)
-    assert path.read_text() == repr_lines(rows)
+    assert path.read_bytes() == repr_lines(rows)
     back, _ = read_vectors(path)
     assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(back, rows))
+
+
+# ---------------------------------------------------------------------------
+# The decimal codec: orjson's digits where they are repr's, repr elsewhere
+# ---------------------------------------------------------------------------
+
+def assert_reprs(values: np.ndarray) -> None:
+    """`_reprs` writes the `repr` of every value, joined by commas."""
+    got = _reprs(values).split(b",")
+    want = [repr(v).encode() for v in values.tolist()]
+    bad = [k for k, (g, w) in enumerate(zip(got, want)) if g != w]
+    assert len(got) == len(want) and not bad, \
+        f"{len(bad)} tokens differ, first {values[bad[0]]!r}: {got[bad[0]]!r} != {want[bad[0]]!r}"
+
+
+@pytest.mark.parametrize("fmt", [FP16, BF16], ids=["fp16", "bf16"])
+def test_reprs_of_every_16_bit_pattern(fmt):
+    assert_reprs(bits_to_values(np.arange(1 << 16), fmt))
+
+
+def test_reprs_of_random_binary32_and_binary64_patterns():
+    rng = np.random.default_rng(2018)
+    n = 1 << 19
+    assert_reprs(bits_to_values(rng.integers(0, 1 << 32, n, dtype=np.uint64), FP32))
+    # mostly outside the range of orjson's digits, so mostly repr's own
+    assert_reprs(rng.integers(0, 1 << 64, n // 4, dtype=np.uint64).view(np.float64))
+    # random binary64 significands at exponents 2^-15 .. 2^54, around and
+    # inside the range where orjson's digits are taken
+    bits = rng.integers(0, 1 << 52, n, dtype=np.uint64)
+    bits |= rng.integers(1023 - 15, 1023 + 55, n, dtype=np.uint64) << np.uint64(52)
+    bits |= rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+    assert_reprs(bits.view(np.float64))
+
+
+def test_reprs_at_the_fixed_notation_bounds():
+    edges = [1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), 1e16, np.nextafter(1e16, 0),
+             np.nextafter(1e16, np.inf), 5e-324, 2.2250738585072014e-308, 1e-310,
+             np.finfo(np.float64).max, 1.0, 0.1]
+    assert_reprs(np.array([0.0, -0.0, np.inf, -np.inf, np.nan, *edges,
+                           *(-np.array(edges))]))
+
+
+# ---------------------------------------------------------------------------
+# The text reader: float() of each token, through orjson where it agrees
+# ---------------------------------------------------------------------------
+
+def float_reference(path, raw: bytes):
+    """The rows of a text file read with `float()` on each comma-separated
+    token of each stripped, non-blank line (lines end at \\n, \\r\\n or a lone
+    \\r), or the DataFormatError message it gives."""
+    rows = []
+    lines = re.split(r"\r\n|\r|\n", raw.decode("utf-8"))
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rows.append(np.array([float(tok) for tok in line.split(",")], dtype=np.float64))
+        except ValueError as exc:
+            return f"{path}:{lineno}: {exc}"
+    return rows or f"{path}: no vectors found"
+
+
+JSON_NUMBER = st.from_regex(r"-?(0|[1-9][0-9]{0,19})(\.[0-9]{1,19})?([eE][+-]?[0-9]{1,3})?",
+                            fullmatch=True)
+PYTHON_ONLY = st.sampled_from(["-0", ".5", "+1", "1_0", "nan", "-inf", "1e400", "1e-400",
+                               "-1e-400", "\u0663.\u0665", "\uff17", "1.", "-0e-0", "", "1 2",
+                               "0x1", "null", "true", '"1"', "[1]"])
+
+
+@st.composite
+def text_file(draw):
+    """The bytes of a text vector file: JSON numbers, with or without tokens
+    only `float()` reads (or none reads), padded by spaces and tabs; lines
+    joined by \\n, \\r\\n or a lone \\r, with blank lines, a trailing comma and
+    a byte-order mark here and there."""
+    token = st.one_of(JSON_NUMBER, st.floats().map(repr))
+    if draw(st.booleans()):
+        token = st.one_of(token, PYTHON_ONLY)
+    pad = st.sampled_from(["", "", " ", "\t", "  "])
+    line = st.lists(st.tuples(pad, token, pad).map("".join), min_size=1, max_size=6).map(",".join)
+    line = st.one_of(line, line.map(lambda text: text + ","), st.sampled_from(["", " ", "\t"]))
+    breaks = st.sampled_from(["\n", "\r\n"]) if draw(st.booleans()) \
+        else st.sampled_from(["\n", "\r\n", "\r"])
+    parts = [p for ln in draw(st.lists(line, max_size=6)) for p in (ln, draw(breaks))]
+    if parts and draw(st.booleans()):
+        parts.pop()  # no line break after the last line
+    bom = "\ufeff" if draw(st.integers(0, 9)) == 0 else ""
+    return (bom + "".join(parts)).encode()
+
+
+@given(text_file())
+@example(b"-0,1,2,3\n-0\n")
+@example(b"1,2,\r3,4\n")
+@settings(max_examples=100, deadline=None)
+def test_text_reader_equals_float_of_each_token(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "v.txt"
+        path.write_bytes(raw)
+        want = float_reference(path, raw)
+        if isinstance(want, str):
+            with pytest.raises(DataFormatError) as exc:
+                read_vectors(path)
+            assert str(exc.value) == want
+            return
+        got, fmt = read_vectors(path)
+    assert fmt is None and len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == np.float64 and np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+def test_json_numbers_are_read_by_orjson():
+    raw = b"1,2.5,-3e-7\n\n 0.25 ,\t-0.0\r\n\t\r\n1E+5,-0e0,12345678901234567890123"
+    assert [len(row) for row in _read_json_rows(raw)] == [3, 2, 3]
+
+
+@pytest.mark.parametrize("raw", [
+    b"-0,1\n", b"1,-0", b"1,-0 ,2\n", b".5,1\n", b"+1,1\n", b"1_0,1\n", b"nan,1\n",
+    b"1e400,1\n", b"1,2\r,3,4\n", b"\xef\xbb\xbf1,2\n", b"1,2,\n", b"\x0c1,2\n",
+])
+def test_other_syntax_is_left_to_float(raw):
+    assert _read_json_rows(raw) is None
 
 
 def test_binary_rows_are_views_of_one_array(tmp_path):
@@ -85,11 +210,11 @@ def make_batch(d, mean, m, traj, steps, converged) -> BatchNormResult:
                            traj, traj.shape[1] - 1, steps, np.asarray(converged, dtype=bool))
 
 
-def written_sidecar(fmt, batches) -> str:
+def written_sidecar(batches) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "z.meta.jsonl"
-        write_sidecar(path, fmt, batches)
-        return path.read_text()
+        write_sidecar(path, batches)
+        return path.read_bytes().decode("ascii")
 
 
 @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
@@ -109,7 +234,7 @@ def test_sidecar_edge_cases_equal_json_encoder(fmt):
                         [[1.0, 0.5], [-np.nan, 0.25], [inexact[1], np.inf]], [1, 1, 0],
                         [False, True, True])
     batches = [([0, 3], first), ([4, 1, 2], second)]
-    assert written_sidecar(fmt, batches) == reference_sidecar(batches)
+    assert written_sidecar(batches) == reference_sidecar(batches)
 
 
 @st.composite
@@ -146,4 +271,4 @@ def sidecar_case(draw):
 @settings(max_examples=100, deadline=None)
 def test_sidecar_lines_equal_json_encoder(case):
     fmt, batches = case
-    assert written_sidecar(fmt, batches) == reference_sidecar(batches)
+    assert written_sidecar(batches) == reference_sidecar(batches)

@@ -19,15 +19,6 @@ from .fpformat import (
 )
 from .norm_core import BatchNormResult, Shifted, _direct, _layernorm
 
-__all__ = [
-    "FisrSpec",
-    "FP32_MAGIC",
-    "BF16_MAGIC",
-    "fisr_inv_sqrt_values",
-    "fisr_batch",
-    "reference_batch",
-]
-
 FP32_MAGIC = 0x5F3759DF
 # Top 16 bits of the canonical FP32 constant; BFloat16 shares the 8-bit
 # exponent layout so the same shift-and-subtract seed applies.

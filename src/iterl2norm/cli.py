@@ -9,6 +9,7 @@ error (an input value or a squared norm out of the format's range).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -23,7 +24,7 @@ from .experiments import (
     write_csv,
 )
 from .fpformat import FORMATS
-from .latency import stage_costs_from_dict
+from .latency import StageCosts, stage_costs_from_dict
 from .norm_core import DEFAULT_STEPS, FixedSteps, NormConfig, Threshold
 
 EXIT_OK = 0
@@ -35,6 +36,7 @@ EXIT_RANGE = 4
 # the spec's default.
 _SPEC_FIELDS = ("dims", "num_vectors", "seed", "steps", "lambda_override")
 _FISR_FIELDS = ("newton_iters", "fp32_magic", "bf16_magic")
+_COST_FIELDS = tuple(f.name for f in dataclasses.fields(StageCosts))
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -123,8 +125,9 @@ def _add_normalize(sub) -> None:
 
 def _load_config(path: str | None) -> dict:
     """The `--config` JSON as ExperimentSpec fields: stage costs, and the
-    FISR Newton step count and magic constants.  A key it does not read is
-    a usage error."""
+    FISR Newton step count and magic constants.  A key it does not read, or
+    a value out of its range, is a usage error; a value that is not an
+    integer is a data error."""
     if path is None:
         return {}
     try:
@@ -140,18 +143,31 @@ def _load_config(path: str | None) -> dict:
     if not (isinstance(fisr, dict) and isinstance(costs, dict)):
         raise DataFormatError(f"{path}: \"fisr\" and \"stage_costs\" must be JSON objects")
     for keys, known, what in ((data, ("fisr", "stage_costs"), "config keys"),
-                              (fisr, _FISR_FIELDS, "fisr fields")):
+                              (fisr, _FISR_FIELDS, "fisr fields"),
+                              (costs, _COST_FIELDS, "stage cost fields")):
         unknown = sorted(set(keys) - set(known))
         if unknown:
             raise UsageError(f"{path}: unknown {what}: {unknown}")
-    try:
-        newton_iters = int(fisr.get("newton_iters", 1))
-        magic = {key.removesuffix("_magic"): int(v, 0) if isinstance(v, str) else int(v)
-                 for key, v in fisr.items() if key != "newton_iters"}
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: bad fisr setting: {exc}") from exc
+    fisr = {key: _config_int(path, "fisr", key, v) for key, v in fisr.items()}
+    costs = {key: _config_int(path, "stage_costs", key, v) for key, v in costs.items()}
     return {"stage_costs": stage_costs_from_dict(costs),
-            "fisr_newton_iters": newton_iters, "fisr_magic": magic}
+            "fisr_newton_iters": fisr.pop("newton_iters", 1),
+            "fisr_magic": {key.removesuffix("_magic"): v for key, v in fisr.items()}}
+
+
+def _config_int(path: str, section: str, key: str, v) -> int:
+    """A `--config` value: a JSON integer (not true or false), or for a magic
+    constant a string that int(s, 0) reads, such as "0x5f3759df".  Anything
+    else is a data error naming the key; the range is checked by the
+    setting's reader."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, str) and key.endswith("_magic"):
+        try:
+            return int(v, 0)
+        except ValueError:
+            pass
+    raise DataFormatError(f"{path}: {section}.{key} must be an integer, not {json.dumps(v)}")
 
 
 def _build_spec(args: argparse.Namespace) -> ExperimentSpec:

@@ -33,25 +33,7 @@ from .norm_core import (
     normalize_batches,
     shift_batch,
 )
-from .vecio import read_vectors, write_sidecar, write_vectors
-
-__all__ = [
-    "ExperimentSpec",
-    "ErrorStats",
-    "ExperimentResult",
-    "NormalizeSummary",
-    "PRECISION_DIMS",
-    "OPT_DIMS",
-    "LATENCY_DIMS",
-    "CONVERGENCE_STEPS",
-    "run_precision",
-    "run_convergence",
-    "run_compare_fisr",
-    "run_latency",
-    "run_normalize",
-    "write_csv",
-    "csv_text",
-]
+from .vecio import read_vectors, write_file, write_sidecar, write_vectors
 
 PRECISION_DIMS = (64, 128, 256, 512, 1024)
 # Embedding lengths of the OPT model family.
@@ -249,11 +231,12 @@ def run_normalize(in_path: str, out_path: str, config: NormConfig = NormConfig()
     and beta are rounded to the format, unless a binary file of the format
     holds them; the vectors of one length form one batch, and
     `normalize_batches` solves for `a` once over every batch of the file.
-    Every parameter length is checked before anything is computed; a NaN or infinite gamma or beta value is a data
-    error.  A non-finite input value (a data error), and a finite value that
-    rounds to infinity or a squared norm that overflows the format (range
-    errors), name the first such vector of the file, the data error
-    first."""
+    Every parameter length is checked before anything is computed; a NaN or
+    infinite gamma or beta value is a data error.  A non-finite input value
+    (a data error), and a finite value that rounds to infinity or a squared
+    norm that overflows the format (range errors), name the first such
+    vector of the file, the data error first.  An output file that cannot
+    be written is a data error."""
     vectors, file_fmt = read_vectors(in_path)
     if file_fmt is not None and fmt_name and FORMATS[fmt_name] != file_fmt:
         raise UsageError(
@@ -385,8 +368,9 @@ def csv_text(result: ExperimentResult) -> str:
 
 
 def write_csv(result: ExperimentResult, path: str | Path | None) -> str:
-    """Write CSV to `path` (or return it for stdout when path is None)."""
+    """Write CSV to `path` (or return it for stdout when path is None); a
+    path that cannot be written is a DataFormatError."""
     text = csv_text(result)
     if path is not None:
-        Path(path).write_text(text)
+        write_file(path, (text.encode(),))
     return text

@@ -33,20 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "FormatSpec",
-    "FP32",
-    "FP16",
-    "BF16",
-    "FORMATS",
-    "round_value",
-    "round_array",
-    "values_to_bits",
-    "bits_to_values",
-    "CHUNK_SIZE",
-    "tree_sum_values",
-]
-
 
 @dataclass(frozen=True)
 class FormatSpec:

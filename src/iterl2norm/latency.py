@@ -22,14 +22,6 @@ from dataclasses import dataclass, fields, replace
 from .errors import UsageError
 from .fpformat import CHUNK_SIZE
 
-__all__ = [
-    "D_MAX",
-    "StageCosts",
-    "CycleReport",
-    "estimate_cycles",
-    "stage_costs_from_dict",
-]
-
 # Sixteen buffer rows of one chunk each.
 D_MAX = 16 * CHUNK_SIZE
 

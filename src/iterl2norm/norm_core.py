@@ -33,23 +33,6 @@ from .fpformat import (
     _carried,
 )
 
-__all__ = [
-    "FixedSteps",
-    "Threshold",
-    "NormConfig",
-    "BatchNormResult",
-    "mean_shift",
-    "squared_norm",
-    "init_a_values",
-    "select_lambda_values",
-    "iterate_values",
-    "Shifted",
-    "shift_batch",
-    "layernorm_iterl2",
-    "normalize_batch",
-    "normalize_batches",
-]
-
 DEFAULT_STEPS = 5
 
 
@@ -90,14 +73,21 @@ class NormConfig:
 
 @dataclass(frozen=True)
 class BatchNormResult:
+    """The outputs `z` of one batch and each row's diagnostics, all float64
+    but the per-row `steps` and `converged`.  The normalized `y_hat` is not
+    kept: with gamma None and a beta of -0.0, `z` is `y_hat` bit for bit."""
+
     z: np.ndarray
-    y_hat: np.ndarray
     mean: np.ndarray
     m: np.ndarray
     a_trajectory: np.ndarray  # shape (n, steps_taken+1)
-    steps_taken: int  # loop steps run: the largest per-row step count
     steps: np.ndarray  # per row
     converged: np.ndarray  # per row
+
+    @property
+    def steps_taken(self) -> int:
+        """Loop steps run: the largest per-row step count."""
+        return self.a_trajectory.shape[1] - 1
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +146,7 @@ def select_lambda_values(m: np.ndarray) -> np.ndarray:
 
 def iterate_values(a0: np.ndarray, m: np.ndarray, lam: np.ndarray,
                    stop: FixedSteps | Threshold, fmt: FormatSpec | None
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run da = lambda*m*a*(1 - m*a^2); a += da on every row.
 
     Emulated mode rounds every primitive op to `fmt` in the order
@@ -174,7 +164,8 @@ def iterate_values(a0: np.ndarray, m: np.ndarray, lam: np.ndarray,
     columns; a row whose `a` leaves the finite range stops there, not
     converged.  Under FixedSteps every row whose final `a` is finite counts
     as converged.  Returns (trajectory of shape (n, steps run + 1), steps
-    per row, converged per row, final a).
+    per row, converged per row); the final `a` is the trajectory's last
+    column.
     """
     threshold = isinstance(stop, Threshold)
 
@@ -207,7 +198,7 @@ def iterate_values(a0: np.ndarray, m: np.ndarray, lam: np.ndarray,
             a = new_a
             traj.append(a)
     converged = np.isfinite(a) & ~active if threshold else np.isfinite(a)
-    return np.stack(traj, axis=1), steps, converged, a
+    return np.stack(traj, axis=1), steps, converged
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +209,9 @@ def iterate_values(a0: np.ndarray, m: np.ndarray, lam: np.ndarray,
 # each batch (`shift_batch`), one scalar solve for `a` over the rows of every
 # batch at hand (`_solve`), then the scale and shift stages of each batch
 # (`_finish`).  A solver maps (m of the live rows, live mask) to (trajectory,
-# steps, converged, a) for those rows.  Every solver is elementwise per row,
-# so one solve over several batches gives each row what a solve of its own
-# batch would.
+# steps, converged) for those rows; `a` is the trajectory's last column.
+# Every solver is elementwise per row, so one solve over several batches
+# gives each row what a solve of its own batch would.
 
 def _iteration(config: NormConfig, fmt: FormatSpec):
     """Solver: the iteration from the exponent-based a0 and update rate."""
@@ -236,7 +227,7 @@ def _iteration(config: NormConfig, fmt: FormatSpec):
 
 def _direct(a: np.ndarray):
     """Solver result for an `a` set without iterating: 0 steps, converged."""
-    return a[:, None], np.zeros(a.shape, dtype=np.int64), np.ones(a.shape, dtype=bool), a
+    return a[:, None], np.zeros(a.shape, dtype=np.int64), np.ones(a.shape, dtype=bool)
 
 
 def _injected(inject_a, fmt: FormatSpec):
@@ -307,14 +298,14 @@ def _solve(fmt: FormatSpec, parts, solve) -> Iterator[_Solved]:
 
 def _finish(fmt: FormatSpec, part: _Solved) -> BatchNormResult:
     """The scale and shift stages of one batch.  Zero-variance rows (m == 0)
-    give a = 0, 0 steps, y_hat = +0 and z = beta.  The trajectory ends at the
-    batch's largest step count (a stopped row repeats its last value).
+    give a = 0, 0 steps and z = beta.  The trajectory ends at the batch's
+    largest step count (a stopped row repeats its last value).
 
     gamma and beta are narrowed to binary32 once; the results are widened
     back to float64 once.  Overflow and invalid operations give the format's
     infinities and NaNs, as in hardware, without a numpy warning."""
     y, live = part.shifted.y, part.live
-    traj_live, steps_live, converged_live, a = part.solution
+    traj_live, steps_live, converged_live = part.solution
     n, d = y.shape
     with np.errstate(over="ignore", invalid="ignore"):
         f32 = np.float32
@@ -332,15 +323,13 @@ def _finish(fmt: FormatSpec, part: _Solved) -> BatchNormResult:
         sqrt_d = round_value(math.sqrt(d), fmt)  # pre-stored constant
         scale = np.zeros(n, dtype=f32)
         # an injected `a` is binary64, and is rounded from binary64
-        scale[live] = round_array(a * sqrt_d, fmt)
+        scale[live] = round_array(traj_live[:, -1] * sqrt_d, fmt)
         y_hat = round_array(scale[:, None] * y, fmt)
-        y_hat[~live] = 0.0  # +0.0: 0 * y would carry y's sign
         z = round_array(round_array(gamma * y_hat, fmt) + beta, fmt)
         z[~live] = beta[~live]
     f64 = np.float64
-    return BatchNormResult(z.astype(f64), y_hat.astype(f64), part.shifted.mean.astype(f64),
-                           part.shifted.m.astype(f64), traj, traj.shape[1] - 1, steps,
-                           converged)
+    return BatchNormResult(z.astype(f64), part.shifted.mean.astype(f64),
+                           part.shifted.m.astype(f64), traj, steps, converged)
 
 
 def _layernorm(fmt: FormatSpec, x: np.ndarray | Shifted, gamma: np.ndarray | None,

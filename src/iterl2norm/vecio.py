@@ -20,7 +20,7 @@ import io
 import re
 import struct
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 import orjson
@@ -30,14 +30,6 @@ from .fpformat import FORMATS, FormatSpec, bits_to_values, values_to_bits
 
 if TYPE_CHECKING:
     from .norm_core import BatchNormResult
-
-__all__ = [
-    "MAGIC",
-    "FORMAT_TAGS",
-    "read_vectors",
-    "write_vectors",
-    "write_sidecar",
-]
 
 MAGIC = b"ILN1"
 FORMAT_TAGS = {"fp32": 0, "fp16": 1, "bf16": 2}
@@ -158,14 +150,21 @@ def write_vectors(path: str | Path, vectors: list[np.ndarray],
             raise DataFormatError("binary container requires equal-length vectors")
         d = lengths.pop()
         flat = np.concatenate([np.asarray(v, dtype=np.float64) for v in vectors])
-        with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(MAGIC, FORMAT_TAGS[fmt.name], d, len(vectors)))
-            fh.write(values_to_bits(flat, fmt).astype(_word(fmt)).tobytes())
+        write_file(path, (_HEADER.pack(MAGIC, FORMAT_TAGS[fmt.name], d, len(vectors)),
+                          values_to_bits(flat, fmt).astype(_word(fmt)).tobytes()))
     else:
+        write_file(path, (_reprs(v) + b"\n" for v in vectors))
+
+
+def write_file(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write the byte strings `chunks` to the file `path`.  A file that
+    cannot be written (a missing directory, a directory) is a
+    DataFormatError naming it."""
+    try:
         with open(path, "wb") as fh:
-            for v in vectors:
-                fh.write(_reprs(v))
-                fh.write(b"\n")
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise DataFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 _JSON_BOOL = {True: b"true", False: b"false"}
@@ -195,8 +194,7 @@ def write_sidecar(path: str | Path, batches: list[tuple[list[int], BatchNormResu
                         b'"steps": %d, "converged": %b}\n'
                         % (i, d, mean[j], m[j], b", ".join(traj[start:end]), steps[j],
                            _JSON_BOOL[converged[j]]))
-    with open(path, "wb") as fh:
-        fh.writelines(lines)
+    write_file(path, lines)
 
 
 def _nulls(tokens: list[bytes], values: np.ndarray) -> list[bytes]:

@@ -12,17 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "DynamicsParams",
-    "k_fixed_points",
-    "steady_norm_sq",
-    "analytic_a",
-    "exponential_term",
-    "lambda_lower_bound",
-    "simulate_vector_recursion",
-    "OutOfBasinError",
-]
-
 
 class OutOfBasinError(ValueError):
     """The closed-form bracket went nonpositive: a0 outside the positive basin."""

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from iterl2norm.baselines import reference_batch
-from iterl2norm.dynamics import simulate_vector_recursion
 from iterl2norm.experiments import (
     OPT_DIMS,
     PRECISION_DIMS,
@@ -37,6 +36,7 @@ from iterl2norm.norm_core import (
     select_lambda_values,
 )
 
+from dynamics import simulate_vector_recursion
 from oracles import oracle_op_fast
 
 

@@ -35,7 +35,7 @@ from iterl2norm.vecio import read_vectors, write_vectors
 
 
 def binary64_datapath(fmt, x, gamma=None, beta=None, steps=5, lam=None, fisr=False):
-    """(z, y_hat, mean, m, trajectory) with every value carried in float64."""
+    """(z, mean, m, trajectory) with every value carried in float64."""
     def rnd(v):
         return round_array(np.asarray(v, dtype=np.float64), fmt)
 
@@ -68,10 +68,9 @@ def binary64_datapath(fmt, x, gamma=None, beta=None, steps=5, lam=None, fisr=Fal
     scale = np.zeros(n)
     scale[live] = rnd(a * round_value(math.sqrt(d), fmt))
     y_hat = rnd(scale[:, None] * y)
-    y_hat[~live] = 0.0
     z = rnd(rnd(gamma * y_hat) + beta)
     z[~live] = beta[~live]
-    return z, y_hat, mean, m, traj
+    return z, mean, m, traj
 
 
 def bits(v) -> np.ndarray:
@@ -79,11 +78,22 @@ def bits(v) -> np.ndarray:
 
 
 def assert_same_bits(res, want) -> None:
-    z, y_hat, mean, m, traj = want
-    for got, exp in ((res.z, z), (res.y_hat, y_hat), (res.mean, mean), (res.m, m),
-                     (res.a_trajectory, traj)):
+    z, mean, m, traj = want
+    for got, exp in ((res.z, z), (res.mean, mean), (res.m, m), (res.a_trajectory, traj)):
         assert got.dtype == np.float64
         assert np.array_equal(bits(got), bits(exp))
+
+
+def assert_matches_binary64(fmt, x, gamma=None, beta=None, steps=5, lam=None, fisr=False):
+    """normalize_batch, or fisr_batch, gives binary64_datapath's bits: with
+    the given gamma and beta, and with gamma None and beta -0.0, where
+    z = 1*y_hat + (-0) is y_hat bit for bit."""
+    for g, b in ((gamma, beta), (None, np.full(x.shape[1], -0.0))):
+        if fisr:
+            res = fisr_batch(fmt, x, g, b)
+        else:
+            res = normalize_batch(fmt, x, g, b, NormConfig(FixedSteps(steps), lam))
+        assert_same_bits(res, binary64_datapath(fmt, x, g, b, steps, lam, fisr))
 
 
 class TestRoundArrayCarry:
@@ -125,11 +135,10 @@ class TestTrap2LambdaProduct:
     def test_override_lambda_through_the_pipeline(self, fmt, lam):
         rng = np.random.default_rng(23)
         x = round_array(rng.uniform(-1, 1, (40, 24)) * rng.uniform(0.1, 0.4, (40, 1)), fmt)
-        config = NormConfig(stopping=FixedSteps(6), lambda_override=lam)
-        want = binary64_datapath(fmt, x, steps=6, lam=lam)
-        assert_same_bits(normalize_batch(fmt, x, config=config), want)
+        assert_matches_binary64(fmt, x, steps=6, lam=lam)
         if fmt is FP32:  # reach: lambda rounded to binary32 first gives another t4
-            m, traj = want[3][:, None], want[4][:, :-1]
+            _, _, m, traj = binary64_datapath(fmt, x, steps=6, lam=lam)
+            m, traj = m[:, None], traj[:, :-1]
             t1 = round_array(m * traj, fmt)
             assert (round_array(lam * t1, fmt)
                     != round_array(float(np.float32(lam)) * t1, fmt)).any()
@@ -153,8 +162,8 @@ class TestTrap2LambdaProduct:
 
         want = step(lam)
         assert (want != step(lam.astype(np.float32).astype(np.float64))).any()
-        traj, _, _, _ = iterate_values(a.astype(np.float32), np.ones(a.size, dtype=np.float32),
-                                       lam, FixedSteps(1), fmt)
+        traj, _, _ = iterate_values(a.astype(np.float32), np.ones(a.size, dtype=np.float32),
+                                    lam, FixedSteps(1), fmt)
         assert traj.dtype == np.float32
         assert np.array_equal(traj[:, 1], want)
 
@@ -165,13 +174,12 @@ class TestTrap2LambdaProduct:
         rng = np.random.default_rng(126)
         x = rng.uniform(-1, 1, (40, 16)) * 2.0 ** rng.uniform(*scale, (40, 1))
         x = round_array(x, fmt)
-        want = binary64_datapath(fmt, x)
-        m = want[3]
+        m = binary64_datapath(fmt, x)[2]
         assert ((m > 0) & (m < 2.0 ** -126)).sum() >= 10
         with np.errstate(over="ignore"):
             assert np.isinf(select_lambda_values(m[m > 0]).astype(np.float32)).any()
-        assert_same_bits(normalize_batch(fmt, x), want)
-        assert_same_bits(fisr_batch(fmt, x), binary64_datapath(fmt, x, fisr=True))
+        assert_matches_binary64(fmt, x)
+        assert_matches_binary64(fmt, x, fisr=True)
 
 
 class TestTrap3ThresholdInBinary64:
@@ -201,7 +209,7 @@ class TestTrap3ThresholdInBinary64:
         assert stops.any() and goes_on.any()
 
         rows = np.flatnonzero(stops | goes_on)
-        traj, steps, converged, _ = iterate_values(
+        traj, steps, converged = iterate_values(
             a[rows], np.ones(rows.size, dtype=np.float32), lam[rows],
             Threshold(delta, max_steps=2), FP32)
         assert traj.dtype == np.float32
@@ -222,17 +230,18 @@ class TestFp16NearRangeLimit:
         x = round_array(x, FP16)
         gamma = round_array(rng.uniform(-30000, 30000, d), FP16)
         beta = round_array(rng.uniform(-60000, 60000, d), FP16)
-        want = binary64_datapath(FP16, x, gamma, beta)
-        assert (want[3] > 32768).sum() >= 20 and (want[3] <= 65504).all()
-        assert np.isinf(want[0]).any()
-        assert_same_bits(normalize_batch(FP16, x, gamma, beta), want)
+        z, _, m, _ = binary64_datapath(FP16, x, gamma, beta)
+        assert (m > 32768).sum() >= 20 and (m <= 65504).all()
+        assert np.isinf(z).any()
+        assert_matches_binary64(FP16, x, gamma, beta)
 
 
 class TestDefaultAffine:
     def test_negative_zero_y_hat_gives_positive_zero(self):
-        # scale * (-2^-24) underflows to -0 in y_hat; z = 1 * y_hat + 0 is +0
+        # scale * (-2^-24) underflows to -0 in y_hat, which z = 1 * y_hat - 0
+        # shows; the default z = 1 * y_hat + 0 is +0
         x = np.array([[128.0, -128.0, -2.0 ** -24, 2.0 ** -24]])
-        res = normalize_batch(FP16, x)
-        assert res.y_hat[0, 2] == 0.0 and np.signbit(res.y_hat[0, 2])
-        assert not np.signbit(res.z[0, 2:]).any()
-        assert_same_bits(res, binary64_datapath(FP16, x))
+        y_hat = normalize_batch(FP16, x, beta=np.full(4, -0.0)).z
+        assert y_hat[0, 2] == 0.0 and np.signbit(y_hat[0, 2])
+        assert not np.signbit(normalize_batch(FP16, x).z[0, 2:]).any()
+        assert_matches_binary64(FP16, x)

@@ -158,7 +158,10 @@ class TestExitCodes:
         # no stage reads a block latency: iteration_per_step holds the budget
         ({"stage_costs": {"mul_latency": 50}}, "mul_latency"),
         ({"stage_costs": {"add_latency": 9}}, "add_latency"),
-    ], ids=["top-level", "bare-mapping", "fisr", "stage-cost", "mul-latency", "add-latency"])
+        # an unread key is a usage error whatever its value
+        ({"stage_costs": {"warp_drive": 1.5}}, "warp_drive"),
+    ], ids=["top-level", "bare-mapping", "fisr", "stage-cost", "mul-latency", "add-latency",
+            "stage-cost-float"])
     @pytest.mark.parametrize("command", ["latency", "compare-fisr"])
     def test_unread_config_key_is_2(self, capsys, tmp_path, cfg, key, command):
         path = tmp_path / "cfg.json"
@@ -223,14 +226,52 @@ class TestExitCodes:
         {"fisr": {"newton_iters": "two"}},
         {"fisr": []},
         {"stage_costs": [1]},
-    ], ids=["magic", "newton_iters", "fisr-list", "stage_costs-list"])
+        # a value that is not an integer is not truncated, and true is not 1
+        {"fisr": {"newton_iters": 2.7}},
+        {"fisr": {"fp32_magic": 1597463007.9}},
+        {"fisr": {"newton_iters": True}},
+        {"fisr": {"bf16_magic": None}},
+        {"stage_costs": {"control_fixed": True}},
+        {"stage_costs": {"control_fixed": 30.0}},
+        {"stage_costs": {"iteration_per_step": "12"}},
+    ], ids=["magic", "newton_iters", "fisr-list", "stage_costs-list", "newton-float",
+            "magic-float", "newton-true", "magic-null", "cost-true", "cost-float",
+            "cost-string"])
     def test_malformed_config_is_3(self, capsys, tmp_path, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        code, _, err = run(capsys, "compare-fisr", "--format", "fp32", "--dims", "16",
-                           "--num-vectors", "4", "--config", str(path))
-        assert code == 3
+        code, out, err = run(capsys, "compare-fisr", "--format", "fp32", "--dims", "16",
+                             "--num-vectors", "4", "--config", str(path))
+        assert (code, out) == (3, "")
         assert err.startswith(f"data error: {path}: ")
+        section = next(iter(cfg))
+        if isinstance(cfg[section], dict):  # the message names the key
+            assert f"{section}.{next(iter(cfg[section]))} " in err
+
+    @pytest.mark.parametrize("cfg", [
+        {"fisr": {"newton_iters": -1}},
+        {"fisr": {"fp32_magic": 2 ** 32}},
+        {"stage_costs": {"control_fixed": -1}},
+    ], ids=["newton-negative", "magic-too-large", "cost-negative"])
+    def test_out_of_range_config_is_2(self, capsys, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "compare-fisr", "--format", "fp32", "--dims", "16",
+                             "--num-vectors", "4", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("command", ["normalize", "precision"])
+    def test_unwritable_out_is_3(self, capsys, tmp_path, where, command):
+        inp = tmp_path / "v.txt"
+        inp.write_text("1.0,2.0,4.0\n")
+        dest = tmp_path / "missing" / "z.txt" if where == "missing-dir" else tmp_path
+        argv = (["normalize", "--input", str(inp)] if command == "normalize" else
+                ["precision", "--format", "fp32", "--dims", "16", "--num-vectors", "4"])
+        code, out, err = run(capsys, *argv, "--out", str(dest))
+        strerror = "No such file or directory" if where == "missing-dir" else "Is a directory"
+        assert (code, out, err) == (3, "", f"data error: cannot write {dest}: {strerror}\n")
 
     def test_range_error_is_4(self, capsys, tmp_path):
         big = tmp_path / "big.txt"

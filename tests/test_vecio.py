@@ -205,9 +205,9 @@ def make_batch(d, mean, m, traj, steps, converged) -> BatchNormResult:
     n = len(mean)
     steps = np.asarray(steps, dtype=np.int64)
     traj = np.asarray(traj, dtype=np.float64).reshape(n, -1)
-    return BatchNormResult(np.zeros((n, d)), np.zeros((n, d)),
-                           np.asarray(mean, dtype=np.float64), np.asarray(m, dtype=np.float64),
-                           traj, traj.shape[1] - 1, steps, np.asarray(converged, dtype=bool))
+    return BatchNormResult(np.zeros((n, d)), np.asarray(mean, dtype=np.float64),
+                           np.asarray(m, dtype=np.float64), traj, steps,
+                           np.asarray(converged, dtype=bool))
 
 
 def written_sidecar(batches) -> str:

@@ -17,7 +17,7 @@ from .fpformat import (
     values_to_bits,
     _carried,
 )
-from .norm_core import BatchNormResult, Shifted, _direct, _layernorm
+from .norm_core import BatchNormResult, Shifted, _finish, _given, _shifted, _Solved
 
 FP32_MAGIC = 0x5F3759DF
 # Top 16 bits of the canonical FP32 constant; BFloat16 shares the 8-bit
@@ -66,19 +66,17 @@ def fisr_inv_sqrt_values(x: np.ndarray, spec: FisrSpec) -> np.ndarray:
     return y
 
 
-def _fisr(fmt: FormatSpec, spec: FisrSpec | None):
-    """Solver for the shared datapath: `a` is FISR of m."""
-    spec = spec if spec is not None else FisrSpec(format=fmt)
-    if spec.format != fmt:
-        raise UsageError("FISR spec format does not match input format")
-    return lambda m, live: _direct(fisr_inv_sqrt_values(m, spec))
-
-
 def fisr_batch(fmt: FormatSpec, x: np.ndarray | Shifted, gamma: np.ndarray | None = None,
                beta: np.ndarray | None = None, spec: FisrSpec | None = None) -> BatchNormResult:
     """Layer normalization with the iteration replaced by FISR on m; `x` is
     an (n, d) batch or its `Shifted`, as in `normalize_batch`."""
-    return _layernorm(fmt, x, gamma, beta, _fisr(fmt, spec))
+    spec = spec if spec is not None else FisrSpec(format=fmt)
+    if spec.format != fmt:
+        raise UsageError("FISR spec format does not match input format")
+    sh = _shifted(fmt, x, gamma, beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = fisr_inv_sqrt_values(sh.m[sh.m > 0.0], spec)
+    return _finish(fmt, _Solved(sh, gamma, beta, _given(a)))
 
 
 def reference_batch(fmt: FormatSpec, x: np.ndarray, gamma: np.ndarray | None = None,

@@ -24,7 +24,7 @@ from .experiments import (
     write_csv,
 )
 from .fpformat import FORMATS
-from .latency import StageCosts, stage_costs_from_dict
+from .latency import StageCosts
 from .norm_core import DEFAULT_STEPS, FixedSteps, NormConfig, Threshold
 
 EXIT_OK = 0
@@ -150,7 +150,7 @@ def _load_config(path: str | None) -> dict:
             raise UsageError(f"{path}: unknown {what}: {unknown}")
     fisr = {key: _config_int(path, "fisr", key, v) for key, v in fisr.items()}
     costs = {key: _config_int(path, "stage_costs", key, v) for key, v in costs.items()}
-    return {"stage_costs": stage_costs_from_dict(costs),
+    return {"stage_costs": dataclasses.replace(StageCosts(), **costs),
             "fisr_newton_iters": fisr.pop("newton_iters", 1),
             "fisr_magic": {key.removesuffix("_magic"): v for key, v in fisr.items()}}
 

@@ -235,8 +235,8 @@ def run_normalize(in_path: str, out_path: str, config: NormConfig = NormConfig()
     infinite gamma or beta value is a data error.  A non-finite input value
     (a data error), and a finite value that rounds to infinity or a squared
     norm that overflows the format (range errors), name the first such
-    vector of the file, the data error first.  An output file that cannot
-    be written is a data error."""
+    vector of the file, the data error first.  An output or sidecar file
+    that cannot be written is a data error, and leaves no output behind."""
     vectors, file_fmt = read_vectors(in_path)
     if file_fmt is not None and fmt_name and FORMATS[fmt_name] != file_fmt:
         raise UsageError(
@@ -282,19 +282,20 @@ def run_normalize(in_path: str, out_path: str, config: NormConfig = NormConfig()
     if overflow:
         row, what = min(overflow)
         raise RangeOverflowError(f"vector {row}: {what} {fmt.name}")
-    results = normalize_batches(fmt, parts, config)
-    # Only the solve holds the shifted batches now, and zip(strict=True) runs
-    # it to its end, so they are freed before the output is written.
-    del parts, shifted, x
+    batches = list(zip(groups, normalize_batches(fmt, parts, config), strict=True))
+    del parts, shifted, x  # the results hold no shifted batch: free them before writing
     outputs: list = [None] * len(vectors)
-    batches = list(zip(groups, results, strict=True))
     for rows, res in batches:
         for j, i in enumerate(rows):
             outputs[i] = res.z[j]
 
     write_vectors(out_path, outputs, fmt, binary=file_fmt is not None)
     sidecar = str(out_path) + ".meta.jsonl"
-    write_sidecar(sidecar, batches)
+    try:
+        write_sidecar(sidecar, batches)
+    except DataFormatError:
+        Path(out_path).unlink()  # a failed run leaves no output behind
+        raise
     return NormalizeSummary(len(outputs), str(out_path), sidecar)
 
 

@@ -17,7 +17,7 @@ hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .errors import UsageError
 from .fpformat import CHUNK_SIZE
@@ -93,11 +93,3 @@ def estimate_cycles(d: int, n_iter: int, costs: StageCosts = StageCosts()) -> Cy
     }
     return CycleReport(total=sum(per_phase.values()), per_phase=per_phase)
 
-
-def stage_costs_from_dict(overrides: dict) -> StageCosts:
-    """Build StageCosts from a (possibly partial) mapping of field names."""
-    known = {f.name for f in fields(StageCosts)}
-    unknown = set(overrides) - known
-    if unknown:
-        raise UsageError(f"unknown stage cost fields: {sorted(unknown)}")
-    return replace(StageCosts(), **overrides)

@@ -6,9 +6,9 @@ division-free fixed-point iteration da = lambda*m*a*(1 - m*a^2), and the
 final scale/shift.  `a` converges to 1/||y||_2, so sqrt(d)*a*y is the
 layer-norm core without any divide or square root at runtime.
 
-Every entry point runs one batched datapath, split at the solver for `a`:
+Every entry point runs one batched datapath, split at the solve for `a`:
 the vector stages (`shift_batch`), one solve, then the scale and shift
-stages.  Only the solver varies: the iteration, FISR (`baselines`), or an
+stages.  Only the solve varies: the iteration, FISR (`baselines`), or an
 injected value; one solve may cover several batches (`normalize_batches`).
 The single-vector API is a batch of one.  The iteration runs in the target
 format's emulated arithmetic (the hardware iteration datapath uses the same
@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +68,8 @@ class NormConfig:
     lambda_override: float | None = None
 
     def __post_init__(self) -> None:
-        if self.lambda_override is not None and not self.lambda_override > 0:
-            raise UsageError("lambda override must be positive")
+        if self.lambda_override is not None and not 0 < self.lambda_override < math.inf:
+            raise UsageError("lambda override must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -206,37 +207,28 @@ def iterate_values(a0: np.ndarray, m: np.ndarray, lam: np.ndarray,
 # ---------------------------------------------------------------------------
 #
 # The datapath runs in three parts, as the macro does: the vector stages of
-# each batch (`shift_batch`), one scalar solve for `a` over the rows of every
-# batch at hand (`_solve`), then the scale and shift stages of each batch
-# (`_finish`).  A solver maps (m of the live rows, live mask) to (trajectory,
-# steps, converged) for those rows; `a` is the trajectory's last column.
-# Every solver is elementwise per row, so one solve over several batches
-# gives each row what a solve of its own batch would.
+# each batch (`_shifted`), one scalar solve for `a` over the live rows
+# (m > 0) of every batch at hand, then the scale and shift stages of each
+# batch (`_finish`).  A solve is a value, (trajectory, steps, converged) for
+# the live rows; `a` is the trajectory's last column.  Every solve is
+# elementwise per row, so one solve over several batches gives each row what
+# a solve of its own batch would.
 
-def _iteration(config: NormConfig, fmt: FormatSpec):
-    """Solver: the iteration from the exponent-based a0 and update rate."""
-    def solve(m: np.ndarray, live: np.ndarray):
-        a0 = init_a_values(m, fmt)
-        if config.lambda_override is None:
-            lam = select_lambda_values(m)
-        else:
-            lam = np.full(m.shape, float(config.lambda_override))
+def _iterate(fmt: FormatSpec, config: NormConfig, m: np.ndarray) -> tuple:
+    """The iteration's solve of the live `m`, from the exponent-based a0 and
+    update rate."""
+    a0 = init_a_values(m, fmt)
+    if config.lambda_override is None:
+        lam = select_lambda_values(m)
+    else:
+        lam = np.full(m.shape, float(config.lambda_override))
+    with np.errstate(over="ignore", invalid="ignore"):
         return iterate_values(a0, m, lam, config.stopping, fmt)
-    return solve
 
 
-def _direct(a: np.ndarray):
-    """Solver result for an `a` set without iterating: 0 steps, converged."""
+def _given(a: np.ndarray) -> tuple:
+    """The solve for an `a` set without iterating: 0 steps, converged."""
     return a[:, None], np.zeros(a.shape, dtype=np.int64), np.ones(a.shape, dtype=bool)
-
-
-def _injected(inject_a, fmt: FormatSpec):
-    """Solver for the `inject_a` test hook: a scalar or one `a` per row,
-    rounded to the format."""
-    def solve(m: np.ndarray, live: np.ndarray):
-        a = np.broadcast_to(np.asarray(inject_a, dtype=np.float64), live.shape)[live]
-        return _direct(round_array(a, fmt))
-    return solve
 
 
 class Shifted(NamedTuple):
@@ -264,36 +256,26 @@ def shift_batch(fmt: FormatSpec, x: np.ndarray) -> Shifted:
         return Shifted(y, mean, squared_norm(y, fmt))
 
 
+def _shifted(fmt: FormatSpec, x: np.ndarray | Shifted, gamma: np.ndarray | None,
+             beta: np.ndarray | None) -> Shifted:
+    """The vector stages of `x`, unless it is a `Shifted` already.  A gamma
+    or beta whose shape is neither (d,) nor (n, d) is a UsageError."""
+    sh = x if isinstance(x, Shifted) else shift_batch(fmt, x)
+    for name, v in (("gamma", gamma), ("beta", beta)):
+        if v is not None and np.shape(v) not in (sh.y.shape[1:], sh.y.shape):
+            raise UsageError(f"{name} has shape {np.shape(v)}, not {sh.y.shape[1:]} "
+                             f"or {sh.y.shape}")
+    return sh
+
+
 class _Solved(NamedTuple):
-    """One batch of a solve: its vector stages, gamma and beta, the live
-    mask (m > 0) and the solver's result for its live rows."""
+    """One batch of a solve: its vector stages, gamma and beta, and the
+    solve of its live rows."""
 
     shifted: Shifted
     gamma: np.ndarray | None
     beta: np.ndarray | None
-    live: np.ndarray
     solution: tuple
-
-
-def _solve(fmt: FormatSpec, parts, solve) -> Iterator[_Solved]:
-    """Run the vector stages of every (x or Shifted, gamma, beta) part, then
-    one `solve` over the rows with m > 0 of all of them; yield each part
-    with its share of the solution.  A gamma or beta whose shape is neither
-    (d,) nor (n, d) is a UsageError."""
-    shifted = [x if isinstance(x, Shifted) else shift_batch(fmt, x) for x, _, _ in parts]
-    for sh, (_, gamma, beta) in zip(shifted, parts):
-        for name, v in (("gamma", gamma), ("beta", beta)):
-            if v is not None and np.shape(v) not in (sh.y.shape[1:], sh.y.shape):
-                raise UsageError(f"{name} has shape {np.shape(v)}, not {sh.y.shape[1:]} "
-                                 f"or {sh.y.shape}")
-    lives = [sh.m > 0.0 for sh in shifted]
-    live = np.concatenate(lives)
-    with np.errstate(over="ignore", invalid="ignore"):
-        solution = solve(np.concatenate([sh.m for sh in shifted])[live], live)
-    stop = 0
-    for sh, (_, gamma, beta), part_live in zip(shifted, parts, lives):
-        start, stop = stop, stop + int(part_live.sum())
-        yield _Solved(sh, gamma, beta, part_live, tuple(v[start:stop] for v in solution))
 
 
 def _finish(fmt: FormatSpec, part: _Solved) -> BatchNormResult:
@@ -304,7 +286,7 @@ def _finish(fmt: FormatSpec, part: _Solved) -> BatchNormResult:
     gamma and beta are narrowed to binary32 once; the results are widened
     back to float64 once.  Overflow and invalid operations give the format's
     infinities and NaNs, as in hardware, without a numpy warning."""
-    y, live = part.shifted.y, part.live
+    y, live = part.shifted.y, part.shifted.m > 0.0
     traj_live, steps_live, converged_live = part.solution
     n, d = y.shape
     with np.errstate(over="ignore", invalid="ignore"):
@@ -332,13 +314,6 @@ def _finish(fmt: FormatSpec, part: _Solved) -> BatchNormResult:
                            part.shifted.m.astype(f64), traj, steps, converged)
 
 
-def _layernorm(fmt: FormatSpec, x: np.ndarray | Shifted, gamma: np.ndarray | None,
-               beta: np.ndarray | None, solve) -> BatchNormResult:
-    """The whole datapath on one batch: the one shared by every public entry
-    point."""
-    return _finish(fmt, next(_solve(fmt, [(x, gamma, beta)], solve)))
-
-
 def layernorm_iterl2(fmt: FormatSpec, x: np.ndarray, gamma: np.ndarray | None = None,
                      beta: np.ndarray | None = None,
                      config: NormConfig = NormConfig()) -> BatchNormResult:
@@ -356,8 +331,9 @@ def layernorm_iterl2(fmt: FormatSpec, x: np.ndarray, gamma: np.ndarray | None = 
             raise UsageError(f"{name} must be one-dimensional")
         if not np.array_equal(round_array(v, fmt), v, equal_nan=True):
             raise UsageError(f"{name} contains values not representable in {fmt.name}")
-    return _layernorm(fmt, given["x"][None, :], given.get("gamma"), given.get("beta"),
-                      _iteration(config, fmt))
+    gamma, beta = given.get("gamma"), given.get("beta")
+    sh = _shifted(fmt, given["x"][None, :], gamma, beta)
+    return _finish(fmt, _Solved(sh, gamma, beta, _iterate(fmt, config, sh.m[sh.m > 0.0])))
 
 
 def normalize_batch(fmt: FormatSpec, x: np.ndarray | Shifted, gamma: np.ndarray | None = None,
@@ -377,22 +353,31 @@ def normalize_batch(fmt: FormatSpec, x: np.ndarray | Shifted, gamma: np.ndarray 
     """
     if isinstance(x, _Solved):  # one batch of `normalize_batches`
         return _finish(fmt, x)
-    solve = _iteration(config, fmt) if inject_a is None else _injected(inject_a, fmt)
-    return _layernorm(fmt, x, gamma, beta, solve)
+    sh = _shifted(fmt, x, gamma, beta)
+    live = sh.m > 0.0
+    if inject_a is None:
+        solution = _iterate(fmt, config, sh.m[live])
+    else:
+        a = np.broadcast_to(np.asarray(inject_a, dtype=np.float64), live.shape)[live]
+        solution = _given(round_array(a, fmt))
+    return _finish(fmt, _Solved(sh, gamma, beta, solution))
 
 
 def normalize_batches(fmt: FormatSpec, parts, config: NormConfig = NormConfig()
-                      ) -> Iterator[BatchNormResult]:
+                      ) -> list[BatchNormResult]:
     """:func:`normalize_batch` on several batches, each of its own length d,
     with one solve for `a` over the rows of all of them.
 
     `parts` is a sequence of (x or Shifted, gamma, beta), as in
-    `normalize_batch`.  Yields one BatchNormResult per part, in order, equal
-    to what `normalize_batch` gives that part alone.  A part's scale and
-    shift stages run when its result is asked for, so a caller that drops
-    each result in turn holds one part's outputs at a time.  Every result
-    is returned by a `normalize_batch` call, so a wrapper of
-    `normalize_batch` (a profiler or tracer) sees every row.
+    `normalize_batch`; each part's vector stages and shapes are checked
+    before the next part's.  Returns one BatchNormResult per part, in order,
+    equal to what `normalize_batch` gives that part alone.  Every result is
+    returned by a `normalize_batch` call, so a wrapper of `normalize_batch`
+    (a profiler or tracer) sees every row.
     """
-    for part in _solve(fmt, parts, _iteration(config, fmt)):
-        yield normalize_batch(fmt, part)
+    shifted = [_shifted(fmt, x, gamma, beta) for x, gamma, beta in parts]
+    live_m = [sh.m[sh.m > 0.0] for sh in shifted]
+    solution = _iterate(fmt, config, np.concatenate(live_m))
+    ends = list(accumulate(map(len, live_m)))
+    return [normalize_batch(fmt, _Solved(sh, gamma, beta, tuple(v[i:j] for v in solution)))
+            for sh, (_, gamma, beta), i, j in zip(shifted, parts, [0, *ends], ends)]

@@ -135,6 +135,13 @@ class TestLayernormFisr:
         beta = round_array(np.linspace(-2, 2, 5), BF16)
         x = round_array(np.full((1, 5), 1.5), BF16)
         assert np.array_equal(fisr_batch(BF16, x, beta=beta).z[0], beta)
+        # zero-variance rows between live rows: each live row gets its own `a`
+        x = round_array(np.array([[0.0, 1.0, 2.0, 3.0, 4.0], [1.5] * 5, [-0.5] * 5,
+                                  [0.0, 0.0, 0.0, 0.0, 4.0]]), BF16)
+        res = fisr_batch(BF16, x, beta=beta)
+        assert np.array_equal(res.z[1:3], [beta, beta])
+        for i in (0, 3):
+            assert res.z[i].tobytes() == fisr_batch(BF16, x[[i]], beta=beta).z[0].tobytes()
 
     def test_zero_gamma_returns_beta(self):
         beta = round_array(np.linspace(0, 1, 5), FP32)

@@ -261,17 +261,36 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("usage error: ")
 
-    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
-    @pytest.mark.parametrize("command", ["normalize", "precision"])
+    @pytest.mark.parametrize("command,where", [
+        ("normalize", "missing-dir"), ("normalize", "directory"), ("normalize", "sidecar-dir"),
+        ("precision", "missing-dir"), ("precision", "directory")])
     def test_unwritable_out_is_3(self, capsys, tmp_path, where, command):
         inp = tmp_path / "v.txt"
         inp.write_text("1.0,2.0,4.0\n")
         dest = tmp_path / "missing" / "z.txt" if where == "missing-dir" else tmp_path
+        unwritable = dest
+        if where == "sidecar-dir":
+            # only the sidecar cannot be written: the output goes too
+            dest, unwritable = tmp_path / "z.txt", tmp_path / "z.txt.meta.jsonl"
+            unwritable.mkdir()
         argv = (["normalize", "--input", str(inp)] if command == "normalize" else
                 ["precision", "--format", "fp32", "--dims", "16", "--num-vectors", "4"])
         code, out, err = run(capsys, *argv, "--out", str(dest))
         strerror = "No such file or directory" if where == "missing-dir" else "Is a directory"
-        assert (code, out, err) == (3, "", f"data error: cannot write {dest}: {strerror}\n")
+        assert (code, out, err) == (3, "", f"data error: cannot write {unwritable}: {strerror}\n")
+        if where == "sidecar-dir":
+            assert not dest.exists()
+
+    @pytest.mark.parametrize("command", ["normalize", "precision"])
+    def test_infinite_lambda_is_2(self, capsys, tmp_path, command):
+        inp, dest = tmp_path / "v.txt", tmp_path / "z.txt"
+        inp.write_text("1.0,2.0,4.0\n")
+        argv = (["normalize", "--input", str(inp)] if command == "normalize" else
+                ["precision", "--format", "fp32", "--dims", "16", "--num-vectors", "4"])
+        code, out, err = run(capsys, *argv, "--lambda", "inf", "--out", str(dest))
+        assert (code, out) == (2, "")
+        assert err == "usage error: lambda override must be positive and finite\n"
+        assert not dest.exists()
 
     def test_range_error_is_4(self, capsys, tmp_path):
         big = tmp_path / "big.txt"

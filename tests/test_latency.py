@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from iterl2norm.latency import (
     CycleReport,
     StageCosts,
     estimate_cycles,
-    stage_costs_from_dict,
 )
 
 
@@ -80,24 +80,27 @@ class TestEstimateCycles:
 
 class TestStageCostConfig:
     def test_partial_override(self):
-        c = stage_costs_from_dict({"iteration_per_step": 10})
+        c = replace(StageCosts(), iteration_per_step=10)
         assert c.iteration_per_step == 10
         assert c.control_fixed == StageCosts().control_fixed
 
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(UsageError):
-            stage_costs_from_dict({"warp_drive": 1})
+    def test_unknown_keys_rejected(self, tmp_path, capsys):
+        # the one reader of a config file, the CLI's --config, checks the keys
+        path = tmp_path / "costs.json"
+        path.write_text(json.dumps({"stage_costs": {"warp_drive": 1}}))
+        assert main(["latency", "--dims", "64", "--config", str(path)]) == 2
+        assert "unknown stage cost fields: ['warp_drive']" in capsys.readouterr().err
 
     def test_negative_rejected(self):
         with pytest.raises(UsageError):
-            stage_costs_from_dict({"mean_sum_fixed": -1})
+            replace(StageCosts(), mean_sum_fixed=-1)
 
     def test_load_from_json(self, tmp_path, capsys):
         # the one reader of a config file is the CLI's --config
         path = tmp_path / "costs.json"
         overrides = {"iteration_per_step": 20}
         path.write_text(json.dumps({"stage_costs": overrides}))
-        c = stage_costs_from_dict(overrides)
+        c = replace(StageCosts(), **overrides)
         assert c.iteration_per_step == 20
         assert estimate_cycles(64, 5, costs=c).total == 116 + 5 * 8
         assert main(["latency", "--dims", "64", "--config", str(path)]) == 0

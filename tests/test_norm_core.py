@@ -153,6 +153,8 @@ class TestSelectLambda:
             NormConfig(lambda_override=-1.0)
         with pytest.raises(UsageError):
             NormConfig(lambda_override=0.0)
+        with pytest.raises(UsageError):
+            NormConfig(lambda_override=math.inf)
 
     @given(e=st.integers(-126, 127))
     @settings(max_examples=200)
@@ -268,6 +270,14 @@ class TestLayerNorm:
         assert res.steps_taken == 0
         want = reference_batch(FP32, x)[0]
         assert np.abs(res.z[0] - want).max() < 1e-6
+        # one `a` per row: the zero-variance middle row takes none, and each
+        # later row still gets its own
+        x = round_array(np.array([[1.0, 2.0, 3.0, 4.0], [2.0] * 4, [1.0, 1.0, 1.0, 5.0]]), FP32)
+        a = np.array([5.0 ** -0.5, 7.0, 12.0 ** -0.5])
+        res = normalize_batch(FP32, x, inject_a=a)
+        assert res.a_trajectory[:, 0].tolist() == [*round_array(a[[0]], FP32), 0.0,
+                                                   *round_array(a[[2]], FP32)]
+        assert np.abs(res.z - reference_batch(FP32, x)).max() < 1e-6
 
     def test_inputs_validation(self):
         one = np.array([1.0])

@@ -246,23 +246,25 @@ def run_normalize(in_path: str, out_path: str, config: NormConfig = NormConfig()
     gammas = _read_params(gamma_path, len(vectors), fmt) if gamma_path else None
     betas = _read_params(beta_path, len(vectors), fmt) if beta_path else None
 
+    lengths = [len(vec) for vec in vectors]
     for params, label in ((gammas, "gamma"), (betas, "beta")):
         if params is None:
             continue
-        for i, vec in enumerate(vectors):
+        for i, d in enumerate(lengths):
             p = params[i % len(params)]
-            if len(p) != len(vec):
-                raise DataFormatError(f"vector {i}: {label} length {len(p)} != d {len(vec)}")
+            if len(p) != d:
+                raise DataFormatError(f"vector {i}: {label} length {len(p)} != d {d}")
 
     # One batch per vector length and one solve for the whole file; outputs
-    # and sidecar keep the file order.
+    # and sidecar keep the file order.  A file of one length (every binary
+    # file) is its own batch, and its outputs are that batch's array.
     rows_by_d: dict[int, list[int]] = {}
-    for i, vec in enumerate(vectors):
-        rows_by_d.setdefault(len(vec), []).append(i)
+    for i, d in enumerate(lengths):
+        rows_by_d.setdefault(d, []).append(i)
     groups = list(rows_by_d.values())
     parts, non_finite, overflow = [], [], []
     for rows in groups:
-        x = np.array([vectors[i] for i in rows])
+        x = np.asarray(vectors) if len(groups) == 1 else np.array([vectors[i] for i in rows])
         try:
             shifted = shift_batch(fmt, x if file_fmt is not None else round_array(x, fmt))
         except RangeOverflowError as exc:
@@ -284,10 +286,13 @@ def run_normalize(in_path: str, out_path: str, config: NormConfig = NormConfig()
         raise RangeOverflowError(f"vector {row}: {what} {fmt.name}")
     batches = list(zip(groups, normalize_batches(fmt, parts, config), strict=True))
     del parts, shifted, x  # the results hold no shifted batch: free them before writing
-    outputs: list = [None] * len(vectors)
-    for rows, res in batches:
-        for j, i in enumerate(rows):
-            outputs[i] = res.z[j]
+    if len(batches) == 1:
+        outputs = batches[0][1].z
+    else:
+        outputs = [None] * len(vectors)
+        for rows, res in batches:
+            for j, i in enumerate(rows):
+                outputs[i] = res.z[j]
 
     write_vectors(out_path, outputs, fmt, binary=file_fmt is not None)
     sidecar = str(out_path) + ".meta.jsonl"

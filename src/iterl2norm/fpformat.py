@@ -14,6 +14,18 @@ for FP16 (2*11 + 2 = 24) and BFloat16 (2*8 + 2 = 18); for FP32 the binary32
 ufunc is itself the one correctly rounded operation.  Overflow in binary32
 gives the same infinity the format's rounding gives.
 
+FP16 rounds a binary32 array with Veltkamp's split (Dekker, "A
+floating-point technique for extending the available precision", 1971):
+with t = x * (2^13 + 1), the binary32 value t - (t - x) is x rounded to its
+11 leading bits, ties to even, which is x rounded to binary16 wherever
+binary16 is normal, 2^-14 <= |x| < 65520.  Outside that range (zeros,
+subnormals, values that overflow, +-inf and NaN) the split is wrong (it keeps
+11 bits below 2^-14, gives 65536 at and above 65520, and NaN for +-inf), so
+one min/max check finds whether any element lies there and only those
+elements are converted through numpy's binary16.  A sweep of all 2^32
+binary32 patterns matched `x.astype(float16).astype(float32)` bit for bit,
+NaN patterns included.
+
 Values outside the datapath (inputs, the binary64 iteration that
 `norm_core.iterate_values` runs without a format, tests) are float64 arrays,
 and :func:`round_array` rounds a float64 array from binary64 (p' = 53 also
@@ -100,15 +112,40 @@ def round_array(x: np.ndarray | float, fmt: FormatSpec) -> np.ndarray:
 
 def _round(arr: np.ndarray, fmt: FormatSpec) -> np.ndarray:
     """:func:`round_array` on a float32 or float64 array of at least one
-    dimension; the result has the dtype of `arr`."""
-    with np.errstate(over="ignore"):
+    dimension; the result has the dtype of `arr`.
+
+    FP16 rounds a float32 array by Veltkamp's split (see the module
+    docstring), which is exact for 2^-14 <= |x| < 65520; elements outside
+    that range are converted through numpy's binary16 instead.  A float64
+    array converts straight to binary16: a binary32 step first would
+    double-round arbitrary binary64 values."""
+    with np.errstate(over="ignore", invalid="ignore"):
         if fmt.name == "fp16":
-            # binary64 converts straight to binary16: a binary32 step first
-            # would double-round arbitrary binary64 values
+            if arr.dtype == np.float32:
+                return _round_fp16(arr)
             return arr.astype(np.float16).astype(arr.dtype)
         f32 = arr.astype(np.float32, copy=False)
     out = f32 if fmt.name == "fp32" else _round_bf16(f32)
     return out.astype(arr.dtype, copy=False)
+
+
+_SPLIT = np.float32(2**13 + 1)  # keeps 24 - 13 = 11 significand bits
+_FP16_NORMAL = (np.float32(2.0**-14), np.float32(65520.0))  # [min normal, overflow)
+
+
+def _round_fp16(f32: np.ndarray) -> np.ndarray:
+    """Round binary32 values to binary16 with ties to even; returns float32.
+    Run with overflow and invalid-operation warnings off: the split of a
+    value near the binary32 maximum overflows, and that of +-inf is NaN."""
+    t = f32 * _SPLIT
+    out = t - f32
+    np.subtract(t, out, out=out)
+    mag = np.abs(f32, out=t)
+    low, high = _FP16_NORMAL
+    if mag.size and not (mag.min() >= low and mag.max() < high):  # NaN fails both
+        odd = ~((mag >= low) & (mag < high))
+        out[odd] = f32[odd].astype(np.float16).astype(np.float32)
+    return out
 
 
 def _round_bf16(f32: np.ndarray) -> np.ndarray:
@@ -157,9 +194,9 @@ def bits_to_values(bits: np.ndarray, fmt: FormatSpec) -> np.ndarray:
     # still the correct NaN value
     with np.errstate(invalid="ignore"):
         if fmt.name == "fp32":
-            return b.astype(np.uint32).view(np.float32).astype(np.float64)
+            return b.astype(np.uint32, copy=False).view(np.float32).astype(np.float64)
         if fmt.name == "fp16":
-            return b.astype(np.uint16).view(np.float16).astype(np.float64)
+            return b.astype(np.uint16, copy=False).view(np.float16).astype(np.float64)
         if fmt.name == "bf16":
             return (b.astype(np.uint32) << np.uint32(16)).view(np.float32).astype(np.float64)
     raise ValueError(f"unknown format {fmt!r}")

@@ -17,7 +17,9 @@ value written is the `repr` of its float64, and every text file reads as
 from __future__ import annotations
 
 import io
+import os
 import re
+import stat
 import struct
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
@@ -42,13 +44,14 @@ def _word(fmt: FormatSpec) -> np.dtype:
     return np.dtype(f"<u{fmt.total_bits // 8}")
 
 
-def read_vectors(path: str | Path) -> tuple[list[np.ndarray], FormatSpec | None]:
+def read_vectors(path: str | Path) -> tuple[np.ndarray | list[np.ndarray], FormatSpec | None]:
     """Read vectors from a text or binary container.
 
-    Returns (vectors, fmt) where fmt is None for text input (the caller
-    chooses the format) and the header's format for binary input; the rows
-    of a binary file are views of one decoded array.  A file that cannot be
-    opened or read is a DataFormatError.
+    Returns (vectors, fmt).  For text input, vectors is a list of rows and
+    fmt is None (the caller chooses the format); for binary input, vectors
+    is the decoded float64 array of shape (count, d) and fmt is the
+    header's format.  A file that cannot be opened or read is a
+    DataFormatError.
     """
     try:
         raw = Path(path).read_bytes()
@@ -60,9 +63,25 @@ def read_vectors(path: str | Path) -> tuple[list[np.ndarray], FormatSpec | None]
 
 
 def _read_text(path: str | Path, raw: bytes) -> list[np.ndarray]:
-    vectors = _read_json_rows(raw)
-    if vectors is None:
+    """The rows of a text file, as `float()` of each token reads them.
+
+    A line of JSON numbers is parsed by orjson, and any other line by
+    `_float_row`.  A file with a non-ASCII byte or a line break that is not
+    a newline (a lone carriage return, which ends a line in
+    universal-newlines mode) goes whole to `_read_float_rows`, which decodes
+    and splits it as `open(path, encoding="utf-8")` does."""
+    if not raw.isascii() or (b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n")):
         vectors = _read_float_rows(path, raw)
+    else:
+        vectors = []
+        for lineno, line in enumerate(io.BytesIO(raw), start=1):
+            if not line.strip():
+                continue
+            vec = _json_row(line)
+            if vec is None:
+                vec = _float_row(path, lineno, line.decode("ascii"))
+            if vec is not None:
+                vectors.append(vec)
     if not vectors:
         raise DataFormatError(f"{path}: no vectors found")
     return vectors
@@ -71,58 +90,53 @@ def _read_text(path: str | Path, raw: bytes) -> list[np.ndarray]:
 # the bytes of JSON numbers, commas and the whitespace JSON and str.strip share
 _JSON_ROW_BYTES = b"0123456789eE+-.,\n\r\t "
 # a -0 in integer syntax, which orjson reads as +0 (`1e-0` matches too; it
-# only sends its file to the float() reader)
+# only sends its line to the float() reader)
 _INTEGER_MINUS_ZERO = re.compile(rb"-0(?![0-9.eE])")
 
 
-def _read_json_rows(raw: bytes) -> list[np.ndarray] | None:
-    """The rows of a text file parsed one line at a time by orjson, or None
-    when the file may hold a token that orjson reads otherwise than
-    `float()` (an integer-syntax -0, looked for on lines that read a zero)
-    or a line break that is not a newline (a lone carriage return, which
-    ends a line in universal-newlines mode).
+def _json_row(line: bytes) -> np.ndarray | None:
+    """One line of a text file parsed by orjson, or None when the line may
+    hold a token that orjson reads otherwise than `float()` (an
+    integer-syntax -0, looked for on lines that read a zero).
 
-    A file of JSON numbers reads the same either way; any other syntax is a
-    JSONDecodeError, and that file is read by `_read_float_rows`."""
-    if raw.translate(None, _JSON_ROW_BYTES) or (
-            b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n")):
+    A line of JSON numbers reads the same either way; a line with another
+    byte, or other syntax (a JSONDecodeError), gives None."""
+    if line.translate(None, _JSON_ROW_BYTES):
         return None
-    vectors = []
     try:
-        for line in io.BytesIO(raw):
-            if not line.strip():
-                continue
-            vec = np.array(orjson.loads(b"[" + line + b"]"), dtype=np.float64)
-            if not vec.all() and _INTEGER_MINUS_ZERO.search(line):
-                return None
-            vectors.append(vec)
+        vec = np.array(orjson.loads(b"[" + line + b"]"), dtype=np.float64)
     except orjson.JSONDecodeError:
         return None
-    return vectors
+    if not vec.all() and _INTEGER_MINUS_ZERO.search(line):
+        return None
+    return vec
+
+
+def _float_row(path: str | Path, lineno: int, line: str) -> np.ndarray | None:
+    """Line `lineno` of a text file with each token read by `float()`, or
+    None for a blank line; a token it rejects is a DataFormatError naming
+    the line."""
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        return np.array([float(tok) for tok in line.split(",")], dtype=np.float64)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
 
 
 def _read_float_rows(path: str | Path, raw: bytes) -> list[np.ndarray]:
-    """The rows of a text file, each token read by `float()`; a token it
-    rejects is a DataFormatError naming its line."""
-    vectors = []
+    """The rows of a text file, each token read by `float()`."""
     # decoded and split into lines as `open(path, encoding="utf-8")` does
     lines = enumerate(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"), start=1)
     try:
-        for lineno, line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                vectors.append(np.array([float(tok) for tok in line.split(",")],
-                                        dtype=np.float64))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+        rows = [_float_row(path, lineno, line) for lineno, line in lines]
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from exc
-    return vectors
+    return [row for row in rows if row is not None]
 
 
-def _read_binary(path: str | Path, raw: bytes) -> tuple[list[np.ndarray], FormatSpec]:
+def _read_binary(path: str | Path, raw: bytes) -> tuple[np.ndarray, FormatSpec]:
     if len(raw) < _HEADER.size:
         raise DataFormatError(f"{path}: truncated header")
     _, tag, d, count = _HEADER.unpack_from(raw)
@@ -131,38 +145,44 @@ def _read_binary(path: str | Path, raw: bytes) -> tuple[list[np.ndarray], Format
     if d < 1 or count < 1:
         raise DataFormatError(f"{path}: header declares d={d}, count={count}")
     fmt = FORMATS[_TAG_TO_NAME[tag]]
-    payload = raw[_HEADER.size:]
     word = _word(fmt)
-    if len(payload) != d * count * word.itemsize:
-        raise DataFormatError(f"{path}: payload holds {len(payload)} bytes, header "
+    payload = len(raw) - _HEADER.size
+    if payload != d * count * word.itemsize:
+        raise DataFormatError(f"{path}: payload holds {payload} bytes, header "
                               f"declares {d * count} elements of {word.itemsize} bytes")
-    values = bits_to_values(np.frombuffer(payload, dtype=word), fmt)
-    return list(values.reshape(count, d)), fmt
+    bits = np.frombuffer(raw, dtype=word, offset=_HEADER.size)
+    return bits_to_values(bits, fmt).reshape(count, d), fmt
 
 
-def write_vectors(path: str | Path, vectors: list[np.ndarray],
+def write_vectors(path: str | Path, vectors: np.ndarray | list[np.ndarray],
                   fmt: FormatSpec, binary: bool) -> None:
-    """Write vectors to a binary container of `fmt`, or to a text file with
-    the `repr` of each float64 value and a newline after each row."""
-    if binary:
-        lengths = {len(v) for v in vectors}
-        if len(lengths) != 1:
-            raise DataFormatError("binary container requires equal-length vectors")
-        d = lengths.pop()
-        flat = np.concatenate([np.asarray(v, dtype=np.float64) for v in vectors])
-        write_file(path, (_HEADER.pack(MAGIC, FORMAT_TAGS[fmt.name], d, len(vectors)),
-                          values_to_bits(flat, fmt).astype(_word(fmt)).tobytes()))
-    else:
+    """Write vectors, an (n, d) array or a list of rows, to a binary
+    container of `fmt`, or to a text file with the `repr` of each float64
+    value and a newline after each row."""
+    if not binary:
         write_file(path, (_reprs(v) + b"\n" for v in vectors))
+        return
+    if not isinstance(vectors, np.ndarray):
+        if len({len(v) for v in vectors}) != 1:
+            raise DataFormatError("binary container requires equal-length vectors")
+        vectors = np.array(vectors, dtype=np.float64)
+    n, d = vectors.shape
+    write_file(path, (_HEADER.pack(MAGIC, FORMAT_TAGS[fmt.name], d, n),
+                      values_to_bits(vectors, fmt).astype(_word(fmt), copy=False)))
 
 
 def write_file(path: str | Path, chunks: Iterable[bytes]) -> None:
-    """Write the byte strings `chunks` to the file `path`.  A file that
-    cannot be written (a missing directory, a directory) is a
-    DataFormatError naming it."""
+    """Write the byte strings (or contiguous arrays) `chunks` to the file
+    `path`.  An existing file is overwritten in place: it keeps its inode
+    and mode, and a regular file is truncated at the written length
+    afterwards, which costs far less than truncating it to 0 before
+    writing.  A file that cannot be written (a missing directory, a
+    directory) is a DataFormatError naming it."""
     try:
-        with open(path, "wb") as fh:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
             fh.writelines(chunks)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()  # at the written length; /dev/null and pipes cannot be
     except OSError as exc:
         raise DataFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
 

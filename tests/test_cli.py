@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import stat
 import sys
 
 import numpy as np
@@ -466,6 +468,52 @@ class TestOutputs:
                                     b"0.4471779763698578,1.341533899307251\n")
         meta = json.loads((tmp_path / "z.txt.meta.jsonl").read_bytes())
         assert (meta["mean"], meta["m"]) == (1.5, 5.0)
+
+    @pytest.mark.parametrize("kind", ["text", "binary", "csv"])
+    def test_rerun_overwrites_longer_outputs(self, capsys, tmp_path, kind):
+        # outputs are overwritten in place: an existing, longer `<out>` and
+        # sidecar keep their inodes and end up holding exactly the new bytes
+        inp = tmp_path / "v.in"
+        if kind == "binary":
+            write_vectors(inp, [np.array([1.0, 2.0, 3.0, 4.0])], FP16, binary=True)
+        else:
+            inp.write_text("1,2,3,4\n0.5,-0.5\n")
+        argv = (["latency", "--dims", "64"] if kind == "csv" else
+                ["normalize", "--input", str(inp)])
+
+        def files(out):
+            return [out] if kind == "csv" else [out, tmp_path / f"{out.name}.meta.jsonl"]
+
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        for path in files(reused):
+            path.write_bytes(b"stale,\n" * 20000)
+        inodes = [path.stat().st_ino for path in files(reused)]
+        for out in (fresh, reused):
+            code, _, err = run(capsys, *argv, "--out", str(out))
+            assert (code, err) == (0, "")
+        assert [path.stat().st_ino for path in files(reused)] == inodes
+        for want, got in zip(files(fresh), files(reused), strict=True):
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_out_to_a_character_device(self, capsys):
+        # /dev/null cannot be truncated (EINVAL), and need not be
+        code, _, err = run(capsys, "precision", "--format", "fp32", "--dims", "16",
+                           "--num-vectors", "4", "--out", os.devnull)
+        assert (code, err) == (0, "")
+
+    def test_out_keeps_its_mode_and_follows_a_symlink(self, capsys, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"stale\n" * 1000)
+        target.chmod(0o640)
+        link.symlink_to(target)
+        before = target.stat()
+        code, want, _ = run(capsys, "latency", "--dims", "64")
+        assert code == 0
+        code, _, _ = run(capsys, "latency", "--dims", "64", "--out", str(link))
+        assert code == 0 and link.is_symlink()
+        after = target.stat()
+        assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+        assert target.read_text() == want
 
     def test_lambda_override_flag(self, capsys):
         code, out, _ = run(capsys, "precision", "--format", "fp32", "--dims", "16",

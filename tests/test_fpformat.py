@@ -166,6 +166,57 @@ class TestRounding:
                 assert round_value(xi, fmt) == ai
 
 
+def _binary32(*bits):
+    return np.array(bits, dtype=np.uint32).view(np.float32)
+
+
+class TestFp16Split:
+    """round_array(x, FP16) on float32 x, which splits each value (Veltkamp)
+    and converts only the values outside fp16's normal range, equals numpy's
+    binary16 round trip bit for bit, NaN patterns included."""
+
+    # every binary32 pattern whose low 13 bits (the ones binary16 drops)
+    # lie at or next to 0, the tie and the top
+    NEAR_TIES = ((np.arange(1 << 19, dtype=np.uint32) << 13)[:, None]
+                 | np.array([0x0000, 0x0001, 0x0FFF, 0x1000, 0x1001, 0x1FFF], dtype=np.uint32)
+                 ).ravel().view(np.float32)
+    MIN_NORMAL = np.float32(2.0**-14)
+    EDGES = np.concatenate([
+        np.array([0.0, MIN_NORMAL, np.nextafter(MIN_NORMAL, np.float32(0)),
+                  np.nextafter(MIN_NORMAL, np.float32(1)), 2.0**-14 - 2.0**-24, 65504.0,
+                  np.nextafter(np.float32(65520), np.float32(0)), 65520.0,
+                  np.finfo(np.float32).max, np.inf], dtype=np.float32),
+        _binary32(0x7FC00000, 0x7FC00001, 0x7FFFFFFF, 0x7F800001, 0x7FA00000, 0x7FBFFFFF),
+    ])
+    EDGES = np.concatenate([EDGES, -EDGES])
+
+    @staticmethod
+    def check(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = x.astype(np.float16).astype(np.float32)
+        got = round_array(x, FP16)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_normal_range_by_the_split_alone(self):
+        mag = np.abs(self.NEAR_TIES)
+        normal = self.NEAR_TIES[(mag >= self.MIN_NORMAL) & (mag < 65520)]
+        # 30 binades of 1024 significands, both signs, less 65520 and above
+        assert normal.size == 2 * 30 * 1024 * 6 - 2 * 3
+        self.check(normal)
+
+    def test_every_pattern_near_a_tie(self):
+        self.check(self.NEAR_TIES)
+
+    def test_edges_alone_and_among_normal_values(self):
+        self.check(self.EDGES)
+        mixed = np.full((len(self.EDGES), 3), 1.5, dtype=np.float32)
+        mixed[:, 1] = self.EDGES
+        self.check(mixed)
+        for edge in self.EDGES:  # each edge the only patched element of its array
+            self.check(np.array([0.75, edge, -3.0], dtype=np.float32))
+
+
 class TestEmulatedOps:
     """Each op is the exact result of format values rounded once by
     round_array; the rational oracle is the ground truth."""

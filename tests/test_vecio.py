@@ -13,10 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from iterl2norm import vecio
 from iterl2norm.errors import DataFormatError
 from iterl2norm.fpformat import BF16, FP16, FP32, bits_to_values, round_array
 from iterl2norm.norm_core import BatchNormResult
-from iterl2norm.vecio import _read_json_rows, _reprs, read_vectors, write_sidecar, write_vectors
+from iterl2norm.vecio import _json_row, _reprs, read_vectors, write_sidecar, write_vectors
 
 FORMATS = [FP32, FP16, BF16]
 
@@ -159,15 +160,50 @@ def test_text_reader_equals_float_of_each_token(raw):
 
 def test_json_numbers_are_read_by_orjson():
     raw = b"1,2.5,-3e-7\n\n 0.25 ,\t-0.0\r\n\t\r\n1E+5,-0e0,12345678901234567890123"
-    assert [len(row) for row in _read_json_rows(raw)] == [3, 2, 3]
+    rows = [_json_row(line) for line in raw.splitlines(keepends=True) if line.strip()]
+    assert [len(row) for row in rows] == [3, 2, 3]
 
 
 @pytest.mark.parametrize("raw", [
     b"-0,1\n", b"1,-0", b"1,-0 ,2\n", b".5,1\n", b"+1,1\n", b"1_0,1\n", b"nan,1\n",
     b"1e400,1\n", b"1,2\r,3,4\n", b"\xef\xbb\xbf1,2\n", b"1,2,\n", b"\x0c1,2\n",
 ])
-def test_other_syntax_is_left_to_float(raw):
-    assert _read_json_rows(raw) is None
+def test_other_syntax_is_left_to_float(raw, tmp_path, monkeypatch):
+    # orjson leaves such a line to float(); a lone \r or a non-ASCII byte
+    # leaves the whole file to it
+    read = []
+    monkeypatch.setattr(vecio, "_float_row",
+                        lambda path, lineno, line: read.append(line) or np.zeros(1))
+    monkeypatch.setattr(vecio, "_read_float_rows",
+                        lambda path, raw: read.append(raw) or [np.zeros(1)])
+    path = tmp_path / "v.txt"
+    path.write_bytes(raw)
+    read_vectors(path)
+    assert read == [raw if raw in (b"1,2\r,3,4\n", b"\xef\xbb\xbf1,2\n") else raw.decode()]
+
+
+@pytest.mark.parametrize("bad", [False, True], ids=["rows", "error"])
+def test_one_float_only_line_is_read_alone(tmp_path, monkeypatch, bad):
+    # a `.5` line goes to float() on its own: the rows, and the message of a
+    # bad token on a later line, are those of float() on every token
+    lines = [b"0.25,-1e-3,3", b".5,2", b"", b"1,-0.0,7e2"] + ([b"4,oops"] if bad else [])
+    raw = b"\n".join(lines * 50) + b"\n"
+    path = tmp_path / "v.txt"
+    path.write_bytes(raw)
+    want = float_reference(path, raw)
+    read = []
+    float_row = vecio._float_row
+    monkeypatch.setattr(vecio, "_float_row",
+                        lambda *args: read.append(args[1]) or float_row(*args))
+    if bad:
+        with pytest.raises(DataFormatError) as exc:
+            read_vectors(path)
+        assert (str(exc.value), read) == (want, [2, 5])
+        return
+    got, _ = read_vectors(path)
+    assert read == list(range(2, 200, 4))
+    assert len(got) == len(want) and all(
+        np.array_equal(g.view(np.int64), w.view(np.int64)) for g, w in zip(got, want))
 
 
 def test_binary_rows_are_views_of_one_array(tmp_path):
@@ -177,6 +213,7 @@ def test_binary_rows_are_views_of_one_array(tmp_path):
     back, fmt = read_vectors(path)
     assert fmt is BF16 and all(np.array_equal(a, b) for a, b in zip(back, rows))
     assert all(v.base is not None and v.base is back[0].base for v in back)
+    assert isinstance(back, np.ndarray) and back.shape == (4, 5)
 
 
 # ---------------------------------------------------------------------------

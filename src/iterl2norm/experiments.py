@@ -262,9 +262,10 @@ def run_normalize(in_path: str, out_path: str, config: NormConfig = NormConfig()
     for i, d in enumerate(lengths):
         rows_by_d.setdefault(d, []).append(i)
     groups = list(rows_by_d.values())
+    single = len(groups) == 1
     parts, non_finite, overflow = [], [], []
     for rows in groups:
-        x = np.asarray(vectors) if len(groups) == 1 else np.array([vectors[i] for i in rows])
+        x = np.asarray(vectors) if single else np.array([vectors[i] for i in rows])
         try:
             shifted = shift_batch(fmt, x if file_fmt is not None else round_array(x, fmt))
         except RangeOverflowError as exc:
@@ -285,8 +286,9 @@ def run_normalize(in_path: str, out_path: str, config: NormConfig = NormConfig()
         row, what = min(overflow)
         raise RangeOverflowError(f"vector {row}: {what} {fmt.name}")
     batches = list(zip(groups, normalize_batches(fmt, parts, config), strict=True))
-    del parts, shifted, x  # the results hold no shifted batch: free them before writing
-    if len(batches) == 1:
+    # the results hold no shifted batch: free it, and a re-stacked x, before writing
+    del parts, shifted, x
+    if single:
         outputs = batches[0][1].z
     else:
         outputs = [None] * len(vectors)

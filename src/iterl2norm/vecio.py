@@ -17,9 +17,7 @@ value written is the `repr` of its float64, and every text file reads as
 from __future__ import annotations
 
 import io
-import os
 import re
-import stat
 import struct
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
@@ -165,24 +163,19 @@ def write_vectors(path: str | Path, vectors: np.ndarray | list[np.ndarray],
     if not isinstance(vectors, np.ndarray):
         if len({len(v) for v in vectors}) != 1:
             raise DataFormatError("binary container requires equal-length vectors")
-        vectors = np.array(vectors, dtype=np.float64)
+    vectors = np.ascontiguousarray(vectors, dtype=np.float64)
     n, d = vectors.shape
     write_file(path, (_HEADER.pack(MAGIC, FORMAT_TAGS[fmt.name], d, n),
                       values_to_bits(vectors, fmt).astype(_word(fmt), copy=False)))
 
 
 def write_file(path: str | Path, chunks: Iterable[bytes]) -> None:
-    """Write the byte strings (or contiguous arrays) `chunks` to the file
-    `path`.  An existing file is overwritten in place: it keeps its inode
-    and mode, and a regular file is truncated at the written length
-    afterwards, which costs far less than truncating it to 0 before
-    writing.  A file that cannot be written (a missing directory, a
+    """Write the byte strings (or C-contiguous arrays) `chunks` to the file
+    `path`.  A file that cannot be written (a missing directory, a
     directory) is a DataFormatError naming it."""
     try:
-        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        with open(path, "wb") as fh:
             fh.writelines(chunks)
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()  # at the written length; /dev/null and pipes cannot be
     except OSError as exc:
         raise DataFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
 

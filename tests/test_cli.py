@@ -471,8 +471,8 @@ class TestOutputs:
 
     @pytest.mark.parametrize("kind", ["text", "binary", "csv"])
     def test_rerun_overwrites_longer_outputs(self, capsys, tmp_path, kind):
-        # outputs are overwritten in place: an existing, longer `<out>` and
-        # sidecar keep their inodes and end up holding exactly the new bytes
+        # an existing, longer `<out>`, sidecar or CSV keeps its inode and
+        # ends up holding exactly the new bytes
         inp = tmp_path / "v.in"
         if kind == "binary":
             write_vectors(inp, [np.array([1.0, 2.0, 3.0, 4.0])], FP16, binary=True)
@@ -496,7 +496,8 @@ class TestOutputs:
             assert got.read_bytes() == want.read_bytes()
 
     def test_out_to_a_character_device(self, capsys):
-        # /dev/null cannot be truncated (EINVAL), and need not be
+        # a character device takes the output like a file (ftruncate on it
+        # would fail with EINVAL)
         code, _, err = run(capsys, "precision", "--format", "fp32", "--dims", "16",
                            "--num-vectors", "4", "--out", os.devnull)
         assert (code, err) == (0, "")

@@ -216,6 +216,32 @@ def test_binary_rows_are_views_of_one_array(tmp_path):
     assert isinstance(back, np.ndarray) and back.shape == (4, 5)
 
 
+@pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
+def test_binary_write_of_a_transposed_array(tmp_path, fmt):
+    # a Fortran-order (n, d) array is written row by row, as its C copy is
+    x = round_array(np.arange(12.0).reshape(4, 3) - 5.5, fmt)
+    write_vectors(tmp_path / "c.bin", x, fmt, binary=True)
+    write_vectors(tmp_path / "f.bin", np.asfortranarray(x), fmt, binary=True)
+    write_vectors(tmp_path / "t.bin", x.T.copy().T, fmt, binary=True)
+    want = (tmp_path / "c.bin").read_bytes()
+    assert (tmp_path / "f.bin").read_bytes() == want == (tmp_path / "t.bin").read_bytes()
+
+
+def test_a_failed_write_leaves_no_old_bytes(tmp_path):
+    # the old file is emptied before the first chunk, so a write that fails
+    # partway leaves a short file, never new bytes followed by old ones
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old\n" * 1000)
+
+    def chunks():
+        yield b"new\n" * 10
+        raise OSError(28, "No space left on device")
+
+    with pytest.raises(DataFormatError, match="cannot write .*No space left"):
+        vecio.write_file(path, chunks())
+    assert path.read_bytes() == b"new\n" * 10
+
+
 # ---------------------------------------------------------------------------
 # The sidecar
 # ---------------------------------------------------------------------------

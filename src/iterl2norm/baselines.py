@@ -4,13 +4,11 @@ binary64 reference pipeline that stands in for framework ground truth."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UsageError
 from .fpformat import (
-    FP32,
     FormatSpec,
     bits_to_values,
     round_array,
@@ -27,39 +25,28 @@ BF16_MAGIC = 0x5F37
 _DEFAULT_MAGIC = {"fp32": FP32_MAGIC, "bf16": BF16_MAGIC}
 
 
-@dataclass(frozen=True)
-class FisrSpec:
-    """Fast-inverse-square-root configuration (8-bit-exponent formats only)."""
-
-    format: FormatSpec = FP32
-    magic: int | None = None
-    newton_iters: int = 1
-
-    def __post_init__(self) -> None:
-        if self.format.exp_bits != 8:
-            raise UsageError("FISR needs a format with an 8-bit exponent (fp32 or bf16)")
-        if self.newton_iters < 0:
-            raise UsageError("newton_iters must be >= 0")
-        if self.magic is None:
-            object.__setattr__(self, "magic", _DEFAULT_MAGIC[self.format.name])
-        if not 0 <= self.magic < (1 << self.format.total_bits):
-            raise UsageError("magic constant out of range for the format")
-
-
-def fisr_inv_sqrt_values(x: np.ndarray, spec: FisrSpec) -> np.ndarray:
-    """Vectorized FISR: seed magic - (bits >> 1), then Newton steps
-    y <- y * (1.5 - ((0.5*x) * y) * y) in emulated format arithmetic, in the
-    precision `x` is carried in (see `fpformat._carried`)."""
-    fmt = spec.format
-    x = _carried(x)
-    if not ((x > 0) & np.isfinite(x)).all():
+def fisr_inv_sqrt_values(m: np.ndarray, fmt: FormatSpec, magic: int | None = None,
+                         newton_iters: int = 1) -> np.ndarray:
+    """Vectorized FISR of the positive finite `m`: seed magic - (bits >> 1),
+    then `newton_iters` Newton steps y <- y * (1.5 - ((0.5*m) * y) * y) in
+    emulated `fmt` arithmetic, in the precision `m` is carried in (see
+    `fpformat._carried`).  `fmt` needs an 8-bit exponent (fp32 or bf16); a
+    `magic` of None is the format's canonical constant."""
+    if fmt.exp_bits != 8:
+        raise UsageError("FISR needs a format with an 8-bit exponent (fp32 or bf16)")
+    if newton_iters < 0:
+        raise UsageError("newton_iters must be >= 0")
+    magic = _DEFAULT_MAGIC[fmt.name] if magic is None else magic
+    if not 0 <= magic < (1 << fmt.total_bits):
+        raise UsageError("magic constant out of range for the format")
+    m = _carried(m)
+    if not ((m > 0) & np.isfinite(m)).all():
         raise ValueError("FISR requires positive finite input")
-    bits = values_to_bits(x, fmt).astype(np.int64)
-    seed = spec.magic - (bits >> 1)
-    y = bits_to_values(seed, fmt).astype(x.dtype, copy=False)
-    x_half = round_array(0.5 * x, fmt)
-    for _ in range(spec.newton_iters):
-        t1 = round_array(x_half * y, fmt)
+    bits = values_to_bits(m, fmt).astype(np.int64)
+    y = bits_to_values(magic - (bits >> 1), fmt).astype(m.dtype, copy=False)
+    m_half = round_array(0.5 * m, fmt)
+    for _ in range(newton_iters):
+        t1 = round_array(m_half * y, fmt)
         t2 = round_array(t1 * y, fmt)
         t3 = round_array(1.5 - t2, fmt)
         y = round_array(y * t3, fmt)
@@ -67,15 +54,14 @@ def fisr_inv_sqrt_values(x: np.ndarray, spec: FisrSpec) -> np.ndarray:
 
 
 def fisr_batch(fmt: FormatSpec, x: np.ndarray | Shifted, gamma: np.ndarray | None = None,
-               beta: np.ndarray | None = None, spec: FisrSpec | None = None) -> BatchNormResult:
-    """Layer normalization with the iteration replaced by FISR on m; `x` is
-    an (n, d) batch or its `Shifted`, as in `normalize_batch`."""
-    spec = spec if spec is not None else FisrSpec(format=fmt)
-    if spec.format != fmt:
-        raise UsageError("FISR spec format does not match input format")
+               beta: np.ndarray | None = None, *, magic: int | None = None,
+               newton_iters: int = 1) -> BatchNormResult:
+    """Layer normalization with the iteration replaced by FISR on m, with
+    the settings of `fisr_inv_sqrt_values`; `x` is an (n, d) batch or its
+    `Shifted`, as in `normalize_batch`."""
     sh = _shifted(fmt, x, gamma, beta)
     with np.errstate(over="ignore", invalid="ignore"):
-        a = fisr_inv_sqrt_values(sh.m[sh.m > 0.0], spec)
+        a = fisr_inv_sqrt_values(sh.m[sh.m > 0.0], fmt, magic, newton_iters)
     return _finish(fmt, _Solved(sh, gamma, beta, _given(a)))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -79,31 +80,21 @@ _EXPERIMENTS = {
     "latency": (run_latency, "macro cycle counts",
                 ("--dims", "--seed", "--steps", "--out", "--config")),
 }
-_COMMANDS = tuple(_EXPERIMENTS) + ("normalize",)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser.  Given a known `command`, only that
-    subcommand is built: a command line that starts with it parses, and
-    fails, as it does under the parser of every subcommand.  Otherwise
-    every subcommand is built, for `-h`, a missing or an unknown command."""
-    names = (command,) if command in _COMMANDS else _COMMANDS
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="iterl2norm",
         description="Iterative division-free layer normalization benchmark harness",
     )
-    # the usage line of an error in the subcommand's arguments lists every
-    # command either way
-    metavar = None if names == _COMMANDS else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        if name == "normalize":
-            _add_normalize(sub)
-            continue
-        _, help_text, flags = _EXPERIMENTS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, flags) in _EXPERIMENTS.items():
         p = sub.add_parser(name, help=help_text)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
+    _add_normalize(sub)
     return parser
 
 
@@ -194,8 +185,7 @@ def _normalize(args: argparse.Namespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "normalize":
             _normalize(args)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import FisrSpec, fisr_batch, reference_batch
+from .baselines import _DEFAULT_MAGIC, fisr_batch, reference_batch
 from .errors import DataFormatError, RangeOverflowError, UsageError
 from .fpformat import FORMATS, FormatSpec, round_array
 from .latency import PHASES, StageCosts, estimate_cycles
@@ -33,7 +33,7 @@ from .norm_core import (
     normalize_batches,
     shift_batch,
 )
-from .vecio import read_vectors, write_file, write_sidecar, write_vectors
+from .vecio import read_vectors, remove_output, write_file, write_sidecar, write_vectors
 
 PRECISION_DIMS = (64, 128, 256, 512, 1024)
 # Embedding lengths of the OPT model family.
@@ -157,9 +157,8 @@ def _error_runs(spec: ExperimentSpec):
                 out = normalize_batch(fmt, shifted, config=spec.norm_config(steps))
                 yield name, d, steps, "iterl2norm", out, _error_stats(out.z, ref)
             if spec.kind == "compare-fisr":
-                fspec = FisrSpec(format=fmt, magic=spec.fisr_magic.get(name),
+                out = fisr_batch(fmt, shifted, magic=spec.fisr_magic.get(name),
                                  newton_iters=spec.fisr_newton_iters)
-                out = fisr_batch(fmt, shifted, spec=fspec)
                 yield name, d, None, "fisr", out, _error_stats(out.z, ref)
 
 
@@ -236,7 +235,8 @@ def run_normalize(in_path: str, out_path: str, config: NormConfig = NormConfig()
     (a data error), and a finite value that rounds to infinity or a squared
     norm that overflows the format (range errors), name the first such
     vector of the file, the data error first.  An output or sidecar file
-    that cannot be written is a data error, and leaves no output behind."""
+    that cannot be written is a data error, and leaves no output behind:
+    the `<out>` this run opened is removed if it is a regular file."""
     vectors, file_fmt = read_vectors(in_path)
     if file_fmt is not None and fmt_name and FORMATS[fmt_name] != file_fmt:
         raise UsageError(
@@ -301,7 +301,7 @@ def run_normalize(in_path: str, out_path: str, config: NormConfig = NormConfig()
     try:
         write_sidecar(sidecar, batches)
     except DataFormatError:
-        Path(out_path).unlink()  # a failed run leaves no output behind
+        remove_output(out_path)  # a failed run leaves no output behind
         raise
     return NormalizeSummary(len(outputs), str(out_path), sidecar)
 
@@ -367,6 +367,16 @@ def csv_text(result: ExperimentResult) -> str:
         lam = "default" if spec.lambda_override is None else f"{spec.lambda_override!r}"
         buf.write(f"# formats={','.join(spec.formats)} dims={dims} "
                   f"num_vectors={spec.num_vectors} steps={steps} lambda={lam}\n")
+        if spec.kind == "compare-fisr":
+            # each FISR setting that is not the default, as a --config that
+            # reproduces the FISR rows
+            iters = spec.fisr_newton_iters
+            fisr = {} if iters == 1 else {"newton_iters": iters}
+            fisr |= {f"{name}_magic": f"{spec.fisr_magic[name]:#x}"
+                     for name, magic in _DEFAULT_MAGIC.items()
+                     if spec.fisr_magic.get(name, magic) != magic}
+            if fisr:
+                buf.write(f"# fisr={json.dumps(fisr)}\n")
     for note in result.notes:
         buf.write(f"# {note}\n")
     buf.write(",".join(result.columns) + "\n")

@@ -1,6 +1,8 @@
 """The iterative L2/layer normalization algorithm.
 
-Pipeline: mean shift, squared norm through the adder trees, exponent-based
+Pipeline: the mean shift and the squared norm through the adder trees
+(the phases mean_sum, mean_mul, mean_shift and inner_product of
+`latency.PHASES`, all in `shift_batch`), exponent-based
 initialization of the iteration scalar `a`, update-rate selection, the
 division-free fixed-point iteration da = lambda*m*a*(1 - m*a^2), and the
 final scale/shift.  `a` converges to 1/||y||_2, so sqrt(d)*a*y is the
@@ -94,35 +96,6 @@ class BatchNormResult:
 # ---------------------------------------------------------------------------
 # Pipeline stages
 # ---------------------------------------------------------------------------
-
-def mean_shift(x: np.ndarray | list, fmt: FormatSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Shift the mean of each vector (the last axis of `x`) to zero.
-
-    The sum runs through the adder trees and is multiplied by the pre-rounded
-    constant 1/d; each element then subtracts the mean with one rounding.
-    Returns (y, mean) in the precision of `x` (see `fpformat._carried`);
-    `mean` has shape x.shape[:-1].
-    """
-    x = _carried(x)
-    inv_d = round_value(1.0 / x.shape[-1], fmt)  # pre-stored constant
-    mean = round_array(tree_sum_values(x, fmt) * inv_d, fmt)
-    return round_array(x - mean[..., None], fmt), mean
-
-
-def squared_norm(y: np.ndarray | list, fmt: FormatSpec) -> np.ndarray:
-    """||y||_2^2 of each vector (the last axis of `y`): elementwise squares
-    reduced through the adder trees.  A result that is not finite raises
-    RangeOverflowError with the index of the first such vector as `row`."""
-    y = _carried(y)
-    if y.shape[-1] == 0:
-        raise UsageError("y must be nonempty")
-    m = tree_sum_values(round_array(y * y, fmt), fmt)
-    finite = np.isfinite(m).reshape(-1)
-    if not finite.all():
-        raise RangeOverflowError(f"squared norm overflowed {fmt.name}",
-                                 row=int(np.argmin(finite)))
-    return m
-
 
 def init_a_values(m: np.ndarray, fmt: FormatSpec | None) -> np.ndarray:
     """a0 = 2^(-(E(m)-bias+1)/2) for positive finite m, from the exponent alone.
@@ -222,8 +195,7 @@ def _iterate(fmt: FormatSpec, config: NormConfig, m: np.ndarray) -> tuple:
         lam = select_lambda_values(m)
     else:
         lam = np.full(m.shape, float(config.lambda_override))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return iterate_values(a0, m, lam, config.stopping, fmt)
+    return iterate_values(a0, m, lam, config.stopping, fmt)
 
 
 def _given(a: np.ndarray) -> tuple:
@@ -242,18 +214,28 @@ class Shifted(NamedTuple):
 
 
 def shift_batch(fmt: FormatSpec, x: np.ndarray) -> Shifted:
-    """The vector stages: narrow x, shape (n, d), to binary32 once, shift
-    each row's mean to zero and reduce its squared norm.  A squared norm that
-    overflows the format raises RangeOverflowError naming the first such
-    row."""
+    """The vector stages of x, shape (n, d), narrowed to binary32 once, in
+    the order and under the names of `latency.PHASES`: mean_sum reduces each
+    row through the adder trees, mean_mul multiplies the sum by the
+    pre-stored constant 1/d, mean_shift subtracts the mean from each
+    element, and inner_product reduces the squares of the shifted row.  A
+    squared norm that is not finite raises RangeOverflowError naming the
+    first such row."""
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.asarray(x, dtype=np.float32)
         if x.ndim != 2:
             raise UsageError("x must have shape (n, d)")
         if x.shape[1] < 1:
             raise UsageError("d must be >= 1")
-        y, mean = mean_shift(x, fmt)
-        return Shifted(y, mean, squared_norm(y, fmt))
+        total = tree_sum_values(x, fmt)  # mean_sum
+        mean = round_array(total * round_value(1.0 / x.shape[1], fmt), fmt)  # mean_mul
+        y = round_array(x - mean[:, None], fmt)  # mean_shift
+        m = tree_sum_values(round_array(y * y, fmt), fmt)  # inner_product
+    finite = np.isfinite(m)
+    if not finite.all():
+        raise RangeOverflowError(f"squared norm overflowed {fmt.name}",
+                                 row=int(np.argmin(finite)))
+    return Shifted(y, mean, m)
 
 
 def _shifted(fmt: FormatSpec, x: np.ndarray | Shifted, gamma: np.ndarray | None,

@@ -16,8 +16,11 @@ value written is the `repr` of its float64, and every text file reads as
 
 from __future__ import annotations
 
+import contextlib
 import io
+import os
 import re
+import stat
 import struct
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
@@ -172,12 +175,34 @@ def write_vectors(path: str | Path, vectors: np.ndarray | list[np.ndarray],
 def write_file(path: str | Path, chunks: Iterable[bytes]) -> None:
     """Write the byte strings (or C-contiguous arrays) `chunks` to the file
     `path`.  A file that cannot be written (a missing directory, a
-    directory) is a DataFormatError naming it."""
+    directory, a full disk) is a DataFormatError naming it.  A write that
+    fails once the file is open leaves no short file: `remove_output`
+    removes it."""
     try:
-        with open(path, "wb") as fh:
-            fh.writelines(chunks)
+        fh = open(path, "wb")
     except OSError as exc:
-        raise DataFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise _unwritable(path, exc) from exc
+    try:
+        with fh:
+            fh.writelines(chunks)
+    except BaseException as exc:
+        remove_output(path)
+        if isinstance(exc, OSError):
+            raise _unwritable(path, exc) from exc
+        raise
+
+
+def _unwritable(path: str | Path, exc: OSError) -> DataFormatError:
+    return DataFormatError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def remove_output(path: str | Path) -> None:
+    """Remove the output file `path` of a failed run if it is a regular
+    file; a device, FIFO, directory or symlink is left alone, and so is a
+    file that cannot be removed."""
+    with contextlib.suppress(OSError):
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
 
 
 _JSON_BOOL = {True: b"true", False: b"false"}

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from iterl2norm.baselines import (
     BF16_MAGIC,
     FP32_MAGIC,
-    FisrSpec,
     fisr_batch,
     fisr_inv_sqrt_values,
     reference_batch,
@@ -30,25 +29,36 @@ def _fisr_float32_oracle(x: float, iters: int = 1) -> float:
 
 
 class TestFisrSpec:
+    """FISR's settings: the format (`fmt`), the magic constant and the
+    Newton step count."""
+
     def test_defaults(self):
-        assert FisrSpec().magic == FP32_MAGIC
-        assert FisrSpec(format=BF16).magic == BF16_MAGIC
-        assert FisrSpec().newton_iters == 1
+        # no magic is the format's canonical constant; one Newton step
+        x = round_array(np.exp2(np.arange(-20.0, 20.0, 0.75)), BF16)
+        for fmt, magic in ((FP32, FP32_MAGIC), (BF16, BF16_MAGIC)):
+            assert np.array_equal(fisr_inv_sqrt_values(x, fmt),
+                                  fisr_inv_sqrt_values(x, fmt, magic, newton_iters=1))
 
     def test_fp16_rejected(self):
         with pytest.raises(UsageError):
-            FisrSpec(format=FP16)
+            fisr_inv_sqrt_values(np.array([4.0]), FP16)
+        with pytest.raises(UsageError):
+            fisr_batch(FP16, np.array([[1.0, 2.0, 3.0, 4.0]]))
 
     def test_bad_params(self):
-        with pytest.raises(UsageError):
-            FisrSpec(newton_iters=-1)
-        with pytest.raises(UsageError):
-            FisrSpec(magic=1 << 40)
+        # checked before any value is, so a batch with no live row too
+        for m in (np.array([4.0]), np.array([])):
+            with pytest.raises(UsageError):
+                fisr_inv_sqrt_values(m, FP32, newton_iters=-1)
+            with pytest.raises(UsageError):
+                fisr_inv_sqrt_values(m, FP32, magic=1 << 40)
+            with pytest.raises(UsageError):
+                fisr_inv_sqrt_values(m, BF16, magic=FP32_MAGIC)
 
 
-def fisr(x: float, spec: FisrSpec) -> float:
+def fisr(x: float, fmt=FP32, **settings) -> float:
     """FISR of one value: `fisr_inv_sqrt_values` on a 1-element array."""
-    return float(fisr_inv_sqrt_values(np.array([x]), spec)[0])
+    return float(fisr_inv_sqrt_values(np.array([x]), fmt, **settings)[0])
 
 
 def reference(fmt, x, gamma=None, beta=None) -> np.ndarray:
@@ -58,20 +68,20 @@ def reference(fmt, x, gamma=None, beta=None) -> np.ndarray:
 
 class TestFisrInvSqrt:
     def test_classic_value_at_one(self):
-        got = fisr(1.0, FisrSpec())
+        got = fisr(1.0)
         assert got == _fisr_float32_oracle(1.0)
         assert abs(got - 0.998307) < 5e-7
 
     def test_one_newton_step_at_four(self):
-        got = fisr(4.0, FisrSpec())
+        got = fisr(4.0)
         assert abs(got - 0.5) / 0.5 < 0.002
 
     def test_matches_float32_oracle_on_randoms(self):
         rng = np.random.default_rng(13)
         x = round_array(np.exp2(rng.uniform(-20, 20, 200)), FP32)
-        mine = fisr_inv_sqrt_values(x, FisrSpec())
+        mine = fisr_inv_sqrt_values(x, FP32)
         # the binary32 carry gives the same bits
-        assert np.array_equal(fisr_inv_sqrt_values(x.astype(np.float32), FisrSpec()), mine)
+        assert np.array_equal(fisr_inv_sqrt_values(x.astype(np.float32), FP32), mine)
         for xi, yi in zip(x.tolist(), mine.tolist()):
             assert yi == _fisr_float32_oracle(xi)
 
@@ -85,27 +95,22 @@ class TestFisrInvSqrt:
         assert round_value(y_star * t3, FP32) == y_star
         # the seeded iteration lands within one ulp of it (rounding can stall
         # the last quadratic step one step short)
-        got = fisr(x, FisrSpec(newton_iters=8))
+        got = fisr(x, newton_iters=8)
         ulp = float(np.spacing(np.float32(2.0 ** -p)))
         assert abs(got - 2.0 ** -p) <= ulp
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            fisr(0.0, FisrSpec())
+            fisr(0.0)
         with pytest.raises(ValueError):
-            fisr(-2.0, FisrSpec())
+            fisr(-2.0)
 
     def test_rejects_non_finite(self):
         # the seed of +inf is a negative value: without the guard the
         # result is [-inf, 0.499]
         for x in ([np.inf, 4.0], [4.0, np.nan]):
             with pytest.raises(ValueError):
-                fisr_inv_sqrt_values(np.array(x), FisrSpec())
-
-    def test_format_mismatch(self):
-        x = round_array(np.array([[1.0, 2.0, 3.0, 4.0]]), BF16)
-        with pytest.raises(UsageError):
-            fisr_batch(BF16, x, spec=FisrSpec(format=FP32))
+                fisr_inv_sqrt_values(np.array(x), FP32)
 
     def test_one_step_error_bound_over_binade_sweep(self):
         # classic worst case after one Newton step is ~0.175%
@@ -113,13 +118,13 @@ class TestFisrInvSqrt:
         for e in range(-126, 127):
             sig = np.linspace(1.0, 2.0, 65)[:-1]
             x = round_array(np.ldexp(sig, e), FP32)
-            y = fisr_inv_sqrt_values(x, FisrSpec())
+            y = fisr_inv_sqrt_values(x, FP32)
             rel = np.abs(y * np.sqrt(x) - 1.0)
             worst = max(worst, float(rel.max()))
         assert worst <= 0.002
 
     def test_bf16_path_runs(self):
-        y = fisr(4.0, FisrSpec(format=BF16))
+        y = fisr(4.0, BF16)
         assert abs(y - 0.5) / 0.5 < 0.02
 
 

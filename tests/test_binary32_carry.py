@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from iterl2norm.baselines import FisrSpec, fisr_batch, fisr_inv_sqrt_values
+from iterl2norm.baselines import fisr_batch, fisr_inv_sqrt_values
 from iterl2norm.experiments import run_normalize
 from iterl2norm.fpformat import (
     BF16,
@@ -48,7 +48,7 @@ def binary64_datapath(fmt, x, gamma=None, beta=None, steps=5, lam=None, fisr=Fal
     live = m > 0.0
     ml = m[live]
     if fisr:
-        a = fisr_inv_sqrt_values(ml, FisrSpec(format=fmt))
+        a = fisr_inv_sqrt_values(ml, fmt)
         traj_live = a[:, None]
     else:
         a = init_a_values(ml, fmt)

@@ -1,15 +1,16 @@
-import contextlib
-import io
+import errno
 import json
 import os
 import stat
-import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from iterl2norm import cli
+from iterl2norm import experiments, vecio
+from iterl2norm.baselines import FP32_MAGIC
 from iterl2norm.cli import main
+from iterl2norm.errors import DataFormatError
 from iterl2norm.experiments import ExperimentSpec, csv_text, run_latency
 from iterl2norm.fpformat import BF16, FP16, FP32, round_array
 from iterl2norm.vecio import write_vectors
@@ -22,44 +23,6 @@ def run(capsys, *argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def _parse(parser, argv):
-    """(Namespace or None, exit code or None, stdout, stderr) of one parse."""
-    out, err = io.StringIO(), io.StringIO()
-    args = code = None
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return args, code, out.getvalue(), err.getvalue()
-
-
-@pytest.fixture(autouse=True)
-def one_subcommand_parses_as_all(monkeypatch):
-    """Every command line `main` parses in these tests, valid or not, gives
-    the same Namespace, exit code and output from the parser `main` builds
-    as from the parser of every subcommand."""
-    build = cli.build_parser
-
-    def checked_build(command=None):
-        parser = build(command)
-
-        def parse_args(argv):
-            got = _parse(build(command), argv)
-            assert got == _parse(build(), argv)
-            args, code, out, err = got
-            print(out, end="")
-            print(err, end="", file=sys.stderr)
-            if code is not None:
-                raise SystemExit(code)
-            return args
-
-        parser.parse_args = parse_args
-        return parser
-
-    monkeypatch.setattr(cli, "build_parser", checked_build)
 
 
 def strict_json(text):
@@ -137,8 +100,7 @@ class TestExitCodes:
         ["normalize", "--help"], ["latency", "--bogus"], ["--", "latency"],
     ], ids=lambda a: "_".join(a).replace("-", "") or "empty")
     def test_help_and_unknown_command(self, capsys, argv):
-        # parsed by both parsers in the autouse fixture; help exits 0, the
-        # rest are usage errors
+        # help exits 0, the rest are usage errors
         code, out, err = run(capsys, *argv)
         help_asked = any(a in ("-h", "--help") for a in argv)
         assert code == (0 if help_asked else 2)
@@ -282,6 +244,42 @@ class TestExitCodes:
         assert (code, out, err) == (3, "", f"data error: cannot write {unwritable}: {strerror}\n")
         if where == "sidecar-dir":
             assert not dest.exists()
+
+    def test_failed_text_write_leaves_no_out(self, capsys, tmp_path, monkeypatch):
+        # the disk fills up while the third row is written
+        inp, dest = tmp_path / "v.txt", tmp_path / "z.txt"
+        inp.write_text("1,2,3,4\n" * 5)
+        reprs, calls = vecio._reprs, []
+
+        def reprs_until_full(v):
+            calls.append(None)
+            if len(calls) == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return reprs(v)
+
+        monkeypatch.setattr(vecio, "_reprs", reprs_until_full)
+        code, out, err = run(capsys, "normalize", "--input", str(inp), "--out", str(dest))
+        assert (code, out) == (3, "")
+        assert err == f"data error: cannot write {dest}: No space left on device\n"
+        assert not dest.exists()
+
+    def test_failed_sidecar_leaves_a_device_out(self, capsys, tmp_path, monkeypatch):
+        # only a regular `<out>` is removed; nothing in this test can remove
+        # the device
+        inp = tmp_path / "v.txt"
+        inp.write_text("1,2,3,4\n")
+        unlinked = []
+
+        def fail(path, batches):
+            raise DataFormatError(f"cannot write {path}: Permission denied")
+
+        monkeypatch.setattr(experiments, "write_sidecar", fail)
+        monkeypatch.setattr(os, "unlink", lambda *a, **k: unlinked.append(a))
+        monkeypatch.setattr(Path, "unlink", lambda *a, **k: unlinked.append(a))
+        code, out, err = run(capsys, "normalize", "--input", str(inp), "--out", os.devnull)
+        assert (code, out) == (3, "")
+        assert err.startswith("data error: cannot write ")
+        assert unlinked == []
 
     @pytest.mark.parametrize("command", ["normalize", "precision"])
     def test_infinite_lambda_is_2(self, capsys, tmp_path, command):
@@ -438,10 +436,11 @@ class TestOutputs:
 
     def test_latency_header_records_stage_costs(self, capsys, tmp_path):
         # the header names each overridden cost, as a --config that
-        # reproduces the file
+        # reproduces the file; the FISR settings are not read
         cfg, again = tmp_path / "cfg.json", tmp_path / "again.json"
         cfg.write_text(json.dumps({"stage_costs": {"control_fixed": 30, "iteration_per_step": 0,
-                                                   "mean_mul_fixed": 2}}))
+                                                   "mean_mul_fixed": 2},
+                                   "fisr": {"newton_iters": 3}}))
         code, want, _ = run(capsys, "latency", "--dims", "64,1024", "--config", str(cfg))
         assert code == 0
         line = want.splitlines()[2]
@@ -529,6 +528,29 @@ class TestOutputs:
         assert any(l.startswith("fp32,") for l in out.splitlines())
         assert any(l.startswith("bf16,") for l in out.splitlines())
 
+    def test_compare_fisr_header_records_fisr_settings(self, capsys, tmp_path):
+        # the header names each non-default FISR setting, as a --config that
+        # reproduces the file; a config of default settings writes no line
+        kw = ["compare-fisr", "--format", "fp32", "--dims", "32", "--num-vectors", "6"]
+        cfg, again, default = (tmp_path / f"{n}.json" for n in ("cfg", "again", "default"))
+        cfg.write_text(json.dumps({"fisr": {"newton_iters": 3, "bf16_magic": "0x5f36",
+                                            "fp32_magic": FP32_MAGIC}}))
+        default.write_text(json.dumps({"fisr": {"newton_iters": 1, "fp32_magic": FP32_MAGIC},
+                                       "stage_costs": {"control_fixed": 30}}))
+        code, base, _ = run(capsys, *kw)
+        assert code == 0 and "# fisr=" not in base
+        code, got, _ = run(capsys, *kw, "--config", str(default))
+        assert (code, got) == (0, base)
+        code, want, _ = run(capsys, *kw, "--config", str(cfg))
+        assert code == 0
+        line = want.splitlines()[3]
+        assert line == '# fisr={"newton_iters": 3, "bf16_magic": "0x5f36"}'
+        assert base.splitlines()[:3] + [line] + base.splitlines()[3:5] \
+            == want.splitlines()[:6]
+        again.write_text(json.dumps({"fisr": json.loads(line.split("=", 1)[1])}))
+        code, got, _ = run(capsys, *kw, "--config", str(again))
+        assert (code, got) == (0, want)
+
     def test_fisr_config_overrides(self, capsys, tmp_path):
         cfg = tmp_path / "fisr.json"
         cfg.write_text(json.dumps({"fisr": {"newton_iters": 0, "fp32_magic": "0x5f3759df"}}))
@@ -542,3 +564,26 @@ class TestOutputs:
             return float(next(l for l in text.splitlines()
                               if l.startswith("fp32,32,fisr")).split(",")[3])
         assert fisr_avg(raw_seed) > fisr_avg(base)
+
+
+class TestOneParser:
+    """`main` parses every command line with one parser per process: no
+    value of one call reaches the next."""
+
+    def test_append_flag_starts_empty(self, capsys):
+        kw = ["precision", "--dims", "16", "--num-vectors", "4"]
+        code, out, _ = run(capsys, *kw, "--format", "bf16")
+        assert code == 0 and "# formats=bf16 " in out
+        code, out, _ = run(capsys, *kw)
+        assert code == 0 and "# formats=fp32,fp16,bf16 " in out
+
+    def test_steps_take_the_default_again(self, capsys, tmp_path):
+        inp, out = tmp_path / "v.txt", tmp_path / "z.txt"
+        inp.write_text("1,2,3,4\n0.5,-0.5,2,7\n")
+        sidecar = tmp_path / "z.txt.meta.jsonl"
+        for argv, steps in ((["--steps", "3"], 3), ([], 5)):
+            code, _, err = run(capsys, "normalize", "--input", str(inp), "--out", str(out),
+                               *argv)
+            assert (code, err) == (0, "")
+            meta = [json.loads(line) for line in sidecar.read_text().splitlines()]
+            assert [row["steps"] for row in meta] == [steps, steps]

@@ -15,12 +15,10 @@ from iterl2norm.norm_core import (
     init_a_values,
     iterate_values,
     layernorm_iterl2,
-    mean_shift,
     normalize_batch,
     normalize_batches,
     select_lambda_values,
     shift_batch,
-    squared_norm,
 )
 from iterl2norm.baselines import fisr_batch, reference_batch
 
@@ -51,46 +49,55 @@ def iterate(a0: float, m: float, lam: float, stop, fmt):
     return tuple(traj[0].tolist()), int(steps[0]), bool(converged[0])
 
 
+def shifted_row(x, fmt):
+    """`shift_batch` of the one vector x: (y, mean, m) of its row."""
+    sh = shift_batch(fmt, np.asarray(x)[None, :])
+    return sh.y[0], sh.mean[0], sh.m[0]
+
+
 class TestMeanShift:
     def test_one_two_three_four(self):
-        y, mean = mean_shift(np.array([1.0, 2.0, 3.0, 4.0]), FP32)
+        y, mean, _ = shifted_row([1.0, 2.0, 3.0, 4.0], FP32)
         assert mean == 2.5
         assert np.array_equal(y, [-1.5, -0.5, 0.5, 1.5])
 
     def test_constant_vector(self):
-        y, mean = mean_shift(np.full(17, 0.8125), FP16)
+        y, mean, _ = shifted_row(np.full(17, 0.8125), FP16)
         assert mean == 0.8125
         assert np.array_equal(y, np.zeros(17))
 
     def test_single_element(self):
-        y, mean = mean_shift(np.array([5.0]), BF16)
+        y, mean, _ = shifted_row([5.0], BF16)
         assert mean == 5.0
         assert np.array_equal(y, [0.0])
 
     def test_uses_prerounded_inverse_d(self):
         # d = 3: mean = tree_sum_values(x) * round(1/3), not an exact division
         x = round_array(np.array([1.0, 1.0, 1.0]), BF16)
-        _, mean = mean_shift(x, BF16)
+        _, mean, _ = shifted_row(x, BF16)
         assert mean == round_value(3.0 * round_value(1.0 / 3.0, BF16), BF16)
 
 
 class TestSquaredNorm:
+    # each input is its own mean-shifted row (mean 0), so m is its squared norm
     def test_example_vector(self):
-        assert squared_norm(np.array([-1.5, -0.5, 0.5, 1.5]), FP32) == 5.0
+        assert shifted_row([-1.5, -0.5, 0.5, 1.5], FP32)[2] == 5.0
 
     def test_zeros(self):
-        assert squared_norm(np.zeros(9), FP16) == 0.0
+        assert shifted_row(np.zeros(9), FP16)[2] == 0.0
 
     def test_unit_basis(self):
-        for d in (1, 5, 200):
-            e1 = np.zeros(d)
-            e1[0] = 1.0
-            assert squared_norm(e1, BF16) == 1.0
+        # a unit vector of mean 0 (a basis vector e1 is not one), padded
+        # with zeros to d
+        for d in (4, 5, 200):
+            u = np.zeros(d)
+            u[:4] = [0.5, -0.5, 0.5, -0.5]
+            assert shifted_row(u, BF16)[2] == 1.0
 
     def test_overflow_is_range_error(self):
         big = np.full(64, 60000.0)  # squares overflow fp16
         with pytest.raises(RangeOverflowError):
-            squared_norm(round_array(big, FP16), FP16)
+            shifted_row(round_array(big, FP16), FP16)
 
 
 class TestInitA:

@@ -4,6 +4,7 @@ binary rows are read in one pass, and sidecar lines equal what
 `json.JSONEncoder` writes."""
 
 import json
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -228,8 +229,8 @@ def test_binary_write_of_a_transposed_array(tmp_path, fmt):
 
 
 def test_a_failed_write_leaves_no_old_bytes(tmp_path):
-    # the old file is emptied before the first chunk, so a write that fails
-    # partway leaves a short file, never new bytes followed by old ones
+    # a write that fails partway removes the file it opened: neither new
+    # bytes followed by old ones nor a short file is left
     path = tmp_path / "out.txt"
     path.write_bytes(b"old\n" * 1000)
 
@@ -239,7 +240,30 @@ def test_a_failed_write_leaves_no_old_bytes(tmp_path):
 
     with pytest.raises(DataFormatError, match="cannot write .*No space left"):
         vecio.write_file(path, chunks())
-    assert path.read_bytes() == b"new\n" * 10
+    assert not path.exists()
+
+
+def test_a_failed_write_removes_only_a_regular_file(tmp_path, monkeypatch):
+    # a device stays; so does a file that could not be opened
+    unlinked = []
+    monkeypatch.setattr(os, "unlink", lambda *a, **k: unlinked.append(a))
+
+    def chunks():
+        yield b"new\n"
+        raise OSError(28, "No space left on device")
+
+    with pytest.raises(DataFormatError, match="No space left"):
+        vecio.write_file(os.devnull, chunks())
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old\n")
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(vecio, "open", refuse, raising=False)
+    with pytest.raises(DataFormatError, match="Permission denied"):
+        vecio.write_file(path, [b"new\n"])
+    assert (unlinked, path.read_bytes()) == ([], b"old\n")
 
 
 # ---------------------------------------------------------------------------

@@ -74,15 +74,19 @@ def reference_batch(fmt: FormatSpec, x: np.ndarray, gamma: np.ndarray | None = N
     """
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
-    gamma = np.ones(d) if gamma is None else np.asarray(gamma, dtype=np.float64)
-    beta = np.zeros(d) if beta is None else np.asarray(beta, dtype=np.float64)
+    beta = 0.0 if beta is None else np.asarray(beta, dtype=np.float64)
     mean = x.mean(axis=1, keepdims=True)
     y = x - mean
     norm = np.sqrt(np.einsum("ij,ij->i", y, y))[:, None]
     live = (norm > 0.0)[:, 0]
-    safe = np.where(norm > 0.0, norm, 1.0)
-    z = round_array(gamma[None, :] * (math.sqrt(d) * y / safe) + beta[None, :], fmt)
+    # gamma * (sqrt(d) * y / norm) + beta, one operation at a time in y; a
+    # gamma of None is 1, and a product by 1 changes no bit
+    y *= math.sqrt(d)
+    y /= np.where(live[:, None], norm, 1.0)
+    if gamma is not None:
+        y *= np.asarray(gamma, dtype=np.float64)
+    y += beta
+    z = round_array(y, fmt, out=y)
     if not live.all():
         z[~live] = beta
     return z
-

@@ -27,10 +27,9 @@ from .fpformat import FORMATS, FormatSpec, round_array
 from .latency import PHASES, StageCosts, estimate_cycles
 from .norm_core import (
     DEFAULT_STEPS,
-    FixedSteps,
     NormConfig,
-    normalize_batch,
     normalize_batches,
+    normalize_steps,
     shift_batch,
 )
 from .vecio import read_vectors, remove_output, write_file, write_sidecar, write_vectors
@@ -93,9 +92,6 @@ class ExperimentSpec:
         if self.kind == "convergence" and len(self.dims) > 1:
             raise UsageError("convergence sweeps steps at one fixed d")
 
-    def norm_config(self, steps: int) -> NormConfig:
-        return NormConfig(stopping=FixedSteps(steps), lambda_override=self.lambda_override)
-
 
 @dataclass(frozen=True)
 class ErrorStats:
@@ -131,8 +127,8 @@ def _rng(spec: ExperimentSpec, fmt_name: str, d: int) -> np.random.Generator:
 
 
 def _draw_inputs(spec: ExperimentSpec, fmt: FormatSpec, d: int) -> np.ndarray:
-    rng = _rng(spec, fmt.name, d)
-    return round_array(rng.uniform(-1.0, 1.0, size=(spec.num_vectors, d)), fmt)
+    x = _rng(spec, fmt.name, d).uniform(-1.0, 1.0, size=(spec.num_vectors, d))
+    return round_array(x, fmt, out=x)
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +138,9 @@ def _draw_inputs(spec: ExperimentSpec, fmt: FormatSpec, d: int) -> np.ndarray:
 def _error_runs(spec: ExperimentSpec):
     """The error tables' one loop.  For each format and d it draws one batch,
     computes its binary64 reference and its vector stages once, then runs
-    the iterative pipeline at each step count and, for compare-fisr, FISR on
-    those stages; gamma = 1, beta = 0.  Yields
+    the iterative pipeline once, at the largest step count, finishing each
+    step count from that trajectory (`normalize_steps`), and, for
+    compare-fisr, FISR on those stages; gamma = 1, beta = 0.  Yields
     (format, d, steps, method, BatchNormResult, ErrorStats) one run at a
     time (steps is None for FISR): a run's outputs are dropped once the
     caller moves on."""
@@ -153,20 +150,21 @@ def _error_runs(spec: ExperimentSpec):
             x = _draw_inputs(spec, fmt, d)
             ref = reference_batch(fmt, x)
             shifted = shift_batch(fmt, x)
-            for steps in spec.steps:
-                out = normalize_batch(fmt, shifted, config=spec.norm_config(steps))
-                yield name, d, steps, "iterl2norm", out, _error_stats(out.z, ref)
+            err = x  # the draw is not read again: its buffer takes each run's errors
+            runs = normalize_steps(fmt, shifted, spec.steps, spec.lambda_override)
+            for steps, out in zip(spec.steps, runs):
+                yield name, d, steps, "iterl2norm", out, _error_stats(out.z, ref, err)
             if spec.kind == "compare-fisr":
                 out = fisr_batch(fmt, shifted, magic=spec.fisr_magic.get(name),
                                  newton_iters=spec.fisr_newton_iters)
-                yield name, d, None, "fisr", out, _error_stats(out.z, ref)
+                yield name, d, None, "fisr", out, _error_stats(out.z, ref, err)
 
 
-def _error_stats(z: np.ndarray, ref: np.ndarray) -> ErrorStats:
-    """ErrorStats of |z - ref|, computed in one temporary array: the
-    largest batches are several MB, and the error tables keep the batch,
-    its reference, its vector stages and a result alive meanwhile."""
-    err = z - ref
+def _error_stats(z: np.ndarray, ref: np.ndarray, err: np.ndarray) -> ErrorStats:
+    """ErrorStats of |z - ref|, computed in `err`, an array of their shape
+    that the caller reuses for every run of one batch: the largest batches
+    are several MB."""
+    np.subtract(z, ref, out=err)
     return ErrorStats.from_errors(np.abs(err, out=err))
 
 

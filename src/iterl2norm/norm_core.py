@@ -31,7 +31,7 @@ from .errors import RangeOverflowError, UsageError
 from .fpformat import (
     FormatSpec,
     round_array,
-    round_value,
+    stored_constant,
     tree_sum_values,
     _carried,
 )
@@ -228,7 +228,7 @@ def shift_batch(fmt: FormatSpec, x: np.ndarray) -> Shifted:
         if x.shape[1] < 1:
             raise UsageError("d must be >= 1")
         total = tree_sum_values(x, fmt)  # mean_sum
-        mean = round_array(total * round_value(1.0 / x.shape[1], fmt), fmt)  # mean_mul
+        mean = round_array(total * stored_constant(1.0 / x.shape[1], fmt), fmt)  # mean_mul
         y = round_array(x - mean[:, None], fmt)  # mean_shift
         m = tree_sum_values(round_array(y * y, fmt), fmt)  # inner_product
     finite = np.isfinite(m)
@@ -284,7 +284,7 @@ def _finish(fmt: FormatSpec, part: _Solved) -> BatchNormResult:
         converged = np.ones(n, dtype=bool)
         converged[live] = converged_live
 
-        sqrt_d = round_value(math.sqrt(d), fmt)  # pre-stored constant
+        sqrt_d = stored_constant(math.sqrt(d), fmt)  # pre-stored constant
         scale = np.zeros(n, dtype=f32)
         # an injected `a` is binary64, and is rounded from binary64
         scale[live] = round_array(traj_live[:, -1] * sqrt_d, fmt)
@@ -363,3 +363,22 @@ def normalize_batches(fmt: FormatSpec, parts, config: NormConfig = NormConfig()
     ends = list(accumulate(map(len, live_m)))
     return [normalize_batch(fmt, _Solved(sh, gamma, beta, tuple(v[i:j] for v in solution)))
             for sh, (_, gamma, beta), i, j in zip(shifted, parts, [0, *ends], ends)]
+
+
+def normalize_steps(fmt: FormatSpec, x: np.ndarray | Shifted, steps,
+                    lambda_override: float | None = None):
+    """:func:`normalize_batch` of `x` (an (n, d) batch or its `Shifted`)
+    under FixedSteps(s) for each step count s in `steps`, in order, from one
+    iteration of max(steps) steps: a fixed-step iteration does the same
+    work at every step whatever its length, so s steps give the first s + 1
+    columns of the longer trajectory, and a row is converged when its `a`
+    after s steps is finite.  Yields one BatchNormResult per step count,
+    each returned by a `normalize_batch` call, as in `normalize_batches`.
+    """
+    sh = _shifted(fmt, x, None, None)
+    config = NormConfig(FixedSteps(max(steps)), lambda_override)
+    trajectory = _iterate(fmt, config, sh.m[sh.m > 0.0])[0]
+    for s in steps:
+        a = trajectory[:, :s + 1]
+        solution = (a, np.full(len(a), s, dtype=np.int64), np.isfinite(a[:, -1]))
+        yield normalize_batch(fmt, _Solved(sh, None, None, solution))

@@ -166,6 +166,27 @@ class TestLayernormReference:
     def test_d_one_returns_beta(self):
         assert np.array_equal(reference(FP16, [7.0], beta=np.array([0.25])), [0.25])
 
+    @pytest.mark.parametrize("fmt", [FP32, FP16, BF16], ids=lambda f: f.name)
+    def test_matches_the_written_out_expression(self, fmt):
+        # gamma * (sqrt(d) * y / ||y||) + beta in binary64, rounded once,
+        # bit for bit, with beta on the zero-variance rows
+        rng = np.random.default_rng(2)
+        d = 96
+        x = round_array(rng.uniform(-1, 1, (6, d)) * 2.0 ** rng.uniform(-6, 6, (6, 1)), fmt)
+        x[2] = 0.5
+        gamma = round_array(rng.uniform(0.5, 2.0, d), fmt)
+        beta = round_array(rng.uniform(-0.5, 0.5, d), fmt)
+        y = x - x.mean(axis=1, keepdims=True)
+        norm = np.sqrt(np.einsum("ij,ij->i", y, y))[:, None]
+        safe = np.where(norm > 0.0, norm, 1.0)
+        for g, b in ((gamma, beta), (None, None), (None, beta)):
+            gm = np.ones(d) if g is None else g
+            bt = np.zeros(d) if b is None else b
+            want = round_array(gm[None, :] * (math.sqrt(d) * y / safe) + bt[None, :], fmt)
+            want[2] = bt
+            got = reference_batch(fmt, x, g, b)
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
     @given(
         grid=st.lists(st.integers(-2 ** 16, 2 ** 16), min_size=2, max_size=12),
         shift=st.integers(-8, 8),

@@ -45,6 +45,8 @@ def test_traced_layers_record_calls(tmp_path, capsys):
     tracer.install()
     try:
         for argv in (["precision", *small, "--out", str(tmp_path / "p.csv")],
+                     ["convergence", *small, "--steps", "3,0,1,3",
+                      "--out", str(tmp_path / "c.csv")],
                      ["compare-fisr", *small, "--out", str(tmp_path / "f.csv")],
                      ["normalize", "--input", str(inp), "--out", str(tmp_path / "z")]):
             before = [tracer.counts[c] for c in counters]
@@ -57,5 +59,6 @@ def test_traced_layers_record_calls(tmp_path, capsys):
     assert {layer: tracer.stats[layer].calls > 0 for layer in LAYERS} \
         == dict.fromkeys(LAYERS, True)
     # each row a command normalizes is counted once, by the entry point that
-    # normalizes it: 4 vectors at one format, length and step count each
-    assert rows == [[4, 0], [4, 4], [3, 0]]
+    # normalizes it: 4 vectors at one format and length, once per step
+    # count (convergence solves once at 3 steps and finishes 4 step counts)
+    assert rows == [[4, 0], [16, 0], [4, 4], [3, 0]]

@@ -7,6 +7,7 @@ import pytest
 
 from iterl2norm import __version__
 from iterl2norm.errors import DataFormatError, RangeOverflowError, UsageError
+from iterl2norm.baselines import reference_batch
 from iterl2norm.experiments import (
     CONVERGENCE_STEPS,
     OPT_DIMS,
@@ -20,8 +21,9 @@ from iterl2norm.experiments import (
     run_normalize,
     run_precision,
     write_csv,
+    _draw_inputs,
 )
-from iterl2norm.fpformat import BF16, FP16, FP32, round_array
+from iterl2norm.fpformat import BF16, FORMATS, FP16, FP32, round_array
 from iterl2norm.norm_core import (
     FixedSteps,
     NormConfig,
@@ -140,6 +142,25 @@ class TestConvergence:
         assert [r[1] for r in res.rows] == [1, 3, 5]
         errs = [r[2] for r in res.rows]
         assert errs[2] <= errs[0]
+
+    @pytest.mark.parametrize("lam", [None, 2.5])
+    def test_one_solve_rows_equal_separate_runs(self, lam):
+        # one iteration per format at the largest step count gives each
+        # row what its own normalize_batch run gives; lambda = 2.5 diverges
+        spec = small_spec("convergence", formats=("fp32", "fp16", "bf16"), dims=(48,),
+                          steps=(3, 0, 1, 3), lambda_override=lam)
+        want = []
+        for name in spec.formats:
+            fmt = FORMATS[name]
+            x = _draw_inputs(spec, fmt, 48)
+            ref = reference_batch(fmt, x)
+            for steps in spec.steps:
+                z = normalize_batch(fmt, x, config=NormConfig(FixedSteps(steps), lam)).z
+                want.append((name, steps, repr(float(np.abs(z - ref).mean()))))
+        got = [(name, steps, repr(err)) for name, steps, err in run_convergence(spec).rows]
+        assert got == want
+        if lam is not None:
+            assert not all(math.isfinite(float(e)) for _, _, e in got)
 
 
 class TestCompareFisr:

@@ -156,6 +156,17 @@ class TestRounding:
         for b in [0, 1, 0x3C00, 0x7BFF, 0x8001, 0x83FF]:
             assert vals[b] == oracle_value(b, fmt)
 
+    def test_fp16_encode_decode_round_trip_every_pattern(self):
+        # all 65,536 patterns, NaN payloads and signs included: normal
+        # values take the rebiased binary32 encoding, the rest numpy's
+        bits = np.arange(1 << 16, dtype=np.uint16)
+        back = values_to_bits(bits_to_values(bits, FP16), FP16)
+        assert back.dtype == np.uint16
+        np.testing.assert_array_equal(back, bits)
+        square = bits.reshape(256, 256).T  # neither C- nor 1-D
+        np.testing.assert_array_equal(values_to_bits(bits_to_values(square, FP16), FP16), square)
+        assert values_to_bits(np.float64(-0.0), FP16) == 0x8000
+
     def test_round_array_matches_scalar(self):
         # the array path and the 0-d path (round_value) round alike
         rng = np.random.default_rng(7)
@@ -215,6 +226,68 @@ class TestFp16Split:
         self.check(mixed)
         for edge in self.EDGES:  # each edge the only patched element of its array
             self.check(np.array([0.75, edge, -3.0], dtype=np.float32))
+
+
+class TestRoundInto:
+    """round_array(x, fmt, out=o) writes what round_array(x, fmt) returns into
+    o, bit for bit, whether o is x or another array, in either precision
+    and memory order."""
+
+    F32 = np.concatenate([
+        np.array([0.0, 2.0**-149, 2.0**-126 * 0.75, 2.0**-14, 2.0**-24, 1.0 / 3.0, 1.5,
+                  65504.0, 65519.0, 65520.0, 3.0e38, np.inf], dtype=np.float32),
+        np.nextafter(np.float32(2.0**-14), np.float32([0.0, 1.0])),
+        np.nextafter(np.float32([65504.0, 65520.0]), np.float32(0.0)),
+        np.nextafter(np.float32([65504.0, 65520.0]), np.float32(np.inf)),
+        # quiet and signaling NaNs with payloads
+        _binary32(0x7FC00000, 0x7FC00001, 0x7FFFFFFF, 0x7F800001, 0x7FA00000, 0x7FBFFFFF),
+    ])
+    F32 = np.concatenate([F32, -F32])
+    F64 = np.concatenate([
+        F32[~np.isnan(F32)].astype(np.float64),
+        np.array([1.0 + 2.0**-8 + 2.0**-40, 2.0**-1074, 1.0e300, 65519.999999,
+                  math.pi, 2.0**-14 - 2.0**-40]),
+        # quiet and signaling NaNs with payloads, both signs
+        np.array([0x7FF8000000000000, 0x7FF8000000000123, 0x7FF0000000000001,
+                  0x7FF4000000000000, 0xFFF8000000000001, 0xFFF0000000000010],
+                 dtype=np.uint64).view(np.float64),
+    ])
+
+    @staticmethod
+    def same(a, b):
+        word = np.uint32 if a.dtype == np.float32 else np.uint64
+        return a.dtype == b.dtype and a.shape == b.shape \
+            and np.array_equal(a.view(word), b.view(word))
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_into_equals_fresh(self, fmt, dtype, order):
+        vals = (self.F32 if dtype == np.float32 else self.F64).astype(dtype)
+        rng = np.random.default_rng(9)
+        mixed = np.concatenate([vals, rng.uniform(-4, 4, 3 * len(vals)).astype(dtype)])
+        for x in (vals[:1], vals, np.resize(mixed, (len(mixed) // 8, 8))):
+            x = np.array(x, order=order)
+            want = round_array(x, fmt)  # raises if a warning leaks (pyproject filterwarnings)
+            assert np.array_equal(np.isnan(want), np.isnan(x))  # a NaN stays a NaN
+            before = x.copy(order=order)
+            other = np.full(x.shape, 7.0, dtype=dtype, order=order)
+            assert round_array(x, fmt, out=other) is other
+            assert self.same(other, want) and self.same(x, before)
+            assert round_array(x, fmt, out=x) is x
+            assert self.same(x, want)
+            # a scalar into a 0-d array
+            zero_d = np.zeros((), dtype=dtype)
+            assert round_array(before.flat[0], fmt, out=zero_d) is zero_d
+            assert self.same(zero_d.reshape(1), round_array(before.flat[:1], fmt))
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
+    def test_every_element_is_patched_in_place(self, fmt):
+        # each special value the only one of its array, rounded in place
+        for v in self.F32:
+            x = np.array([0.75, v, -3.0], dtype=np.float32)
+            want = round_array(x, fmt)
+            assert self.same(round_array(x, fmt, out=x), want)
 
 
 class TestEmulatedOps:
@@ -288,24 +361,21 @@ def scalar_tree_sum(bits, fmt, chunk=64):
 
 
 class TestTreeSum:
+    """tree_sum_values sums each row of an (n, d) array, d >= 1."""
+
     def test_sixty_four_ones(self):
-        assert tree_sum_values(np.ones(64), FP32) == 64.0
+        assert tree_sum_values(np.ones((1, 64)), FP32).tolist() == [64.0]
 
     def test_single_element(self):
-        x = round_array(np.array([3.7]), FP16)
-        assert tree_sum_values(x, FP16) == x[0]
-
-    def test_empty_returns_zero(self):
-        z = tree_sum_values(np.zeros(0), BF16)
-        assert z.shape == () and z == 0.0
-        assert np.array_equal(tree_sum_values(np.zeros((3, 0)), BF16), np.zeros(3))
+        x = round_array(np.array([[3.7], [-0.5]]), FP16)
+        assert np.array_equal(tree_sum_values(x, FP16), x[:, 0])
 
     def test_order_sensitivity_fp16(self):
         # 1.0 followed by 63 copies of 2^-11: sequential accumulation ties to
         # even at every step and stays at 1.0; the chunk tree keeps all but
         # the first small addend.
         vals = [1.0] + [2.0 ** -11] * 63
-        tree = float(tree_sum_values(round_array(np.array(vals), FP16), FP16))
+        tree = float(tree_sum_values(round_array(np.array([vals]), FP16), FP16)[0])
         seq = np.float16(0.0)
         for v in vals:
             seq = np.float16(seq + np.float16(v))
@@ -316,10 +386,10 @@ class TestTreeSum:
     def test_chunked_accumulation_is_sequential_over_chunks(self):
         # 128 elements = 2 chunks; total = chunk1 + chunk2 with one rounding
         rng = np.random.default_rng(5)
-        vals = round_array(rng.uniform(-1, 1, 128), FP16)
-        whole = tree_sum_values(vals, FP16)
-        c1 = tree_sum_values(vals[:64], FP16)
-        c2 = tree_sum_values(vals[64:], FP16)
+        vals = round_array(rng.uniform(-1, 1, (1, 128)), FP16)
+        whole = tree_sum_values(vals, FP16)[0]
+        c1 = tree_sum_values(vals[:, :64], FP16)[0]
+        c2 = tree_sum_values(vals[:, 64:], FP16)[0]
         assert whole == round_value(float(c1) + float(c2), FP16)
 
     @pytest.mark.parametrize("fmt", ALL_FORMATS)
@@ -328,14 +398,24 @@ class TestTreeSum:
         # the vectorized tree against the integer oracle's scalar tree, in
         # binary64 and in the binary32 carry
         rng = np.random.default_rng(d)
-        vals = round_array(rng.uniform(-2, 2, d), fmt)
-        want = scalar_tree_sum(values_to_bits(vals, fmt).tolist(), fmt)
-        assert values_to_bits(tree_sum_values(vals, fmt), fmt) == want
-        assert values_to_bits(tree_sum_values(vals.astype(np.float32), fmt), fmt) == want
+        vals = round_array(rng.uniform(-2, 2, (1, d)), fmt)
+        want = [scalar_tree_sum(values_to_bits(vals[0], fmt).tolist(), fmt)]
+        assert values_to_bits(tree_sum_values(vals, fmt), fmt).tolist() == want
+        assert values_to_bits(tree_sum_values(vals.astype(np.float32), fmt),
+                              fmt).tolist() == want
 
     def test_batch_rows_match_single_rows(self):
         rng = np.random.default_rng(11)
         batch = round_array(rng.uniform(-1, 1, (10, 100)), FP16)
         out = tree_sum_values(batch, FP16)
-        for row, tot in zip(batch, out):
-            assert float(tree_sum_values(row, FP16)) == tot
+        for i, tot in enumerate(out):
+            assert tree_sum_values(batch[i:i + 1], FP16)[0] == tot
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
+    def test_leaves_its_input_unchanged(self, fmt):
+        rng = np.random.default_rng(3)
+        for d in (64, 200):
+            x = round_array(rng.uniform(-1, 1, (4, d)), fmt).astype(np.float32)
+            before = x.copy()
+            tree_sum_values(x, fmt)
+            assert np.array_equal(x.view(np.uint32), before.view(np.uint32))

@@ -17,6 +17,7 @@ from iterl2norm.norm_core import (
     layernorm_iterl2,
     normalize_batch,
     normalize_batches,
+    normalize_steps,
     select_lambda_values,
     shift_batch,
 )
@@ -431,6 +432,28 @@ class TestShiftedDatapath:
             assert_same_result(res, normalize_batch(fmt, x, gamma, beta, config))
         assert got[-1].steps_taken == 0 and got[-1].a_trajectory.shape == (2, 1)
 
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("lam", [None, 0.3, 2.5])
+    @pytest.mark.parametrize("steps", [(3, 0, 1, 3), tuple(range(1, 11))], ids=["3013", "1-10"])
+    def test_one_solve_over_step_counts_matches_separate_calls(self, fmt, lam, steps):
+        # rows_with_edge_cases holds a zero-variance row and a row that
+        # diverges under lambda = 0.3; lambda = 2.5 diverges every row
+        def separate(x, s):
+            return normalize_batch(fmt, x, config=NormConfig(FixedSteps(s), lam))
+
+        x = rows_with_edge_cases(fmt, 12, 70, seed=5)
+        for given in (x, shift_batch(fmt, x)):
+            got = list(normalize_steps(fmt, given, steps, lam))
+            assert len(got) == len(steps)
+            for s, res in zip(steps, got):
+                assert_same_result(res, separate(x, s))
+        if lam is not None and steps[-1] == 10:
+            assert not got[-1].converged[1] and got[-1].m[0] == 0.0 and got[-1].steps[0] == 0
+        # a batch whose rows all have zero variance has no row to solve
+        flat = round_array(np.full((2, 8), 1.5), fmt)
+        for s, res in zip(steps, normalize_steps(fmt, flat, steps, lam)):
+            assert_same_result(res, separate(flat, s))
+
     def test_overflowing_row_is_named(self):
         x = round_array(np.array([[1.0, 2.0, 3.0, 4.0], [300.0, -300.0, 1.0, 2.0]]), FP16)
         with pytest.raises(RangeOverflowError) as info:
@@ -473,3 +496,27 @@ class TestExactPathProperties:
         assert worst <= TAU_CONV
         # the sweep bound is tight: the worst case sits above 1.4e-2
         assert worst > 1.4e-2
+
+
+class TestCallerArraysUnchanged:
+    """The kernels round their own temporaries in place, never an array the
+    caller passed: x, gamma and beta keep every bit, in either precision."""
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [64, 130])
+    def test_kernels_leave_inputs_alone(self, fmt, dtype, d):
+        x = rows_with_edge_cases(fmt, 6, d, seed=4).astype(dtype)
+        gamma = round_array(np.linspace(0.5, 1.5, d), fmt).astype(dtype)
+        beta = round_array(np.linspace(-0.25, 0.25, d), fmt).astype(dtype)
+        before = [v.copy() for v in (x, gamma, beta)]
+        shift_batch(fmt, x)
+        normalize_batch(fmt, x, gamma, beta)
+        normalize_batch(fmt, x, gamma, beta, NormConfig(stopping=Threshold(1e-6)))
+        list(normalize_steps(fmt, x, (3, 0, 1)))
+        reference_batch(fmt, x, gamma, beta)
+        reference_batch(fmt, x)
+        if fmt.exp_bits == 8:  # FISR needs an 8-bit exponent
+            fisr_batch(fmt, x, gamma, beta)
+        for v, b in zip((x, gamma, beta), before):
+            assert (v.dtype, v.tobytes()) == (b.dtype, b.tobytes())

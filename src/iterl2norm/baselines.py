@@ -70,6 +70,7 @@ def reference_batch(fmt: FormatSpec, x: np.ndarray, gamma: np.ndarray | None = N
     """Ground-truth layer norm: the whole pipeline in binary64 from the exact
     decoded inputs, one elementwise rounding to the format at the end.
 
+    `gamma` and `beta` have shape (d,) or (n, d), as in `normalize_batch`.
     Zero-variance vectors yield z = beta.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -88,5 +89,5 @@ def reference_batch(fmt: FormatSpec, x: np.ndarray, gamma: np.ndarray | None = N
     y += beta
     z = round_array(y, fmt, out=y)
     if not live.all():
-        z[~live] = beta
+        z[~live] = np.broadcast_to(beta, z.shape)[~live]
     return z

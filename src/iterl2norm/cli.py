@@ -14,16 +14,8 @@ import functools
 import json
 import sys
 
+from . import experiments
 from .errors import DataFormatError, RangeOverflowError, UsageError
-from .experiments import (
-    ExperimentSpec,
-    run_compare_fisr,
-    run_convergence,
-    run_latency,
-    run_normalize,
-    run_precision,
-    write_csv,
-)
 from .fpformat import FORMATS
 from .latency import StageCosts
 from .norm_core import DEFAULT_STEPS, FixedSteps, NormConfig, Threshold
@@ -70,14 +62,16 @@ _ERROR_TABLE_FLAGS = ("--format", "--dims", "--num-vectors", "--seed", "--steps"
 
 
 # (runner, help, flags) of each experiment subcommand; `normalize` is built
-# on its own.
+# on its own.  The runner is the name of an `experiments` function: every
+# call into `experiments` looks the function up on the module, so a wrapper
+# bound in its place (a tracer, a test's monkeypatch) is the one that runs.
 _EXPERIMENTS = {
-    "precision": (run_precision, "error vs the binary64 reference", _ERROR_TABLE_FLAGS),
-    "convergence": (run_convergence, "error vs iteration steps", _ERROR_TABLE_FLAGS),
-    "compare-fisr": (run_compare_fisr, "paired table against FISR",
+    "precision": ("run_precision", "error vs the binary64 reference", _ERROR_TABLE_FLAGS),
+    "convergence": ("run_convergence", "error vs iteration steps", _ERROR_TABLE_FLAGS),
+    "compare-fisr": ("run_compare_fisr", "paired table against FISR",
                      _ERROR_TABLE_FLAGS + ("--config",)),
     # --seed draws nothing; perfbench and run_paper_experiments.py pass it to all
-    "latency": (run_latency, "macro cycle counts",
+    "latency": ("run_latency", "macro cycle counts",
                 ("--dims", "--seed", "--steps", "--out", "--config")),
 }
 
@@ -161,11 +155,11 @@ def _config_int(path: str, section: str, key: str, v) -> int:
     raise DataFormatError(f"{path}: {section}.{key} must be an integer, not {json.dumps(v)}")
 
 
-def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
+def _build_spec(args: argparse.Namespace) -> experiments.ExperimentSpec:
     """The spec from the flags the user gave; the rest take the kind's
     defaults in ExperimentSpec."""
     given = {k: v for k, v in vars(args).items() if v is not None}
-    return ExperimentSpec(
+    return experiments.ExperimentSpec(
         kind=args.command,
         formats=tuple(given.get("formats", ())),
         **{k: given[k] for k in _SPEC_FIELDS if k in given},
@@ -178,8 +172,9 @@ def _normalize(args: argparse.Namespace) -> None:
     # from the mutually exclusive group
     stopping = (Threshold(args.delta_max) if args.delta_max is not None
                 else FixedSteps(DEFAULT_STEPS if args.steps is None else args.steps))
-    summary = run_normalize(args.input, args.out, NormConfig(stopping, args.lambda_override),
-                            args.format, args.gamma, args.beta)
+    summary = experiments.run_normalize(args.input, args.out,
+                                        NormConfig(stopping, args.lambda_override),
+                                        args.format, args.gamma, args.beta)
     print(f"normalized {summary.count} vectors -> {summary.out_path} "
           f"(diagnostics: {summary.sidecar_path})")
 
@@ -190,7 +185,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "normalize":
             _normalize(args)
             return EXIT_OK
-        text = write_csv(_EXPERIMENTS[args.command][0](_build_spec(args)), args.out)
+        runner = getattr(experiments, _EXPERIMENTS[args.command][0])
+        text = experiments.write_csv(runner(_build_spec(args)), args.out)
         if args.out is None:
             sys.stdout.write(text)
         return EXIT_OK

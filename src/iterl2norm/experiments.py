@@ -244,22 +244,21 @@ def run_normalize(in_path: str, out_path: str, config: NormConfig = NormConfig()
     gammas = _read_params(gamma_path, len(vectors), fmt) if gamma_path else None
     betas = _read_params(beta_path, len(vectors), fmt) if beta_path else None
 
-    lengths = [len(vec) for vec in vectors]
+    lengths = _lengths(vectors)
     for params, label in ((gammas, "gamma"), (betas, "beta")):
         if params is None:
             continue
-        for i, d in enumerate(lengths):
-            p = params[i % len(params)]
-            if len(p) != d:
-                raise DataFormatError(f"vector {i}: {label} length {len(p)} != d {d}")
+        # one parameter vector for all rows, or one per row
+        bad = np.flatnonzero(_lengths(params) != lengths)
+        if bad.size:
+            i = int(bad[0])
+            raise DataFormatError(f"vector {i}: {label} length "
+                                  f"{len(params[i % len(params)])} != d {lengths[i]}")
 
     # One batch per vector length and one solve for the whole file; outputs
     # and sidecar keep the file order.  A file of one length (every binary
     # file) is its own batch, and its outputs are that batch's array.
-    rows_by_d: dict[int, list[int]] = {}
-    for i, d in enumerate(lengths):
-        rows_by_d.setdefault(d, []).append(i)
-    groups = list(rows_by_d.values())
+    groups = _rows_by_length(lengths)
     single = len(groups) == 1
     parts, non_finite, overflow = [], [], []
     for rows in groups:
@@ -302,6 +301,21 @@ def run_normalize(in_path: str, out_path: str, config: NormConfig = NormConfig()
         remove_output(out_path)  # a failed run leaves no output behind
         raise
     return NormalizeSummary(len(outputs), str(out_path), sidecar)
+
+
+def _lengths(vectors: np.ndarray | list[np.ndarray]) -> np.ndarray:
+    """The length of each vector: of an (n, d) array, d for every row."""
+    if isinstance(vectors, np.ndarray):
+        return np.full(len(vectors), vectors.shape[1])
+    return np.fromiter(map(len, vectors), dtype=np.int64, count=len(vectors))
+
+
+def _rows_by_length(lengths: np.ndarray) -> list[list[int]]:
+    """The file indices of the rows of each distinct length, in file order,
+    one list per length in the order of the lengths' first rows."""
+    order = np.argsort(lengths, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1)
+    return sorted((g.tolist() for g in groups), key=lambda rows: rows[0])
 
 
 def _group_params(params: list[np.ndarray] | None, rows: list[int]) -> np.ndarray | None:

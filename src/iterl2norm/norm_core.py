@@ -78,7 +78,9 @@ class NormConfig:
 class BatchNormResult:
     """The outputs `z` of one batch and each row's diagnostics, all float64
     but the per-row `steps` and `converged`.  The normalized `y_hat` is not
-    kept: with gamma None and a beta of -0.0, `z` is `y_hat` bit for bit."""
+    kept: with gamma None and a beta of -0.0, `z` is `y_hat` bit for bit.
+    A gamma or beta of None skips its stage; z is then what a gamma of ones
+    or a beta of +0.0 gives, bit for bit (see `_finish`)."""
 
     z: np.ndarray
     mean: np.ndarray
@@ -229,8 +231,10 @@ def shift_batch(fmt: FormatSpec, x: np.ndarray) -> Shifted:
             raise UsageError("d must be >= 1")
         total = tree_sum_values(x, fmt)  # mean_sum
         mean = round_array(total * stored_constant(1.0 / x.shape[1], fmt), fmt)  # mean_mul
-        y = round_array(x - mean[:, None], fmt)  # mean_shift
-        m = tree_sum_values(round_array(y * y, fmt), fmt)  # inner_product
+        y = np.subtract(x, mean[:, None])  # mean_shift
+        round_array(y, fmt, out=y)
+        sq = np.multiply(y, y)  # inner_product
+        m = tree_sum_values(round_array(sq, fmt, out=sq), fmt)
     finite = np.isfinite(m)
     if not finite.all():
         raise RangeOverflowError(f"squared norm overflowed {fmt.name}",
@@ -262,21 +266,24 @@ class _Solved(NamedTuple):
 
 def _finish(fmt: FormatSpec, part: _Solved) -> BatchNormResult:
     """The scale and shift stages of one batch.  Zero-variance rows (m == 0)
-    give a = 0, 0 steps and z = beta.  The trajectory ends at the batch's
-    largest step count (a stopped row repeats its last value).
+    give a = 0, 0 steps and z = beta (+0 when beta is None).  The
+    trajectory ends at the batch's largest step count (a stopped row repeats
+    its last value).
 
-    gamma and beta are narrowed to binary32 once; the results are widened
-    back to float64 once.  Overflow and invalid operations give the format's
+    y_hat = round(round(sqrt(d) * a) * y) and z = round(round(gamma * y_hat)
+    + beta) are computed in one binary32 buffer, rounded in place, and
+    widened to float64 once.  A stage runs only when its operand is given:
+    with gamma None the product by 1, which changes no bit, is skipped; with
+    beta None the + 0 is done in the widening, exactly, since y_hat is
+    already a format value and x + 0 is x for every x but -0, which becomes
+    +0 as round(y_hat + 0) makes it.  gamma and beta are narrowed to
+    binary32 once.  Overflow and invalid operations give the format's
     infinities and NaNs, as in hardware, without a numpy warning."""
     y, live = part.shifted.y, part.shifted.m > 0.0
     traj_live, steps_live, converged_live = part.solution
     n, d = y.shape
+    f32, f64 = np.float32, np.float64
     with np.errstate(over="ignore", invalid="ignore"):
-        f32 = np.float32
-        gamma = np.broadcast_to(
-            f32(1.0) if part.gamma is None else np.asarray(part.gamma, dtype=f32), (n, d))
-        beta = np.broadcast_to(
-            f32(0.0) if part.beta is None else np.asarray(part.beta, dtype=f32), (n, d))
         steps = np.zeros(n, dtype=np.int64)
         steps[live] = steps_live
         traj = np.zeros((n, int(steps.max(initial=0)) + 1))
@@ -288,11 +295,21 @@ def _finish(fmt: FormatSpec, part: _Solved) -> BatchNormResult:
         scale = np.zeros(n, dtype=f32)
         # an injected `a` is binary64, and is rounded from binary64
         scale[live] = round_array(traj_live[:, -1] * sqrt_d, fmt)
-        y_hat = round_array(scale[:, None] * y, fmt)
-        z = round_array(round_array(gamma * y_hat, fmt) + beta, fmt)
-        z[~live] = beta[~live]
-    f64 = np.float64
-    return BatchNormResult(z.astype(f64), part.shifted.mean.astype(f64),
+        z = np.multiply(scale[:, None], y)
+        round_array(z, fmt, out=z)  # y_hat
+        if part.gamma is not None:
+            np.multiply(z, np.asarray(part.gamma, dtype=f32), out=z)
+            round_array(z, fmt, out=z)
+        if part.beta is None:
+            z = np.add(z, 0.0, dtype=f64)
+            z[~live] = 0.0
+        else:
+            beta = np.broadcast_to(np.asarray(part.beta, dtype=f32), (n, d))
+            np.add(z, beta, out=z)
+            round_array(z, fmt, out=z)
+            z[~live] = beta[~live]
+            z = z.astype(f64)
+    return BatchNormResult(z, part.shifted.mean.astype(f64),
                            part.shifted.m.astype(f64), traj, steps, converged)
 
 

@@ -169,21 +169,24 @@ class TestLayernormReference:
     @pytest.mark.parametrize("fmt", [FP32, FP16, BF16], ids=lambda f: f.name)
     def test_matches_the_written_out_expression(self, fmt):
         # gamma * (sqrt(d) * y / ||y||) + beta in binary64, rounded once,
-        # bit for bit, with beta on the zero-variance rows
+        # bit for bit, with beta on the zero-variance rows; gamma and beta
+        # shared or one per row
         rng = np.random.default_rng(2)
         d = 96
         x = round_array(rng.uniform(-1, 1, (6, d)) * 2.0 ** rng.uniform(-6, 6, (6, 1)), fmt)
         x[2] = 0.5
         gamma = round_array(rng.uniform(0.5, 2.0, d), fmt)
         beta = round_array(rng.uniform(-0.5, 0.5, d), fmt)
+        gamma_rows = round_array(rng.uniform(0.5, 2.0, x.shape), fmt)
+        beta_rows = round_array(rng.uniform(-0.5, 0.5, x.shape), fmt)
         y = x - x.mean(axis=1, keepdims=True)
         norm = np.sqrt(np.einsum("ij,ij->i", y, y))[:, None]
         safe = np.where(norm > 0.0, norm, 1.0)
-        for g, b in ((gamma, beta), (None, None), (None, beta)):
-            gm = np.ones(d) if g is None else g
-            bt = np.zeros(d) if b is None else b
-            want = round_array(gm[None, :] * (math.sqrt(d) * y / safe) + bt[None, :], fmt)
-            want[2] = bt
+        for g, b in ((gamma, beta), (None, None), (None, beta), (gamma_rows, beta_rows)):
+            gm = 1.0 if g is None else g
+            bt = np.broadcast_to(0.0 if b is None else b, x.shape)
+            want = round_array(gm * (math.sqrt(d) * y / safe) + bt, fmt)
+            want[2] = bt[2]
             got = reference_batch(fmt, x, g, b)
             assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 

@@ -1,9 +1,11 @@
-"""One short run of each of two benchmark workloads in perfbench/: at seed
-0 it checks the output digest recorded in perfbench/digests.json, the
-tracer's targets, the traced row count and the workload's own checks
-against the kernels (`normalize_batch` and `reference_batch`; on
-`paper_battery` also the convergence steps and `fisr_batch`), so a change
-that breaks any of them fails here.
+"""One short run of each benchmark workload in perfbench/: at seed 0 it
+checks the output digest recorded in perfbench/digests.json, the tracer's
+targets, the traced row count and the workload's own checks against the
+kernels (`normalize_batch` and `reference_batch`; on `paper_battery` also
+the convergence steps and `fisr_batch`), so a change that breaks any of
+them fails here.  `file_text_ragged` is the only workload whose digest
+covers `normalize` with the default gamma and beta, lengths that are not
+powers of two (where the pre-stored 1/d is inexact) and Threshold stopping.
 
 The run works on a copy of perfbench/ beside a link to src/, so its scratch
 files and results land in the test's temporary directory."""
@@ -20,7 +22,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["file_bin", "paper_battery"])
+@pytest.mark.parametrize("workload", ["file_bin", "paper_battery", "file_text_ragged"])
 def test_seed0_traced_run_is_correct(tmp_path, workload):
     shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",
                     ignore=shutil.ignore_patterns("__pycache__"))

@@ -359,6 +359,24 @@ class TestExitCodes:
         assert (code, err) == (3, f"data error: {par}: vector 1: non-finite value\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--gamma", "--beta"])
+    @pytest.mark.parametrize("params, message", [
+        # one vector for every row: rows 1 and 3 (d = 3) and 2 (d = 2) differ
+        ("1,1,1,1\n", "vector 1: {} length 4 != d 3"),
+        # one vector per row: row 2 (the d = 2 group, met last) differs
+        # before row 3 (the d = 3 group, met second)
+        ("1,1,1,1\n1,1,1\n1\n1\n", "vector 2: {} length 1 != d 2"),
+    ], ids=["shared", "per-row"])
+    def test_param_length_mismatch_names_first_vector(self, capsys, tmp_path, flag, params,
+                                                      message):
+        inp, par, out = tmp_path / "v.txt", tmp_path / "p.txt", tmp_path / "z.txt"
+        inp.write_text("1,2,3,4\n1,2,4\n1,2\n5,6,8\n")
+        par.write_text(params)
+        code, _, err = run(capsys, "normalize", "--input", str(inp), flag, str(par),
+                           "--out", str(out))
+        assert (code, err) == (3, f"data error: {message.format(flag[2:])}\n")
+        assert not out.exists()
+
     def test_diverging_threshold_row_is_not_converged(self, capsys, tmp_path):
         # lambda 0.3 on m = 42 drives a to infinity; the row stops there
         inp, out = tmp_path / "v.txt", tmp_path / "z.txt"
@@ -564,6 +582,21 @@ class TestOutputs:
             return float(next(l for l in text.splitlines()
                               if l.startswith("fp32,32,fisr")).split(",")[3])
         assert fisr_avg(raw_seed) > fisr_avg(base)
+
+
+class TestDispatch:
+    def test_runner_is_looked_up_on_the_experiments_module(self, capsys, monkeypatch):
+        # a wrapper bound on the module (a tracer, a monkeypatch) is what runs
+        calls = []
+
+        def fake(spec):
+            calls.append(spec)
+            return experiments.ExperimentResult(spec, ("col",), [(7,)])
+
+        monkeypatch.setattr(experiments, "run_precision", fake)
+        code, out, _ = run(capsys, "precision", "--dims", "16", "--num-vectors", "4")
+        assert code == 0 and out.endswith("col\n7\n")
+        assert [(s.kind, s.dims, s.num_vectors) for s in calls] == [("precision", (16,), 4)]
 
 
 class TestOneParser:

@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iterl2norm.errors import RangeOverflowError, UsageError
-from iterl2norm.fpformat import BF16, FP16, FP32, round_array, round_value, values_to_bits
+from iterl2norm.fpformat import (
+    BF16,
+    FP16,
+    FP32,
+    round_array,
+    round_value,
+    stored_constant,
+    values_to_bits,
+)
 from iterl2norm.norm_core import (
     FixedSteps,
     NormConfig,
@@ -23,7 +31,7 @@ from iterl2norm.norm_core import (
 )
 from iterl2norm.baselines import fisr_batch, reference_batch
 
-from oracles import oracle_iteration
+from oracles import oracle_iteration, oracle_op_fast
 
 ALL_FORMATS = [FP32, FP16, BF16]
 
@@ -500,23 +508,132 @@ class TestExactPathProperties:
 
 class TestCallerArraysUnchanged:
     """The kernels round their own temporaries in place, never an array the
-    caller passed: x, gamma and beta keep every bit, in either precision."""
+    caller passed: x, gamma and beta, shared or one per row, and the arrays
+    of a `Shifted` keep every bit, in either precision."""
 
     @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("d", [64, 130])
-    def test_kernels_leave_inputs_alone(self, fmt, dtype, d):
+    @pytest.mark.parametrize("per_row", [False, True], ids=["shared", "per-row"])
+    def test_kernels_leave_inputs_alone(self, fmt, dtype, d, per_row):
         x = rows_with_edge_cases(fmt, 6, d, seed=4).astype(dtype)
-        gamma = round_array(np.linspace(0.5, 1.5, d), fmt).astype(dtype)
-        beta = round_array(np.linspace(-0.25, 0.25, d), fmt).astype(dtype)
-        before = [v.copy() for v in (x, gamma, beta)]
-        shift_batch(fmt, x)
+        shape = x.shape if per_row else (d,)
+        size = math.prod(shape)
+        gamma = round_array(np.linspace(0.5, 1.5, size).reshape(shape), fmt).astype(dtype)
+        beta = round_array(np.linspace(-0.25, 0.25, size).reshape(shape), fmt).astype(dtype)
+        shifted = shift_batch(fmt, x)
+        before = [v.copy() for v in (x, gamma, beta, *shifted)]
         normalize_batch(fmt, x, gamma, beta)
         normalize_batch(fmt, x, gamma, beta, NormConfig(stopping=Threshold(1e-6)))
-        list(normalize_steps(fmt, x, (3, 0, 1)))
+        for given in (x, shifted):
+            normalize_batch(fmt, given, gamma, beta)
+            normalize_batch(fmt, given, None, beta)
+            normalize_batch(fmt, given, gamma, None)
+            normalize_batches(fmt, [(given, gamma, beta), (given, None, None)])
+            list(normalize_steps(fmt, given, (3, 0, 1)))
+            if fmt.exp_bits == 8:  # FISR needs an 8-bit exponent
+                fisr_batch(fmt, given, gamma, beta)
         reference_batch(fmt, x, gamma, beta)
         reference_batch(fmt, x)
-        if fmt.exp_bits == 8:  # FISR needs an 8-bit exponent
-            fisr_batch(fmt, x, gamma, beta)
-        for v, b in zip((x, gamma, beta), before):
+        for v, b in zip((x, gamma, beta, *shifted), before):
             assert (v.dtype, v.tobytes()) == (b.dtype, b.tobytes())
+
+
+def signed_zero_row(d: int) -> np.ndarray:
+    """A row of -0.0 but for 1, -1 in front (d >= 3): its mean is +0, so its
+    -0 entries stay -0 in y and in y_hat."""
+    row = np.full(d, -0.0)
+    row[:2] = 1.0, -1.0
+    return row
+
+
+@st.composite
+def output_stage_batches(draw, fmt):
+    """A format-representable (n, d) batch: drawn rows, a row whose y_hat
+    holds -0 entries and a zero-variance row."""
+    d = draw(st.integers(3, 24))
+    values = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5]),
+                       st.floats(-8.0, 8.0, width=32))
+    rows = draw(st.lists(st.lists(values, min_size=d, max_size=d), min_size=1, max_size=4))
+    flat = draw(values)
+    x = np.vstack([np.array(rows), signed_zero_row(d), np.full(d, flat)])
+    return round_array(x, fmt)
+
+
+class TestOutputStages:
+    """A gamma or beta of None skips its stage: z is what a gamma of ones
+    and a beta of +0.0 give, bit for bit, through every entry point."""
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_absent_gamma_and_beta_equal_ones_and_zeros(self, fmt, data):
+        x = data.draw(output_stage_batches(fmt))
+        shape = x.shape if data.draw(st.booleans(), label="per_row") else x.shape[1:]
+        ones, zeros = np.ones(shape), np.zeros(shape)
+        # an injected a of 2^12 or 65504 overflows fp16's y_hat to +-inf
+        # (and to NaN at y = 0); lambda 2.5 drives a to inf and NaN
+        config = data.draw(st.sampled_from([NormConfig(), NormConfig(Threshold(1e-6)),
+                                            NormConfig(FixedSteps(3), 2.5)]))
+        inject_a = data.draw(st.sampled_from([None, 4096.0, 65504.0]))
+        want = normalize_batch(fmt, x, ones, zeros, config, inject_a)
+        for gamma, beta in ((None, None), (None, zeros), (ones, None)):
+            assert_same_result(normalize_batch(fmt, x, gamma, beta, config, inject_a), want)
+        lam = data.draw(st.sampled_from([None, 0.3, 2.5]))
+        steps = (3, 0, 1)
+        for s, res in zip(steps, normalize_steps(fmt, x, steps, lam)):
+            assert_same_result(res, normalize_batch(fmt, x, ones, zeros,
+                                                    NormConfig(FixedSteps(s), lam)))
+        if fmt.exp_bits == 8:  # FISR needs an 8-bit exponent
+            assert_same_result(fisr_batch(fmt, x), fisr_batch(fmt, x, ones, zeros))
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("beta", [None, -0.0, 0.25])
+    def test_zero_variance_rows_get_beta(self, fmt, beta):
+        # even where gamma * y_hat is NaN (gamma = inf, y_hat = 0)
+        x = np.vstack([np.full(4, 0.75), [1.0, 2.0, 3.0, 4.0]])
+        gamma = np.array([np.inf, 1.0, 1.0, 1.0])
+        betas = None if beta is None else np.full(4, beta)
+        for g in (None, gamma):
+            z = normalize_batch(fmt, x, g, betas).z
+            want = np.full(4, 0.0 if beta is None else beta)
+            assert z[0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("gamma_shape, beta_shape", [
+        (None, None), (None, "-0"), ("d", None), (None, "d"), ("d", "d"), ("nd", "nd")])
+    def test_output_stages_match_the_integer_oracle(self, fmt, gamma_shape, beta_shape):
+        # y_hat = round(round(a * sqrt(d)) * y), round(gamma * y_hat) and
+        # round(. + beta), one integer-oracle op each, with gamma None as 1
+        # and beta None as +0.0; a zero-variance row gets beta.  With gamma
+        # None and beta -0.0, z is y_hat, -0 entries included.
+        d = 40
+        x = np.vstack([rows_with_edge_cases(fmt, 6, d, seed=2), signed_zero_row(d)])
+        rng = np.random.default_rng(6)
+
+        def param(shape, low, high):
+            if shape is None or shape == "-0":
+                return None if shape is None else neg_zero(d)
+            return round_array(rng.uniform(low, high, x.shape if shape == "nd" else d), fmt)
+
+        def bits(v):
+            return values_to_bits(np.asarray(v, dtype=np.float64), fmt).astype(int).tolist()
+
+        gamma, beta = param(gamma_shape, 0.5, 1.5), param(beta_shape, -0.5, 0.5)
+        shifted = shift_batch(fmt, x)
+        res = normalize_batch(fmt, shifted, gamma, beta)
+        g = bits(np.broadcast_to(1.0 if gamma is None else gamma, x.shape))
+        b = bits(np.broadcast_to(0.0 if beta is None else beta, x.shape))
+        sqrt_d = bits([stored_constant(math.sqrt(d), fmt)])[0]
+        live = res.m > 0.0
+        want = b.copy()
+        for i in np.flatnonzero(live):
+            scale = oracle_op_fast(bits(res.a_trajectory[i, -1:])[0], sqrt_d, "mul", fmt)
+            y_hat = [oracle_op_fast(scale, yb, "mul", fmt) for yb in bits(shifted.y[i])]
+            want[i] = [oracle_op_fast(oracle_op_fast(gb, yh, "mul", fmt), bb, "add", fmt)
+                       for gb, yh, bb in zip(g[i], y_hat, b[i])]
+            if beta_shape == "-0":
+                assert want[i] == y_hat
+        assert bits(res.z) == want
+        assert not live.all()
+        assert (np.signbit(res.z[live]) & (res.z[live] == 0.0)).any() == (beta_shape == "-0")

@@ -25,13 +25,11 @@ BF16_MAGIC = 0x5F37
 _DEFAULT_MAGIC = {"fp32": FP32_MAGIC, "bf16": BF16_MAGIC}
 
 
-def fisr_inv_sqrt_values(m: np.ndarray, fmt: FormatSpec, magic: int | None = None,
-                         newton_iters: int = 1) -> np.ndarray:
-    """Vectorized FISR of the positive finite `m`: seed magic - (bits >> 1),
-    then `newton_iters` Newton steps y <- y * (1.5 - ((0.5*m) * y) * y) in
-    emulated `fmt` arithmetic, in the precision `m` is carried in (see
-    `fpformat._carried`).  `fmt` needs an 8-bit exponent (fp32 or bf16); a
-    `magic` of None is the format's canonical constant."""
+def checked_fisr_magic(fmt: FormatSpec, magic: int | None, newton_iters: int) -> int:
+    """The magic constant FISR seeds with in `fmt` (`magic`, or the format's
+    canonical constant when it is None), after checking the settings: `fmt`
+    needs an 8-bit exponent, `newton_iters` must be >= 0 and the constant
+    must fit the format's bits; anything else is a UsageError."""
     if fmt.exp_bits != 8:
         raise UsageError("FISR needs a format with an 8-bit exponent (fp32 or bf16)")
     if newton_iters < 0:
@@ -39,6 +37,17 @@ def fisr_inv_sqrt_values(m: np.ndarray, fmt: FormatSpec, magic: int | None = Non
     magic = _DEFAULT_MAGIC[fmt.name] if magic is None else magic
     if not 0 <= magic < (1 << fmt.total_bits):
         raise UsageError("magic constant out of range for the format")
+    return magic
+
+
+def fisr_inv_sqrt_values(m: np.ndarray, fmt: FormatSpec, magic: int | None = None,
+                         newton_iters: int = 1) -> np.ndarray:
+    """Vectorized FISR of the positive finite `m`: seed magic - (bits >> 1),
+    then `newton_iters` Newton steps y <- y * (1.5 - ((0.5*m) * y) * y) in
+    emulated `fmt` arithmetic, in the precision `m` is carried in (see
+    `fpformat._carried`).  `fmt` needs an 8-bit exponent (fp32 or bf16); a
+    `magic` of None is the format's canonical constant."""
+    magic = checked_fisr_magic(fmt, magic, newton_iters)
     m = _carried(m)
     if not ((m > 0) & np.isfinite(m)).all():
         raise ValueError("FISR requires positive finite input")
@@ -66,18 +75,22 @@ def fisr_batch(fmt: FormatSpec, x: np.ndarray | Shifted, gamma: np.ndarray | Non
 
 
 def reference_batch(fmt: FormatSpec, x: np.ndarray, gamma: np.ndarray | None = None,
-                    beta: np.ndarray | None = None) -> np.ndarray:
+                    beta: np.ndarray | None = None, out: np.ndarray | None = None
+                    ) -> np.ndarray:
     """Ground-truth layer norm: the whole pipeline in binary64 from the exact
     decoded inputs, one elementwise rounding to the format at the end.
 
     `gamma` and `beta` have shape (d,) or (n, d), as in `normalize_batch`.
-    Zero-variance vectors yield z = beta.
+    Zero-variance vectors yield z = beta.  The result is computed in `out`,
+    a float64 array of x's shape (x itself included), when it is given:
+    y = x - mean is written there and every later step runs in place.
+    Without `out` it is a new array.
     """
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
     beta = 0.0 if beta is None else np.asarray(beta, dtype=np.float64)
     mean = x.mean(axis=1, keepdims=True)
-    y = x - mean
+    y = np.subtract(x, mean, out=out)
     norm = np.sqrt(np.einsum("ij,ij->i", y, y))[:, None]
     live = (norm > 0.0)[:, 0]
     # gamma * (sqrt(d) * y / norm) + beta, one operation at a time in y; a

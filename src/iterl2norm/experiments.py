@@ -21,13 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import _DEFAULT_MAGIC, fisr_batch, reference_batch
+from .baselines import _DEFAULT_MAGIC, checked_fisr_magic, fisr_batch, reference_batch
 from .errors import DataFormatError, RangeOverflowError, UsageError
 from .fpformat import FORMATS, FormatSpec, round_array
 from .latency import PHASES, StageCosts, estimate_cycles
 from .norm_core import (
     DEFAULT_STEPS,
+    Buffers,
     NormConfig,
+    check_lambda,
     normalize_batches,
     normalize_steps,
     shift_batch,
@@ -91,6 +93,10 @@ class ExperimentSpec:
             raise UsageError("a steps sweep applies to `convergence` only")
         if self.kind == "convergence" and len(self.dims) > 1:
             raise UsageError("convergence sweeps steps at one fixed d")
+        check_lambda(self.lambda_override)
+        if self.kind == "compare-fisr":
+            for f in self.formats:
+                checked_fisr_magic(FORMATS[f], self.fisr_magic.get(f), self.fisr_newton_iters)
 
 
 @dataclass(frozen=True)
@@ -126,8 +132,17 @@ def _rng(spec: ExperimentSpec, fmt_name: str, d: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed, spawn_key=key)))
 
 
-def _draw_inputs(spec: ExperimentSpec, fmt: FormatSpec, d: int) -> np.ndarray:
-    x = _rng(spec, fmt.name, d).uniform(-1.0, 1.0, size=(spec.num_vectors, d))
+def _draw_inputs(spec: ExperimentSpec, fmt: FormatSpec, d: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The batch of `spec.num_vectors` vectors of length d for one format:
+    uniform on [-1, 1) in binary64, rounded to the format, in `out` (a
+    C-contiguous float64 array of shape (num_vectors, d)) when it is given.
+    Bit for bit `uniform(-1.0, 1.0)`, which computes -1 + 2*u from the same
+    doubles u, and 2*u is exact."""
+    x = np.empty((spec.num_vectors, d)) if out is None else out
+    _rng(spec, fmt.name, d).random(out=x)
+    x *= 2.0
+    x -= 1.0
     return round_array(x, fmt, out=x)
 
 
@@ -142,14 +157,23 @@ def _error_runs(spec: ExperimentSpec):
     step count from that trajectory (`normalize_steps`), and, for
     compare-fisr, FISR on those stages; gamma = 1, beta = 0.  Yields
     (format, d, steps, method, BatchNormResult, ErrorStats) one run at a
-    time (steps is None for FISR): a run's outputs are dropped once the
-    caller moves on."""
+    time (steps is None for FISR).
+
+    Every run of a call writes into one set of `Buffers`, sized for the
+    largest batch (num_vectors x max(dims)); each batch uses views of their
+    first n*d elements: the draw "x" (which then takes each run's errors),
+    the reference "ref", the vector stages "x32" and "y" (see
+    `shift_batch`) and the finishes "z" and "z64".  A yielded result's
+    arrays are therefore valid only until the caller asks for the next
+    run."""
+    buffers = Buffers(spec.num_vectors * max(spec.dims))
     for name in spec.formats:
         fmt = FORMATS[name]
         for d in spec.dims:
-            x = _draw_inputs(spec, fmt, d)
-            ref = reference_batch(fmt, x)
-            shifted = shift_batch(fmt, x)
+            shape = (spec.num_vectors, d)
+            x = _draw_inputs(spec, fmt, d, out=buffers.take("x", shape, np.float64))
+            ref = reference_batch(fmt, x, out=buffers.take("ref", shape, np.float64))
+            shifted = shift_batch(fmt, x, buffers)
             err = x  # the draw is not read again: its buffer takes each run's errors
             runs = normalize_steps(fmt, shifted, spec.steps, spec.lambda_override)
             for steps, out in zip(spec.steps, runs):
@@ -185,9 +209,6 @@ def run_convergence(spec: ExperimentSpec) -> ExperimentResult:
 def run_compare_fisr(spec: ExperimentSpec) -> ExperimentResult:
     """Paired error table: the iterative method versus FISR on identical
     vectors.  FP32 and BFloat16 only (FISR needs an 8-bit exponent)."""
-    bad = [f for f in spec.formats if FORMATS[f].exp_bits != 8]
-    if bad:
-        raise UsageError(f"FISR comparison supports fp32/bf16 only (8-bit exponent); got {bad}")
     result = ExperimentResult(
         spec, ("format", "d", "method", "avg_abs_err", "max_abs_err"), [])
     for name, d, _, method, out, st in _error_runs(spec):

@@ -46,8 +46,14 @@ narrows it under `np.errstate`: a finite binary64 value can overflow the
 format.  `round_array(x, fmt, out=o)` writes the rounding into `o`, which
 may be `x` itself; the adder-tree walk, the reference's output and the
 experiments' input draws round in place that way instead of allocating a
-new array per rounding.  Constants the macro keeps pre-stored (1/d, sqrt(d),
-2^-1/2) are rounded once per value and format (:func:`stored_constant`).
+new array per rounding.  The error tables go one step further: one call
+takes its draws, references, vector stages and outputs from one set of
+`norm_core.Buffers`, sized for its largest batch, so each batch rounds in
+views of arrays the call already touched.  The temporaries inside a
+rounding (the narrow copy of a float64 array, the bfloat16 trick's
+integers, FP16's split scratch) and the adder-tree levels are still new
+arrays.  Constants the macro keeps pre-stored (1/d, sqrt(d), 2^-1/2) are
+rounded once per value and format (:func:`stored_constant`).
 """
 
 from __future__ import annotations

@@ -64,14 +64,20 @@ class Threshold:
             raise UsageError("max_steps must be >= 1")
 
 
+def check_lambda(lambda_override: float | None) -> None:
+    """An update-rate override is None (the default rate) or positive and
+    finite; anything else is a UsageError."""
+    if lambda_override is not None and not 0 < lambda_override < math.inf:
+        raise UsageError("lambda override must be positive and finite")
+
+
 @dataclass(frozen=True)
 class NormConfig:
     stopping: FixedSteps | Threshold = field(default_factory=FixedSteps)
     lambda_override: float | None = None
 
     def __post_init__(self) -> None:
-        if self.lambda_override is not None and not 0 < self.lambda_override < math.inf:
-            raise UsageError("lambda override must be positive and finite")
+        check_lambda(self.lambda_override)
 
 
 @dataclass(frozen=True)
@@ -205,41 +211,83 @@ def _given(a: np.ndarray) -> tuple:
     return a[:, None], np.zeros(a.shape, dtype=np.int64), np.ones(a.shape, dtype=bool)
 
 
+class Buffers:
+    """Named arrays that one caller reuses from batch to batch, so that a
+    loop over batches of growing size touches fresh memory only once.
+
+    `take(name, shape, dtype)` returns a C-contiguous view of the first
+    prod(shape) elements of the buffer `name`, reallocated only when a
+    request outgrows it or changes its dtype; the view holds whatever the
+    buffer's last taker left there.  `size` is the element count each buffer
+    starts with: the caller's largest batch, so that no buffer is
+    reallocated on the way up."""
+
+    def __init__(self, size: int = 0) -> None:
+        self.size = size
+        self._flat: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        count = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.dtype != dtype or flat.size < count:
+            flat = self._flat[name] = np.empty(max(count, self.size), dtype)
+        return flat[:count].reshape(shape)
+
+
+def _take(buffers: Buffers | None, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """`buffers.take(name, shape, dtype)`, or a new array without buffers."""
+    return np.empty(shape, dtype) if buffers is None else buffers.take(name, shape, dtype)
+
+
 class Shifted(NamedTuple):
     """A batch after the vector stages: the mean-shifted rows `y`, shape
     (n, d), and each row's `mean` and squared norm `m`, shape (n,), all in
-    the binary32 carry (see `fpformat`)."""
+    the binary32 carry (see `fpformat`), and the `buffers` that `y` and the
+    outputs of every finish of the batch are taken from (None: new arrays).
+    With buffers, a finish's `z` is overwritten by the next finish, and `y`
+    by the next `shift_batch`, of a batch of the same buffers."""
 
     y: np.ndarray
     mean: np.ndarray
     m: np.ndarray
+    buffers: Buffers | None = None
 
 
-def shift_batch(fmt: FormatSpec, x: np.ndarray) -> Shifted:
+def shift_batch(fmt: FormatSpec, x: np.ndarray, buffers: Buffers | None = None) -> Shifted:
     """The vector stages of x, shape (n, d), narrowed to binary32 once, in
     the order and under the names of `latency.PHASES`: mean_sum reduces each
     row through the adder trees, mean_mul multiplies the sum by the
     pre-stored constant 1/d, mean_shift subtracts the mean from each
     element, and inner_product reduces the squares of the shifted row.  A
     squared norm that is not finite raises RangeOverflowError naming the
-    first such row."""
+    first such row.
+
+    y and the binary32 copy of x (unless x is float32 already), which then
+    takes y's squares, are new arrays, or with `buffers` the buffers "y" and
+    "x32"; the result carries `buffers` to the scale and shift stages."""
     with np.errstate(over="ignore", invalid="ignore"):
-        x = np.asarray(x, dtype=np.float32)
+        x = np.asarray(x)
         if x.ndim != 2:
             raise UsageError("x must have shape (n, d)")
         if x.shape[1] < 1:
             raise UsageError("d must be >= 1")
+        own = None  # the binary32 copy of x made here: it takes y's squares
+        if x.dtype != np.float32:
+            own = _take(buffers, "x32", x.shape, np.float32)
+            own[...] = x
+            x = own
         total = tree_sum_values(x, fmt)  # mean_sum
         mean = round_array(total * stored_constant(1.0 / x.shape[1], fmt), fmt)  # mean_mul
-        y = np.subtract(x, mean[:, None])  # mean_shift
+        y = _take(buffers, "y", x.shape, np.float32)
+        np.subtract(x, mean[:, None], out=y)  # mean_shift
         round_array(y, fmt, out=y)
-        sq = np.multiply(y, y)  # inner_product
+        sq = np.multiply(y, y, out=own)  # inner_product
         m = tree_sum_values(round_array(sq, fmt, out=sq), fmt)
     finite = np.isfinite(m)
     if not finite.all():
         raise RangeOverflowError(f"squared norm overflowed {fmt.name}",
                                  row=int(np.argmin(finite)))
-    return Shifted(y, mean, m)
+    return Shifted(y, mean, m, buffers)
 
 
 def _shifted(fmt: FormatSpec, x: np.ndarray | Shifted, gamma: np.ndarray | None,
@@ -271,14 +319,16 @@ def _finish(fmt: FormatSpec, part: _Solved) -> BatchNormResult:
     its last value).
 
     y_hat = round(round(sqrt(d) * a) * y) and z = round(round(gamma * y_hat)
-    + beta) are computed in one binary32 buffer, rounded in place, and
-    widened to float64 once.  A stage runs only when its operand is given:
-    with gamma None the product by 1, which changes no bit, is skipped; with
-    beta None the + 0 is done in the widening, exactly, since y_hat is
-    already a format value and x + 0 is x for every x but -0, which becomes
-    +0 as round(y_hat + 0) makes it.  gamma and beta are narrowed to
-    binary32 once.  Overflow and invalid operations give the format's
-    infinities and NaNs, as in hardware, without a numpy warning."""
+    + beta) are computed in one binary32 array, rounded in place, and
+    widened to float64 once: into the buffers "z" and "z64" of the batch's
+    `Shifted.buffers`, or into new arrays without buffers.  A stage runs
+    only when its operand is given: with gamma None the product by 1, which
+    changes no bit, is skipped; with beta None the + 0 is done in the
+    widening, exactly, since y_hat is already a format value and x + 0 is x
+    for every x but -0, which becomes +0 as round(y_hat + 0) makes it.
+    gamma and beta are narrowed to binary32 once.  Overflow and invalid
+    operations give the format's infinities and NaNs, as in hardware,
+    without a numpy warning."""
     y, live = part.shifted.y, part.shifted.m > 0.0
     traj_live, steps_live, converged_live = part.solution
     n, d = y.shape
@@ -295,21 +345,23 @@ def _finish(fmt: FormatSpec, part: _Solved) -> BatchNormResult:
         scale = np.zeros(n, dtype=f32)
         # an injected `a` is binary64, and is rounded from binary64
         scale[live] = round_array(traj_live[:, -1] * sqrt_d, fmt)
-        z = np.multiply(scale[:, None], y)
+        buffers = part.shifted.buffers
+        z = np.multiply(scale[:, None], y, out=_take(buffers, "z", (n, d), f32))
         round_array(z, fmt, out=z)  # y_hat
         if part.gamma is not None:
             np.multiply(z, np.asarray(part.gamma, dtype=f32), out=z)
             round_array(z, fmt, out=z)
+        z64 = _take(buffers, "z64", (n, d), f64)
         if part.beta is None:
-            z = np.add(z, 0.0, dtype=f64)
-            z[~live] = 0.0
+            np.add(z, 0.0, out=z64, dtype=f64)
+            z64[~live] = 0.0
         else:
             beta = np.broadcast_to(np.asarray(part.beta, dtype=f32), (n, d))
             np.add(z, beta, out=z)
             round_array(z, fmt, out=z)
             z[~live] = beta[~live]
-            z = z.astype(f64)
-    return BatchNormResult(z, part.shifted.mean.astype(f64),
+            z64[...] = z
+    return BatchNormResult(z64, part.shifted.mean.astype(f64),
                            part.shifted.m.astype(f64), traj, steps, converged)
 
 

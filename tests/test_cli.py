@@ -217,7 +217,12 @@ class TestExitCodes:
         {"fisr": {"fp32_magic": 2 ** 32}},
         {"stage_costs": {"control_fixed": -1}},
     ], ids=["newton-negative", "magic-too-large", "cost-negative"])
-    def test_out_of_range_config_is_2(self, capsys, tmp_path, cfg):
+    def test_out_of_range_config_is_2(self, capsys, tmp_path, monkeypatch, cfg):
+        # the spec rejects a setting it cannot run before anything is drawn
+        def draw(*args, **kwargs):
+            raise AssertionError("inputs drawn before the settings were checked")
+
+        monkeypatch.setattr(experiments, "_draw_inputs", draw)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         code, out, err = run(capsys, "compare-fisr", "--format", "fp32", "--dims", "16",

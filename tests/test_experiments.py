@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 
 from iterl2norm import __version__
 from iterl2norm.errors import DataFormatError, RangeOverflowError, UsageError
-from iterl2norm.baselines import reference_batch
+from iterl2norm.baselines import fisr_batch, reference_batch
 from iterl2norm.experiments import (
     CONVERGENCE_STEPS,
     OPT_DIMS,
@@ -22,9 +23,12 @@ from iterl2norm.experiments import (
     run_precision,
     write_csv,
     _draw_inputs,
+    _fmt_cell,
+    _rng,
 )
 from iterl2norm.fpformat import BF16, FORMATS, FP16, FP32, round_array
 from iterl2norm.norm_core import (
+    Buffers,
     FixedSteps,
     NormConfig,
     Threshold,
@@ -70,6 +74,25 @@ class TestExperimentSpec:
         # normalize is not an experiment: run_normalize takes its own config
         with pytest.raises(UsageError):
             ExperimentSpec(kind="normalize")
+
+    @pytest.mark.parametrize("kind", ["precision", "convergence", "compare-fisr"])
+    @pytest.mark.parametrize("lam", [math.nan, 0.0, -1.0, math.inf])
+    def test_unrunnable_lambda(self, kind, lam):
+        with pytest.raises(UsageError, match="lambda override"):
+            ExperimentSpec(kind=kind, lambda_override=lam)
+
+    @pytest.mark.parametrize("settings", [
+        dict(fisr_newton_iters=-1),
+        dict(fisr_magic={"fp32": 1 << 32}),
+        dict(fisr_magic={"fp32": -1}),
+        dict(fisr_magic={"bf16": 1 << 16}),
+        dict(formats=("fp16",)),
+    ], ids=["newton-negative", "fp32-magic-too-large", "fp32-magic-negative",
+            "bf16-magic-too-large", "fp16"])
+    def test_unrunnable_fisr_settings(self, settings):
+        # the rules of `fisr_inv_sqrt_values`, applied when the spec is built
+        with pytest.raises(UsageError):
+            ExperimentSpec(kind="compare-fisr", **settings)
 
 
 class TestErrorStats:
@@ -161,6 +184,63 @@ class TestConvergence:
         assert got == want
         if lam is not None:
             assert not all(math.isfinite(float(e)) for _, _, e in got)
+
+
+class TestDraw:
+    @pytest.mark.parametrize("fmt", [FP32, FP16, BF16], ids=lambda f: f.name)
+    def test_draw_into_reused_buffer_equals_uniform(self, fmt):
+        # a larger draw fills the buffer first, so an element the smaller
+        # draws failed to write would hold a stale value
+        spec = small_spec("precision", formats=(fmt.name,), num_vectors=5)
+        buffers = Buffers()
+        _draw_inputs(spec, fmt, 2000, out=buffers.take("x", (5, 2000), np.float64))
+        for d in (1, 37, 64, 1000):
+            out = buffers.take("x", (5, d), np.float64)
+            got = _draw_inputs(spec, fmt, d, out=out)
+            want = round_array(_rng(spec, fmt.name, d).uniform(-1.0, 1.0, size=(5, d)), fmt)
+            assert got is out
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                             want.tobytes())
+
+
+# Lengths that are not monotone, not all multiples of the 64-element chunk,
+# and repeat one d, and the sha256 of each table's CSV data rows at seed 0,
+# 16 vectors, from the error tables as they were before they reused buffers.
+AWKWARD_DIMS = (1000, 37, 4096, 64, 37)
+AWKWARD_DIGESTS = {
+    "precision": "b9c72c4f6d0afae42a0279794ada6edf725894c62647cc272218ddc45f412351",
+    "compare-fisr": "594385ae24cb81c9f28a2a1447a287a441546cba68955002006b30b33a404e1c",
+}
+
+
+class TestErrorRuns:
+    @pytest.mark.parametrize("kind,runner,formats", [
+        ("precision", run_precision, ("fp32", "fp16", "bf16")),
+        ("compare-fisr", run_compare_fisr, ("fp32", "bf16")),
+    ], ids=["precision", "compare-fisr"])
+    def test_awkward_dims_rows_equal_fresh_runs(self, kind, runner, formats):
+        # every row of one call, whose batches share buffers, equals the row
+        # of its batch computed on fresh arrays
+        spec = ExperimentSpec(kind=kind, formats=formats, dims=AWKWARD_DIMS,
+                              num_vectors=16, seed=0)
+        want = []
+        for name in formats:
+            fmt = FORMATS[name]
+            for d in AWKWARD_DIMS:
+                x = _draw_inputs(spec, fmt, d)
+                ref = reference_batch(fmt, x)
+                runs = [("iterl2norm", normalize_batch(fmt, x))]
+                if kind == "compare-fisr":
+                    runs.append(("fisr", fisr_batch(fmt, x)))
+                for method, out in runs:
+                    st = ErrorStats.from_errors(np.abs(out.z - ref))
+                    tag = (method,) if kind == "compare-fisr" else ()
+                    want.append((name, d, *tag, st.avg_abs_err, st.max_abs_err))
+        text = csv_text(runner(spec))
+        rows = [line for line in text.splitlines() if not line.startswith("#")][1:]
+        assert rows == [",".join(_fmt_cell(v) for v in row) for row in want]
+        digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+        assert digest == AWKWARD_DIGESTS[kind]
 
 
 class TestCompareFisr:

@@ -17,6 +17,7 @@ from iterl2norm.fpformat import (
     values_to_bits,
 )
 from iterl2norm.norm_core import (
+    Buffers,
     FixedSteps,
     NormConfig,
     Threshold,
@@ -521,11 +522,12 @@ class TestCallerArraysUnchanged:
         size = math.prod(shape)
         gamma = round_array(np.linspace(0.5, 1.5, size).reshape(shape), fmt).astype(dtype)
         beta = round_array(np.linspace(-0.25, 0.25, size).reshape(shape), fmt).astype(dtype)
-        shifted = shift_batch(fmt, x)
-        before = [v.copy() for v in (x, gamma, beta, *shifted)]
+        shifted, buffered = shift_batch(fmt, x), shift_batch(fmt, x, Buffers())
+        arrays = (x, gamma, beta, *shifted[:3], *buffered[:3])
+        before = [v.copy() for v in arrays]
         normalize_batch(fmt, x, gamma, beta)
         normalize_batch(fmt, x, gamma, beta, NormConfig(stopping=Threshold(1e-6)))
-        for given in (x, shifted):
+        for given in (x, shifted, buffered):
             normalize_batch(fmt, given, gamma, beta)
             normalize_batch(fmt, given, None, beta)
             normalize_batch(fmt, given, gamma, None)
@@ -535,7 +537,7 @@ class TestCallerArraysUnchanged:
                 fisr_batch(fmt, given, gamma, beta)
         reference_batch(fmt, x, gamma, beta)
         reference_batch(fmt, x)
-        for v, b in zip((x, gamma, beta, *shifted), before):
+        for v, b in zip(arrays, before):
             assert (v.dtype, v.tobytes()) == (b.dtype, b.tobytes())
 
 

@@ -163,9 +163,9 @@ def _error_runs(spec: ExperimentSpec):
     largest batch (num_vectors x max(dims)); each batch uses views of their
     first n*d elements: the draw "x" (which then takes each run's errors),
     the reference "ref", the vector stages "x32" and "y" (see
-    `shift_batch`) and the finishes "z" and "z64".  A yielded result's
-    arrays are therefore valid only until the caller asks for the next
-    run."""
+    `shift_batch`) and the finishes' float32 outputs "z".  A yielded
+    result's arrays are therefore valid only until the caller asks for the
+    next run."""
     buffers = Buffers(spec.num_vectors * max(spec.dims))
     for name in spec.formats:
         fmt = FORMATS[name]
@@ -185,9 +185,10 @@ def _error_runs(spec: ExperimentSpec):
 
 
 def _error_stats(z: np.ndarray, ref: np.ndarray, err: np.ndarray) -> ErrorStats:
-    """ErrorStats of |z - ref|, computed in `err`, an array of their shape
-    that the caller reuses for every run of one batch: the largest batches
-    are several MB."""
+    """ErrorStats of |z - ref|, computed in `err`, a float64 array of their
+    shape that the caller reuses for every run of one batch: the largest
+    batches are several MB.  The float32 `z` is widened exactly as it is
+    subtracted from the binary64 `ref`."""
     np.subtract(z, ref, out=err)
     return ErrorStats.from_errors(np.abs(err, out=err))
 

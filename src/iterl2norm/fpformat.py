@@ -26,17 +26,21 @@ elements are converted through numpy's binary16 and patched in by index.  A
 sweep of all 2^32 binary32 patterns matched
 `x.astype(float16).astype(float32)` bit for bit, NaN patterns included.
 
-Values outside the datapath (inputs, the binary64 iteration that
-`norm_core.iterate_values` runs without a format, tests) are float64 arrays,
-and :func:`round_array` rounds a float64 array from binary64 (p' = 53 also
-covers all three formats).  The condition holds for the result of one
-operation on format values, not for an arbitrary binary64 value: FP16
-therefore rounds binary64 straight to binary16, while BFloat16 rounds through
-binary32, which can double-round such a value (1 + 2^-8 + 2^-40 gives 1, not
-1 + 2^-7).  Where bit patterns matter (file I/O, FISR seeds),
-:func:`values_to_bits` and :func:`bits_to_values` encode and decode whole
-arrays; FP16 encodes a normal value by rebiasing its binary32 pattern and
-only the others through numpy's binary16.
+Binary32 holds every FP32, FP16 and BFloat16 value exactly, so the carry
+runs from file to file: :func:`bits_to_binary32` decodes a binary file's
+patterns into float32 (fp32 patterns without a copy), and
+:func:`values_to_bits` encodes the datapath's float32 outputs as they are
+(fp32 is a view, bf16 the high half of each pattern, FP16 a rebiased
+binary32 pattern, with only the values outside binary16's normal range
+encoded through numpy's binary16).  Values outside the datapath (text
+inputs, the binary64 iteration that `norm_core.iterate_values` runs
+without a format, the reference, tests) are float64 arrays, and
+:func:`round_array` rounds a float64 array from binary64 (p' = 53 also
+covers all three formats); :func:`bits_to_values` decodes into float64.
+The condition holds for the result of one operation on format values, not
+for an arbitrary binary64 value: FP16 therefore rounds binary64 straight to
+binary16, while BFloat16 rounds through binary32, which can double-round
+such a value (1 + 2^-8 + 2^-40 gives 1, not 1 + 2^-7).
 
 Floating-point warnings: rounding a float32 array enters `np.errstate` only
 for FP16, and only once the min/max check has found an element outside the
@@ -44,7 +48,7 @@ normal range, where the split can overflow or meet inf - inf.  The bfloat16
 trick is integer arithmetic and cannot warn.  Rounding a float64 array
 narrows it under `np.errstate`: a finite binary64 value can overflow the
 format.  `round_array(x, fmt, out=o)` writes the rounding into `o`, which
-may be `x` itself; the adder-tree walk, the reference's output and the
+may be `x` itself; the adder-tree levels, the reference's output and the
 experiments' input draws round in place that way instead of allocating a
 new array per rounding.  The error tables go one step further: one call
 takes its draws, references, vector stages and outputs from one set of
@@ -52,8 +56,10 @@ takes its draws, references, vector stages and outputs from one set of
 views of arrays the call already touched.  The temporaries inside a
 rounding (the narrow copy of a float64 array, the bfloat16 trick's
 integers, FP16's split scratch) and the adder-tree levels are still new
-arrays.  Constants the macro keeps pre-stored (1/d, sqrt(d), 2^-1/2) are
-rounded once per value and format (:func:`stored_constant`).
+arrays; the partial-sum chain of fp32 and bf16 in binary32 takes no
+temporary per step (see `_accumulate`).  Constants the macro keeps
+pre-stored (1/d, sqrt(d), 2^-1/2) are rounded once per value and format
+(:func:`stored_constant`).
 """
 
 from __future__ import annotations
@@ -258,14 +264,20 @@ def stored_constant(x: float, fmt: FormatSpec) -> float:
 
 
 def values_to_bits(values: np.ndarray, fmt: FormatSpec) -> np.ndarray:
-    """Encode already-representable float64 values into raw bit patterns."""
-    arr = np.asarray(values, dtype=np.float64)
+    """Encode already-representable values into raw bit patterns.
+
+    A float32 array (the datapath's binary32 carry) is encoded as it is: an
+    fp32 pattern is its binary32 pattern, a bf16 pattern the high 16 bits
+    of it; any other input is read as float64.  A signaling NaN keeps its
+    pattern in a float32 array and in FP16 (see `_fp16_bits`), but is
+    quieted when fp32 or bf16 narrows it from float64."""
+    arr = _carried(values)
     if fmt.name == "fp32":
-        return arr.astype(np.float32).view(np.uint32)
+        return arr.astype(np.float32, copy=False).view(np.uint32)
     if fmt.name == "fp16":
         return _fp16_bits(arr.ravel()).reshape(arr.shape)
     if fmt.name == "bf16":
-        return (arr.astype(np.float32).view(np.uint32) >> np.uint32(16)).astype(np.uint16)
+        return (arr.astype(np.float32, copy=False).view(np.uint32) >> _U16).astype(np.uint16)
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -273,37 +285,54 @@ _REBIAS = np.uint32((127 - 15) << 10)  # binary32 minus binary16 exponent bias, 
 
 
 def _fp16_bits(arr: np.ndarray) -> np.ndarray:
-    """The binary16 patterns of the binary16 values `arr` (float64, 1-D).  A
-    normal value is its binary32 pattern shifted right by the 13 fraction
-    bits binary16 lacks, with the exponent rebiased and the sign moved to
-    bit 15; zeros, subnormals, +-inf and NaN are encoded by numpy's
-    binary16 conversion, which keeps NaN payloads."""
-    with np.errstate(invalid="ignore"):  # a signaling NaN narrows to a quiet one
-        f32 = arr.astype(np.float32)  # exact for every other binary16 value
+    """The binary16 patterns of the binary16 values `arr` (float32 or
+    float64, 1-D).  A normal value is its binary32 pattern shifted right by
+    the 13 fraction bits binary16 lacks, with the exponent rebiased and the
+    sign moved to bit 15; zeros, subnormals, +-inf and NaN are encoded by
+    numpy's binary16 conversion of `arr`, which keeps NaN payloads."""
+    f32 = arr
+    if arr.dtype != np.float32:
+        with np.errstate(invalid="ignore"):  # a signaling NaN narrows to a quiet one
+            f32 = arr.astype(np.float32)  # exact for every other binary16 value
     u = f32.view(np.uint32)
+    sign = u >> _U16
+    sign &= np.uint32(0x8000)
     h = u >> np.uint32(13)
     h -= _REBIAS
-    h |= (u >> _U16) & np.uint32(0x8000)
+    h |= sign
     bits = h.astype(np.uint16)  # drops the binary32 sign, now at bit 18
-    odd = _outside_fp16_normal(np.abs(f32, out=f32))
+    odd = _outside_fp16_normal(np.abs(f32, out=sign.view(np.float32)))
     if odd is not None:
         bits[odd] = arr[odd].astype(np.float16).view(np.uint16)
     return bits
 
 
+def bits_to_binary32(bits: np.ndarray, fmt: FormatSpec) -> np.ndarray:
+    """Decode raw bit patterns into float32 values, which hold every fp32,
+    fp16 and bf16 value exactly, signaling NaN patterns included.  fp32
+    patterns are viewed as float32, without a copy, when `bits` is already
+    a uint32 array."""
+    b = np.asarray(bits)
+    if fmt.name == "fp32":
+        return b.astype(np.uint32, copy=False).view(np.float32)
+    if fmt.name == "fp16":
+        return b.astype(np.uint16, copy=False).view(np.float16).astype(np.float32)
+    if fmt.name == "bf16":
+        u = b.astype(np.uint32)
+        u <<= _U16
+        return u.view(np.float32)
+    raise ValueError(f"unknown format {fmt!r}")
+
+
 def bits_to_values(bits: np.ndarray, fmt: FormatSpec) -> np.ndarray:
     """Decode raw bit patterns into exact float64 values."""
-    b = np.asarray(bits)
     # signaling-NaN patterns raise FE_INVALID when widened; the decode is
     # still the correct NaN value
     with np.errstate(invalid="ignore"):
-        if fmt.name == "fp32":
-            return b.astype(np.uint32, copy=False).view(np.float32).astype(np.float64)
-        if fmt.name == "fp16":
-            return b.astype(np.uint16, copy=False).view(np.float16).astype(np.float64)
-        if fmt.name == "bf16":
-            return (b.astype(np.uint32) << np.uint32(16)).view(np.float32).astype(np.float64)
-    raise ValueError(f"unknown format {fmt!r}")
+        if fmt.name != "fp16":
+            return bits_to_binary32(bits, fmt).astype(np.float64)
+        # straight from binary16, whose signaling NaNs then stay signaling
+        return np.asarray(bits).astype(np.uint16, copy=False).view(np.float16).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +353,8 @@ def tree_sum_values(values: np.ndarray, fmt: FormatSpec) -> np.ndarray:
     buffer.  The last chunk is zero-padded.  Each 2-input add rounds once.
 
     The result has shape (n,) and the precision of `values` (see
-    :func:`_carried`).  Each tree level and each accumulation step is
-    rounded in place, the steps into one row of partial sums.
+    :func:`_carried`).  Each tree level is rounded in place; the
+    accumulation is `_accumulate`.
     """
     arr = _carried(values)
     n, d = arr.shape
@@ -337,8 +366,36 @@ def tree_sum_values(values: np.ndarray, fmt: FormatSpec) -> np.ndarray:
     while level.shape[-1] > 1:  # CHUNK_SIZE is a power of two: no odd level
         level = level[..., 0::2] + level[..., 1::2]
         round_array(level, fmt, out=level)
-    partials = level[..., 0].T.copy()  # one contiguous row per chunk
+    return _accumulate(level[..., 0].T.copy(), fmt)  # one contiguous row per chunk
+
+
+def _accumulate(partials: np.ndarray, fmt: FormatSpec) -> np.ndarray:
+    """The rounded sequential sum of the rows of `partials`, shape
+    (nchunk, n), with one rounding per add: the partial-sum chain.
+
+    Its steps depend on each other, so each costs numpy calls on only n
+    elements, and the binary32 carry takes shortcuts that give the same
+    bits as rounding each step with :func:`round_array`: fp32 needs no
+    rounding at all, so `np.add.accumulate` (sequential by definition) runs
+    the whole chain; bf16 rounds each step in place with the bit trick of
+    `_round_bf16`, once every partial is finite.  A finite sum then
+    saturates to +-inf, and inf plus a finite value stays inf, so no step
+    meets the NaN that the trick alone would round wrongly.  Other inputs
+    round each step with `round_array`, into the first row."""
+    if partials.dtype == np.float32 and fmt.name == "fp32":
+        return np.add.accumulate(partials, axis=0)[-1]
     total = partials[0]
+    if partials.dtype == np.float32 and fmt.name == "bf16" and np.isfinite(partials).all():
+        u = total.view(np.uint32)
+        r = np.empty_like(u)
+        for part in partials[1:]:
+            np.add(total, part, out=total)
+            np.right_shift(u, _U16, out=r)
+            r &= _LSB
+            r += _HALF
+            u += r
+            u &= _HIGH
+        return total
     for part in partials[1:]:
         np.add(total, part, out=total)
         round_array(total, fmt, out=total)

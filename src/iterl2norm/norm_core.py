@@ -82,7 +82,8 @@ class NormConfig:
 
 @dataclass(frozen=True)
 class BatchNormResult:
-    """The outputs `z` of one batch and each row's diagnostics, all float64
+    """The outputs `z` of one batch, in the binary32 carry (float32, which
+    holds every format value exactly), and each row's diagnostics, float64
     but the per-row `steps` and `converged`.  The normalized `y_hat` is not
     kept: with gamma None and a beta of -0.0, `z` is `y_hat` bit for bit.
     A gamma or beta of None skips its stage; z is then what a gamma of ones
@@ -158,7 +159,8 @@ def iterate_values(a0: np.ndarray, m: np.ndarray, lam: np.ndarray,
     a = np.asarray(a0, dtype=m.dtype)
     lam = np.asarray(lam, dtype=np.float64)
     active = np.ones(a.shape, dtype=bool)
-    steps = np.zeros(a.shape, dtype=np.int64)
+    # a fixed-step row runs every step; a threshold row counts its own
+    steps = np.full(a.shape, 0 if threshold else stop.n_iter, dtype=np.int64)
     traj = [a]
     # A diverging row runs through inf and NaN; that is reported per row,
     # not as a floating-point warning.
@@ -171,9 +173,10 @@ def iterate_values(a0: np.ndarray, m: np.ndarray, lam: np.ndarray,
             t3 = rnd(1.0 - t2)
             t4 = rnd(lam * t1).astype(a.dtype, copy=False)
             da = rnd(t4 * t3)
-            new_a = np.where(active, rnd(a + da), a)
-            steps += active
+            new_a = rnd(a + da)
             if threshold:
+                new_a = np.where(active, new_a, a)
+                steps += active
                 # binary64 change against the binary64 delta_max
                 change = np.abs(new_a.astype(np.float64) - a)
                 active &= np.isfinite(new_a) & (change > stop.delta_max)
@@ -220,7 +223,9 @@ class Buffers:
     request outgrows it or changes its dtype; the view holds whatever the
     buffer's last taker left there.  `size` is the element count each buffer
     starts with: the caller's largest batch, so that no buffer is
-    reallocated on the way up."""
+    reallocated on the way up.  The datapath takes three, all float32:
+    "x32" and "y" in `shift_batch`, and the outputs "z" of each finish,
+    which a `BatchNormResult` holds as they are."""
 
     def __init__(self, size: int = 0) -> None:
         self.size = size
@@ -262,9 +267,11 @@ def shift_batch(fmt: FormatSpec, x: np.ndarray, buffers: Buffers | None = None) 
     squared norm that is not finite raises RangeOverflowError naming the
     first such row.
 
-    y and the binary32 copy of x (unless x is float32 already), which then
-    takes y's squares, are new arrays, or with `buffers` the buffers "y" and
-    "x32"; the result carries `buffers` to the scale and shift stages."""
+    A float32 x (a binary file's decoded rows) is the carry as it is, and
+    y's squares go to a new array; any other x is narrowed into a binary32
+    copy, which then takes y's squares.  y and that copy are new arrays, or
+    with `buffers` the buffers "y" and "x32"; the result carries `buffers`
+    to the scale and shift stages."""
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.asarray(x)
         if x.ndim != 2:
@@ -319,12 +326,12 @@ def _finish(fmt: FormatSpec, part: _Solved) -> BatchNormResult:
     its last value).
 
     y_hat = round(round(sqrt(d) * a) * y) and z = round(round(gamma * y_hat)
-    + beta) are computed in one binary32 array, rounded in place, and
-    widened to float64 once: into the buffers "z" and "z64" of the batch's
-    `Shifted.buffers`, or into new arrays without buffers.  A stage runs
-    only when its operand is given: with gamma None the product by 1, which
-    changes no bit, is skipped; with beta None the + 0 is done in the
-    widening, exactly, since y_hat is already a format value and x + 0 is x
+    + beta) are computed in one binary32 array, rounded in place: the
+    buffer "z" of the batch's `Shifted.buffers`, or a new array without
+    buffers, which the result keeps as its float32 `z`.  A stage runs only
+    when its operand is given: with gamma None the product by 1, which
+    changes no bit, is skipped; with beta None the + 0 is an unrounded
+    binary32 add, exact since y_hat is already a format value and x + 0 is x
     for every x but -0, which becomes +0 as round(y_hat + 0) makes it.
     gamma and beta are narrowed to binary32 once.  Overflow and invalid
     operations give the format's infinities and NaNs, as in hardware,
@@ -345,23 +352,20 @@ def _finish(fmt: FormatSpec, part: _Solved) -> BatchNormResult:
         scale = np.zeros(n, dtype=f32)
         # an injected `a` is binary64, and is rounded from binary64
         scale[live] = round_array(traj_live[:, -1] * sqrt_d, fmt)
-        buffers = part.shifted.buffers
-        z = np.multiply(scale[:, None], y, out=_take(buffers, "z", (n, d), f32))
+        z = np.multiply(scale[:, None], y, out=_take(part.shifted.buffers, "z", (n, d), f32))
         round_array(z, fmt, out=z)  # y_hat
         if part.gamma is not None:
             np.multiply(z, np.asarray(part.gamma, dtype=f32), out=z)
             round_array(z, fmt, out=z)
-        z64 = _take(buffers, "z64", (n, d), f64)
         if part.beta is None:
-            np.add(z, 0.0, out=z64, dtype=f64)
-            z64[~live] = 0.0
+            np.add(z, f32(0.0), out=z)
+            z[~live] = 0.0
         else:
             beta = np.broadcast_to(np.asarray(part.beta, dtype=f32), (n, d))
             np.add(z, beta, out=z)
             round_array(z, fmt, out=z)
             z[~live] = beta[~live]
-            z64[...] = z
-    return BatchNormResult(z64, part.shifted.mean.astype(f64),
+    return BatchNormResult(z, part.shifted.mean.astype(f64),
                            part.shifted.m.astype(f64), traj, steps, converged)
 
 
@@ -392,15 +396,15 @@ def normalize_batch(fmt: FormatSpec, x: np.ndarray | Shifted, gamma: np.ndarray 
                     inject_a: np.ndarray | None = None) -> BatchNormResult:
     """Vectorized layer normalization of a batch of same-length vectors.
 
-    `x` has shape (n, d) with format-representable float64 entries, or is
-    the `Shifted` that `shift_batch` made of such a batch (to run several
-    configurations on one batch without repeating its vector stages);
-    `gamma` and `beta` have shape (d,), shared across the batch, or (n, d),
-    one per row.  FixedSteps runs every row for the same step count; under
-    Threshold each row stops on its own, and `steps` and `converged` report
-    it per row.  `inject_a` (a scalar or one value per row) is a test hook
-    that bypasses the iteration and feeds the given `a`, rounded to the
-    format, straight into the scale and shift stages.
+    `x` has shape (n, d) with format-representable float64 or float32
+    entries, or is the `Shifted` that `shift_batch` made of such a batch (to
+    run several configurations on one batch without repeating its vector
+    stages); `gamma` and `beta` have shape (d,), shared across the batch,
+    or (n, d), one per row.  FixedSteps runs every row for the same step
+    count; under Threshold each row stops on its own, and `steps` and
+    `converged` report it per row.  `inject_a` (a scalar or one value per
+    row) is a test hook that bypasses the iteration and feeds the given
+    `a`, rounded to the format, straight into the scale and shift stages.
     """
     if isinstance(x, _Solved):  # one batch of `normalize_batches`
         return _finish(fmt, x)

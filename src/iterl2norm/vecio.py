@@ -29,7 +29,7 @@ import numpy as np
 import orjson
 
 from .errors import DataFormatError
-from .fpformat import FORMATS, FormatSpec, bits_to_values, values_to_bits
+from .fpformat import FORMATS, FormatSpec, bits_to_binary32, values_to_bits
 
 if TYPE_CHECKING:
     from .norm_core import BatchNormResult
@@ -48,19 +48,41 @@ def _word(fmt: FormatSpec) -> np.dtype:
 def read_vectors(path: str | Path) -> tuple[np.ndarray | list[np.ndarray], FormatSpec | None]:
     """Read vectors from a text or binary container.
 
-    Returns (vectors, fmt).  For text input, vectors is a list of rows and
-    fmt is None (the caller chooses the format); for binary input, vectors
-    is the decoded float64 array of shape (count, d) and fmt is the
-    header's format.  A file that cannot be opened or read is a
-    DataFormatError.
+    Returns (vectors, fmt).  For text input, vectors is a list of float64
+    rows and fmt is None (the caller chooses the format); for binary input,
+    vectors is the decoded float32 array of shape (count, d), the
+    datapath's binary32 carry, which holds every value of the three formats
+    exactly, and fmt is the header's format.  The array is writable; an
+    fp32 one is a view of the bytes read.  A file that cannot be opened or
+    read is a DataFormatError.
     """
     try:
-        raw = Path(path).read_bytes()
+        raw = _read_file(path)
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc.strerror or exc}") from exc
     if raw[:len(MAGIC)] == MAGIC:
         return _read_binary(path, raw)
     return _read_text(path, raw), None
+
+
+def _read_file(path: str | Path) -> bytes | bytearray:
+    """The bytes of the file `path`: for a binary container one writable
+    buffer (its decoded fp32 array is a view of it), sized as the file is
+    when opened, plus what a file that grows, or a special file that has no
+    size, holds beyond that; for a text file plain bytes.  The file is read
+    unbuffered, into the returned object without a copy."""
+    with open(path, "rb", buffering=0) as fh:
+        if not fh.seekable():  # a pipe
+            raw = fh.readall()
+            return bytearray(raw) if raw[:len(MAGIC)] == MAGIC else raw
+        binary = fh.read(len(MAGIC)) == MAGIC
+        fh.seek(0)
+        if not binary:
+            return fh.readall()
+        raw = bytearray(os.fstat(fh.fileno()).st_size)
+        del raw[fh.readinto(raw):]
+        raw += fh.readall()
+    return raw
 
 
 def _read_text(path: str | Path, raw: bytes) -> list[np.ndarray]:
@@ -137,7 +159,7 @@ def _read_float_rows(path: str | Path, raw: bytes) -> list[np.ndarray]:
     return [row for row in rows if row is not None]
 
 
-def _read_binary(path: str | Path, raw: bytes) -> tuple[np.ndarray, FormatSpec]:
+def _read_binary(path: str | Path, raw: bytearray) -> tuple[np.ndarray, FormatSpec]:
     if len(raw) < _HEADER.size:
         raise DataFormatError(f"{path}: truncated header")
     _, tag, d, count = _HEADER.unpack_from(raw)
@@ -152,21 +174,23 @@ def _read_binary(path: str | Path, raw: bytes) -> tuple[np.ndarray, FormatSpec]:
         raise DataFormatError(f"{path}: payload holds {payload} bytes, header "
                               f"declares {d * count} elements of {word.itemsize} bytes")
     bits = np.frombuffer(raw, dtype=word, offset=_HEADER.size)
-    return bits_to_values(bits, fmt).reshape(count, d), fmt
+    return bits_to_binary32(bits, fmt).reshape(count, d), fmt
 
 
 def write_vectors(path: str | Path, vectors: np.ndarray | list[np.ndarray],
                   fmt: FormatSpec, binary: bool) -> None:
     """Write vectors, an (n, d) array or a list of rows, to a binary
-    container of `fmt`, or to a text file with the `repr` of each float64
-    value and a newline after each row."""
+    container of `fmt`, or to a text file with the `repr` of each value,
+    widened to float64, and a newline after each row.  A binary container
+    is encoded from float32 values (the binary32 carry, as `normalize`
+    outputs are) as they are, and from any others read as float64."""
     if not binary:
         write_file(path, (_reprs(v) + b"\n" for v in vectors))
         return
     if not isinstance(vectors, np.ndarray):
         if len({len(v) for v in vectors}) != 1:
             raise DataFormatError("binary container requires equal-length vectors")
-    vectors = np.ascontiguousarray(vectors, dtype=np.float64)
+    vectors = np.ascontiguousarray(vectors)
     n, d = vectors.shape
     write_file(path, (_HEADER.pack(MAGIC, FORMAT_TAGS[fmt.name], d, n),
                       values_to_bits(vectors, fmt).astype(_word(fmt), copy=False)))
@@ -243,8 +267,8 @@ def _nulls(tokens: list[bytes], values: np.ndarray) -> list[bytes]:
 
 
 def _reprs(v: np.ndarray) -> bytes:
-    """The `repr`s of the float64 values of the 1-D array v, joined by
-    commas, as ASCII.
+    """The `repr`s of the values of the 1-D array v, widened to float64,
+    joined by commas, as ASCII.
 
     orjson prints the shortest round-trip digits, which are `repr`'s
     wherever both write fixed notation: at +-0 and for 1e-4 <= |v| < 1e16.

@@ -8,6 +8,7 @@ inputs reach the case where a careless binary32 version would differ.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -18,9 +19,12 @@ from iterl2norm.fpformat import (
     BF16,
     FP16,
     FP32,
+    bits_to_binary32,
+    bits_to_values,
     round_array,
     round_value,
     tree_sum_values,
+    values_to_bits,
 )
 from iterl2norm.norm_core import (
     FixedSteps,
@@ -79,8 +83,9 @@ def bits(v) -> np.ndarray:
 
 def assert_same_bits(res, want) -> None:
     z, mean, m, traj = want
-    for got, exp in ((res.z, z), (res.mean, mean), (res.m, m), (res.a_trajectory, traj)):
-        assert got.dtype == np.float64
+    for got, exp, dtype in ((res.z, z, np.float32), (res.mean, mean, np.float64),
+                            (res.m, m, np.float64), (res.a_trajectory, traj, np.float64)):
+        assert got.dtype == dtype
         assert np.array_equal(bits(got), bits(exp))
 
 
@@ -245,3 +250,63 @@ class TestDefaultAffine:
         assert y_hat[0, 2] == 0.0 and np.signbit(y_hat[0, 2])
         assert not np.signbit(normalize_batch(FP16, x).z[0, 2:]).any()
         assert_matches_binary64(FP16, x)
+
+
+def signaling_nan(patterns, fmt) -> np.ndarray:
+    """Which patterns are signaling NaNs: all-ones exponent, a nonzero
+    fraction and the quiet bit clear."""
+    b = patterns.astype(np.uint64)
+    frac = b & np.uint64((1 << fmt.mant_bits) - 1)
+    nan = ((b >> np.uint64(fmt.mant_bits)) & np.uint64(fmt.exp_mask) == fmt.exp_mask) & (frac != 0)
+    return nan & (frac >> np.uint64(fmt.mant_bits - 1) == 0)
+
+
+def codec_patterns(fmt) -> np.ndarray:
+    """Every 16-bit pattern, or 2^20 seeded fp32 patterns followed by +-0,
+    subnormals, the normal extremes, +-inf and quiet and signaling NaNs."""
+    if fmt.total_bits == 16:
+        return np.arange(1 << 16, dtype=np.uint16)
+    special = [0, 0x80000000, 1, 0x80000001, 0x007FFFFF, 0x807FFFFF, 0x00800000, 0x7F7FFFFF,
+               0xFF7FFFFF, 0x7F800000, 0xFF800000, 0x7FC00000, 0xFFC00001, 0x7F800001,
+               0xFFBFFFFF, 0x7FFFFFFF]
+    drawn = np.random.default_rng(32).integers(0, 1 << 32, 1 << 20, dtype=np.uint64)
+    return np.concatenate([drawn.astype(np.uint32), np.array(special, dtype=np.uint32)])
+
+
+class TestBinary32Codec:
+    """Binary files are decoded into, and encoded from, the binary32 carry."""
+
+    @pytest.mark.parametrize("fmt", [FP32, FP16, BF16], ids=lambda f: f.name)
+    def test_decode_and_encode_match_the_binary64_path(self, fmt):
+        patterns = codec_patterns(fmt)
+        snan = signaling_nan(patterns, fmt)
+        assert snan.any() and (patterns == 0).any() and (patterns == 1).any()  # reach
+        f32, f64 = bits_to_binary32(patterns, fmt), bits_to_values(patterns, fmt)
+        assert f32.dtype == np.float32
+        nan = np.isnan(f64)
+        assert np.array_equal(np.isnan(f32), nan)
+        assert np.array_equal(bits(f32[~nan]), bits(f64[~nan]))  # -0 and subnormals too
+        before = f32.copy()
+        from32 = values_to_bits(f32, fmt)
+        assert np.array_equal(f32.view(np.uint32), before.view(np.uint32))  # input untouched
+        assert from32.dtype == patterns.dtype and np.array_equal(from32, patterns)
+        # The binary64 path agrees on every pattern but fp32 and bf16
+        # signaling NaNs, which widening to float64 quiets.
+        from64 = values_to_bits(f64, fmt)
+        quieted = snan if fmt is not FP16 else np.zeros_like(snan)
+        assert np.array_equal(from64[~quieted], patterns[~quieted])
+        quiet_bit = patterns.dtype.type(1 << (fmt.mant_bits - 1))
+        assert np.array_equal(from64[quieted], patterns[quieted] | quiet_bit)
+
+    @pytest.mark.parametrize("fmt", [FP32, FP16, BF16], ids=lambda f: f.name)
+    def test_file_round_trip_keeps_every_byte(self, fmt, tmp_path):
+        patterns = codec_patterns(fmt).reshape(-1, 16)
+        src, dst = tmp_path / "in.iln", tmp_path / "out.iln"
+        tag = {"fp32": 0, "fp16": 1, "bf16": 2}[fmt.name]
+        src.write_bytes(struct.pack("<4sIII", b"ILN1", tag, 16, len(patterns))
+                        + patterns.astype(f"<u{fmt.total_bits // 8}").tobytes())
+        vecs, got = read_vectors(src)
+        assert got is fmt and vecs.dtype == np.float32 and vecs.shape == patterns.shape
+        assert vecs.flags.writeable and vecs.flags.c_contiguous
+        write_vectors(dst, vecs, fmt, binary=True)
+        assert dst.read_bytes() == src.read_bytes()

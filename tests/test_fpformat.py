@@ -360,6 +360,82 @@ def scalar_tree_sum(bits, fmt, chunk=64):
     return total
 
 
+def chunked(partials):
+    """Rows of 64-element chunks whose tree sums are `partials`, shape
+    (n, nchunk): each chunk holds its partial then zeros, or -0 throughout
+    for a -0 partial (-0 + +0 is +0)."""
+    n, k = partials.shape
+    x = np.zeros((n, k, 64))
+    x[(partials == 0) & np.signbit(partials)] = -0.0
+    x[..., 0] = partials
+    return x.reshape(n, k * 64)
+
+
+def chain_oracle(partials, fmt):
+    """The running totals of the partial-sum chain, shape (n, nchunk), with
+    one binary64 add and one `round_array` per step."""
+    totals = partials.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, partials.shape[1]):
+            totals[:, k] = round_array(totals[:, k - 1] + partials[:, k], fmt)
+    return totals
+
+
+def chain_rows(fmt, nchunk):
+    """(finite, non-finite) partials, shape (rows, nchunk), rounded to the
+    format: random sums, sums that overflow mid-chain (a tie at the
+    format's largest value, and large values of both signs), cancellation
+    to +-0 and to subnormals; then chains with an inf or NaN partial."""
+    rng = np.random.default_rng(nchunk)
+    big, tiny = fmt.max_finite, math.ldexp(1.0, 1 - fmt.bias)  # largest, least normal
+    half_ulp = math.ldexp(1.0, fmt.bias - fmt.mant_bits - 1)  # of the largest
+    quantum = math.ldexp(1.0, fmt.quantum_exp)
+    finite = [rng.uniform(-1, 1, nchunk) * np.exp2(rng.integers(-10, 10, nchunk)),
+              [big, half_ulp, -1.0],  # exact tie at the largest value: inf
+              [0.6 * big, 0.6 * big, -0.6 * big, 2.0],
+              [0.75, -0.75],
+              [-0.0],
+              [tiny + 2 * quantum, -tiny, quantum, -3 * quantum, -0.0],
+              rng.integers(-40, 40, nchunk) * quantum]
+    others = [[1.0, math.inf, -2.0], [1.0, math.nan], [math.inf, -math.inf, 1.0],
+              [0.6 * big, 0.6 * big, -math.inf]]
+
+    def rows(patterns):
+        p = np.array([np.resize(np.asarray(v, dtype=np.float64), nchunk) for v in patterns])
+        return round_array(p, fmt)  # the constants are format values already
+
+    return rows(finite), rows(others)
+
+
+class TestPartialSumChain:
+    """tree_sum_values accumulates the chunk sums one rounded add at a
+    time, in every carry and through every shortcut."""
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("nchunk", [1, 2, 17, 192])
+    def test_matches_one_rounding_per_add(self, fmt, nchunk):
+        finite, others = chain_rows(fmt, nchunk)
+        for partials in (finite, others):
+            x = chunked(partials)
+            want = chain_oracle(partials, fmt)[:, -1]
+            for carry in (np.float32, np.float64):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = tree_sum_values(x.astype(carry), fmt)
+                assert got.dtype == carry
+                # bit for bit, the sign and payload of a NaN included
+                assert np.array_equal(got.astype(np.float64).view(np.uint64),
+                                      want.view(np.uint64))
+        # reach: the finite rows take bf16's in-place rounding, the others
+        # its per-step round_array; the finite chains overflow and cancel
+        # to +0, -0 and subnormals
+        assert np.isfinite(finite).all() and not np.isfinite(others).all()
+        if nchunk > 1:
+            steps = chain_oracle(finite, fmt)[:, 1:]
+            zeros = np.signbit(steps[steps == 0])
+            assert np.isinf(steps).any() and zeros.any() and not zeros.all()
+            assert ((steps != 0) & (np.abs(steps) < math.ldexp(1.0, 1 - fmt.bias))).any()
+
+
 class TestTreeSum:
     """tree_sum_values sums each row of an (n, d) array, d >= 1."""
 

@@ -272,7 +272,8 @@ class TestLayerNorm:
                 (np.full(8, nan), np.array([-0.0, 0.0] * 4))]):
             beta = round_array(beta, fmt)
             res = layernorm_iterl2(fmt, round_array(np.full(8, 3.25), fmt), gamma, beta)
-            assert res.z[0].tobytes() == beta.tobytes()
+            assert res.z.dtype == np.float32
+            assert res.z[0].astype(np.float64).tobytes() == beta.tobytes()
             assert res.m.tolist() == [0.0]
 
     def test_zero_gamma_annihilates(self):
@@ -599,7 +600,8 @@ class TestOutputStages:
         for g in (None, gamma):
             z = normalize_batch(fmt, x, g, betas).z
             want = np.full(4, 0.0 if beta is None else beta)
-            assert z[0].tobytes() == want.tobytes()
+            assert z.dtype == np.float32
+            assert z[0].astype(np.float64).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
     @pytest.mark.parametrize("gamma_shape, beta_shape", [

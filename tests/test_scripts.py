@@ -43,3 +43,13 @@ def test_sweep_lambda(tmp_path):
         rows = lines[block * 11 + 2:block * 11 + 11]
         assert rows[0].split()[0] == "default"
         assert all(float(r.split()[-1]) > 0 for r in rows)
+
+
+def test_ab_passes_of_the_tree_against_itself(tmp_path):
+    proc = run_script("ab_passes.py", "--a", str(ROOT), "--b", str(ROOT),
+                      "--workload", "file_bin", "--rounds", "1", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "outputs: same" in lines[0]
+    ratio = lines[-1].split()
+    assert ratio[0] == "ratio" and float(ratio[1]) > 0 and ratio[-1] in ("0/1", "1/1")

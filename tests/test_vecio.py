@@ -7,6 +7,7 @@ import json
 import os
 import re
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -359,3 +360,21 @@ def sidecar_case(draw):
 def test_sidecar_lines_equal_json_encoder(case):
     fmt, batches = case
     assert written_sidecar(batches) == reference_sidecar(batches)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("binary", [False, True], ids=["text", "binary"])
+def test_a_file_without_a_size_is_read_whole(tmp_path, binary):
+    # a named pipe reports size 0: its bytes are read to the end all the same
+    rows = np.array([[1.5, -2.0, 0.25], [3.0, -0.0, 7.0]])
+    src, pipe = tmp_path / "v", tmp_path / "pipe"
+    write_vectors(src, rows, BF16, binary=binary)
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_bytes(src.read_bytes()))
+    writer.start()
+    try:
+        got, fmt = read_vectors(pipe)
+    finally:
+        writer.join()
+    assert fmt is (BF16 if binary else None)
+    assert np.array_equal(np.array(got), rows)

@@ -11,8 +11,11 @@ alike.  The workload's inputs, from `perfbench/workloads.py` of this
 checkout, are generated once.  After one untimed warm-up pass of each
 tree, each round times one pass of A and one of B, A first in even rounds
 and B first in odd ones.  The first timed outputs of the two trees are
-compared byte for byte; the last line reports the median of the per-round
-B/A pass-time ratios, their interquartile range and the rounds B won.
+compared byte for byte.  The line before the last reports each tree's
+median minor page faults per timed pass (`getrusage` `ru_minflt` taken
+around each pass), so that a change in temporaries shows beside the time;
+the last line reports the median of the per-round B/A pass-time ratios,
+their interquartile range and the rounds B won.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import argparse
 import contextlib
 import importlib
 import io
+import resource
 import statistics
 import sys
 import tempfile
@@ -56,10 +60,11 @@ def load_tree(tree: Path) -> SimpleNamespace:
     return lib
 
 
-def run_pass(lib, ops) -> tuple[float, list[bytes]]:
+def run_pass(lib, ops) -> tuple[float, int, list[bytes]]:
     """One pass of the workload's CLI calls: (seconds inside `cli.main`,
-    each call's output bytes)."""
+    minor page faults of the pass, each call's output bytes)."""
     total, outputs = 0.0, []
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for op in ops:
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
@@ -69,7 +74,7 @@ def run_pass(lib, ops) -> tuple[float, list[bytes]]:
         if code != 0:
             raise SystemExit(f"{op.name}: exit code {code}: {sink.getvalue().strip()[-300:]}")
         outputs.append(op.output.read_bytes())
-    return total, outputs
+    return total, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults, outputs
 
 
 def main() -> int:
@@ -93,11 +98,12 @@ def main() -> int:
         ops = WORKLOADS[args.workload].generate(trees["a"], args.seed, Path(tmp))
         for lib in trees.values():
             run_pass(lib, ops)  # warm-up
-        ratios, outputs = [], {}
+        ratios, outputs, faults = [], {}, {"a": [], "b": []}
         for r in range(args.rounds):
             times = {}
             for key in ("ab" if r % 2 == 0 else "ba"):
-                times[key], out = run_pass(trees[key], ops)
+                times[key], flt, out = run_pass(trees[key], ops)
+                faults[key].append(flt)
                 outputs.setdefault(key, out)
             ratios.append(times["b"] / times["a"])
 
@@ -106,6 +112,8 @@ def main() -> int:
     median = statistics.median(ratios)
     print(f"a: {args.a.resolve()}  b: {args.b.resolve()}  workload: {args.workload}  "
           f"seed: {args.seed}  rounds: {args.rounds}  outputs: {'same' if same else 'DIFFER'}")
+    print(f"minflt per pass  a {statistics.median(faults['a']):.0f}  "
+          f"b {statistics.median(faults['b']):.0f}")
     print(f"ratio {median:.3f}  iqr {q1:.3f}-{q3:.3f}  "
           f"b_faster {sum(x < 1.0 for x in ratios)}/{len(ratios)}")
     return 0 if same else 1

@@ -81,26 +81,30 @@ def reference_batch(fmt: FormatSpec, x: np.ndarray, gamma: np.ndarray | None = N
     decoded inputs, one elementwise rounding to the format at the end.
 
     `gamma` and `beta` have shape (d,) or (n, d), as in `normalize_batch`.
-    Zero-variance vectors yield z = beta.  The result is computed in `out`,
-    a float64 array of x's shape (x itself included), when it is given:
-    y = x - mean is written there and every later step runs in place.
-    Without `out` it is a new array.
+    Zero-variance vectors yield z = beta (+0 when beta is None).  A gamma
+    or beta of None skips its stage, as `norm_core._finish` does: a product
+    by 1 changes no bit, and without the + 0 a zero of the scaled row keeps
+    its sign, so z may hold -0 where a beta of 0.0 gives +0; every value,
+    and so |z - ref| for any z, is unchanged.  The result is computed in
+    `out`, a float64 array of x's shape (x itself included), when it is
+    given: y = x - mean is written there and every later step runs in
+    place.  Without `out` it is a new array.
     """
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
-    beta = 0.0 if beta is None else np.asarray(beta, dtype=np.float64)
     mean = x.mean(axis=1, keepdims=True)
     y = np.subtract(x, mean, out=out)
     norm = np.sqrt(np.einsum("ij,ij->i", y, y))[:, None]
     live = (norm > 0.0)[:, 0]
-    # gamma * (sqrt(d) * y / norm) + beta, one operation at a time in y; a
-    # gamma of None is 1, and a product by 1 changes no bit
+    # gamma * (sqrt(d) * y / norm) + beta, one operation at a time in y
     y *= math.sqrt(d)
     y /= np.where(live[:, None], norm, 1.0)
     if gamma is not None:
         y *= np.asarray(gamma, dtype=np.float64)
-    y += beta
+    if beta is not None:
+        beta = np.asarray(beta, dtype=np.float64)
+        y += beta
     z = round_array(y, fmt, out=y)
     if not live.all():
-        z[~live] = np.broadcast_to(beta, z.shape)[~live]
+        z[~live] = 0.0 if beta is None else np.broadcast_to(beta, z.shape)[~live]
     return z

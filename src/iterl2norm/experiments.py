@@ -187,9 +187,11 @@ def _error_runs(spec: ExperimentSpec):
 def _error_stats(z: np.ndarray, ref: np.ndarray, err: np.ndarray) -> ErrorStats:
     """ErrorStats of |z - ref|, computed in `err`, a float64 array of their
     shape that the caller reuses for every run of one batch: the largest
-    batches are several MB.  The float32 `z` is widened exactly as it is
-    subtracted from the binary64 `ref`."""
-    np.subtract(z, ref, out=err)
+    batches are several MB.  The float32 `z` is widened exactly into `err`
+    by one copy, and the binary64 `ref` subtracted there: numpy's
+    mixed-dtype subtract is slower than the two same-dtype passes."""
+    np.copyto(err, z)
+    err -= ref
     return ErrorStats.from_errors(np.abs(err, out=err))
 
 

@@ -14,17 +14,19 @@ for FP16 (2*11 + 2 = 24) and BFloat16 (2*8 + 2 = 18); for FP32 the binary32
 ufunc is itself the one correctly rounded operation.  Overflow in binary32
 gives the same infinity the format's rounding gives.
 
-FP16 rounds a binary32 array with Veltkamp's split (Dekker, "A
-floating-point technique for extending the available precision", 1971):
-with t = x * (2^13 + 1), the binary32 value t - (t - x) is x rounded to its
-11 leading bits, ties to even, which is x rounded to binary16 wherever
+FP16 rounds with Veltkamp's split (Dekker, "A floating-point technique for
+extending the available precision", 1971): with t = x * (2^13 + 1) in
+binary32, or t = x * (2^42 + 1) in binary64, t - (t - x) is x rounded to
+its 11 leading bits, ties to even, which is x rounded to binary16 wherever
 binary16 is normal, 2^-14 <= |x| < 65520.  Outside that range (zeros,
 subnormals, values that overflow, +-inf and NaN) the split is wrong (it keeps
 11 bits below 2^-14, gives 65536 at and above 65520, and NaN for +-inf), so
 one min/max check finds whether any element lies there, and only those
 elements are converted through numpy's binary16 and patched in by index.  A
 sweep of all 2^32 binary32 patterns matched
-`x.astype(float16).astype(float32)` bit for bit, NaN patterns included.
+`x.astype(float16).astype(float32)` bit for bit, NaN patterns included; in
+binary64, every binary16 tie, the values next to each tie and 4.9M random
+values matched `x.astype(float16).astype(float64)`.
 
 Binary32 holds every FP32, FP16 and BFloat16 value exactly, so the carry
 runs from file to file: :func:`bits_to_binary32` decodes a binary file's
@@ -38,28 +40,34 @@ without a format, the reference, tests) are float64 arrays, and
 :func:`round_array` rounds a float64 array from binary64 (p' = 53 also
 covers all three formats); :func:`bits_to_values` decodes into float64.
 The condition holds for the result of one operation on format values, not
-for an arbitrary binary64 value: FP16 therefore rounds binary64 straight to
-binary16, while BFloat16 rounds through binary32, which can double-round
+for an arbitrary binary64 value: FP16 therefore splits binary64 in
+binary64, while BFloat16 rounds through binary32, which can double-round
 such a value (1 + 2^-8 + 2^-40 gives 1, not 1 + 2^-7).
 
-Floating-point warnings: rounding a float32 array enters `np.errstate` only
-for FP16, and only once the min/max check has found an element outside the
-normal range, where the split can overflow or meet inf - inf.  The bfloat16
-trick is integer arithmetic and cannot warn.  Rounding a float64 array
-narrows it under `np.errstate`: a finite binary64 value can overflow the
-format.  `round_array(x, fmt, out=o)` writes the rounding into `o`, which
-may be `x` itself; the adder-tree levels, the reference's output and the
-experiments' input draws round in place that way instead of allocating a
-new array per rounding.  The error tables go one step further: one call
-takes its draws, references, vector stages and outputs from one set of
-`norm_core.Buffers`, sized for its largest batch, so each batch rounds in
-views of arrays the call already touched.  The temporaries inside a
-rounding (the narrow copy of a float64 array, the bfloat16 trick's
-integers, FP16's split scratch) and the adder-tree levels are still new
-arrays; the partial-sum chain of fp32 and bf16 in binary32 takes no
-temporary per step (see `_accumulate`).  Constants the macro keeps
-pre-stored (1/d, sqrt(d), 2^-1/2) are rounded once per value and format
-(:func:`stored_constant`).
+Floating-point warnings: FP16 enters `np.errstate` only once the min/max
+check has found an element outside the normal range, where the split can
+overflow or meet inf - inf.  The bfloat16 trick is integer arithmetic and
+cannot warn.  A float64 array rounded to fp32 or bf16 is narrowed to
+binary32 under `np.errstate`: a finite binary64 value can overflow the
+format.
+
+Memory: `round_array(x, fmt, out=o)` writes the rounding into `o`, which
+may be `x` itself; the adder-tree levels, the datapath's vector and output
+stages, the reference's output and the experiments' input draws round in
+place that way, and the error tables take those arrays from one set of
+`norm_core.Buffers` per call.  A rounding is five to eight numpy passes
+(the split, or the bit trick, with its range or NaN check, and for a
+narrowed float64 array the narrowing and the widening).  Into a given
+C-contiguous `o` of more than BLOCK elements, the rounding walks `x` and
+`o` flat in blocks of BLOCK elements, so every pass over a block reads it
+from the L2 cache, not the whole array from L3; its scratch (FP16's split
+scratch, the bfloat16 trick's integers, the binary32 copy of a narrowed
+float64 block) is allocated once per call, at one block, and reused by
+every block.  Without `o`, or for a small or non-contiguous array, the
+rounding runs over the whole array with whole-array temporaries.  The
+partial-sum chain of fp32 and bf16 in binary32 takes no temporary per step
+(see `_accumulate`).  Constants the macro keeps pre-stored (1/d, sqrt(d),
+2^-1/2) are rounded once per value and format (:func:`stored_constant`).
 """
 
 from __future__ import annotations
@@ -86,19 +94,6 @@ class FormatSpec:
     @property
     def total_bits(self) -> int:
         return 1 + self.exp_bits + self.mant_bits
-
-    @property
-    def exp_mask(self) -> int:
-        return (1 << self.exp_bits) - 1
-
-    @property
-    def quantum_exp(self) -> int:
-        """Unbiased exponent of the smallest subnormal step."""
-        return 1 - self.bias - self.mant_bits
-
-    @property
-    def max_finite(self) -> float:
-        return math.ldexp(2.0 - math.ldexp(1.0, -self.mant_bits), self.bias)
 
     @property
     def inv_sqrt2(self) -> float:
@@ -130,20 +125,32 @@ def round_array(x: np.ndarray | float, fmt: FormatSpec,
     other input is rounded from binary64 and returned as float64.  Every
     output is exactly representable in `fmt`.
 
-    `out`, when given, is an array of the result's dtype and shape that
-    receives the result and is returned; it may be `x` itself, which then
-    is rounded in place.  Without `out` the result is a new array, except
-    that a float32 array rounded to fp32 is returned as it is.
+    `out`, when given, is an array of the result's dtype and shape (any
+    other is a ValueError) that receives the result and is returned; it may
+    be `x` itself, which then is rounded in place.  Without `out` the
+    result is a new array, except that a float32 array rounded to fp32 is
+    returned as it is.
     """
     if fmt.name not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     arr = _carried(x)
+    if out is not None and out is not arr and (not isinstance(out, np.ndarray)
+                                               or out.dtype != arr.dtype
+                                               or out.shape != arr.shape):
+        raise ValueError(f"out must be a {arr.dtype} array of shape {arr.shape}, not "
+                         f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}")
     if arr.ndim:
         return _round(arr, fmt, out)
     if out is None:
         return _round(arr.reshape(1), fmt, None).reshape(())
     _round(arr.reshape(1), fmt, out.reshape(1))
     return out
+
+
+# Elements per block when a rounding writes into a given C-contiguous `out`:
+# each block's five to eight passes, and its scratch, stay in the core's L2
+# cache instead of streaming the whole array from L3 once per pass.
+BLOCK = 1 << 16
 
 
 def _round(arr: np.ndarray, fmt: FormatSpec, out: np.ndarray | None) -> np.ndarray:
@@ -154,30 +161,78 @@ def _round(arr: np.ndarray, fmt: FormatSpec, out: np.ndarray | None) -> np.ndarr
     A float32 array warns of nothing: the bfloat16 trick is integer
     arithmetic, and FP16 enters `np.errstate` only when some element lies
     outside binary16's normal range (see `_round_fp16`).  A float64 array
-    narrows under `np.errstate`: a finite binary64 value can overflow the
-    format, and a signaling NaN raises the invalid-operation flag.  FP16
-    narrows float64 straight to binary16: a binary32 step first would
-    double-round arbitrary binary64 values."""
-    if arr.dtype == np.float32:
-        if fmt.name == "fp16":
-            return _round_fp16(arr, out)
-        if fmt.name == "bf16":
-            return _round_bf16(arr, out)
+    is narrowed to binary32 for fp32 and bf16 under `np.errstate`: a finite
+    binary64 value can overflow the format, and a signaling NaN raises the
+    invalid-operation flag.  FP16 splits float64 in binary64, never through
+    binary32, which would double-round arbitrary binary64 values."""
+    if fmt.name == "fp32" and arr.dtype == np.float32:
         if out is None or out is arr:
             return arr
         np.copyto(out, arr)
         return out
-    with np.errstate(over="ignore", invalid="ignore"):
-        narrow = arr.astype(np.float16 if fmt.name == "fp16" else np.float32)
+    if fmt.name != "fp16" and arr.dtype == np.float64:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _round_walk(arr, fmt, out)
+    return _round_walk(arr, fmt, out)
+
+
+def _round_walk(arr: np.ndarray, fmt: FormatSpec, out: np.ndarray | None) -> np.ndarray:
+    """`_round` of `arr` (fp16 or bf16, or float64 to fp32) into `out`.
+
+    Without `out`, or for an array of at most BLOCK elements, or one that
+    is not C-contiguous (or whose `out` is not), one `_round_block` rounds
+    the whole array into new temporaries.  Otherwise both arrays are walked
+    flat in blocks of BLOCK elements, with one set of scratch arrays for
+    the call, reused by every block.  An `out` that overlaps `arr` without
+    being it is then written from a copy of `arr`: a block must not
+    overwrite what a later block reads."""
+    if out is None or arr.size <= BLOCK or not (arr.flags.c_contiguous
+                                                and out.flags.c_contiguous):
+        return _round_block(arr, fmt, out)
+    if out is not arr and np.may_share_memory(arr, out):
+        arr = arr.copy()
+    src, dst = arr.reshape(-1), out.reshape(-1)
+    t = r = None
+    if fmt.name == "fp16":
+        t = np.empty(BLOCK, arr.dtype)
+    elif arr.dtype == np.float64:  # narrowed to binary32
+        t = np.empty(BLOCK, np.float32)
     if fmt.name == "bf16":
-        _round_bf16(narrow, narrow)
-    if out is None:
-        return narrow.astype(arr.dtype)
-    np.copyto(out, narrow)
+        r = np.empty(BLOCK, np.uint32)
+    for lo in range(0, src.size, BLOCK):
+        k = min(BLOCK, src.size - lo)
+        _round_block(src[lo:lo + k], fmt, dst[lo:lo + k],
+                     None if t is None else t[:k], None if r is None else r[:k])
     return out
 
 
-_SPLIT = np.float32(2**13 + 1)  # keeps 24 - 13 = 11 significand bits
+def _round_block(src: np.ndarray, fmt: FormatSpec, dst: np.ndarray | None,
+                 t: np.ndarray | None = None, r: np.ndarray | None = None) -> np.ndarray:
+    """Round `src` to `fmt` (fp16 or bf16, or float64 to fp32) into `dst`
+    (None: a new array), which may overlap `src`; returns the result.  `t` is FP16's split scratch, of src's dtype, or the float32
+    that a float64 `src` is narrowed into for fp32 and bf16; `r` is
+    bfloat16's uint32 scratch; each has src's shape, or is None: a new
+    array.  A narrowed `src` is rounded in binary32 and widened into
+    `dst`."""
+    if fmt.name == "fp16":
+        return _round_fp16(src, dst, t)
+    if src.dtype == np.float32:
+        return _round_bf16(src, dst, r)
+    if t is None:
+        t = src.astype(np.float32)
+    else:
+        np.copyto(t, src)
+    if fmt.name == "bf16":
+        _round_bf16(t, t, r)
+    if dst is None:
+        return t.astype(np.float64)
+    np.copyto(dst, t)
+    return dst
+
+
+# Veltkamp's split t = x * (2^s + 1) keeps p - s = 11 significand bits of a
+# binary32 (p = 24) or binary64 (p = 53) x.
+_SPLIT32, _SPLIT64 = np.float32(2**13 + 1), np.float64(2**42 + 1)
 _FP16_NORMAL = (np.float32(2.0**-14), np.float32(65520.0))  # [min normal, overflow)
 
 
@@ -192,43 +247,46 @@ def _outside_fp16_normal(mag: np.ndarray) -> np.ndarray | None:
     return np.flatnonzero(~((mag >= low) & (mag < high)))
 
 
-def _round_fp16(f32: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """Round binary32 values to binary16 with ties to even into `out` (see
-    `_round`); the result is float32.  Veltkamp's split rounds every
-    element; the elements outside binary16's normal range are then patched
-    by index with numpy's binary16 conversion.  Only then can the split
-    warn: it overflows near the binary32 maximum and gives inf - inf for
-    +-inf."""
-    t = np.abs(f32)
+def _round_fp16(x: np.ndarray, out: np.ndarray | None, t: np.ndarray | None) -> np.ndarray:
+    """Round binary32 or binary64 values to binary16 with ties to even into
+    `out` (None: a new array), with `t` as scratch of x's shape and dtype
+    (None: a new array); the result has x's dtype.  Veltkamp's split rounds
+    every element; the elements outside binary16's normal range are then
+    patched by index with numpy's binary16 conversion.  Only then can the
+    split warn: it overflows near the carry's maximum and gives inf - inf
+    for +-inf."""
+    t = np.abs(x, out=t)
     odd = _outside_fp16_normal(t)
     if odd is None:
-        return _veltkamp(f32, t, out)
+        return _veltkamp(x, t, out)
     with np.errstate(over="ignore", invalid="ignore"):
-        exact = f32.flat[odd].astype(np.float16)  # read before `out` may overwrite f32
-        out = _veltkamp(f32, t, out)
+        exact = x.flat[odd].astype(np.float16)  # read before `out` may overwrite x
+        out = _veltkamp(x, t, out)
     out.flat[odd] = exact
     return out
 
 
-def _veltkamp(f32: np.ndarray, t: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """f32 rounded to 11 significand bits, ties to even, by Veltkamp's split
-    t = x * (2^13 + 1), x' = t - (t - x); `t` is scratch of f32's shape and
-    `out` is as in `_round`."""
-    np.multiply(f32, _SPLIT, out=t)
-    out = np.subtract(t, f32, out=out)
+def _veltkamp(x: np.ndarray, t: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """x rounded to 11 significand bits, ties to even, by Veltkamp's split
+    t = x * (2^s + 1), x' = t - (t - x); `t` is scratch of x's shape and
+    dtype and `out` is as in `_round_fp16`."""
+    np.multiply(x, _SPLIT32 if x.dtype == np.float32 else _SPLIT64, out=t)
+    out = np.subtract(t, x, out=out)
     return np.subtract(t, out, out=out)
 
 
 _U16, _LSB, _HALF, _HIGH = (np.uint32(v) for v in (16, 1, 0x7FFF, 0xFFFF0000))
 
 
-def _round_bf16(f32: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+def _round_bf16(f32: np.ndarray, out: np.ndarray | None, r: np.ndarray | None) -> np.ndarray:
     """Round binary32 values to bfloat16 with ties to even (the bit trick on
-    the binary32 encoding) into `out` (see `_round`); the result is float32.
-    A NaN element becomes the canonical quiet NaN, pattern 0x7FC0."""
+    the binary32 encoding) into `out` (None: a new array), with `r` as
+    uint32 scratch of f32's shape that is not `f32` (None: a new array);
+    the result is float32.  A NaN element becomes the canonical quiet NaN,
+    pattern 0x7FC0."""
     nan = np.flatnonzero(np.isnan(f32)) if f32.size and math.isnan(f32.max()) else None
     u = f32.view(np.uint32)
-    r = u >> _U16
+    r = np.right_shift(u, _U16, out=r)
     r &= _LSB
     r += _HALF
     bits = np.add(r, u, out=r if out is None else out.view(np.uint32))
@@ -247,17 +305,12 @@ def _carried(x: np.ndarray | float) -> np.ndarray:
     return arr if arr.dtype == np.float32 else arr.astype(np.float64, copy=False)
 
 
-def round_value(x: float, fmt: FormatSpec) -> float:
-    """Scalar convenience wrapper around :func:`round_array`."""
-    return float(round_array(x, fmt))
-
-
 @functools.lru_cache(maxsize=4096)
 def stored_constant(x: float, fmt: FormatSpec) -> float:
-    """`round_value(x, fmt)` of a constant the macro keeps pre-stored (1/d,
-    sqrt(d), 2^-1/2), rounded once per value and format.  It rounds through
-    `_round`, not `round_array`, so a cached or a fresh constant makes the
-    same `round_array` calls."""
+    """`x` rounded to `fmt`, as a float, for a constant the macro keeps
+    pre-stored (1/d, sqrt(d), 2^-1/2), rounded once per value and format.
+    It rounds through `_round`, not `round_array`, so a cached or a fresh
+    constant makes the same `round_array` calls."""
     if fmt.name not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     return float(_round(np.array([x], dtype=np.float64), fmt, None)[0])
@@ -353,16 +406,22 @@ def tree_sum_values(values: np.ndarray, fmt: FormatSpec) -> np.ndarray:
     buffer.  The last chunk is zero-padded.  Each 2-input add rounds once.
 
     The result has shape (n,) and the precision of `values` (see
-    :func:`_carried`).  Each tree level is rounded in place; the
-    accumulation is `_accumulate`.
+    :func:`_carried`).  The first level adds adjacent pairs, and no pair
+    straddles two chunks, so it is added straight from `values` without
+    padding them: the pairs of each row, then, for an odd d, the last
+    element plus a pad zero, then the zero sums of the pad.  Each tree
+    level is rounded in place; the accumulation is `_accumulate`.
     """
     arr = _carried(values)
     n, d = arr.shape
-    nchunk = -(-d // CHUNK_SIZE)
-    pad = nchunk * CHUNK_SIZE - d
-    if pad:
-        arr = np.concatenate([arr, np.zeros((n, pad), dtype=arr.dtype)], axis=1)
-    level = arr.reshape(n, nchunk, CHUNK_SIZE)
+    nchunk, half = -(-d // CHUNK_SIZE), d // 2
+    level = np.empty((n, nchunk * CHUNK_SIZE // 2), dtype=arr.dtype)
+    np.add(arr[:, 0:2 * half:2], arr[:, 1:2 * half:2], out=level[:, :half])
+    if d % 2:
+        np.add(arr[:, -1], 0.0, out=level[:, half])  # -0 + 0 is +0
+    level[:, d - half:] = 0.0
+    level = level.reshape(n, nchunk, CHUNK_SIZE // 2)
+    round_array(level, fmt, out=level)
     while level.shape[-1] > 1:  # CHUNK_SIZE is a power of two: no odd level
         level = level[..., 0::2] + level[..., 1::2]
         round_array(level, fmt, out=level)

@@ -7,11 +7,32 @@ rounding path.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from iterl2norm.fpformat import FormatSpec
+from iterl2norm.fpformat import FormatSpec, round_array
 
 HALF = Fraction(1, 2)
+
+
+def exp_mask(fmt: FormatSpec) -> int:
+    """The all-ones biased exponent field of `fmt` (infinities and NaNs)."""
+    return (1 << fmt.exp_bits) - 1
+
+
+def quantum_exp(fmt: FormatSpec) -> int:
+    """Unbiased exponent of the smallest subnormal step of `fmt`."""
+    return 1 - fmt.bias - fmt.mant_bits
+
+
+def max_finite(fmt: FormatSpec) -> float:
+    """The largest finite value of `fmt`."""
+    return math.ldexp(2.0 - math.ldexp(1.0, -fmt.mant_bits), fmt.bias)
+
+
+def round_value(x: float, fmt: FormatSpec) -> float:
+    """`x` rounded to `fmt` by the package's `round_array`, as a float."""
+    return float(round_array(x, fmt))
 
 
 def pow2(k: int) -> Fraction:
@@ -21,16 +42,16 @@ def pow2(k: int) -> Fraction:
 def split_fields(bits: int, fmt: FormatSpec) -> tuple[int, int, int]:
     """(sign, biased exponent, significand field) of any bit pattern."""
     sign = bits >> (fmt.total_bits - 1)
-    return sign, (bits >> fmt.mant_bits) & fmt.exp_mask, bits & ((1 << fmt.mant_bits) - 1)
+    return sign, (bits >> fmt.mant_bits) & exp_mask(fmt), bits & ((1 << fmt.mant_bits) - 1)
 
 
 def oracle_value(bits: int, fmt: FormatSpec) -> Fraction:
     """Exact rational value of a finite bit pattern."""
     sign, e, f = split_fields(bits, fmt)
-    if e == fmt.exp_mask:
+    if e == exp_mask(fmt):
         raise ValueError("non-finite pattern")
     if e == 0:
-        mag = f * pow2(fmt.quantum_exp)
+        mag = f * pow2(quantum_exp(fmt))
     else:
         mag = ((1 << fmt.mant_bits) + f) * pow2(e - fmt.bias - fmt.mant_bits)
     return -mag if sign else mag
@@ -39,7 +60,7 @@ def oracle_value(bits: int, fmt: FormatSpec) -> Fraction:
 def oracle_round(fr: Fraction, fmt: FormatSpec) -> int:
     """Round an exact rational to the nearest fmt value (ties to even);
     returns the bit pattern.  Overflow saturates to infinity."""
-    inf_bits = fmt.exp_mask << fmt.mant_bits
+    inf_bits = exp_mask(fmt) << fmt.mant_bits
     sign_bit = 1 << (fmt.total_bits - 1)
     if fr == 0:
         return 0
@@ -76,10 +97,10 @@ def oracle_round(fr: Fraction, fmt: FormatSpec) -> int:
 def _decode_dyadic(bits: int, fmt: FormatSpec) -> tuple[int, int, int]:
     """(sign, mantissa, exponent) with value = +-mantissa * 2^exponent."""
     sign, e, f = split_fields(bits, fmt)
-    if e == fmt.exp_mask:
+    if e == exp_mask(fmt):
         raise ValueError("non-finite pattern")
     if e == 0:
-        return sign, f, fmt.quantum_exp
+        return sign, f, quantum_exp(fmt)
     return sign, (1 << fmt.mant_bits) + f, e - fmt.bias - fmt.mant_bits
 
 
@@ -114,7 +135,7 @@ def dyadic_round(sign: int, mant: int, exp: int, fmt: FormatSpec) -> int:
         e += 1
         n = 1 << fmt.mant_bits
     if e > fmt.bias:
-        return sign_bit | (fmt.exp_mask << fmt.mant_bits)
+        return sign_bit | (exp_mask(fmt) << fmt.mant_bits)
     return sign_bit | ((e + fmt.bias) << fmt.mant_bits) | (n - (1 << fmt.mant_bits))
 
 

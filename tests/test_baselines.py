@@ -13,8 +13,10 @@ from iterl2norm.baselines import (
     reference_batch,
 )
 from iterl2norm.errors import UsageError
-from iterl2norm.fpformat import BF16, FP16, FP32, round_array, round_value
+from iterl2norm.fpformat import BF16, FP16, FP32, round_array
 from iterl2norm.norm_core import normalize_batch
+
+from oracles import round_value
 
 
 def _fisr_float32_oracle(x: float, iters: int = 1) -> float:
@@ -189,6 +191,25 @@ class TestLayernormReference:
             want[2] = bt[2]
             got = reference_batch(fmt, x, g, b)
             assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+    @pytest.mark.parametrize("fmt", [FP32, FP16, BF16], ids=lambda f: f.name)
+    def test_no_beta_skips_the_add(self, fmt):
+        # beta None adds nothing: a -0 of the scaled row stays -0 where a
+        # beta of +0 makes it +0; every value, and so every |z - ref|, is
+        # the same, zero-variance rows included (+0)
+        x = np.array([[-0.0, 1.0, -1.0, 0.0], [0.25, -0.5, 0.75, 2.0], [3.0] * 4])
+        z = reference_batch(fmt, x)
+        zero = reference_batch(fmt, x, beta=np.zeros(4))
+        assert np.array_equal(z, zero)
+        assert np.signbit(z).tolist() == [[True, False, True, False],
+                                          [True, True, False, False],
+                                          [False] * 4]
+        assert np.signbit(zero[0]).tolist() == [False, False, True, False]
+        out = np.full(x.shape, 7.0)
+        assert reference_batch(fmt, x, out=out) is out
+        assert out.tobytes() == z.tobytes()
+        z32 = round_array(x, fmt).astype(np.float32)  # a z of the binary32 carry
+        assert np.abs(z32 - z).tobytes() == np.abs(z32 - zero).tobytes()
 
     @given(
         grid=st.lists(st.integers(-2 ** 16, 2 ** 16), min_size=2, max_size=12),

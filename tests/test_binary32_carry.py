@@ -22,7 +22,6 @@ from iterl2norm.fpformat import (
     bits_to_binary32,
     bits_to_values,
     round_array,
-    round_value,
     tree_sum_values,
     values_to_bits,
 )
@@ -36,6 +35,8 @@ from iterl2norm.norm_core import (
     select_lambda_values,
 )
 from iterl2norm.vecio import read_vectors, write_vectors
+
+from oracles import exp_mask, round_value
 
 
 def binary64_datapath(fmt, x, gamma=None, beta=None, steps=5, lam=None, fisr=False):
@@ -257,7 +258,7 @@ def signaling_nan(patterns, fmt) -> np.ndarray:
     fraction and the quiet bit clear."""
     b = patterns.astype(np.uint64)
     frac = b & np.uint64((1 << fmt.mant_bits) - 1)
-    nan = ((b >> np.uint64(fmt.mant_bits)) & np.uint64(fmt.exp_mask) == fmt.exp_mask) & (frac != 0)
+    nan = ((b >> np.uint64(fmt.mant_bits)) & np.uint64(exp_mask(fmt)) == exp_mask(fmt)) & (frac != 0)
     return nan & (frac >> np.uint64(fmt.mant_bits - 1) == 0)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -6,18 +7,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iterl2norm import fpformat
 from iterl2norm.fpformat import (
     BF16,
     FP16,
     FP32,
     bits_to_values,
     round_array,
-    round_value,
     tree_sum_values,
     values_to_bits,
 )
 
-from oracles import oracle_op, oracle_op_fast, oracle_round, oracle_value, split_fields
+from oracles import (
+    exp_mask,
+    max_finite,
+    oracle_op,
+    oracle_op_fast,
+    oracle_round,
+    oracle_value,
+    quantum_exp,
+    round_value,
+    split_fields,
+)
 
 ALL_FORMATS = [FP32, FP16, BF16]
 
@@ -25,8 +36,8 @@ ALL_FORMATS = [FP32, FP16, BF16]
 def finite_bits(fmt, rng, n):
     """n random finite bit patterns of fmt."""
     bits = rng.integers(0, 1 << fmt.total_bits, size=2 * n, dtype=np.uint64)
-    exp = (bits >> fmt.mant_bits) & fmt.exp_mask
-    bits = bits[exp != fmt.exp_mask][:n]
+    exp = (bits >> fmt.mant_bits) & exp_mask(fmt)
+    bits = bits[exp != exp_mask(fmt)][:n]
     return bits.astype(np.int64)
 
 
@@ -58,7 +69,7 @@ def emu_mul(a_bits, b_bits, fmt, carry=np.float64):
 
 def is_nan_bits(bits, fmt):
     _, e, f = split_fields(int(bits), fmt)
-    return e == fmt.exp_mask and f != 0
+    return e == exp_mask(fmt) and f != 0
 
 
 class TestFormatSpec:
@@ -68,8 +79,8 @@ class TestFormatSpec:
         assert (BF16.exp_bits, BF16.mant_bits, BF16.bias, BF16.total_bits) == (8, 7, 127, 16)
 
     def test_max_finite(self):
-        assert FP16.max_finite == 65504.0
-        assert FP32.max_finite == float(np.finfo(np.float32).max)
+        assert max_finite(FP16) == 65504.0
+        assert max_finite(FP32) == float(np.finfo(np.float32).max)
 
 
 class TestDecomposeCompose:
@@ -94,7 +105,7 @@ class TestDecomposeCompose:
         mismatches = 0
         for bits, v in enumerate(vals.tolist()):
             sign, e, f = split_fields(bits, fmt)
-            if e != fmt.exp_mask:
+            if e != exp_mask(fmt):
                 ok = v == oracle_value(bits, fmt) and math.copysign(1.0, v) == (-1.0) ** sign
             elif f == 0:
                 ok = v == (-math.inf if sign else math.inf)
@@ -151,7 +162,7 @@ class TestRounding:
         bits = np.arange(1 << 16, dtype=np.uint64)
         vals = bits_to_values(bits, fmt)
         back = values_to_bits(vals, fmt)
-        finite = ((bits >> fmt.mant_bits) & fmt.exp_mask) != fmt.exp_mask
+        finite = ((bits >> fmt.mant_bits) & exp_mask(fmt)) != exp_mask(fmt)
         assert np.array_equal(back[finite].astype(np.uint64), bits[finite])
         for b in [0, 1, 0x3C00, 0x7BFF, 0x8001, 0x83FF]:
             assert vals[b] == oracle_value(b, fmt)
@@ -290,6 +301,138 @@ class TestRoundInto:
             assert self.same(round_array(x, fmt, out=x), want)
 
 
+class TestRoundIntoChecksOut:
+    """An `out` of another dtype or shape than the result is a ValueError,
+    not a silently wrong result."""
+
+    X = np.array([1.0, 1.00390625 + 2.0**-20, -3.3], dtype=np.float32)
+
+    @pytest.mark.parametrize("fmt,out", [
+        (BF16, np.zeros(3, dtype=np.int32)),  # would hold raw bit patterns
+        (FP16, np.zeros(3, dtype=np.float16)),  # would hold 3.1 for -3.3
+        (BF16, np.zeros(3, dtype=np.float64)),  # float32 input: float32 result
+        (FP16, np.zeros(4, dtype=np.float32)),
+        (FP32, np.zeros((3, 1), dtype=np.float32)),
+        (FP16, [0.0, 0.0, 0.0]),
+    ], ids=["int32", "float16", "float64", "longer", "2-d", "list"])
+    def test_wrong_out_is_rejected(self, fmt, out):
+        before = np.array(out, copy=True)
+        with pytest.raises(ValueError, match="out must be a float32 array of shape"):
+            round_array(self.X, fmt, out=out)
+        assert np.array_equal(np.asarray(out), before)
+
+    def test_float64_input_takes_a_float64_out(self):
+        x = self.X.astype(np.float64)
+        with pytest.raises(ValueError, match="float64"):
+            round_array(x, BF16, out=np.zeros(3, dtype=np.float32))
+        out = np.zeros(3)
+        assert round_array(x, BF16, out=out) is out
+        assert out.tolist() == round_array(x, BF16).tolist() == [1.0, 1.0078125, -3.296875]
+
+
+def _binary64(*bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+class TestBlockedRounding:
+    """A rounding into a C-contiguous `out` of more than BLOCK elements runs
+    block by block with one scratch per call; it equals the rounding of the
+    whole array into new arrays bit for bit, in place or not, with every
+    special value in a later block patched at its own index."""
+
+    B = fpformat.BLOCK
+    SIZES = [B - 1, B, B + 1, 3 * B + 5]
+    # both signs of: +-0, subnormals (binary32's and binary16's), binary16's
+    # least normal and largest values, its overflow threshold 65520 and
+    # neighbours, bf16's largest value and the ties to its overflow, and inf
+    SPECIAL = np.array([0.0, 2.0**-149, 2.0**-133, 2.0**-24, 2.0**-25, 2.0**-14,
+                        2.0**-14 - 2.0**-24, 65504.0, 65519.0, 65520.0, 65536.0,
+                        3.3895313892515355e38, 3.3961775292304767e38,
+                        3.3961776e38, 3.4e38, np.inf])
+    SPECIAL = np.concatenate([SPECIAL, -SPECIAL])
+    NAN32 = np.array([0x7FC00000, 0x7FC00001, 0xFFFFFFFF, 0x7F800001, 0x7FA00000, 0xFFBFFFFF],
+                     dtype=np.uint32).view(np.float32)  # quiet and signaling, both signs
+    NAN64 = _binary64(0x7FF8000000000000, 0x7FF8000000000123, 0xFFF0000000000001,
+                      0x7FF4000000000000, 0xFFF8000000000001, 0x7FF0000000000010)
+
+    @classmethod
+    def batch(cls, dtype, size, seed):
+        """Random normal-range values with the special values and NaNs
+        placed at random indices past the first block (or anywhere, for a
+        single block)."""
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-2, 2, size) * np.exp2(rng.integers(-12, 12, size))
+        x = x.astype(dtype)
+        special = np.concatenate([cls.SPECIAL.astype(dtype),
+                                  cls.NAN32 if dtype == np.float32 else cls.NAN64])
+        first = cls.B if size > cls.B + len(special) else 0
+        x[rng.choice(np.arange(first, size), len(special), replace=False)] = special
+        return x
+
+    @staticmethod
+    def assert_same(got, want):
+        word = np.uint32 if want.dtype == np.float32 else np.uint64
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(word), want.view(word))
+
+    def check(self, x, fmt):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no floating-point warning escapes
+            want = round_array(x, fmt)  # the whole array at once
+            before = x.copy(order="A")
+            other = np.full_like(x, 7.0)
+            assert round_array(x, fmt, out=other) is other
+            self.assert_same(other, want)
+            self.assert_same(x, before)
+            assert round_array(x, fmt, out=x) is x
+            self.assert_same(x, want)
+        return want
+
+    @pytest.mark.parametrize("fmt", [FP16, BF16, FP32], ids=lambda f: f.name)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", SIZES, ids=["block-1", "block", "block+1", "blocks"])
+    def test_blocks_equal_the_whole_array(self, fmt, dtype, size):
+        x = self.batch(dtype, size, seed=size)
+        want = self.check(x.copy(), fmt)
+        if fmt == FP16:  # and numpy's binary16 conversion
+            with np.errstate(over="ignore", invalid="ignore"):
+                fp16 = x.astype(np.float16).astype(dtype)
+            self.assert_same(want, fp16)
+        assert np.array_equal(np.isnan(want), np.isnan(x))
+
+    @pytest.mark.parametrize("fmt", [FP16, BF16], ids=lambda f: f.name)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_other_layouts(self, fmt, dtype):
+        x = self.batch(dtype, 4 * self.B, seed=5).reshape(64, -1)
+        want = round_array(x, fmt)
+        self.check(np.asfortranarray(x), fmt)  # F-order: one block of its shape
+        wide = np.zeros((64, 2 * x.shape[1]), dtype=dtype)
+        wide[:, ::2] = x
+        self.assert_same(self.check(wide[:, ::2], fmt), want)  # strided
+        # a C-contiguous `out` that overlaps `x` without being it
+        flat = np.concatenate([x.ravel(), np.zeros(8, dtype=dtype)])
+        src, dst = flat[:-8], flat[8:]
+        assert round_array(src, fmt, out=dst) is dst
+        self.assert_same(dst, want.ravel())
+
+    def test_fp16_from_binary64_at_every_tie(self):
+        # every binary16 midpoint (normal and subnormal, both signs) and the
+        # binary64 values next to it, then random binary64 values in and
+        # around binary16's range: the binary64 split equals numpy's
+        # binary64 -> binary16 conversion
+        h = np.arange(0x7C00, dtype=np.uint16).view(np.float16).astype(np.float64)
+        mid = (h[:-1] + h[1:]) / 2
+        mid = np.append(mid, 65520.0)
+        x = np.concatenate([mid, np.nextafter(mid, 0.0), np.nextafter(mid, np.inf), h])
+        x = np.concatenate([x, -x])
+        rng = np.random.default_rng(16)
+        x = np.concatenate([x, rng.standard_normal(400_000) * np.exp2(rng.integers(-28, 18, 400_000))])
+        with np.errstate(over="ignore"):
+            want = x.astype(np.float16).astype(np.float64)
+        for got in (round_array(x, FP16), round_array(x, FP16, out=np.empty_like(x))):
+            self.assert_same(got, want)
+
+
 class TestEmulatedOps:
     """Each op is the exact result of format values rounded once by
     round_array; the rational oracle is the ground truth."""
@@ -387,9 +530,9 @@ def chain_rows(fmt, nchunk):
     format's largest value, and large values of both signs), cancellation
     to +-0 and to subnormals; then chains with an inf or NaN partial."""
     rng = np.random.default_rng(nchunk)
-    big, tiny = fmt.max_finite, math.ldexp(1.0, 1 - fmt.bias)  # largest, least normal
+    big, tiny = max_finite(fmt), math.ldexp(1.0, 1 - fmt.bias)  # largest, least normal
     half_ulp = math.ldexp(1.0, fmt.bias - fmt.mant_bits - 1)  # of the largest
-    quantum = math.ldexp(1.0, fmt.quantum_exp)
+    quantum = math.ldexp(1.0, quantum_exp(fmt))
     finite = [rng.uniform(-1, 1, nchunk) * np.exp2(rng.integers(-10, 10, nchunk)),
               [big, half_ulp, -1.0],  # exact tie at the largest value: inf
               [0.6 * big, 0.6 * big, -0.6 * big, 2.0],
@@ -479,6 +622,22 @@ class TestTreeSum:
         assert values_to_bits(tree_sum_values(vals, fmt), fmt).tolist() == want
         assert values_to_bits(tree_sum_values(vals.astype(np.float32), fmt),
                               fmt).tolist() == want
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("d", [1, 63, 65, 127, 300, 1000])
+    def test_short_last_chunk_against_the_scalar_tree(self, fmt, d):
+        # only the last chunk is zero-padded: random rows, a row whose last
+        # element is -0 (paired with a pad zero when d is odd, and
+        # -0 + +0 is +0), and a row of -0 throughout
+        rng = np.random.default_rng(d)
+        x = round_array(rng.uniform(-2, 2, (4, d)) * np.exp2(rng.integers(-6, 6, (4, 1))), fmt)
+        x[1, -1] = -0.0
+        x[2] = -0.0
+        want = [scalar_tree_sum(values_to_bits(row, fmt).tolist(), fmt) for row in x]
+        for carry in (np.float64, np.float32):
+            got = tree_sum_values(x.astype(carry), fmt)
+            assert got.dtype == carry
+            assert values_to_bits(got, fmt).tolist() == want
 
     def test_batch_rows_match_single_rows(self):
         rng = np.random.default_rng(11)

@@ -12,7 +12,6 @@ from iterl2norm.fpformat import (
     FP16,
     FP32,
     round_array,
-    round_value,
     stored_constant,
     values_to_bits,
 )
@@ -32,7 +31,7 @@ from iterl2norm.norm_core import (
 )
 from iterl2norm.baselines import fisr_batch, reference_batch
 
-from oracles import oracle_iteration, oracle_op_fast
+from oracles import oracle_iteration, oracle_op_fast, round_value
 
 ALL_FORMATS = [FP32, FP16, BF16]
 

@@ -51,5 +51,8 @@ def test_ab_passes_of_the_tree_against_itself(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert "outputs: same" in lines[0]
+    faults = lines[-2].split()
+    assert faults[:3] == ["minflt", "per", "pass"] and faults[3::2] == ["a", "b"]
+    assert all(int(n) >= 0 for n in faults[4::2])
     ratio = lines[-1].split()
     assert ratio[0] == "ratio" and float(ratio[1]) > 0 and ratio[-1] in ("0/1", "1/1")

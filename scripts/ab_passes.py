@@ -1,21 +1,34 @@
 #!/usr/bin/env python3
-"""Compare the pass times of two source trees on one benchmark workload, in
-one process.
+"""Compare two source trees on one benchmark workload, or on the package's
+import, in one process.
 
     python3 scripts/ab_passes.py --a ../parent --b . --workload file_bin --rounds 20
+    python3 scripts/ab_passes.py --a ../parent --b . --setup --rounds 40
 
 Each tree is a checkout with the package under `src/`.  Both are imported
 into this process (the package is dropped from `sys.modules` and imported
 again from each `src/`), so the host's fast and slow spells fall on both
-alike.  The workload's inputs, from `perfbench/workloads.py` of this
-checkout, are generated once.  After one untimed warm-up pass of each
-tree, each round times one pass of A and one of B, A first in even rounds
-and B first in odd ones.  The first timed outputs of the two trees are
-compared byte for byte.  The line before the last reports each tree's
-median minor page faults per timed pass (`getrusage` `ru_minflt` taken
-around each pass), so that a change in temporaries shows beside the time;
-the last line reports the median of the per-round B/A pass-time ratios,
-their interquartile range and the rounds B won.
+alike.  Each round measures A and B once, A first in even rounds and B
+first in odd ones.
+
+With `--workload`, the workload's inputs, from `perfbench/workloads.py` of
+this checkout, are generated once.  After one untimed warm-up pass of each
+tree, each round times one pass of each tree, and the first timed outputs
+of the two trees are compared byte for byte.  The line before the last
+reports each tree's median minor page faults per timed pass (`getrusage`
+`ru_minflt` taken around each pass), once over the rounds the tree ran
+first and once over those it ran second: where a pass's temporaries land
+depends on what ran before it, so a fault difference means something only
+if it holds in both slots.
+
+With `--setup`, each round times one fresh import of the seven modules
+that perfbench's set-up imports, per tree.  One untimed import of each
+tree comes first: it writes the bytecode and loads the standard library
+modules either tree uses, which perfbench has loaded before its set-up
+too.  The line before the last reports each tree's median import time.
+
+The last line reports the median of the per-round B/A ratios (pass or
+import times), their interquartile range and the rounds B won.
 """
 
 from __future__ import annotations
@@ -77,45 +90,90 @@ def run_pass(lib, ops) -> tuple[float, int, list[bytes]]:
     return total, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults, outputs
 
 
+def time_import(tree: Path) -> float:
+    """Seconds of one fresh import of the package's modules from `tree`."""
+    t0 = time.perf_counter()
+    load_tree(tree)
+    return time.perf_counter() - t0
+
+
+def alternate(rounds: int, measure) -> dict[str, list]:
+    """`measure(key)` for "a" and "b" once per round, A first in even rounds
+    and B first in odd ones: per key, the results in round order."""
+    results = {"a": [], "b": []}
+    for r in range(rounds):
+        for key in ("ab" if r % 2 == 0 else "ba"):
+            results[key].append(measure(key))
+    return results
+
+
+def by_slot(key: str, values: list) -> str:
+    """The median of a tree's values over the rounds it ran first, then
+    over those it ran second ("-" for a slot it never ran in)."""
+    # A runs first in even rounds, B in odd ones
+    slots = {"first": values[key == "b"::2], "second": values[key == "a"::2]}
+    return "  ".join(f"{slot} {statistics.median(v):.0f}" if v else f"{slot} -"
+                     for slot, v in slots.items())
+
+
+def report(ratios: list[float]) -> None:
+    """Print the median B/A ratio, its interquartile range and the rounds B
+    won."""
+    q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    print(f"ratio {statistics.median(ratios):.3f}  iqr {q1:.3f}-{q3:.3f}  "
+          f"b_faster {sum(x < 1.0 for x in ratios)}/{len(ratios)}")
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--a", type=Path, required=True, help="baseline source tree")
     p.add_argument("--b", type=Path, required=True, help="source tree compared with A")
-    p.add_argument("--workload", required=True, help="a workload of perfbench/workloads.py")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--workload", help="a workload of perfbench/workloads.py")
+    mode.add_argument("--setup", action="store_true",
+                      help="time fresh imports of the package instead of passes")
     p.add_argument("--rounds", type=int, default=20, help="timed A/B rounds (default 20)")
     p.add_argument("--seed", type=int, default=0, help="workload input seed (default 0)")
     args = p.parse_args()
     if args.rounds < 1:
         p.error("--rounds must be >= 1")
+    trees = {"a": args.a, "b": args.b}
+    head = f"a: {args.a.resolve()}  b: {args.b.resolve()}  "
+
+    if args.setup:
+        for tree in trees.values():
+            load_tree(tree)  # bytecode and standard library modules
+        times = alternate(args.rounds, lambda key: time_import(trees[key]))
+        print(f"{head}setup  rounds: {args.rounds}")
+        print(f"import ms  a {1e3 * statistics.median(times['a']):.1f}  "
+              f"b {1e3 * statistics.median(times['b']):.1f}")
+        report([b / a for a, b in zip(times["a"], times["b"])])
+        return 0
 
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
     if args.workload not in WORKLOADS:
         p.error(f"unknown workload {args.workload!r}; choose from {', '.join(sorted(WORKLOADS))}")
-    trees = {"a": load_tree(args.a), "b": load_tree(args.b)}
+    libs = {key: load_tree(tree) for key, tree in trees.items()}
+    outputs = {}
+
+    def measure(key: str) -> tuple[float, int]:
+        seconds, faults, out = run_pass(libs[key], ops)
+        outputs.setdefault(key, out)  # the first timed outputs
+        return seconds, faults
 
     with tempfile.TemporaryDirectory() as tmp:
-        ops = WORKLOADS[args.workload].generate(trees["a"], args.seed, Path(tmp))
-        for lib in trees.values():
+        ops = WORKLOADS[args.workload].generate(libs["a"], args.seed, Path(tmp))
+        for lib in libs.values():
             run_pass(lib, ops)  # warm-up
-        ratios, outputs, faults = [], {}, {"a": [], "b": []}
-        for r in range(args.rounds):
-            times = {}
-            for key in ("ab" if r % 2 == 0 else "ba"):
-                times[key], flt, out = run_pass(trees[key], ops)
-                faults[key].append(flt)
-                outputs.setdefault(key, out)
-            ratios.append(times["b"] / times["a"])
+        passes = alternate(args.rounds, measure)
 
     same = outputs["a"] == outputs["b"]
-    q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
-    median = statistics.median(ratios)
-    print(f"a: {args.a.resolve()}  b: {args.b.resolve()}  workload: {args.workload}  "
-          f"seed: {args.seed}  rounds: {args.rounds}  outputs: {'same' if same else 'DIFFER'}")
-    print(f"minflt per pass  a {statistics.median(faults['a']):.0f}  "
-          f"b {statistics.median(faults['b']):.0f}")
-    print(f"ratio {median:.3f}  iqr {q1:.3f}-{q3:.3f}  "
-          f"b_faster {sum(x < 1.0 for x in ratios)}/{len(ratios)}")
+    print(f"{head}workload: {args.workload}  seed: {args.seed}  rounds: {args.rounds}  "
+          f"outputs: {'same' if same else 'DIFFER'}")
+    print("minflt per pass  " + "  ".join(
+        f"{key} {by_slot(key, [flt for _, flt in passes[key]])}" for key in trees))
+    report([b[0] / a[0] for a, b in zip(passes["a"], passes["b"])])
     return 0 if same else 1
 
 

@@ -9,7 +9,6 @@ error (an input value or a squared norm out of the format's range).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -29,7 +28,7 @@ EXIT_RANGE = 4
 # the spec's default.
 _SPEC_FIELDS = ("dims", "num_vectors", "seed", "steps", "lambda_override")
 _FISR_FIELDS = ("newton_iters", "fp32_magic", "bf16_magic")
-_COST_FIELDS = tuple(f.name for f in dataclasses.fields(StageCosts))
+_COST_FIELDS = StageCosts._fields
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -135,7 +134,7 @@ def _load_config(path: str | None) -> dict:
             raise UsageError(f"{path}: unknown {what}: {unknown}")
     fisr = {key: _config_int(path, "fisr", key, v) for key, v in fisr.items()}
     costs = {key: _config_int(path, "stage_costs", key, v) for key, v in costs.items()}
-    return {"stage_costs": dataclasses.replace(StageCosts(), **costs),
+    return {"stage_costs": StageCosts(**costs),
             "fisr_newton_iters": fisr.pop("newton_iters", 1),
             "fisr_magic": {key.removesuffix("_magic"): v for key, v in fisr.items()}}
 

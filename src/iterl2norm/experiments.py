@@ -15,8 +15,9 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,28 +59,27 @@ _FORMAT_IDS = {"fp32": 0, "fp16": 1, "bf16": 2}
 RNG_NAME = "philox"
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(namedtuple(
+        "ExperimentSpec", "kind formats dims num_vectors seed steps lambda_override "
+        "stage_costs fisr_newton_iters fisr_magic",
+        defaults=((), (), 1000, 0, (), None, StageCosts(), 1, None))):
     """One experiment run; `formats`, `dims` and `steps` left empty take the
-    kind's defaults."""
+    kind's defaults, and `fisr_magic` (format name -> constant) left None
+    is empty."""
 
-    kind: str
-    formats: tuple[str, ...] = ()
-    dims: tuple[int, ...] = ()
-    num_vectors: int = 1000
-    seed: int = 0
-    steps: tuple[int, ...] = ()
-    lambda_override: float | None = None
-    stage_costs: StageCosts = field(default_factory=StageCosts)
-    fisr_newton_iters: int = 1
-    fisr_magic: dict[str, int] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in KINDS:
             raise UsageError(f"unknown experiment kind {self.kind!r}")
-        for name, default in zip(("formats", "dims", "steps"), _DEFAULTS[self.kind]):
-            if not getattr(self, name):
-                object.__setattr__(self, name, default)
+        # `_replace` skips `__new__`: it only fills the defaults, before the checks
+        empty = {name: default for name, default in zip(("formats", "dims", "steps"),
+                                                        _DEFAULTS[self.kind])
+                 if not getattr(self, name)}
+        if self.fisr_magic is None:
+            empty["fisr_magic"] = {}
+        self = self._replace(**empty)
         for f in self.formats:
             if f not in FORMATS:
                 raise UsageError(f"unknown format {f!r}")
@@ -97,10 +97,10 @@ class ExperimentSpec:
         if self.kind == "compare-fisr":
             for f in self.formats:
                 checked_fisr_magic(FORMATS[f], self.fisr_magic.get(f), self.fisr_newton_iters)
+        return self
 
 
-@dataclass(frozen=True)
-class ErrorStats:
+class ErrorStats(NamedTuple):
     """Mean and maximum absolute error."""
 
     avg_abs_err: float
@@ -112,16 +112,14 @@ class ErrorStats:
         return cls(float(flat.mean()), float(flat.max()))
 
 
-@dataclass
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     spec: ExperimentSpec
     columns: tuple[str, ...]
     rows: list[tuple]
-    notes: list[str] = field(default_factory=list)
+    notes: tuple[str, ...] | list[str] = ()
 
 
-@dataclass(frozen=True)
-class NormalizeSummary:
+class NormalizeSummary(NamedTuple):
     count: int
     out_path: str
     sidecar_path: str
@@ -213,7 +211,7 @@ def run_compare_fisr(spec: ExperimentSpec) -> ExperimentResult:
     """Paired error table: the iterative method versus FISR on identical
     vectors.  FP32 and BFloat16 only (FISR needs an 8-bit exponent)."""
     result = ExperimentResult(
-        spec, ("format", "d", "method", "avg_abs_err", "max_abs_err"), [])
+        spec, ("format", "d", "method", "avg_abs_err", "max_abs_err"), [], [])
     for name, d, _, method, out, st in _error_runs(spec):
         result.rows.append((name, d, method, st.avg_abs_err, st.max_abs_err))
         if method == "iterl2norm":
@@ -393,8 +391,8 @@ def csv_text(result: ExperimentResult) -> str:
         # and the stage costs; a default cost is left out of the header
         buf.write(f"# dims={dims} steps={steps}\n")
         costs = spec.stage_costs
-        changed = {f.name: getattr(costs, f.name) for f in fields(costs)
-                   if getattr(costs, f.name) != f.default}
+        changed = {name: v for name, v in zip(costs._fields, costs)
+                   if v != costs._field_defaults[name]}
         if changed:
             buf.write(f"# stage_costs={json.dumps(changed)}\n")
     else:

@@ -74,13 +74,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class FormatSpec:
+class FormatSpec(NamedTuple):
     """Static description of one binary floating-point format."""
 
     name: str

@@ -17,7 +17,8 @@ hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from typing import NamedTuple
 
 from .errors import UsageError
 from .fpformat import CHUNK_SIZE
@@ -26,8 +27,29 @@ from .fpformat import CHUNK_SIZE
 D_MAX = 16 * CHUNK_SIZE
 
 
-@dataclass(frozen=True)
-class StageCosts:
+_COSTS = dict(
+    control_fixed=25,
+    mean_sum_fixed=4,
+    mean_sum_per_chunk=2,
+    mean_mul_fixed=2,
+    mean_shift_fixed=2,
+    mean_shift_per_chunk=1,
+    inner_product_fixed=6,
+    inner_product_per_chunk=2,
+    iteration_fixed=6,
+    iteration_per_step=12,
+    output_scale_fixed=2,
+    output_scale_per_chunk=1,
+    output_affine_fixed=2,
+    output_affine_per_chunk=1,
+    # Calibration remainder: extra control cycles charged once per
+    # `chunk_group_size` chunks beyond the first.
+    chunk_group_size=4,
+    chunk_group_cost=2,
+)
+
+
+class StageCosts(namedtuple("StageCosts", _COSTS, defaults=_COSTS.values())):
     """Per-phase cycle parameters (all nonnegative integers).
 
     Mul and Add blocks share a two-cycle latency; one iteration step runs
@@ -35,36 +57,19 @@ class StageCosts:
     4*2 + 2*2 = 12 cycles per step.
     """
 
-    control_fixed: int = 25
-    mean_sum_fixed: int = 4
-    mean_sum_per_chunk: int = 2
-    mean_mul_fixed: int = 2
-    mean_shift_fixed: int = 2
-    mean_shift_per_chunk: int = 1
-    inner_product_fixed: int = 6
-    inner_product_per_chunk: int = 2
-    iteration_fixed: int = 6
-    iteration_per_step: int = 12
-    output_scale_fixed: int = 2
-    output_scale_per_chunk: int = 1
-    output_affine_fixed: int = 2
-    output_affine_per_chunk: int = 1
-    # Calibration remainder: extra control cycles charged once per
-    # `chunk_group_size` chunks beyond the first.
-    chunk_group_size: int = 4
-    chunk_group_cost: int = 2
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            v = getattr(self, f.name)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, v in zip(self._fields, self):
             if not isinstance(v, int) or v < 0:
-                raise UsageError(f"stage cost {f.name} must be a nonnegative integer")
+                raise UsageError(f"stage cost {name} must be a nonnegative integer")
         if self.chunk_group_size < 1:
             raise UsageError("chunk_group_size must be >= 1")
+        return self
 
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(NamedTuple):
     total: int
     per_phase: dict[str, int]
 

@@ -21,7 +21,7 @@ binary64 when given no format, for property tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import RangeOverflowError, UsageError
 from .fpformat import (
+    BLOCK,
     FormatSpec,
     round_array,
     stored_constant,
@@ -39,29 +40,30 @@ from .fpformat import (
 DEFAULT_STEPS = 5
 
 
-@dataclass(frozen=True)
-class FixedSteps:
+class FixedSteps(namedtuple("FixedSteps", "n_iter", defaults=(DEFAULT_STEPS,))):
     """Run the iteration for exactly `n_iter` steps."""
 
-    n_iter: int = DEFAULT_STEPS
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_iter < 0:
             raise UsageError("n_iter must be >= 0")
+        return self
 
 
-@dataclass(frozen=True)
-class Threshold:
+class Threshold(namedtuple("Threshold", "delta_max max_steps", defaults=(50,))):
     """Iterate until the change in `a` is <= delta_max, capped at `max_steps`."""
 
-    delta_max: float
-    max_steps: int = 50
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.delta_max > 0:
             raise UsageError("delta_max must be positive")
         if self.max_steps < 1:
             raise UsageError("max_steps must be >= 1")
+        return self
 
 
 def check_lambda(lambda_override: float | None) -> None:
@@ -71,17 +73,20 @@ def check_lambda(lambda_override: float | None) -> None:
         raise UsageError("lambda override must be positive and finite")
 
 
-@dataclass(frozen=True)
-class NormConfig:
-    stopping: FixedSteps | Threshold = field(default_factory=FixedSteps)
-    lambda_override: float | None = None
+class NormConfig(namedtuple("NormConfig", "stopping lambda_override",
+                            defaults=(FixedSteps(), None))):
+    """The stopping rule (FixedSteps or Threshold) and the update-rate
+    override (None: the default rate)."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         check_lambda(self.lambda_override)
+        return self
 
 
-@dataclass(frozen=True)
-class BatchNormResult:
+class BatchNormResult(NamedTuple):
     """The outputs `z` of one batch, in the binary32 carry (float32, which
     holds every format value exactly), and each row's diagnostics, float64
     but the per-row `steps` and `converged`.  The normalized `y_hat` is not
@@ -299,14 +304,33 @@ def shift_batch(fmt: FormatSpec, x: np.ndarray, buffers: Buffers | None = None) 
 
 def _shifted(fmt: FormatSpec, x: np.ndarray | Shifted, gamma: np.ndarray | None,
              beta: np.ndarray | None) -> Shifted:
-    """The vector stages of `x`, unless it is a `Shifted` already.  A gamma
-    or beta whose shape is neither (d,) nor (n, d) is a UsageError."""
-    sh = x if isinstance(x, Shifted) else shift_batch(fmt, x)
+    """The vector stages of `x`, unless it is a `Shifted` already.  An `x`
+    (not a `Shifted`), gamma or beta holding a value that is not
+    representable in `fmt`, or a gamma or beta whose shape is neither (d,)
+    nor (n, d), is a UsageError."""
+    sh = x if isinstance(x, Shifted) else shift_batch(fmt, _representable(fmt, "x", x))
     for name, v in (("gamma", gamma), ("beta", beta)):
-        if v is not None and np.shape(v) not in (sh.y.shape[1:], sh.y.shape):
+        if v is None:
+            continue
+        if np.shape(v) not in (sh.y.shape[1:], sh.y.shape):
             raise UsageError(f"{name} has shape {np.shape(v)}, not {sh.y.shape[1:]} "
                              f"or {sh.y.shape}")
+        _representable(fmt, name, v)
     return sh
+
+
+def _representable(fmt: FormatSpec, name: str, v) -> np.ndarray:
+    """`v` as an array, after checking that `fmt` holds each of its values
+    (NaN and the infinities included).  The check rounds BLOCK elements at
+    a time, so it adds no temporary of the array's size."""
+    v = np.asarray(v)
+    flat = v.reshape(-1)
+    for start in range(0, flat.size, BLOCK):
+        part = flat[start:start + BLOCK]
+        same = round_array(part, fmt) == part
+        if not same.all() and not (same | np.isnan(part)).all():  # NaN != NaN
+            raise UsageError(f"{name} contains values not representable in {fmt.name}")
+    return v
 
 
 class _Solved(NamedTuple):
@@ -376,18 +400,14 @@ def layernorm_iterl2(fmt: FormatSpec, x: np.ndarray, gamma: np.ndarray | None = 
 
     `x`, and `gamma` and `beta` when given, are 1-D arrays of one length
     d >= 1 whose entries are representable in `fmt`; anything else is a
-    UsageError (the shared datapath checks d and the lengths).  Returns the
-    one-row BatchNormResult that `normalize_batch` gives for `x[None, :]`.
+    UsageError (the shared datapath checks d, the lengths and the values).
+    Returns the one-row BatchNormResult that `normalize_batch` gives for
+    `x[None, :]`.
     """
-    given = {name: np.asarray(v, dtype=np.float64)
-             for name, v in (("x", x), ("gamma", gamma), ("beta", beta)) if v is not None}
-    for name, v in given.items():
-        if v.ndim != 1:
+    for name, v in (("x", x), ("gamma", gamma), ("beta", beta)):
+        if v is not None and np.ndim(v) != 1:
             raise UsageError(f"{name} must be one-dimensional")
-        if not np.array_equal(round_array(v, fmt), v, equal_nan=True):
-            raise UsageError(f"{name} contains values not representable in {fmt.name}")
-    gamma, beta = given.get("gamma"), given.get("beta")
-    sh = _shifted(fmt, given["x"][None, :], gamma, beta)
+    sh = _shifted(fmt, np.asarray(x)[None, :], gamma, beta)
     return _finish(fmt, _Solved(sh, gamma, beta, _iterate(fmt, config, sh.m[sh.m > 0.0])))
 
 
@@ -400,11 +420,13 @@ def normalize_batch(fmt: FormatSpec, x: np.ndarray | Shifted, gamma: np.ndarray 
     entries, or is the `Shifted` that `shift_batch` made of such a batch (to
     run several configurations on one batch without repeating its vector
     stages); `gamma` and `beta` have shape (d,), shared across the batch,
-    or (n, d), one per row.  FixedSteps runs every row for the same step
-    count; under Threshold each row stops on its own, and `steps` and
-    `converged` report it per row.  `inject_a` (a scalar or one value per
-    row) is a test hook that bypasses the iteration and feeds the given
-    `a`, rounded to the format, straight into the scale and shift stages.
+    or (n, d), one per row.  A value of `x` (unless it is a `Shifted`),
+    gamma or beta that the format cannot hold is a UsageError.  FixedSteps
+    runs every row for the same step count; under Threshold each row stops
+    on its own, and `steps` and `converged` report it per row.  `inject_a`
+    (a scalar or one value per row) is a test hook that bypasses the
+    iteration and feeds the given `a`, rounded to the format, straight into
+    the scale and shift stages.
     """
     if isinstance(x, _Solved):  # one batch of `normalize_batches`
         return _finish(fmt, x)

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -80,7 +79,7 @@ class TestEstimateCycles:
 
 class TestStageCostConfig:
     def test_partial_override(self):
-        c = replace(StageCosts(), iteration_per_step=10)
+        c = StageCosts(iteration_per_step=10)
         assert c.iteration_per_step == 10
         assert c.control_fixed == StageCosts().control_fixed
 
@@ -93,14 +92,14 @@ class TestStageCostConfig:
 
     def test_negative_rejected(self):
         with pytest.raises(UsageError):
-            replace(StageCosts(), mean_sum_fixed=-1)
+            StageCosts(mean_sum_fixed=-1)
 
     def test_load_from_json(self, tmp_path, capsys):
         # the one reader of a config file is the CLI's --config
         path = tmp_path / "costs.json"
         overrides = {"iteration_per_step": 20}
         path.write_text(json.dumps({"stage_costs": overrides}))
-        c = replace(StageCosts(), **overrides)
+        c = StageCosts(**overrides)
         assert c.iteration_per_step == 20
         assert estimate_cycles(64, 5, costs=c).total == 116 + 5 * 8
         assert main(["latency", "--dims", "64", "--config", str(path)]) == 0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from iterl2norm.errors import RangeOverflowError, UsageError
 from iterl2norm.fpformat import (
     BF16,
+    BLOCK,
     FP16,
     FP32,
     round_array,
@@ -377,6 +378,54 @@ class TestBatchAgreement:
             assert got[:k + 1] == want
             assert got[k:] == [want[-1]] * (len(got) - k)
         assert res.steps_taken == res.a_trajectory.shape[1] - 1 == res.steps.max()
+
+
+# Each batch entry point, called as (fmt, x, gamma, beta); normalize_steps
+# takes no gamma or beta, and runs only as its results are drawn.
+BATCH_ENTRY_POINTS = {
+    "normalize_batch": normalize_batch,
+    "normalize_batches": lambda fmt, x, g, b: normalize_batches(fmt, [(x, g, b)]),
+    "normalize_steps": lambda fmt, x, g, b: list(normalize_steps(fmt, x, (1, 5))),
+    "fisr_batch": fisr_batch,
+}
+
+
+class TestBatchPathRepresentable:
+    """The batch path rejects a value the format cannot hold with the
+    message of the batch of one; 0.1 is neither an fp16 nor a bf16 value."""
+
+    @pytest.mark.parametrize("fmt", [FP16, BF16], ids=lambda f: f.name)
+    @pytest.mark.parametrize("entry", list(BATCH_ENTRY_POINTS))
+    def test_unrepresentable_x_is_usage_error(self, entry, fmt):
+        x = np.array([[0.1, -0.1, 0.3, 0.2]])
+        with pytest.raises(UsageError, match=f"x contains values not representable in {fmt.name}"):
+            BATCH_ENTRY_POINTS[entry](fmt, x, None, None)
+        # the same rows rounded to the format, float64 or float32, pass
+        for rounded in (round_array(x, fmt), round_array(x.astype(np.float32), fmt)):
+            if entry != "fisr_batch" or fmt is BF16:  # FISR needs an 8-bit exponent
+                BATCH_ENTRY_POINTS[entry](fmt, rounded, None, None)
+
+    def test_every_block_is_checked(self):
+        # the check rounds fpformat.BLOCK elements at a time: the bad value
+        # sits in the second block
+        x = np.zeros((3, BLOCK // 2 + 1))
+        x[-1, -1] = 0.1
+        with pytest.raises(UsageError, match="x contains values not representable"):
+            normalize_batch(FP16, x)
+
+    @pytest.mark.parametrize("fmt", [FP16, BF16], ids=lambda f: f.name)
+    @pytest.mark.parametrize("entry", ["normalize_batch", "normalize_batches", "fisr_batch"])
+    @pytest.mark.parametrize("name", ["gamma", "beta"])
+    def test_unrepresentable_parameter_is_usage_error(self, name, entry, fmt):
+        x = round_array(np.array([[1.0, 2.0, 3.0, 4.0], [0.5, 0.25, 1.0, 2.0]]), fmt)
+        bad = {name: np.array([1.0, 0.1, 1.0, 1.0])}
+        # raw or shifted x, shared (d,) or per-row (n, d) parameters
+        for given in (x, shift_batch(fmt, x)):
+            for v in (bad[name], np.tile(bad[name], (2, 1))):
+                with pytest.raises(UsageError,
+                                   match=f"{name} contains values not representable"):
+                    BATCH_ENTRY_POINTS[entry](fmt, given, *(
+                        v if p == name else None for p in ("gamma", "beta")))
 
 
 def assert_same_result(got, want):

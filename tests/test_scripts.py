@@ -51,8 +51,27 @@ def test_ab_passes_of_the_tree_against_itself(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert "outputs: same" in lines[0]
+    # each tree's faults over the rounds it ran first, then second: in one
+    # round A ran first and B second
     faults = lines[-2].split()
-    assert faults[:3] == ["minflt", "per", "pass"] and faults[3::2] == ["a", "b"]
-    assert all(int(n) >= 0 for n in faults[4::2])
+    assert faults[:3] == ["minflt", "per", "pass"]
+    assert faults[3::5] == ["a", "b"] and faults[4::5] == ["first", "first"]
+    assert faults[6::5] == ["second", "second"]
+    assert int(faults[5]) >= 0 and faults[7] == "-"
+    assert faults[10] == "-" and int(faults[12]) >= 0
     ratio = lines[-1].split()
     assert ratio[0] == "ratio" and float(ratio[1]) > 0 and ratio[-1] in ("0/1", "1/1")
+
+
+def test_ab_passes_setup_of_the_tree_against_itself(tmp_path):
+    proc = run_script("ab_passes.py", "--a", str(ROOT), "--b", str(ROOT),
+                      "--setup", "--rounds", "2", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "setup  rounds: 2" in lines[0]
+    times = lines[-2].split()
+    assert times[:2] == ["import", "ms"] and times[2::2] == ["a", "b"]
+    assert all(float(t) > 0 for t in times[3::2])
+    ratio = lines[-1].split()
+    assert ratio[0] == "ratio" and float(ratio[1]) > 0
+    assert ratio[-1] in ("0/2", "1/2", "2/2")

@@ -1,0 +1,67 @@
+"""The value types are named tuples: a settings object checks its fields
+when it is built, cannot be changed afterwards, and equal values compare
+and hash alike."""
+
+import pickle
+
+import pytest
+
+from iterl2norm.errors import UsageError
+from iterl2norm.experiments import ErrorStats, ExperimentSpec
+from iterl2norm.fpformat import FORMATS, FP16, FP32, FormatSpec
+from iterl2norm.latency import StageCosts
+from iterl2norm.norm_core import FixedSteps, NormConfig, Threshold
+
+SETTINGS = [FixedSteps(), Threshold(1e-3), NormConfig(), StageCosts(),
+            ExperimentSpec("compare-fisr")]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FixedSteps(-1), "n_iter must be >= 0"),
+    (lambda: Threshold(0.0), "delta_max must be positive"),
+    (lambda: Threshold(1e-3, max_steps=0), "max_steps must be >= 1"),
+    (lambda: NormConfig(lambda_override=-1.0), "lambda override must be positive"),
+    (lambda: StageCosts(chunk_group_size=0), "chunk_group_size must be >= 1"),
+    (lambda: StageCosts(control_fixed=1.5), "stage cost control_fixed must be"),
+    (lambda: ExperimentSpec("precision", num_vectors=0), "num_vectors must be >= 1"),
+], ids=["steps", "delta", "max_steps", "lambda", "group", "cost", "num_vectors"])
+def test_construction_checks(build, message):
+    with pytest.raises(UsageError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("obj", SETTINGS, ids=lambda o: type(o).__name__)
+def test_settings_are_immutable(obj):
+    with pytest.raises(AttributeError):
+        setattr(obj, obj._fields[0], obj[0])
+    with pytest.raises(AttributeError):
+        obj.extra = 1  # no instance dict
+
+
+@pytest.mark.parametrize("obj", SETTINGS, ids=lambda o: type(o).__name__)
+def test_settings_survive_pickling(obj):
+    assert pickle.loads(pickle.dumps(obj)) == obj
+
+
+def test_defaults_and_repr():
+    assert repr(NormConfig()) == "NormConfig(stopping=FixedSteps(n_iter=5), lambda_override=None)"
+    assert repr(Threshold(1e-3)) == "Threshold(delta_max=0.001, max_steps=50)"
+    assert repr(FP16) == "FormatSpec(fp16)"
+    assert StageCosts(iteration_per_step=10) == StageCosts()._replace(iteration_per_step=10)
+    # the kind's defaults fill the empty fields; each spec has its own magic table
+    spec, other = ExperimentSpec("convergence"), ExperimentSpec("convergence")
+    assert (spec.formats, spec.dims, spec.steps[-1]) == (("fp32", "fp16", "bf16"), (1024,), 10)
+    assert spec.fisr_magic == {} and spec.fisr_magic is not other.fisr_magic
+
+
+def test_format_spec_compares_and_hashes_by_value():
+    same = FormatSpec("fp16", exp_bits=5, mant_bits=10)
+    assert same == FP16 and same != FP32 and hash(same) == hash(FP16)
+    assert {FP16: "half"}[same] == "half"
+    assert FORMATS["fp32"] is FP32
+
+
+def test_error_stats_from_errors_is_a_classmethod_of_the_class_body():
+    # perfbench's tracer wraps it through the class's own namespace
+    assert isinstance(ErrorStats.__dict__["from_errors"], classmethod)
+    assert ErrorStats.from_errors([[0.5, -1.0]]) == ErrorStats(-0.25, 0.5)

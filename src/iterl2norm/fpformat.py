@@ -47,27 +47,20 @@ such a value (1 + 2^-8 + 2^-40 gives 1, not 1 + 2^-7).
 Floating-point warnings: FP16 enters `np.errstate` only once the min/max
 check has found an element outside the normal range, where the split can
 overflow or meet inf - inf.  The bfloat16 trick is integer arithmetic and
-cannot warn.  A float64 array rounded to fp32 or bf16 is narrowed to
-binary32 under `np.errstate`: a finite binary64 value can overflow the
-format.
+cannot warn.  Narrowing a float64 array to binary32 for fp32 or bf16 is
+the one other step that can: a finite binary64 value can overflow the
+format, and a signaling NaN raises the invalid-operation flag.
 
 Memory: `round_array(x, fmt, out=o)` writes the rounding into `o`, which
-may be `x` itself; the adder-tree levels, the datapath's vector and output
-stages, the reference's output and the experiments' input draws round in
-place that way, and the error tables take those arrays from one set of
-`norm_core.Buffers` per call.  A rounding is five to eight numpy passes
-(the split, or the bit trick, with its range or NaN check, and for a
-narrowed float64 array the narrowing and the widening).  Into a given
-C-contiguous `o` of more than BLOCK elements, the rounding walks `x` and
-`o` flat in blocks of BLOCK elements, so every pass over a block reads it
-from the L2 cache, not the whole array from L3; its scratch (FP16's split
-scratch, the bfloat16 trick's integers, the binary32 copy of a narrowed
-float64 block) is allocated once per call, at one block, and reused by
-every block.  Without `o`, or for a small or non-contiguous array, the
-rounding runs over the whole array with whole-array temporaries.  The
-partial-sum chain of fp32 and bf16 in binary32 takes no temporary per step
-(see `_accumulate`).  Constants the macro keeps pre-stored (1/d, sqrt(d),
-2^-1/2) are rounded once per value and format (:func:`stored_constant`).
+may be `x` itself; the adder-tree levels, the datapath's stages, the
+reference's output and the experiments' input draws round in place that
+way.  A rounding is five to eight numpy passes, so into a C-contiguous `o`
+of more than one block (_BLOCK elements) it walks `x` and `o` block by
+block, and every pass reads its block from the L2 cache, not the whole
+array from L3.  Each block allocates its own temporaries, which the
+allocator hands back for the next block.  Constants the macro keeps
+pre-stored (1/d, sqrt(d), 2^-1/2) are rounded once per value and format
+(:func:`stored_constant`).
 """
 
 from __future__ import annotations
@@ -138,94 +131,50 @@ def round_array(x: np.ndarray | float, fmt: FormatSpec,
                                                or out.shape != arr.shape):
         raise ValueError(f"out must be a {arr.dtype} array of shape {arr.shape}, not "
                          f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}")
-    if arr.ndim:
-        return _round(arr, fmt, out)
-    if out is None:
-        return _round(arr.reshape(1), fmt, None).reshape(())
-    _round(arr.reshape(1), fmt, out.reshape(1))
-    return out
-
-
-# Elements per block when a rounding writes into a given C-contiguous `out`:
-# each block's five to eight passes, and its scratch, stay in the core's L2
-# cache instead of streaming the whole array from L3 once per pass.
-BLOCK = 1 << 16
-
-
-def _round(arr: np.ndarray, fmt: FormatSpec, out: np.ndarray | None) -> np.ndarray:
-    """:func:`round_array` on a float32 or float64 array of at least one
-    dimension, into `out` (None, `arr`, or another array of its dtype and
-    shape); returns the result.
-
-    A float32 array warns of nothing: the bfloat16 trick is integer
-    arithmetic, and FP16 enters `np.errstate` only when some element lies
-    outside binary16's normal range (see `_round_fp16`).  A float64 array
-    is narrowed to binary32 for fp32 and bf16 under `np.errstate`: a finite
-    binary64 value can overflow the format, and a signaling NaN raises the
-    invalid-operation flag.  FP16 splits float64 in binary64, never through
-    binary32, which would double-round arbitrary binary64 values."""
     if fmt.name == "fp32" and arr.dtype == np.float32:
         if out is None or out is arr:
             return arr
         np.copyto(out, arr)
         return out
-    if fmt.name != "fp16" and arr.dtype == np.float64:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _round_walk(arr, fmt, out)
-    return _round_walk(arr, fmt, out)
-
-
-def _round_walk(arr: np.ndarray, fmt: FormatSpec, out: np.ndarray | None) -> np.ndarray:
-    """`_round` of `arr` (fp16 or bf16, or float64 to fp32) into `out`.
-
-    Without `out`, or for an array of at most BLOCK elements, or one that
-    is not C-contiguous (or whose `out` is not), one `_round_block` rounds
-    the whole array into new temporaries.  Otherwise both arrays are walked
-    flat in blocks of BLOCK elements, with one set of scratch arrays for
-    the call, reused by every block.  An `out` that overlaps `arr` without
-    being it is then written from a copy of `arr`: a block must not
-    overwrite what a later block reads."""
-    if out is None or arr.size <= BLOCK or not (arr.flags.c_contiguous
-                                                and out.flags.c_contiguous):
+    if not arr.ndim:  # a ufunc on a 0-d array returns a scalar, not an array
+        one = _round_block(arr.reshape(1), fmt, None if out is None else out.reshape(1))
+        return one.reshape(()) if out is None else out
+    if out is None or arr.size <= _BLOCK or not (arr.flags.c_contiguous
+                                                 and out.flags.c_contiguous):
         return _round_block(arr, fmt, out)
     if out is not arr and np.may_share_memory(arr, out):
-        arr = arr.copy()
+        arr = arr.copy()  # a block must not overwrite what a later block reads
     src, dst = arr.reshape(-1), out.reshape(-1)
-    t = r = None
-    if fmt.name == "fp16":
-        t = np.empty(BLOCK, arr.dtype)
-    elif arr.dtype == np.float64:  # narrowed to binary32
-        t = np.empty(BLOCK, np.float32)
-    if fmt.name == "bf16":
-        r = np.empty(BLOCK, np.uint32)
-    for lo in range(0, src.size, BLOCK):
-        k = min(BLOCK, src.size - lo)
-        _round_block(src[lo:lo + k], fmt, dst[lo:lo + k],
-                     None if t is None else t[:k], None if r is None else r[:k])
+    for lo in range(0, src.size, _BLOCK):
+        _round_block(src[lo:lo + _BLOCK], fmt, dst[lo:lo + _BLOCK])
     return out
 
 
-def _round_block(src: np.ndarray, fmt: FormatSpec, dst: np.ndarray | None,
-                 t: np.ndarray | None = None, r: np.ndarray | None = None) -> np.ndarray:
-    """Round `src` to `fmt` (fp16 or bf16, or float64 to fp32) into `dst`
-    (None: a new array), which may overlap `src`; returns the result.  `t` is FP16's split scratch, of src's dtype, or the float32
-    that a float64 `src` is narrowed into for fp32 and bf16; `r` is
-    bfloat16's uint32 scratch; each has src's shape, or is None: a new
-    array.  A narrowed `src` is rounded in binary32 and widened into
-    `dst`."""
+# Elements per block when a rounding writes into a given C-contiguous `out`:
+# each block's five to eight passes, and its temporaries, stay in the core's
+# L2 cache instead of streaming the whole array from L3 once per pass.
+_BLOCK = 1 << 16
+
+
+def _round_block(src: np.ndarray, fmt: FormatSpec, dst: np.ndarray | None) -> np.ndarray:
+    """Round `src`, of at least one dimension, to `fmt` (fp16 or bf16, or
+    float64 to fp32) into `dst` (None: a new array), which may overlap
+    `src`; returns the result.  FP16 splits float64 in binary64; for fp32
+    and bf16 a float64 `src` is narrowed to binary32, rounded there and
+    widened into `dst`."""
     if fmt.name == "fp16":
-        return _round_fp16(src, dst, t)
+        return _round_fp16(src, dst)
     if src.dtype == np.float32:
-        return _round_bf16(src, dst, r)
-    if t is None:
-        t = src.astype(np.float32)
-    else:
-        np.copyto(t, src)
+        return _round_bf16(src, dst)
+    # a finite binary64 value can overflow the format, and a signaling NaN
+    # raises the invalid-operation flag
+    with np.errstate(over="ignore", invalid="ignore"):
+        f32 = src.astype(np.float32)
     if fmt.name == "bf16":
-        _round_bf16(t, t, r)
+        _round_bf16(f32, f32)
     if dst is None:
-        return t.astype(np.float64)
-    np.copyto(dst, t)
+        return f32.astype(np.float64)
+    np.copyto(dst, f32)
     return dst
 
 
@@ -246,15 +195,14 @@ def _outside_fp16_normal(mag: np.ndarray) -> np.ndarray | None:
     return np.flatnonzero(~((mag >= low) & (mag < high)))
 
 
-def _round_fp16(x: np.ndarray, out: np.ndarray | None, t: np.ndarray | None) -> np.ndarray:
+def _round_fp16(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     """Round binary32 or binary64 values to binary16 with ties to even into
-    `out` (None: a new array), with `t` as scratch of x's shape and dtype
-    (None: a new array); the result has x's dtype.  Veltkamp's split rounds
-    every element; the elements outside binary16's normal range are then
-    patched by index with numpy's binary16 conversion.  Only then can the
-    split warn: it overflows near the carry's maximum and gives inf - inf
-    for +-inf."""
-    t = np.abs(x, out=t)
+    `out` (None: a new array); the result has x's dtype.  Veltkamp's split
+    rounds every element; the elements outside binary16's normal range are
+    then patched by index with numpy's binary16 conversion.  Only then can
+    the split warn: it overflows near the carry's maximum and gives
+    inf - inf for +-inf."""
+    t = np.abs(x)
     odd = _outside_fp16_normal(t)
     if odd is None:
         return _veltkamp(x, t, out)
@@ -277,21 +225,27 @@ def _veltkamp(x: np.ndarray, t: np.ndarray, out: np.ndarray | None) -> np.ndarra
 _U16, _LSB, _HALF, _HIGH = (np.uint32(v) for v in (16, 1, 0x7FFF, 0xFFFF0000))
 
 
-def _round_bf16(f32: np.ndarray, out: np.ndarray | None, r: np.ndarray | None) -> np.ndarray:
-    """Round binary32 values to bfloat16 with ties to even (the bit trick on
-    the binary32 encoding) into `out` (None: a new array), with `r` as
-    uint32 scratch of f32's shape that is not `f32` (None: a new array);
-    the result is float32.  A NaN element becomes the canonical quiet NaN,
-    pattern 0x7FC0."""
-    nan = np.flatnonzero(np.isnan(f32)) if f32.size and math.isnan(f32.max()) else None
-    u = f32.view(np.uint32)
-    r = np.right_shift(u, _U16, out=r)
+def _bf16_bits(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The binary32 patterns `u` (uint32) rounded to bfloat16 with ties to
+    even, as binary32 patterns, into `out` (a uint32 array of u's shape,
+    which may be `u`; None: a new array): add 0x7FFF plus the lowest kept
+    bit, then clear the low 16 bits.  Integer arithmetic, so it cannot
+    warn; it rounds a NaN pattern wrongly, and the callers see to NaNs."""
+    r = u >> _U16
     r &= _LSB
     r += _HALF
-    bits = np.add(r, u, out=r if out is None else out.view(np.uint32))
+    bits = np.add(u, r, out=r if out is None else out)
     bits &= _HIGH
-    if out is None:
-        out = bits.view(np.float32)
+    return bits
+
+
+def _round_bf16(f32: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """Round binary32 values to bfloat16 with ties to even (`_bf16_bits`)
+    into `out` (None: a new array); the result is float32.  A NaN element
+    becomes the canonical quiet NaN, pattern 0x7FC0."""
+    nan = np.flatnonzero(np.isnan(f32)) if f32.size and math.isnan(f32.max()) else None
+    bits = _bf16_bits(f32.view(np.uint32), None if out is None else out.view(np.uint32))
+    out = bits.view(np.float32) if out is None else out
     if nan is not None:
         out.flat[nan] = np.nan
     return out
@@ -308,11 +262,24 @@ def _carried(x: np.ndarray | float) -> np.ndarray:
 def stored_constant(x: float, fmt: FormatSpec) -> float:
     """`x` rounded to `fmt`, as a float, for a constant the macro keeps
     pre-stored (1/d, sqrt(d), 2^-1/2), rounded once per value and format.
-    It rounds through `_round`, not `round_array`, so a cached or a fresh
-    constant makes the same `round_array` calls."""
+    It rounds through `_round_block`, not `round_array`, so a cached or a
+    fresh constant makes the same `round_array` calls."""
     if fmt.name not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    return float(_round(np.array([x], dtype=np.float64), fmt, None)[0])
+    return float(_round_block(np.array([x], dtype=np.float64), fmt, None)[0])
+
+
+def representable(v, fmt: FormatSpec) -> bool:
+    """Whether `fmt` holds every value of `v` (NaN and the infinities
+    included).  The check rounds _BLOCK elements at a time, one
+    `round_array` call each, so it adds no temporary of the array's size."""
+    flat = np.asarray(v).reshape(-1)
+    for lo in range(0, flat.size, _BLOCK):
+        part = flat[lo:lo + _BLOCK]
+        same = round_array(part, fmt) == part
+        if not same.all() and not (same | np.isnan(part)).all():  # NaN != NaN
+            return False
+    return True
 
 
 def values_to_bits(values: np.ndarray, fmt: FormatSpec) -> np.ndarray:
@@ -435,24 +402,19 @@ def _accumulate(partials: np.ndarray, fmt: FormatSpec) -> np.ndarray:
     elements, and the binary32 carry takes shortcuts that give the same
     bits as rounding each step with :func:`round_array`: fp32 needs no
     rounding at all, so `np.add.accumulate` (sequential by definition) runs
-    the whole chain; bf16 rounds each step in place with the bit trick of
-    `_round_bf16`, once every partial is finite.  A finite sum then
-    saturates to +-inf, and inf plus a finite value stays inf, so no step
-    meets the NaN that the trick alone would round wrongly.  Other inputs
-    round each step with `round_array`, into the first row."""
+    the whole chain; bf16 rounds each step in place with `_bf16_bits`,
+    once every partial is finite.  A finite sum then saturates to +-inf,
+    and inf plus a finite value stays inf, so no step meets the NaN that
+    the trick alone would round wrongly.  Other inputs round each step with
+    `round_array`, into the first row."""
     if partials.dtype == np.float32 and fmt.name == "fp32":
         return np.add.accumulate(partials, axis=0)[-1]
     total = partials[0]
     if partials.dtype == np.float32 and fmt.name == "bf16" and np.isfinite(partials).all():
         u = total.view(np.uint32)
-        r = np.empty_like(u)
         for part in partials[1:]:
             np.add(total, part, out=total)
-            np.right_shift(u, _U16, out=r)
-            r &= _LSB
-            r += _HALF
-            u += r
-            u &= _HIGH
+            _bf16_bits(u, u)
         return total
     for part in partials[1:]:
         np.add(total, part, out=total)

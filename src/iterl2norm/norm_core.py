@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import RangeOverflowError, UsageError
 from .fpformat import (
-    BLOCK,
     FormatSpec,
+    representable,
     round_array,
     stored_constant,
     tree_sum_values,
@@ -321,15 +321,10 @@ def _shifted(fmt: FormatSpec, x: np.ndarray | Shifted, gamma: np.ndarray | None,
 
 def _representable(fmt: FormatSpec, name: str, v) -> np.ndarray:
     """`v` as an array, after checking that `fmt` holds each of its values
-    (NaN and the infinities included).  The check rounds BLOCK elements at
-    a time, so it adds no temporary of the array's size."""
+    (`fpformat.representable`)."""
     v = np.asarray(v)
-    flat = v.reshape(-1)
-    for start in range(0, flat.size, BLOCK):
-        part = flat[start:start + BLOCK]
-        same = round_array(part, fmt) == part
-        if not same.all() and not (same | np.isnan(part)).all():  # NaN != NaN
-            raise UsageError(f"{name} contains values not representable in {fmt.name}")
+    if not representable(v, fmt):
+        raise UsageError(f"{name} contains values not representable in {fmt.name}")
     return v
 
 
@@ -400,15 +395,13 @@ def layernorm_iterl2(fmt: FormatSpec, x: np.ndarray, gamma: np.ndarray | None = 
 
     `x`, and `gamma` and `beta` when given, are 1-D arrays of one length
     d >= 1 whose entries are representable in `fmt`; anything else is a
-    UsageError (the shared datapath checks d, the lengths and the values).
-    Returns the one-row BatchNormResult that `normalize_batch` gives for
-    `x[None, :]`.
+    UsageError (`normalize_batch` checks d, the lengths and the values).
+    Returns the one-row BatchNormResult of `normalize_batch` on `x[None, :]`.
     """
     for name, v in (("x", x), ("gamma", gamma), ("beta", beta)):
         if v is not None and np.ndim(v) != 1:
             raise UsageError(f"{name} must be one-dimensional")
-    sh = _shifted(fmt, np.asarray(x)[None, :], gamma, beta)
-    return _finish(fmt, _Solved(sh, gamma, beta, _iterate(fmt, config, sh.m[sh.m > 0.0])))
+    return normalize_batch(fmt, np.asarray(x)[None, :], gamma, beta, config)
 
 
 def normalize_batch(fmt: FormatSpec, x: np.ndarray | Shifted, gamma: np.ndarray | None = None,
@@ -448,11 +441,13 @@ def normalize_batches(fmt: FormatSpec, parts, config: NormConfig = NormConfig()
     `parts` is a sequence of (x or Shifted, gamma, beta), as in
     `normalize_batch`; each part's vector stages and shapes are checked
     before the next part's.  Returns one BatchNormResult per part, in order,
-    equal to what `normalize_batch` gives that part alone.  Every result is
-    returned by a `normalize_batch` call, so a wrapper of `normalize_batch`
-    (a profiler or tracer) sees every row.
+    equal to what `normalize_batch` gives that part alone (no part: an
+    empty list).  Every result is returned by a `normalize_batch` call, so a
+    wrapper of `normalize_batch` (a profiler or tracer) sees every row.
     """
     shifted = [_shifted(fmt, x, gamma, beta) for x, gamma, beta in parts]
+    if not shifted:
+        return []
     live_m = [sh.m[sh.m > 0.0] for sh in shifted]
     solution = _iterate(fmt, config, np.concatenate(live_m))
     ends = list(accumulate(map(len, live_m)))
@@ -469,7 +464,10 @@ def normalize_steps(fmt: FormatSpec, x: np.ndarray | Shifted, steps,
     columns of the longer trajectory, and a row is converged when its `a`
     after s steps is finite.  Yields one BatchNormResult per step count,
     each returned by a `normalize_batch` call, as in `normalize_batches`.
+    No step count, or a negative one, is a UsageError.
     """
+    if not len(steps) or min(steps) < 0:
+        raise UsageError("steps must be one or more step counts >= 0")
     sh = _shifted(fmt, x, None, None)
     config = NormConfig(FixedSteps(max(steps)), lambda_override)
     trajectory = _iterate(fmt, config, sh.m[sh.m > 0.0])[0]

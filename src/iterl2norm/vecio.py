@@ -11,7 +11,9 @@ Two containers:
 
 Decimals go through orjson, which prints and parses binary64 in C: every
 value written is the `repr` of its float64, and every text file reads as
-`float()` of each token would read it.
+`float()` of each token would read it.  orjson is imported where a text
+line is parsed or a decimal is written: its import loads `zoneinfo` and
+`uuid`, which a process that never reads or writes a decimal need not pay.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
-import orjson
 
 from .errors import DataFormatError
 from .fpformat import FORMATS, FormatSpec, bits_to_binary32, values_to_bits
@@ -126,6 +127,8 @@ def _json_row(line: bytes) -> np.ndarray | None:
     byte, or other syntax (a JSONDecodeError), gives None."""
     if line.translate(None, _JSON_ROW_BYTES):
         return None
+    import orjson
+
     try:
         vec = np.array(orjson.loads(b"[" + line + b"]"), dtype=np.float64)
     except orjson.JSONDecodeError:
@@ -275,6 +278,8 @@ def _reprs(v: np.ndarray) -> bytes:
     Elsewhere the spellings differ (orjson writes `0.00001` and `1e16` where
     `repr` writes `1e-05` and `1e+16`, and null for NaN and +-inf), so
     those values are written by `repr` itself."""
+    import orjson
+
     v = np.ascontiguousarray(v, dtype=np.float64)
     text = orjson.dumps(v, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
     magnitude = np.abs(v)

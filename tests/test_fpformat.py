@@ -13,6 +13,7 @@ from iterl2norm.fpformat import (
     FP16,
     FP32,
     bits_to_values,
+    representable,
     round_array,
     tree_sum_values,
     values_to_bits,
@@ -335,12 +336,14 @@ def _binary64(*bits):
 
 
 class TestBlockedRounding:
-    """A rounding into a C-contiguous `out` of more than BLOCK elements runs
-    block by block with one scratch per call; it equals the rounding of the
-    whole array into new arrays bit for bit, in place or not, with every
-    special value in a later block patched at its own index."""
+    """A rounding into a C-contiguous `out` of more than one block runs block
+    by block, each block with its own temporaries; it equals the rounding of
+    the whole array into new arrays bit for bit, in place or not, with every
+    special value in a later block patched at its own index, and no
+    floating-point warning from a later block's float64 specials or
+    signaling NaNs."""
 
-    B = fpformat.BLOCK
+    B = fpformat._BLOCK
     SIZES = [B - 1, B, B + 1, 3 * B + 5]
     # both signs of: +-0, subnormals (binary32's and binary16's), binary16's
     # least normal and largest values, its overflow threshold 65520 and
@@ -431,6 +434,62 @@ class TestBlockedRounding:
             want = x.astype(np.float16).astype(np.float64)
         for got in (round_array(x, FP16), round_array(x, FP16, out=np.empty_like(x))):
             self.assert_same(got, want)
+
+
+class TestRepresentable:
+    """`representable(v, fmt)` rounds one block at a time, one `round_array`
+    call per block, and answers for every block: the last partial one
+    included, with NaN (whatever its payload) and +-inf held by every
+    format."""
+
+    B = fpformat._BLOCK
+    SIZES = [B - 1, B + 1, 3 * B + 5]
+    CASES = [(FP16, np.float32), (FP16, np.float64), (BF16, np.float32),
+             (BF16, np.float64), (FP32, np.float64)]
+    CASE_IDS = ["fp16-f32", "fp16-f64", "bf16-f32", "bf16-f64", "fp32-f64"]
+
+    def values(self, fmt, dtype, size):
+        rng = np.random.default_rng(size)
+        return round_array(rng.uniform(-4, 4, size).astype(dtype), fmt)
+
+    @pytest.mark.parametrize("fmt,dtype", CASES, ids=CASE_IDS)
+    @pytest.mark.parametrize("size", SIZES, ids=["block-1", "block+1", "blocks"])
+    def test_one_bad_value_in_the_last_block(self, fmt, dtype, size):
+        x = self.values(fmt, dtype, size)
+        assert representable(x, fmt)
+        # half way between 1 and the next value of the format
+        x[-1] = dtype(1.0 + 2.0 ** -(fmt.mant_bits + 1))
+        assert not representable(x, fmt)
+        assert not representable(x.reshape(-1, 1), fmt)
+
+    @pytest.mark.parametrize("fmt,dtype", CASES, ids=CASE_IDS)
+    def test_nan_payloads_and_infinities_in_a_later_block(self, fmt, dtype):
+        x = self.values(fmt, dtype, 3 * self.B + 5)
+        nans = (TestBlockedRounding.NAN32 if dtype == np.float32
+                else TestBlockedRounding.NAN64)
+        x[2 * self.B:2 * self.B + len(nans)] = nans
+        x[-2:] = [np.inf, -np.inf]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert representable(x, fmt)
+
+    def test_float32_under_fp32(self):
+        x = np.random.default_rng(1).standard_normal(self.B + 1).astype(np.float32)
+        x[-3:] = [np.nan, np.inf, np.float32(2.0 ** -149)]
+        assert representable(x, FP32)
+        assert not representable(x.astype(np.float64) + 2.0 ** -40, FP32)
+
+    def test_one_round_array_call_per_block(self, monkeypatch):
+        calls = []
+
+        def counted(x, fmt, out=None):
+            calls.append(np.size(x))
+            return round_array(x, fmt, out)
+
+        monkeypatch.setattr(fpformat, "round_array", counted)
+        assert representable(np.zeros(3 * self.B + 5), FP16)
+        assert calls == [self.B] * 3 + [5]
+        assert representable(2.5, BF16) and calls[-1] == 1
 
 
 class TestEmulatedOps:

@@ -2,7 +2,9 @@
 loads no submodule, and the CLI loads every module of the package, so a
 module that only tests read cannot sit in the package unnoticed.  The CLI
 loads no `dataclasses`: the value types are named tuples, whose classes
-cost a fraction of a generated dataclass's at import."""
+cost a fraction of a generated dataclass's at import.  Nor does it load
+`orjson`, whose import loads `zoneinfo` and `uuid`: `vecio` imports it
+where a decimal is first read or written."""
 
 import os
 import subprocess
@@ -41,3 +43,7 @@ def test_cli_loads_every_module():
 
 def test_cli_loads_no_dataclasses():
     assert "dataclasses" not in loaded_by("iterl2norm.cli")
+
+
+def test_cli_loads_no_orjson():
+    assert "orjson" not in loaded_by("iterl2norm.cli")

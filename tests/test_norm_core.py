@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iterl2norm import fpformat
 from iterl2norm.errors import RangeOverflowError, UsageError
 from iterl2norm.fpformat import (
     BF16,
-    BLOCK,
     FP16,
     FP32,
     round_array,
@@ -406,9 +406,9 @@ class TestBatchPathRepresentable:
                 BATCH_ENTRY_POINTS[entry](fmt, rounded, None, None)
 
     def test_every_block_is_checked(self):
-        # the check rounds fpformat.BLOCK elements at a time: the bad value
-        # sits in the second block
-        x = np.zeros((3, BLOCK // 2 + 1))
+        # the check rounds one block at a time: the bad value sits in the
+        # second block
+        x = np.zeros((3, fpformat._BLOCK // 2 + 1))
         x[-1, -1] = 0.1
         with pytest.raises(UsageError, match="x contains values not representable"):
             normalize_batch(FP16, x)
@@ -511,6 +511,18 @@ class TestShiftedDatapath:
         flat = round_array(np.full((2, 8), 1.5), fmt)
         for s, res in zip(steps, normalize_steps(fmt, flat, steps, lam)):
             assert_same_result(res, separate(flat, s))
+
+    def test_no_part_gives_no_result(self):
+        assert normalize_batches(FP16, []) == []
+        assert normalize_batches(FP16, (), NormConfig(Threshold(1e-4))) == []
+
+    @pytest.mark.parametrize("steps", [(), [], (3, -1), (3, -2)],
+                             ids=["tuple", "list", "minus1", "minus2"])
+    def test_no_or_negative_step_count_is_usage_error(self, steps):
+        x = round_array(np.array([[1.0, 2.0, 3.0, 4.0]]), FP16)
+        for given in (x, shift_batch(FP16, x)):
+            with pytest.raises(UsageError, match="one or more step counts >= 0"):
+                list(normalize_steps(FP16, given, steps))
 
     def test_overflowing_row_is_named(self):
         x = round_array(np.array([[1.0, 2.0, 3.0, 4.0], [300.0, -300.0, 1.0, 2.0]]), FP16)

@@ -14,8 +14,8 @@ class DataFormatError(ValueError):
 
 
 class RangeOverflowError(ArithmeticError):
-    """An input value or the squared norm overflowed the target format; the
-    iteration cannot run.
+    """An input value, a sum or the squared norm overflowed the target
+    format; the iteration cannot run.
 
     `row` is the first row of the batch whose squared norm overflowed, or
     None."""

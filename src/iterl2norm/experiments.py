@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .baselines import _DEFAULT_MAGIC, checked_fisr_magic, fisr_batch, reference_batch
 from .errors import DataFormatError, RangeOverflowError, UsageError
-from .fpformat import FORMATS, FormatSpec, round_array
+from .fpformat import FORMATS, FormatSpec, round_array, tree_sum_values
 from .latency import PHASES, StageCosts, estimate_cycles
 from .norm_core import (
     DEFAULT_STEPS,
@@ -252,68 +252,62 @@ def run_normalize(in_path: str, out_path: str, config: NormConfig = NormConfig()
     `normalize_batches` solves for `a` once over every batch of the file.
     Every parameter length is checked before anything is computed; a NaN or
     infinite gamma or beta value is a data error.  A non-finite input value
-    (a data error), and a finite value that rounds to infinity or a squared
-    norm that overflows the format (range errors), name the first such
-    vector of the file, the data error first.  An output or sidecar file
-    that cannot be written is a data error, and leaves no output behind:
-    the `<out>` this run opened is removed if it is a regular file."""
+    (a data error), and a finite value that rounds to infinity, a sum or a
+    squared norm that overflows the format (range errors), name the first
+    such vector of the file, the data error first.  An output or sidecar
+    file that cannot be written is a data error, and leaves no output
+    behind: the `<out>` this run opened is removed if it is a regular file."""
     vectors, file_fmt = read_vectors(in_path)
     if file_fmt is not None and fmt_name and FORMATS[fmt_name] != file_fmt:
         raise UsageError(
             f"--format {fmt_name} conflicts with the binary header "
             f"({file_fmt.name}); drop the flag or re-encode")
     fmt = file_fmt or FORMATS[fmt_name or "fp32"]
-    gammas = _read_params(gamma_path, len(vectors), fmt) if gamma_path else None
-    betas = _read_params(beta_path, len(vectors), fmt) if beta_path else None
+    params = {label: _read_params(path, len(vectors), fmt)
+              for label, path in (("gamma", gamma_path), ("beta", beta_path)) if path}
 
     lengths = _lengths(vectors)
-    for params, label in ((gammas, "gamma"), (betas, "beta")):
-        if params is None:
-            continue
+    for label, p in params.items():
         # one parameter vector for all rows, or one per row
-        bad = np.flatnonzero(_lengths(params) != lengths)
+        bad = np.flatnonzero(_lengths(p) != lengths)
         if bad.size:
             i = int(bad[0])
             raise DataFormatError(f"vector {i}: {label} length "
-                                  f"{len(params[i % len(params)])} != d {lengths[i]}")
+                                  f"{len(p[i % len(p)])} != d {lengths[i]}")
 
     # One batch per vector length and one solve for the whole file; outputs
     # and sidecar keep the file order.  A file of one length (every binary
     # file) is its own batch, and its outputs are that batch's array.
     groups = _rows_by_length(lengths)
-    single = len(groups) == 1
-    parts, non_finite, overflow = [], [], []
+    parts, failed = [], []
     for rows in groups:
-        x = np.asarray(vectors) if single else np.array([vectors[i] for i in rows])
+        x = np.array([vectors[i] for i in rows]) if len(groups) > 1 else np.asarray(vectors)
+        # a shared gamma or beta is its one (d,) vector; per-row ones are stacked
+        group = {label: p[0] if len(p) == 1 else np.array([p[i] for i in rows])
+                 for label, p in params.items()}
         try:
-            shifted = shift_batch(fmt, x if file_fmt is not None else round_array(x, fmt))
+            parts.append((shift_batch(fmt, x if file_fmt is not None else round_array(x, fmt)),
+                          group.get("gamma"), group.get("beta")))
         except RangeOverflowError as exc:
-            # a NaN or infinite input value also makes its m non-finite, and
-            # so does a finite value that rounds to infinity
-            finite = np.isfinite(x).all(axis=1)
-            if not finite.all():
-                non_finite.append(rows[int(np.argmin(finite))])
-            elif np.isfinite(round_array(x[exc.row], fmt)).all():
-                overflow.append((rows[exc.row], "squared norm overflowed"))
-            else:
-                overflow.append((rows[exc.row], "value out of range for"))
-            continue
-        parts.append((shifted, _group_params(gammas, rows), _group_params(betas, rows)))
-    if non_finite:
-        raise DataFormatError(f"vector {min(non_finite)}: non-finite value")
-    if overflow:
-        row, what = min(overflow)
+            failed.append(rows[exc.row])
+    if failed:
+        # every row with a NaN or infinite value fails, so the file's first
+        # such row is the data error to report; else the first failed row
+        # names the first of its stages that overflowed
+        _check_finite(vectors)
+        row = min(failed)
+        x = round_array(vectors[row], fmt)[None, :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            stages = (("value out of range for", x), ("sum overflowed", tree_sum_values(x, fmt)))
+        what = next((w for w, v in stages if not np.isfinite(v).all()), "squared norm overflowed")
         raise RangeOverflowError(f"vector {row}: {what} {fmt.name}")
     batches = list(zip(groups, normalize_batches(fmt, parts, config), strict=True))
-    # the results hold no shifted batch: free it, and a re-stacked x, before writing
-    del parts, shifted, x
-    if single:
-        outputs = batches[0][1].z
-    else:
-        outputs = [None] * len(vectors)
-        for rows, res in batches:
-            for j, i in enumerate(rows):
-                outputs[i] = res.z[j]
+    # the results hold no shifted batch: free them, and a re-stacked x and
+    # gamma or beta, before writing
+    del parts, x, group
+    # one batch: its array; else the rows of every batch, back in file order
+    outputs = batches[0][1].z if len(batches) == 1 else [
+        z for _, z in sorted((i, z) for rows, res in batches for i, z in zip(rows, res.z))]
 
     write_vectors(out_path, outputs, fmt, binary=file_fmt is not None)
     sidecar = str(out_path) + ".meta.jsonl"
@@ -340,14 +334,13 @@ def _rows_by_length(lengths: np.ndarray) -> list[list[int]]:
     return sorted((g.tolist() for g in groups), key=lambda rows: rows[0])
 
 
-def _group_params(params: list[np.ndarray] | None, rows: list[int]) -> np.ndarray | None:
-    """gamma or beta for the given rows: the file's one vector, shape (d,),
-    or the rows' own vectors, shape (len(rows), d)."""
-    if params is None:
-        return None
-    if len(params) == 1:
-        return params[0]
-    return np.array([params[i] for i in rows])
+def _check_finite(vectors: np.ndarray | list[np.ndarray], where: str = "") -> None:
+    """A NaN or infinite value is a data error naming the first vector that
+    holds one, after the prefix `where`."""
+    finite = np.isfinite(np.concatenate(vectors))
+    if not finite.all():
+        i = int(np.searchsorted(np.cumsum(_lengths(vectors)), np.argmin(finite), side="right"))
+        raise DataFormatError(f"{where}vector {i}: non-finite value")
 
 
 def _read_params(path: str, n_vectors: int, fmt: FormatSpec) -> list[np.ndarray]:
@@ -358,15 +351,10 @@ def _read_params(path: str, n_vectors: int, fmt: FormatSpec) -> list[np.ndarray]
     if len(params) not in (1, n_vectors):
         raise DataFormatError(
             f"{path}: expected 1 or {n_vectors} parameter vectors, found {len(params)}")
-    ends = np.cumsum([len(p) for p in params])
-    flat = np.concatenate(params)
     if file_fmt != fmt:
-        flat = round_array(flat, fmt)
-        params = np.split(flat, ends[:-1])
-    finite = np.isfinite(flat)
-    if not finite.all():
-        i = int(np.searchsorted(ends, np.argmin(finite), side="right"))
-        raise DataFormatError(f"{path}: vector {i}: non-finite value")
+        params = np.split(round_array(np.concatenate(params), fmt),
+                          np.cumsum(_lengths(params))[:-1])
+    _check_finite(params, f"{path}: ")
     return params
 
 

@@ -462,15 +462,25 @@ def normalize_steps(fmt: FormatSpec, x: np.ndarray | Shifted, steps,
     iteration of max(steps) steps: a fixed-step iteration does the same
     work at every step whatever its length, so s steps give the first s + 1
     columns of the longer trajectory, and a row is converged when its `a`
-    after s steps is finite.  Yields one BatchNormResult per step count,
-    each returned by a `normalize_batch` call, as in `normalize_batches`.
-    No step count, or a negative one, is a UsageError.
+    after s steps is finite.
+
+    The arguments are checked, and the vector stages and the iteration run,
+    when it is called: no step count, a negative one, or an `x` or update
+    rate that `normalize_batch` rejects is a UsageError here, and a squared
+    norm that overflows a RangeOverflowError.  It returns an iterator that
+    finishes one BatchNormResult per step count as it is asked for, each
+    returned by a `normalize_batch` call, as in `normalize_batches`.
     """
     if not len(steps) or min(steps) < 0:
         raise UsageError("steps must be one or more step counts >= 0")
     sh = _shifted(fmt, x, None, None)
     config = NormConfig(FixedSteps(max(steps)), lambda_override)
-    trajectory = _iterate(fmt, config, sh.m[sh.m > 0.0])[0]
+    return _finish_steps(fmt, sh, steps, _iterate(fmt, config, sh.m[sh.m > 0.0])[0])
+
+
+def _finish_steps(fmt: FormatSpec, sh: Shifted, steps, trajectory: np.ndarray):
+    """The results of `normalize_steps`, one per step count, from the
+    trajectory of the live rows' longest run."""
     for s in steps:
         a = trajectory[:, :s + 1]
         solution = (a, np.full(len(a), s, dtype=np.int64), np.isfinite(a[:, -1]))

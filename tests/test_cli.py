@@ -314,6 +314,16 @@ class TestExitCodes:
         assert (code, err) == (3, "data error: vector 1: non-finite value\n")
         assert not out.exists()
 
+    def test_non_finite_value_comes_before_range_error_of_another_length(self, capsys,
+                                                                          tmp_path):
+        # row 0 (d=3) overflows fp16 in its squared norm, row 1 (d=2) is NaN
+        inp, out = tmp_path / "v.txt", tmp_path / "z.txt"
+        inp.write_text("300,-300,1\n1,nan\n")
+        code, _, err = run(capsys, "normalize", "--format", "fp16", "--input", str(inp),
+                           "--out", str(out))
+        assert (code, err) == (3, "data error: vector 1: non-finite value\n")
+        assert not out.exists()
+
     def test_non_finite_binary_value_is_3(self, capsys, tmp_path):
         inp = tmp_path / "v.bin"
         write_vectors(inp, [np.ones(4), np.array([1.0, np.nan, 0.0, 2.0])], BF16, binary=True)
@@ -332,15 +342,25 @@ class TestExitCodes:
     @pytest.mark.parametrize("row,message", [
         ("1,2,3,70000", "value out of range for fp16"),
         ("300,-300,1,2", "squared norm overflowed fp16"),
-    ], ids=["element", "squared-norm"])
+        ("60000,60000", "sum overflowed fp16"),
+    ], ids=["element", "squared-norm", "sum"])
     def test_range_error_names_its_cause(self, capsys, tmp_path, row, message):
         # 70000 is finite but rounds to infinity in fp16; 300^2 + 300^2 is
-        # in range only before the squared norm
+        # in range only before the squared norm; 60000 + 60000 overflows
+        # the mean's sum of a row whose variance is zero
         inp, out = tmp_path / "v.txt", tmp_path / "z.txt"
         inp.write_text(f"1,2,3,4\n{row}\n")
         code, _, err = run(capsys, "normalize", "--format", "fp16", "--input", str(inp),
                            "--out", str(out))
         assert (code, err) == (4, f"range error: vector 1: {message}\n")
+        assert not out.exists()
+
+    def test_binary_sum_overflow_is_4(self, capsys, tmp_path):
+        # float32 rows: the sum that names the cause overflows binary32
+        inp, out = tmp_path / "v.bin", tmp_path / "z.bin"
+        write_vectors(inp, [np.ones(2), np.full(2, 3e38)], FP32, binary=True)
+        code, _, err = run(capsys, "normalize", "--input", str(inp), "--out", str(out))
+        assert (code, err) == (4, "range error: vector 1: sum overflowed fp32\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("token", ["nan", "inf"])

@@ -381,7 +381,7 @@ class TestBatchAgreement:
 
 
 # Each batch entry point, called as (fmt, x, gamma, beta); normalize_steps
-# takes no gamma or beta, and runs only as its results are drawn.
+# takes no gamma or beta, and finishes its results only as they are drawn.
 BATCH_ENTRY_POINTS = {
     "normalize_batch": normalize_batch,
     "normalize_batches": lambda fmt, x, g, b: normalize_batches(fmt, [(x, g, b)]),
@@ -523,6 +523,18 @@ class TestShiftedDatapath:
         for given in (x, shift_batch(FP16, x)):
             with pytest.raises(UsageError, match="one or more step counts >= 0"):
                 list(normalize_steps(FP16, given, steps))
+
+    def test_arguments_are_checked_at_the_call(self):
+        # each raises before a result is drawn from what the call returns
+        x = round_array(np.array([[1.0, 2.0, 3.0, 4.0]]), FP16)
+        with pytest.raises(UsageError, match="one or more step counts >= 0"):
+            normalize_steps(FP16, x, ())
+        with pytest.raises(UsageError, match="x contains values not representable in fp16"):
+            normalize_steps(FP16, np.array([[0.1, -0.1, 0.3, 0.2]]), (1, 5))
+        with pytest.raises(UsageError, match="lambda override must be positive"):
+            normalize_steps(FP16, x, (1, 5), -1.0)
+        with pytest.raises(RangeOverflowError, match="squared norm overflowed fp16"):
+            normalize_steps(FP16, round_array(np.array([[300.0, -300.0, 1.0, 2.0]]), FP16), (1,))
 
     def test_overflowing_row_is_named(self):
         x = round_array(np.array([[1.0, 2.0, 3.0, 4.0], [300.0, -300.0, 1.0, 2.0]]), FP16)

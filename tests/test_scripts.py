@@ -75,3 +75,44 @@ def test_ab_passes_setup_of_the_tree_against_itself(tmp_path):
     ratio = lines[-1].split()
     assert ratio[0] == "ratio" and float(ratio[1]) > 0
     assert ratio[-1] in ("0/2", "1/2", "2/2")
+
+
+CODE_LINES_FIXTURE = '''"""Module docstring,
+over two lines."""
+
+import os  # a comment
+
+# a comment line
+
+
+@staticmethod
+def f(a,
+      b):
+    """Docstring."""
+    s = """a string
+over two lines"""
+    return s
+
+
+class C:
+    "a one-line docstring"
+
+    x = 1
+'''
+
+
+def test_code_lines(tmp_path):
+    # code: import; decorator, the def's two lines, the string's two lines
+    # and the return; class and x = 1.  Another module in a subdirectory
+    # holds one line.
+    (tmp_path / "pkg" / "sub").mkdir(parents=True)
+    (tmp_path / "pkg" / "mod.py").write_text(CODE_LINES_FIXTURE)
+    (tmp_path / "pkg" / "sub" / "one.py").write_text("# header\n\nx = (1 +\n     2)  # two\n")
+    proc = run_script("code_lines.py", "--defs", "pkg", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split() for line in proc.stdout.splitlines()] == [
+        ["9", str(Path("pkg", "mod.py"))], ["6", "f"], ["2", "C"],
+        ["2", str(Path("pkg", "sub", "one.py"))],
+        ["11", "total"]]
+    proc = run_script("code_lines.py", str(Path("pkg", "mod.py")), cwd=tmp_path)
+    assert proc.stdout.split() == ["9", str(Path("pkg", "mod.py")), "9", "total"]

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Count the code lines of Python modules, per module and in total.
+"""Count code lines per Python module, per top-level definition and in total.
 
     python3 scripts/code_lines.py src
-    python3 scripts/code_lines.py --defs src/iterl2norm/experiments.py
+    python3 scripts/code_lines.py src/iterl2norm/experiments.py
 
 A code line is a physical line that holds part of a token other than a
 comment, of a logical line that is not only string literals: blank lines,
@@ -10,9 +10,9 @@ comment lines and docstrings (a string statement, at the head of a module,
 class or function body or anywhere else) are left out, and a multi-line
 string inside code counts every line it spans.  Each path is a module or a
 directory, whose `*.py` files are counted in sorted order.  One line per
-module gives its count and path, and the last line the total; with
-`--defs`, each module's line is followed by one line per top-level function
-or class, decorators included.
+module gives its count and path, followed by one indented line per
+top-level function or class (decorators included) with its count and
+name; the last line gives the total.
 """
 
 from __future__ import annotations
@@ -64,8 +64,6 @@ def modules(paths: list[Path]) -> list[Path]:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("paths", nargs="+", type=Path, help="modules or directories")
-    ap.add_argument("--defs", action="store_true",
-                    help="also count each top-level function and class")
     args = ap.parse_args(argv)
     total = 0
     for path in modules(args.paths):
@@ -73,9 +71,8 @@ def main(argv: list[str] | None = None) -> int:
         lines = code_lines(source)
         total += len(lines)
         print(f"{len(lines):7d}  {path}")
-        if args.defs:
-            for name, first, last in top_level_defs(source):
-                print(f"{sum(first <= n <= last for n in lines):7d}    {name}")
+        for name, first, last in top_level_defs(source):
+            print(f"{sum(first <= n <= last for n in lines):7d}    {name}")
     print(f"{total:7d}  total")
     return 0
 

@@ -3,7 +3,8 @@
 Subcommands: precision, convergence, compare-fisr, latency, normalize.
 Exit codes: 0 success, 2 usage error, 3 data error (malformed, missing or
 unreadable input file, non-finite input, gamma or beta value), 4 range
-error (an input value, a sum or a squared norm out of the format's range).
+error (an input value, a sum, a mean-shifted value or a squared norm out of
+the format's range).
 """
 
 from __future__ import annotations

@@ -14,11 +14,11 @@ class DataFormatError(ValueError):
 
 
 class RangeOverflowError(ArithmeticError):
-    """An input value, a sum or the squared norm overflowed the target
-    format; the iteration cannot run.
+    """An input value, a sum, a mean-shifted value or the squared norm
+    overflowed the target format; the iteration cannot run.
 
     `row` is the first row of the batch whose squared norm overflowed, or
-    None."""
+    None; the message names the first of that row's stages that did."""
 
     def __init__(self, message: str, row: int | None = None) -> None:
         super().__init__(message)

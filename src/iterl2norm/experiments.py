@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .baselines import _DEFAULT_MAGIC, checked_fisr_magic, fisr_batch, reference_batch
 from .errors import DataFormatError, RangeOverflowError, UsageError
-from .fpformat import FORMATS, FormatSpec, round_array, tree_sum_values
+from .fpformat import FORMATS, FormatSpec, round_array
 from .latency import PHASES, StageCosts, estimate_cycles
 from .norm_core import (
     DEFAULT_STEPS,
@@ -252,9 +252,10 @@ def run_normalize(in_path: str, out_path: str, config: NormConfig = NormConfig()
     `normalize_batches` solves for `a` once over every batch of the file.
     Every parameter length is checked before anything is computed; a NaN or
     infinite gamma or beta value is a data error.  A non-finite input value
-    (a data error), and a finite value that rounds to infinity, a sum or a
-    squared norm that overflows the format (range errors), name the first
-    such vector of the file, the data error first.  An output or sidecar
+    (a data error), and a finite value that rounds to infinity, a sum, a
+    mean-shifted value or a squared norm that overflows the format (range
+    errors, named by `shift_batch`), name the first such vector of the
+    file, the data error first.  An output or sidecar
     file that cannot be written is a data error, and leaves no output
     behind: the `<out>` this run opened is removed if it is a regular file."""
     vectors, file_fmt = read_vectors(in_path)
@@ -263,51 +264,55 @@ def run_normalize(in_path: str, out_path: str, config: NormConfig = NormConfig()
             f"--format {fmt_name} conflicts with the binary header "
             f"({file_fmt.name}); drop the flag or re-encode")
     fmt = file_fmt or FORMATS[fmt_name or "fp32"]
-    params = {label: _read_params(path, len(vectors), fmt)
-              for label, path in (("gamma", gamma_path), ("beta", beta_path)) if path}
+    gammas = _read_params(gamma_path, len(vectors), fmt) if gamma_path else None
+    betas = _read_params(beta_path, len(vectors), fmt) if beta_path else None
 
     lengths = _lengths(vectors)
-    for label, p in params.items():
+    for params, label in ((gammas, "gamma"), (betas, "beta")):
+        if params is None:
+            continue
         # one parameter vector for all rows, or one per row
-        bad = np.flatnonzero(_lengths(p) != lengths)
+        bad = np.flatnonzero(_lengths(params) != lengths)
         if bad.size:
             i = int(bad[0])
             raise DataFormatError(f"vector {i}: {label} length "
-                                  f"{len(p[i % len(p)])} != d {lengths[i]}")
+                                  f"{len(params[i % len(params)])} != d {lengths[i]}")
 
     # One batch per vector length and one solve for the whole file; outputs
     # and sidecar keep the file order.  A file of one length (every binary
     # file) is its own batch, and its outputs are that batch's array.
     groups = _rows_by_length(lengths)
+    single = len(groups) == 1
     parts, failed = [], []
     for rows in groups:
-        x = np.array([vectors[i] for i in rows]) if len(groups) > 1 else np.asarray(vectors)
+        x = np.asarray(vectors) if single else np.array([vectors[i] for i in rows])
         # a shared gamma or beta is its one (d,) vector; per-row ones are stacked
-        group = {label: p[0] if len(p) == 1 else np.array([p[i] for i in rows])
-                 for label, p in params.items()}
+        gamma, beta = (None if p is None else p[0] if len(p) == 1 else
+                       np.array([p[i] for i in rows]) for p in (gammas, betas))
         try:
             parts.append((shift_batch(fmt, x if file_fmt is not None else round_array(x, fmt)),
-                          group.get("gamma"), group.get("beta")))
+                          gamma, beta))
         except RangeOverflowError as exc:
-            failed.append(rows[exc.row])
+            # the group's first failed row, and the stage that overflowed
+            failed.append((rows[exc.row], str(exc)))
     if failed:
         # every row with a NaN or infinite value fails, so the file's first
         # such row is the data error to report; else the first failed row
-        # names the first of its stages that overflowed
+        # is the range error
         _check_finite(vectors)
-        row = min(failed)
-        x = round_array(vectors[row], fmt)[None, :]
-        with np.errstate(over="ignore", invalid="ignore"):
-            stages = (("value out of range for", x), ("sum overflowed", tree_sum_values(x, fmt)))
-        what = next((w for w, v in stages if not np.isfinite(v).all()), "squared norm overflowed")
-        raise RangeOverflowError(f"vector {row}: {what} {fmt.name}")
+        row, what = min(failed)
+        raise RangeOverflowError(f"vector {row}: {what}")
     batches = list(zip(groups, normalize_batches(fmt, parts, config), strict=True))
-    # the results hold no shifted batch: free them, and a re-stacked x and
+    # the results hold no shifted batch: free them, and a re-stacked x,
     # gamma or beta, before writing
-    del parts, x, group
-    # one batch: its array; else the rows of every batch, back in file order
-    outputs = batches[0][1].z if len(batches) == 1 else [
-        z for _, z in sorted((i, z) for rows, res in batches for i, z in zip(rows, res.z))]
+    del parts, x, gamma, beta
+    if single:
+        outputs = batches[0][1].z
+    else:
+        outputs = [None] * len(vectors)
+        for rows, res in batches:
+            for j, i in enumerate(rows):
+                outputs[i] = res.z[j]
 
     write_vectors(out_path, outputs, fmt, binary=file_fmt is not None)
     sidecar = str(out_path) + ".meta.jsonl"

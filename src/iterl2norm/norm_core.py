@@ -270,7 +270,9 @@ def shift_batch(fmt: FormatSpec, x: np.ndarray, buffers: Buffers | None = None) 
     pre-stored constant 1/d, mean_shift subtracts the mean from each
     element, and inner_product reduces the squares of the shifted row.  A
     squared norm that is not finite raises RangeOverflowError naming the
-    first such row.
+    first such row, with the first of its stages that is not finite as the
+    message: a value of x in the carry, the sum, a mean-shifted value, or
+    else the squared norm.
 
     A float32 x (a binary file's decoded rows) is the carry as it is, and
     y's squares go to a new array; any other x is narrowed into a binary32
@@ -283,22 +285,28 @@ def shift_batch(fmt: FormatSpec, x: np.ndarray, buffers: Buffers | None = None) 
             raise UsageError("x must have shape (n, d)")
         if x.shape[1] < 1:
             raise UsageError("d must be >= 1")
+        x32 = x
         own = None  # the binary32 copy of x made here: it takes y's squares
         if x.dtype != np.float32:
-            own = _take(buffers, "x32", x.shape, np.float32)
+            own = x32 = _take(buffers, "x32", x.shape, np.float32)
             own[...] = x
-            x = own
-        total = tree_sum_values(x, fmt)  # mean_sum
+        total = tree_sum_values(x32, fmt)  # mean_sum
         mean = round_array(total * stored_constant(1.0 / x.shape[1], fmt), fmt)  # mean_mul
         y = _take(buffers, "y", x.shape, np.float32)
-        np.subtract(x, mean[:, None], out=y)  # mean_shift
+        np.subtract(x32, mean[:, None], out=y)  # mean_shift
         round_array(y, fmt, out=y)
         sq = np.multiply(y, y, out=own)  # inner_product
         m = tree_sum_values(round_array(sq, fmt, out=sq), fmt)
-    finite = np.isfinite(m)
-    if not finite.all():
-        raise RangeOverflowError(f"squared norm overflowed {fmt.name}",
-                                 row=int(np.argmin(finite)))
+        finite = np.isfinite(m)
+        if not finite.all():
+            # a non-finite x, sum or y makes m non-finite too; the copy of a
+            # row of x is narrowed again, as y's squares may overwrite it
+            row = int(np.argmin(finite))
+            stages = (("value out of range for", x[row].astype(np.float32)),
+                      ("sum overflowed", total[row]), ("mean-shifted value overflowed", y[row]))
+            what = next((w for w, v in stages if not np.isfinite(v).all()),
+                        "squared norm overflowed")
+            raise RangeOverflowError(f"{what} {fmt.name}", row=row)
     return Shifted(y, mean, m, buffers)
 
 

@@ -343,11 +343,13 @@ class TestExitCodes:
         ("1,2,3,70000", "value out of range for fp16"),
         ("300,-300,1,2", "squared norm overflowed fp16"),
         ("60000,60000", "sum overflowed fp16"),
-    ], ids=["element", "squared-norm", "sum"])
+        ("-65504,65504,65504", "mean-shifted value overflowed fp16"),
+    ], ids=["element", "squared-norm", "sum", "mean-shift"])
     def test_range_error_names_its_cause(self, capsys, tmp_path, row, message):
         # 70000 is finite but rounds to infinity in fp16; 300^2 + 300^2 is
         # in range only before the squared norm; 60000 + 60000 overflows
-        # the mean's sum of a row whose variance is zero
+        # the mean's sum of a row whose variance is zero; the sum 65504 is
+        # in range, but -65504 minus the mean 21824 is not
         inp, out = tmp_path / "v.txt", tmp_path / "z.txt"
         inp.write_text(f"1,2,3,4\n{row}\n")
         code, _, err = run(capsys, "normalize", "--format", "fp16", "--input", str(inp),

@@ -542,6 +542,21 @@ class TestShiftedDatapath:
             shift_batch(FP16, x)
         assert info.value.row == 1
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("row,message", [
+        ([1.0, 2.0, np.inf], "value out of range for fp16"),
+        ([60000.0, 60000.0, 0.0], "sum overflowed fp16"),
+        ([-65504.0, 65504.0, 65504.0], "mean-shifted value overflowed fp16"),
+        ([300.0, -300.0, 1.0], "squared norm overflowed fp16"),
+    ], ids=["value", "sum", "mean-shift", "squared-norm"])
+    def test_overflow_names_the_first_stage(self, dtype, row, message):
+        # a float64 x is narrowed into a copy that y's squares overwrite; a
+        # float32 x is not copied
+        x = np.array([[1.0, 2.0, 3.0], row], dtype=dtype)
+        with pytest.raises(RangeOverflowError, match=f"^{message}$") as info:
+            shift_batch(FP16, x)
+        assert info.value.row == 1
+
 
 class TestExactPathProperties:
     def _exact_yhat(self, x: np.ndarray, steps: int = 5):

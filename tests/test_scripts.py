@@ -108,11 +108,9 @@ def test_code_lines(tmp_path):
     (tmp_path / "pkg" / "sub").mkdir(parents=True)
     (tmp_path / "pkg" / "mod.py").write_text(CODE_LINES_FIXTURE)
     (tmp_path / "pkg" / "sub" / "one.py").write_text("# header\n\nx = (1 +\n     2)  # two\n")
-    proc = run_script("code_lines.py", "--defs", "pkg", cwd=tmp_path)
+    proc = run_script("code_lines.py", "pkg", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert [line.split() for line in proc.stdout.splitlines()] == [
         ["9", str(Path("pkg", "mod.py"))], ["6", "f"], ["2", "C"],
         ["2", str(Path("pkg", "sub", "one.py"))],
         ["11", "total"]]
-    proc = run_script("code_lines.py", str(Path("pkg", "mod.py")), cwd=tmp_path)
-    assert proc.stdout.split() == ["9", str(Path("pkg", "mod.py")), "9", "total"]

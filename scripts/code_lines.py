@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -72,10 +73,16 @@ def main(argv: list[str] | None = None) -> int:
         total += len(lines)
         print(f"{len(lines):7d}  {path}")
         for name, first, last in top_level_defs(source):
-            print(f"{sum(first <= n <= last for n in lines):7d}    {name}")
+            print(f"{sum(n in lines for n in range(first, last + 1)):7d}    {name}")
     print(f"{total:7d}  total")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`): stop without a traceback,
+        # and point stdout at devnull so that its flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

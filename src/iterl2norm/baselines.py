@@ -15,7 +15,7 @@ from .fpformat import (
     values_to_bits,
     _carried,
 )
-from .norm_core import BatchNormResult, Shifted, _finish, _given, _shifted, _Solved
+from .norm_core import BatchNormResult, Shifted, check_integers, _finish, _given, _shifted, _Solved
 
 FP32_MAGIC = 0x5F3759DF
 # Top 16 bits of the canonical FP32 constant; BFloat16 shares the 8-bit
@@ -28,13 +28,15 @@ _DEFAULT_MAGIC = {"fp32": FP32_MAGIC, "bf16": BF16_MAGIC}
 def checked_fisr_magic(fmt: FormatSpec, magic: int | None, newton_iters: int) -> int:
     """The magic constant FISR seeds with in `fmt` (`magic`, or the format's
     canonical constant when it is None), after checking the settings: `fmt`
-    needs an 8-bit exponent, `newton_iters` must be >= 0 and the constant
-    must fit the format's bits; anything else is a UsageError."""
+    needs an 8-bit exponent, `newton_iters` must be an integer >= 0 and the
+    constant an integer that fits the format's bits; anything else is a
+    UsageError."""
     if fmt.exp_bits != 8:
         raise UsageError("FISR needs a format with an 8-bit exponent (fp32 or bf16)")
+    magic = _DEFAULT_MAGIC[fmt.name] if magic is None else magic
+    check_integers(newton_iters=newton_iters, magic=magic)
     if newton_iters < 0:
         raise UsageError("newton_iters must be >= 0")
-    magic = _DEFAULT_MAGIC[fmt.name] if magic is None else magic
     if not 0 <= magic < (1 << fmt.total_bits):
         raise UsageError("magic constant out of range for the format")
     return magic

@@ -30,6 +30,7 @@ from .norm_core import (
     DEFAULT_STEPS,
     Buffers,
     NormConfig,
+    check_integers,
     check_lambda,
     normalize_batches,
     normalize_steps,
@@ -83,8 +84,12 @@ class ExperimentSpec(namedtuple(
         for f in self.formats:
             if f not in FORMATS:
                 raise UsageError(f"unknown format {f!r}")
+        check_integers(num_vectors=self.num_vectors, seed=self.seed, dims=self.dims,
+                       steps=self.steps)
         if self.num_vectors < 1:
             raise UsageError("num_vectors must be >= 1")
+        if self.seed < 0:
+            raise UsageError("seed must be >= 0")
         if any(d < 1 for d in self.dims):
             raise UsageError("dims must all be >= 1")
         if any(s < 0 for s in self.steps):
@@ -157,13 +162,11 @@ def _error_runs(spec: ExperimentSpec):
     (format, d, steps, method, BatchNormResult, ErrorStats) one run at a
     time (steps is None for FISR).
 
-    Every run of a call writes into one set of `Buffers`, sized for the
+    Every batch of a call writes into one set of `Buffers`, sized for the
     largest batch (num_vectors x max(dims)); each batch uses views of their
     first n*d elements: the draw "x" (which then takes each run's errors),
-    the reference "ref", the vector stages "x32" and "y" (see
-    `shift_batch`) and the finishes' float32 outputs "z".  A yielded
-    result's arrays are therefore valid only until the caller asks for the
-    next run."""
+    the reference "ref", and the vector stages "x32" and "y" (see
+    `shift_batch`).  Each yielded result owns its arrays."""
     buffers = Buffers(spec.num_vectors * max(spec.dims))
     for name in spec.formats:
         fmt = FORMATS[name]

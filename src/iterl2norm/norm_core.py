@@ -47,6 +47,7 @@ class FixedSteps(namedtuple("FixedSteps", "n_iter", defaults=(DEFAULT_STEPS,))):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        check_integers(n_iter=self.n_iter)
         if self.n_iter < 0:
             raise UsageError("n_iter must be >= 0")
         return self
@@ -61,9 +62,20 @@ class Threshold(namedtuple("Threshold", "delta_max max_steps", defaults=(50,))):
         self = super().__new__(cls, *args, **kwargs)
         if not self.delta_max > 0:
             raise UsageError("delta_max must be positive")
+        check_integers(max_steps=self.max_steps)
         if self.max_steps < 1:
             raise UsageError("max_steps must be >= 1")
         return self
+
+
+def check_integers(**counts) -> None:
+    """Each keyword's value, or each value of a tuple or list, is a Python or
+    numpy integer, not a bool; anything else is a UsageError naming the
+    keyword and the value."""
+    for name, values in counts.items():
+        for v in values if isinstance(values, (tuple, list)) else (values,):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise UsageError(f"{name}: not an integer: {v!r}")
 
 
 def check_lambda(lambda_override: float | None) -> None:
@@ -82,6 +94,9 @@ class NormConfig(namedtuple("NormConfig", "stopping lambda_override",
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        if not isinstance(self.stopping, (FixedSteps, Threshold)):
+            raise UsageError(f"stopping must be a FixedSteps or a Threshold, "
+                             f"not {self.stopping!r}")
         check_lambda(self.lambda_override)
         return self
 
@@ -228,9 +243,8 @@ class Buffers:
     request outgrows it or changes its dtype; the view holds whatever the
     buffer's last taker left there.  `size` is the element count each buffer
     starts with: the caller's largest batch, so that no buffer is
-    reallocated on the way up.  The datapath takes three, all float32:
-    "x32" and "y" in `shift_batch`, and the outputs "z" of each finish,
-    which a `BatchNormResult` holds as they are."""
+    reallocated on the way up.  The datapath takes two, both float32:
+    "x32" and "y" in `shift_batch`."""
 
     def __init__(self, size: int = 0) -> None:
         self.size = size
@@ -252,15 +266,11 @@ def _take(buffers: Buffers | None, name: str, shape: tuple[int, ...], dtype) -> 
 class Shifted(NamedTuple):
     """A batch after the vector stages: the mean-shifted rows `y`, shape
     (n, d), and each row's `mean` and squared norm `m`, shape (n,), all in
-    the binary32 carry (see `fpformat`), and the `buffers` that `y` and the
-    outputs of every finish of the batch are taken from (None: new arrays).
-    With buffers, a finish's `z` is overwritten by the next finish, and `y`
-    by the next `shift_batch`, of a batch of the same buffers."""
+    the binary32 carry (see `fpformat`)."""
 
     y: np.ndarray
     mean: np.ndarray
     m: np.ndarray
-    buffers: Buffers | None = None
 
 
 def shift_batch(fmt: FormatSpec, x: np.ndarray, buffers: Buffers | None = None) -> Shifted:
@@ -277,8 +287,7 @@ def shift_batch(fmt: FormatSpec, x: np.ndarray, buffers: Buffers | None = None) 
     A float32 x (a binary file's decoded rows) is the carry as it is, and
     y's squares go to a new array; any other x is narrowed into a binary32
     copy, which then takes y's squares.  y and that copy are new arrays, or
-    with `buffers` the buffers "y" and "x32"; the result carries `buffers`
-    to the scale and shift stages."""
+    with `buffers` the buffers "y" and "x32"."""
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.asarray(x)
         if x.ndim != 2:
@@ -307,16 +316,22 @@ def shift_batch(fmt: FormatSpec, x: np.ndarray, buffers: Buffers | None = None) 
             what = next((w for w, v in stages if not np.isfinite(v).all()),
                         "squared norm overflowed")
             raise RangeOverflowError(f"{what} {fmt.name}", row=row)
-    return Shifted(y, mean, m, buffers)
+    return Shifted(y, mean, m)
 
 
 def _shifted(fmt: FormatSpec, x: np.ndarray | Shifted, gamma: np.ndarray | None,
              beta: np.ndarray | None) -> Shifted:
     """The vector stages of `x`, unless it is a `Shifted` already.  An `x`
-    (not a `Shifted`), gamma or beta holding a value that is not
-    representable in `fmt`, or a gamma or beta whose shape is neither (d,)
-    nor (n, d), is a UsageError."""
-    sh = x if isinstance(x, Shifted) else shift_batch(fmt, _representable(fmt, "x", x))
+    (not a `Shifted`) holding a NaN or an infinity, an `x`, gamma or beta
+    holding a value that is not representable in `fmt`, or a gamma or beta
+    whose shape is neither (d,) nor (n, d), is a UsageError."""
+    if isinstance(x, Shifted):
+        sh = x
+    else:
+        x = _representable(fmt, "x", x)
+        if not np.isfinite(x).all():
+            raise UsageError("x contains NaN or infinite values")
+        sh = shift_batch(fmt, x)
     for name, v in (("gamma", gamma), ("beta", beta)):
         if v is None:
             continue
@@ -353,16 +368,14 @@ def _finish(fmt: FormatSpec, part: _Solved) -> BatchNormResult:
     its last value).
 
     y_hat = round(round(sqrt(d) * a) * y) and z = round(round(gamma * y_hat)
-    + beta) are computed in one binary32 array, rounded in place: the
-    buffer "z" of the batch's `Shifted.buffers`, or a new array without
-    buffers, which the result keeps as its float32 `z`.  A stage runs only
-    when its operand is given: with gamma None the product by 1, which
-    changes no bit, is skipped; with beta None the + 0 is an unrounded
-    binary32 add, exact since y_hat is already a format value and x + 0 is x
-    for every x but -0, which becomes +0 as round(y_hat + 0) makes it.
-    gamma and beta are narrowed to binary32 once.  Overflow and invalid
-    operations give the format's infinities and NaNs, as in hardware,
-    without a numpy warning."""
+    + beta) are computed in one new binary32 array, rounded in place, which
+    the result keeps as its float32 `z`.  A stage runs only when its operand
+    is given: with gamma None the product by 1, which changes no bit, is
+    skipped; with beta None the + 0 is an unrounded binary32 add, exact
+    since y_hat is already a format value and x + 0 is x for every x but
+    -0, which becomes +0 as round(y_hat + 0) makes it.  gamma and beta are
+    narrowed to binary32 once.  Overflow and invalid operations give the
+    format's infinities and NaNs, as in hardware, without a numpy warning."""
     y, live = part.shifted.y, part.shifted.m > 0.0
     traj_live, steps_live, converged_live = part.solution
     n, d = y.shape
@@ -379,7 +392,7 @@ def _finish(fmt: FormatSpec, part: _Solved) -> BatchNormResult:
         scale = np.zeros(n, dtype=f32)
         # an injected `a` is binary64, and is rounded from binary64
         scale[live] = round_array(traj_live[:, -1] * sqrt_d, fmt)
-        z = np.multiply(scale[:, None], y, out=_take(part.shifted.buffers, "z", (n, d), f32))
+        z = np.multiply(scale[:, None], y)
         round_array(z, fmt, out=z)  # y_hat
         if part.gamma is not None:
             np.multiply(z, np.asarray(part.gamma, dtype=f32), out=z)
@@ -446,21 +459,22 @@ def normalize_batches(fmt: FormatSpec, parts, config: NormConfig = NormConfig()
     """:func:`normalize_batch` on several batches, each of its own length d,
     with one solve for `a` over the rows of all of them.
 
-    `parts` is a sequence of (x or Shifted, gamma, beta), as in
-    `normalize_batch`; each part's vector stages and shapes are checked
-    before the next part's.  Returns one BatchNormResult per part, in order,
-    equal to what `normalize_batch` gives that part alone (no part: an
-    empty list).  Every result is returned by a `normalize_batch` call, so a
-    wrapper of `normalize_batch` (a profiler or tracer) sees every row.
+    `parts` is an iterable of (x or Shifted, gamma, beta), as in
+    `normalize_batch`, read once; each part's vector stages and shapes are
+    checked before the next part's.  Returns one BatchNormResult per part,
+    in order, equal to what `normalize_batch` gives that part alone (no
+    part: an empty list).  Every result is returned by a `normalize_batch`
+    call, so a wrapper of `normalize_batch` (a profiler or tracer) sees
+    every row.
     """
-    shifted = [_shifted(fmt, x, gamma, beta) for x, gamma, beta in parts]
+    shifted = [(_shifted(fmt, x, gamma, beta), gamma, beta) for x, gamma, beta in parts]
     if not shifted:
         return []
-    live_m = [sh.m[sh.m > 0.0] for sh in shifted]
+    live_m = [sh.m[sh.m > 0.0] for sh, _, _ in shifted]
     solution = _iterate(fmt, config, np.concatenate(live_m))
     ends = list(accumulate(map(len, live_m)))
     return [normalize_batch(fmt, _Solved(sh, gamma, beta, tuple(v[i:j] for v in solution)))
-            for sh, (_, gamma, beta), i, j in zip(shifted, parts, [0, *ends], ends)]
+            for (sh, gamma, beta), i, j in zip(shifted, [0, *ends], ends)]
 
 
 def normalize_steps(fmt: FormatSpec, x: np.ndarray | Shifted, steps,
@@ -473,23 +487,20 @@ def normalize_steps(fmt: FormatSpec, x: np.ndarray | Shifted, steps,
     after s steps is finite.
 
     The arguments are checked, and the vector stages and the iteration run,
-    when it is called: no step count, a negative one, or an `x` or update
-    rate that `normalize_batch` rejects is a UsageError here, and a squared
-    norm that overflows a RangeOverflowError.  It returns an iterator that
-    finishes one BatchNormResult per step count as it is asked for, each
-    returned by a `normalize_batch` call, as in `normalize_batches`.
+    when it is called: no step count, one that is not an integer >= 0, or
+    an `x` or update rate that `normalize_batch` rejects is a UsageError
+    here, and a squared norm that overflows a RangeOverflowError.  It
+    returns an iterator that finishes one BatchNormResult per step count as
+    it is asked for, each returned by a `normalize_batch` call, as in
+    `normalize_batches`.
     """
-    if not len(steps) or min(steps) < 0:
+    steps = tuple(steps)
+    check_integers(steps=steps)
+    if not steps or min(steps) < 0:
         raise UsageError("steps must be one or more step counts >= 0")
     sh = _shifted(fmt, x, None, None)
     config = NormConfig(FixedSteps(max(steps)), lambda_override)
-    return _finish_steps(fmt, sh, steps, _iterate(fmt, config, sh.m[sh.m > 0.0])[0])
-
-
-def _finish_steps(fmt: FormatSpec, sh: Shifted, steps, trajectory: np.ndarray):
-    """The results of `normalize_steps`, one per step count, from the
-    trajectory of the live rows' longest run."""
-    for s in steps:
-        a = trajectory[:, :s + 1]
-        solution = (a, np.full(len(a), s, dtype=np.int64), np.isfinite(a[:, -1]))
-        yield normalize_batch(fmt, _Solved(sh, None, None, solution))
+    traj = _iterate(fmt, config, sh.m[sh.m > 0.0])[0]
+    solutions = ((traj[:, :s + 1], np.full(len(traj), s, dtype=np.int64), np.isfinite(traj[:, s]))
+                 for s in steps)
+    return (normalize_batch(fmt, _Solved(sh, None, None, solution)) for solution in solutions)

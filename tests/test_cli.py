@@ -297,6 +297,12 @@ class TestExitCodes:
         assert err == "usage error: lambda override must be positive and finite\n"
         assert not dest.exists()
 
+    @pytest.mark.parametrize("command", ["precision", "latency"])
+    def test_negative_seed_is_2(self, capsys, command):
+        code, out, err = run(capsys, command, "--dims", "16", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "usage error: seed must be >= 0\n"
+
     def test_range_error_is_4(self, capsys, tmp_path):
         big = tmp_path / "big.txt"
         big.write_text(",".join(["60000", "-60000"] * 4) + "\n")

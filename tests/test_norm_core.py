@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -413,6 +414,16 @@ class TestBatchPathRepresentable:
         with pytest.raises(UsageError, match="x contains values not representable"):
             normalize_batch(FP16, x)
 
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("entry", [*BATCH_ENTRY_POINTS, "layernorm_iterl2"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_x_is_usage_error(self, entry, fmt, value):
+        # a gamma or beta may hold them (test_constant_input_returns_beta)
+        x = np.array([[1.0, value, 2.0]])
+        call = BATCH_ENTRY_POINTS.get(entry, lambda fmt, x, g, b: layernorm_iterl2(fmt, x[0]))
+        with pytest.raises(UsageError, match="^x contains NaN or infinite values$"):
+            call(fmt, x, None, None)
+
     @pytest.mark.parametrize("fmt", [FP16, BF16], ids=lambda f: f.name)
     @pytest.mark.parametrize("entry", ["normalize_batch", "normalize_batches", "fisr_batch"])
     @pytest.mark.parametrize("name", ["gamma", "beta"])
@@ -512,6 +523,14 @@ class TestShiftedDatapath:
         for s, res in zip(steps, normalize_steps(fmt, flat, steps, lam)):
             assert_same_result(res, separate(flat, s))
 
+    def test_parts_are_read_once(self):
+        x = round_array(np.array([[1.0, 2.0, 4.0], [0.5, -1.0, 3.0]]), FP32)
+        want = normalize_batch(FP32, x)
+        for parts in (iter([(x, None, None)]), ((x, None, b) for b in [None])):
+            got = normalize_batches(FP32, parts)
+            assert len(got) == 1
+            assert_same_result(got[0], want)
+
     def test_no_part_gives_no_result(self):
         assert normalize_batches(FP16, []) == []
         assert normalize_batches(FP16, (), NormConfig(Threshold(1e-4))) == []
@@ -535,6 +554,19 @@ class TestShiftedDatapath:
             normalize_steps(FP16, x, (1, 5), -1.0)
         with pytest.raises(RangeOverflowError, match="squared norm overflowed fp16"):
             normalize_steps(FP16, round_array(np.array([[300.0, -300.0, 1.0, 2.0]]), FP16), (1,))
+
+    def test_step_counts_must_be_integers(self):
+        x = round_array(np.array([[1.0, 2.0, 3.0, 4.0]]), FP16)
+        for bad in (1.5, True, np.float64(2.0)):
+            message = f"^steps: not an integer: {re.escape(repr(bad))}$"
+            with pytest.raises(UsageError, match=message):
+                normalize_steps(FP16, x, [1, bad])
+            with pytest.raises(UsageError, match=message):
+                normalize_steps(FP16, x, (bad, 2))
+        # numpy integers count, from any iterable
+        for res, want in zip(normalize_steps(FP16, x, np.array([1, 3])),
+                             normalize_steps(FP16, x, (1, 3)), strict=True):
+            assert_same_result(res, want)
 
     def test_overflowing_row_is_named(self):
         x = round_array(np.array([[1.0, 2.0, 3.0, 4.0], [300.0, -300.0, 1.0, 2.0]]), FP16)
@@ -627,6 +659,28 @@ class TestCallerArraysUnchanged:
         reference_batch(fmt, x)
         for v, b in zip(arrays, before):
             assert (v.dtype, v.tobytes()) == (b.dtype, b.tobytes())
+
+
+class TestResultsOwnTheirOutputs:
+    """Every finish of one `Shifted`, taken from `Buffers` or not, computes
+    into arrays of its own: a later finish changes no earlier result."""
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    def test_finishes_of_one_buffered_batch(self, fmt):
+        x = rows_with_edge_cases(fmt, 6, 70, seed=6)
+        gamma = round_array(np.linspace(0.5, 1.5, 70), fmt)
+        buffered = shift_batch(fmt, x, Buffers())
+        got = [normalize_batch(fmt, buffered), normalize_batch(fmt, buffered, gamma),
+               *normalize_steps(fmt, buffered, (1, 5)),
+               *normalize_batches(fmt, [(buffered, None, None), (buffered, gamma, None)])]
+        want = [normalize_batch(fmt, x), normalize_batch(fmt, x, gamma),
+                *normalize_steps(fmt, x, (1, 5)),
+                normalize_batch(fmt, x), normalize_batch(fmt, x, gamma)]
+        for res, ref in zip(got, want, strict=True):
+            assert_same_result(res, ref)
+        arrays = [v for res in got for v in res] + list(buffered)
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.may_share_memory(a, b)
 
 
 def signed_zero_row(d: int) -> np.ndarray:

@@ -114,3 +114,16 @@ def test_code_lines(tmp_path):
         ["9", str(Path("pkg", "mod.py"))], ["6", "f"], ["2", "C"],
         ["2", str(Path("pkg", "sub", "one.py"))],
         ["11", "total"]]
+
+
+def test_code_lines_stops_quietly_when_its_reader_does(tmp_path):
+    # one output line per def: far more than a pipe holds, so the script
+    # is still writing when the reader closes its end, as `| head -1` does
+    (tmp_path / "many.py").write_text("".join(f"def f{i}(): pass\n" for i in range(20000)))
+    with subprocess.Popen([sys.executable, str(ROOT / "scripts" / "code_lines.py"), "many.py"],
+                          cwd=tmp_path, text=True, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().split() == ["20000", "many.py"]
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == ""

@@ -4,6 +4,7 @@ and hash alike."""
 
 import pickle
 
+import numpy as np
 import pytest
 
 from iterl2norm.errors import UsageError
@@ -24,10 +25,33 @@ SETTINGS = [FixedSteps(), Threshold(1e-3), NormConfig(), StageCosts(),
     (lambda: StageCosts(chunk_group_size=0), "chunk_group_size must be >= 1"),
     (lambda: StageCosts(control_fixed=1.5), "stage cost control_fixed must be"),
     (lambda: ExperimentSpec("precision", num_vectors=0), "num_vectors must be >= 1"),
-], ids=["steps", "delta", "max_steps", "lambda", "group", "cost", "num_vectors"])
+    (lambda: FixedSteps(2.5), "n_iter: not an integer: 2.5"),
+    (lambda: FixedSteps(True), "n_iter: not an integer: True"),
+    (lambda: Threshold(1e-3, 2.5), "max_steps: not an integer: 2.5"),
+    (lambda: NormConfig("fixed"), "stopping must be a FixedSteps or a Threshold, not 'fixed'"),
+    (lambda: ExperimentSpec("precision", num_vectors=2.5), "num_vectors: not an integer: 2.5"),
+    (lambda: ExperimentSpec("precision", dims=(64.5,)), "dims: not an integer: 64.5"),
+    (lambda: ExperimentSpec("convergence", steps=[1, 2.0]), "steps: not an integer: 2.0"),
+    (lambda: ExperimentSpec("precision", seed=-1), "seed must be >= 0"),
+    (lambda: ExperimentSpec("precision", seed=0.5), "seed: not an integer: 0.5"),
+    (lambda: ExperimentSpec("compare-fisr", fisr_newton_iters=1.5),
+     "newton_iters: not an integer: 1.5"),
+    (lambda: ExperimentSpec("compare-fisr", fisr_magic={"fp32": 1.5}),
+     "magic: not an integer: 1.5"),
+], ids=["steps", "delta", "max_steps", "lambda", "group", "cost", "num_vectors",
+        "steps-float", "steps-bool", "max_steps-float", "stopping", "num_vectors-float",
+        "dims-float", "steps-list", "seed", "seed-float", "newton_iters-float", "magic-float"])
 def test_construction_checks(build, message):
     with pytest.raises(UsageError, match=message):
         build()
+
+
+def test_numpy_integer_counts_are_accepted():
+    assert FixedSteps(np.int32(3)) == FixedSteps(3)
+    assert Threshold(1e-3, np.uint8(7)) == Threshold(1e-3, 7)
+    spec = ExperimentSpec("precision", dims=(np.int16(8),), num_vectors=np.int64(2),
+                          seed=np.uint32(1), steps=(np.int8(4),))
+    assert spec == ExperimentSpec("precision", dims=(8,), num_vectors=2, seed=1, steps=(4,))
 
 
 @pytest.mark.parametrize("obj", SETTINGS, ids=lambda o: type(o).__name__)

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, check_integers
 from .fpformat import (
     FormatSpec,
     bits_to_values,
@@ -15,7 +15,7 @@ from .fpformat import (
     values_to_bits,
     _carried,
 )
-from .norm_core import BatchNormResult, Shifted, check_integers, _finish, _given, _shifted, _Solved
+from .norm_core import BatchNormResult, Shifted, _finish, _given, _shifted, _Solved
 
 FP32_MAGIC = 0x5F3759DF
 # Top 16 bits of the canonical FP32 constant; BFloat16 shares the 8-bit
@@ -34,9 +34,8 @@ def checked_fisr_magic(fmt: FormatSpec, magic: int | None, newton_iters: int) ->
     if fmt.exp_bits != 8:
         raise UsageError("FISR needs a format with an 8-bit exponent (fp32 or bf16)")
     magic = _DEFAULT_MAGIC[fmt.name] if magic is None else magic
-    check_integers(newton_iters=newton_iters, magic=magic)
-    if newton_iters < 0:
-        raise UsageError("newton_iters must be >= 0")
+    check_integers("newton_iters", newton_iters, at_least=0)
+    check_integers("magic", magic)
     if not 0 <= magic < (1 << fmt.total_bits):
         raise UsageError("magic constant out of range for the format")
     return magic

@@ -23,15 +23,13 @@ import numpy as np
 
 from . import __version__
 from .baselines import _DEFAULT_MAGIC, checked_fisr_magic, fisr_batch, reference_batch
-from .errors import DataFormatError, RangeOverflowError, UsageError
+from .errors import DataFormatError, RangeOverflowError, UsageError, check_integers, check_lambda
 from .fpformat import FORMATS, FormatSpec, round_array
 from .latency import PHASES, StageCosts, estimate_cycles
 from .norm_core import (
     DEFAULT_STEPS,
     Buffers,
     NormConfig,
-    check_integers,
-    check_lambda,
     normalize_batches,
     normalize_steps,
     shift_batch,
@@ -84,16 +82,10 @@ class ExperimentSpec(namedtuple(
         for f in self.formats:
             if f not in FORMATS:
                 raise UsageError(f"unknown format {f!r}")
-        check_integers(num_vectors=self.num_vectors, seed=self.seed, dims=self.dims,
-                       steps=self.steps)
-        if self.num_vectors < 1:
-            raise UsageError("num_vectors must be >= 1")
-        if self.seed < 0:
-            raise UsageError("seed must be >= 0")
-        if any(d < 1 for d in self.dims):
-            raise UsageError("dims must all be >= 1")
-        if any(s < 0 for s in self.steps):
-            raise UsageError("steps must be >= 0")
+        check_integers("num_vectors", self.num_vectors, at_least=1)
+        check_integers("dims", *self.dims, at_least=1)
+        check_integers("seed", self.seed, at_least=0)
+        check_integers("steps", *self.steps, at_least=0)
         if len(self.steps) > 1 and self.kind != "convergence":
             raise UsageError("a steps sweep applies to `convergence` only")
         if self.kind == "convergence" and len(self.dims) > 1:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import NamedTuple
 
-from .errors import UsageError
+from .errors import UsageError, check_integers
 from .fpformat import CHUNK_SIZE
 
 # Sixteen buffer rows of one chunk each.
@@ -61,11 +61,9 @@ class StageCosts(namedtuple("StageCosts", _COSTS, defaults=_COSTS.values())):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        for name, v in zip(self._fields, self):
-            if not isinstance(v, int) or v < 0:
-                raise UsageError(f"stage cost {name} must be a nonnegative integer")
-        if self.chunk_group_size < 1:
-            raise UsageError("chunk_group_size must be >= 1")
+        for name, v in self._asdict().items():
+            check_integers(name, v, at_least=0)
+        check_integers("chunk_group_size", self.chunk_group_size, at_least=1)
         return self
 
 
@@ -79,11 +77,12 @@ PHASES = ("control", "mean_sum", "mean_mul", "mean_shift", "inner_product",
 
 
 def estimate_cycles(d: int, n_iter: int, costs: StageCosts = StageCosts()) -> CycleReport:
-    """Cycle count for normalizing one d-long vector with n_iter steps."""
+    """Cycle count for normalizing one d-long vector with n_iter steps; a d
+    or n_iter that is not an integer is a UsageError."""
+    check_integers("d", d)
     if not 1 <= d <= D_MAX:
         raise UsageError(f"d must lie in [1, {D_MAX}]")
-    if n_iter < 0:
-        raise UsageError("n_iter must be >= 0")
+    check_integers("n_iter", n_iter, at_least=0)
     chunks = -(-d // CHUNK_SIZE)
     per_phase = {
         "control": costs.control_fixed

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import RangeOverflowError, UsageError
+from .errors import RangeOverflowError, UsageError, check_integers, check_lambda, check_positive
 from .fpformat import (
     FormatSpec,
     representable,
@@ -47,9 +47,7 @@ class FixedSteps(namedtuple("FixedSteps", "n_iter", defaults=(DEFAULT_STEPS,))):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        check_integers(n_iter=self.n_iter)
-        if self.n_iter < 0:
-            raise UsageError("n_iter must be >= 0")
+        check_integers("n_iter", self.n_iter, at_least=0)
         return self
 
 
@@ -60,29 +58,9 @@ class Threshold(namedtuple("Threshold", "delta_max max_steps", defaults=(50,))):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not self.delta_max > 0:
-            raise UsageError("delta_max must be positive")
-        check_integers(max_steps=self.max_steps)
-        if self.max_steps < 1:
-            raise UsageError("max_steps must be >= 1")
+        check_positive("delta_max", self.delta_max, finite=False)
+        check_integers("max_steps", self.max_steps, at_least=1)
         return self
-
-
-def check_integers(**counts) -> None:
-    """Each keyword's value, or each value of a tuple or list, is a Python or
-    numpy integer, not a bool; anything else is a UsageError naming the
-    keyword and the value."""
-    for name, values in counts.items():
-        for v in values if isinstance(values, (tuple, list)) else (values,):
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise UsageError(f"{name}: not an integer: {v!r}")
-
-
-def check_lambda(lambda_override: float | None) -> None:
-    """An update-rate override is None (the default rate) or positive and
-    finite; anything else is a UsageError."""
-    if lambda_override is not None and not 0 < lambda_override < math.inf:
-        raise UsageError("lambda override must be positive and finite")
 
 
 class NormConfig(namedtuple("NormConfig", "stopping lambda_override",
@@ -281,8 +259,9 @@ def shift_batch(fmt: FormatSpec, x: np.ndarray, buffers: Buffers | None = None) 
     element, and inner_product reduces the squares of the shifted row.  A
     squared norm that is not finite raises RangeOverflowError naming the
     first such row, with the first of its stages that is not finite as the
-    message: a value of x in the carry, the sum, a mean-shifted value, or
-    else the squared norm.
+    message: a NaN in x, a value of x in the carry (an infinity in x, or a
+    finite value that overflows binary32, is a value out of range), the
+    sum, a mean-shifted value, or else the squared norm.
 
     A float32 x (a binary file's decoded rows) is the carry as it is, and
     y's squares go to a new array; any other x is narrowed into a binary32
@@ -315,7 +294,8 @@ def shift_batch(fmt: FormatSpec, x: np.ndarray, buffers: Buffers | None = None) 
                       ("sum overflowed", total[row]), ("mean-shifted value overflowed", y[row]))
             what = next((w for w, v in stages if not np.isfinite(v).all()),
                         "squared norm overflowed")
-            raise RangeOverflowError(f"{what} {fmt.name}", row=row)
+            message = "x contains NaN values" if np.isnan(x[row]).any() else f"{what} {fmt.name}"
+            raise RangeOverflowError(message, row=row)
     return Shifted(y, mean, m)
 
 
@@ -495,7 +475,7 @@ def normalize_steps(fmt: FormatSpec, x: np.ndarray | Shifted, steps,
     `normalize_batches`.
     """
     steps = tuple(steps)
-    check_integers(steps=steps)
+    check_integers("steps", *steps)
     if not steps or min(steps) < 0:
         raise UsageError("steps must be one or more step counts >= 0")
     sh = _shifted(fmt, x, None, None)

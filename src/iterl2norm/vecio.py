@@ -25,7 +25,7 @@ import re
 import stat
 import struct
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -89,26 +89,34 @@ def _read_file(path: str | Path) -> bytes | bytearray:
 def _read_text(path: str | Path, raw: bytes) -> list[np.ndarray]:
     """The rows of a text file, as `float()` of each token reads them.
 
-    A line of JSON numbers is parsed by orjson, and any other line by
-    `_float_row`.  A file with a non-ASCII byte or a line break that is not
-    a newline (a lone carriage return, which ends a line in
-    universal-newlines mode) goes whole to `_read_float_rows`, which decodes
-    and splits it as `open(path, encoding="utf-8")` does."""
-    if not raw.isascii() or (b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n")):
-        vectors = _read_float_rows(path, raw)
-    else:
-        vectors = []
-        for lineno, line in enumerate(io.BytesIO(raw), start=1):
-            if not line.strip():
-                continue
-            vec = _json_row(line)
-            if vec is None:
-                vec = _float_row(path, lineno, line.decode("ascii"))
-            if vec is not None:
-                vectors.append(vec)
+    One loop reads the file line by line, splitting it where universal
+    newlines do: at a newline, a carriage return and newline, and a lone
+    carriage return.  A line of JSON numbers is parsed by orjson, and any
+    other line by `_float_row`, which decodes it as UTF-8 on its own
+    (non-ASCII digits are numbers)."""
+    vectors = []
+    for lineno, line in enumerate(_lines(raw), start=1):
+        vec = _json_row(line)
+        if vec is None:
+            vec = _float_row(path, lineno, line)
+        if len(vec):  # a blank line holds no values
+            vectors.append(vec)
     if not vectors:
         raise DataFormatError(f"{path}: no vectors found")
     return vectors
+
+
+def _lines(raw: bytes) -> Iterator[bytes]:
+    """The lines of `raw`, each with its line break, taken one at a time.
+    A newline-ended chunk is split again only where it holds a lone
+    carriage return: any but the one of a closing carriage return and
+    newline."""
+    for chunk in io.BytesIO(raw):
+        cr = chunk.find(b"\r")
+        if cr < 0 or chunk.startswith(b"\n", cr + 1):
+            yield chunk
+        else:
+            yield from chunk.splitlines(keepends=True)
 
 
 # the bytes of JSON numbers, commas and the whitespace JSON and str.strip share
@@ -123,8 +131,9 @@ def _json_row(line: bytes) -> np.ndarray | None:
     hold a token that orjson reads otherwise than `float()` (an
     integer-syntax -0, looked for on lines that read a zero).
 
-    A line of JSON numbers reads the same either way; a line with another
-    byte, or other syntax (a JSONDecodeError), gives None."""
+    A line of JSON numbers reads the same either way (a blank line reads
+    as no values); a line with another byte, or other syntax (a
+    JSONDecodeError), gives None."""
     if line.translate(None, _JSON_ROW_BYTES):
         return None
     import orjson
@@ -138,28 +147,18 @@ def _json_row(line: bytes) -> np.ndarray | None:
     return vec
 
 
-def _float_row(path: str | Path, lineno: int, line: str) -> np.ndarray | None:
-    """Line `lineno` of a text file with each token read by `float()`, or
-    None for a blank line; a token it rejects is a DataFormatError naming
-    the line."""
-    line = line.strip()
-    if not line:
-        return None
+def _float_row(path: str | Path, lineno: int, line: bytes) -> np.ndarray:
+    """Line `lineno` of a text file, decoded as UTF-8, with each token read
+    by `float()` (no values for a blank line); a line that is not UTF-8, or
+    a token `float()` rejects, is a DataFormatError naming the line."""
     try:
-        return np.array([float(tok) for tok in line.split(",")], dtype=np.float64)
+        text = line.decode("utf-8").strip()
+        return np.array([float(tok) for tok in text.split(",")] if text else [],
+                        dtype=np.float64)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}:{lineno}: not UTF-8 text: {exc}") from exc
     except ValueError as exc:
         raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-
-
-def _read_float_rows(path: str | Path, raw: bytes) -> list[np.ndarray]:
-    """The rows of a text file, each token read by `float()`."""
-    # decoded and split into lines as `open(path, encoding="utf-8")` does
-    lines = enumerate(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"), start=1)
-    try:
-        rows = [_float_row(path, lineno, line) for lineno, line in lines]
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from exc
-    return [row for row in rows if row is not None]
 
 
 def _read_binary(path: str | Path, raw: bytearray) -> tuple[np.ndarray, FormatSpec]:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,6 +72,18 @@ class TestEstimateCycles:
             estimate_cycles(1025, 5)
         with pytest.raises(UsageError):
             estimate_cycles(64, -1)
+
+    @pytest.mark.parametrize("d, n_iter, message", [
+        (64, 2.5, "n_iter: not an integer: 2.5"),
+        (64.0, 5, "d: not an integer: 64.0"),
+        (True, 5, "d: not an integer: True"),
+    ])
+    def test_non_integer_arguments_are_rejected(self, d, n_iter, message):
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            estimate_cycles(d, n_iter)
+
+    def test_numpy_integer_arguments_are_accepted(self):
+        assert estimate_cycles(np.int64(64), np.uint8(5)) == estimate_cycles(64, 5)
 
     def test_iteration_is_mul_add_latency_budget(self):
         # 4 two-cycle multiplies + subtract + accumulate per step

@@ -568,6 +568,17 @@ class TestShiftedDatapath:
                              normalize_steps(FP16, x, (1, 3)), strict=True):
             assert_same_result(res, want)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_in_x_is_named(self, dtype):
+        # only the failure branch looks at x; an infinity stays a value out
+        # of range, as a finite value that rounds to one is
+        x = np.array([[1.0, 2.0, 3.0], [1.0, np.nan, 2.0], [1.0, np.inf, 2.0]], dtype=dtype)
+        with pytest.raises(RangeOverflowError, match="^x contains NaN values$") as info:
+            shift_batch(FP32, x)
+        assert info.value.row == 1
+        with pytest.raises(RangeOverflowError, match="^value out of range for fp32$"):
+            shift_batch(FP32, x[::2])
+
     def test_overflowing_row_is_named(self):
         x = round_array(np.array([[1.0, 2.0, 3.0, 4.0], [300.0, -300.0, 1.0, 2.0]]), FP16)
         with pytest.raises(RangeOverflowError) as info:

@@ -3,6 +3,7 @@ when it is built, cannot be changed afterwards, and equal values compare
 and hash alike."""
 
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ SETTINGS = [FixedSteps(), Threshold(1e-3), NormConfig(), StageCosts(),
     (lambda: Threshold(1e-3, max_steps=0), "max_steps must be >= 1"),
     (lambda: NormConfig(lambda_override=-1.0), "lambda override must be positive"),
     (lambda: StageCosts(chunk_group_size=0), "chunk_group_size must be >= 1"),
-    (lambda: StageCosts(control_fixed=1.5), "stage cost control_fixed must be"),
+    (lambda: StageCosts(control_fixed=1.5), "control_fixed: not an integer: 1.5"),
+    (lambda: StageCosts(mean_sum_fixed=-1), "mean_sum_fixed must be >= 0"),
     (lambda: ExperimentSpec("precision", num_vectors=0), "num_vectors must be >= 1"),
     (lambda: FixedSteps(2.5), "n_iter: not an integer: 2.5"),
     (lambda: FixedSteps(True), "n_iter: not an integer: True"),
@@ -38,9 +40,16 @@ SETTINGS = [FixedSteps(), Threshold(1e-3), NormConfig(), StageCosts(),
      "newton_iters: not an integer: 1.5"),
     (lambda: ExperimentSpec("compare-fisr", fisr_magic={"fp32": 1.5}),
      "magic: not an integer: 1.5"),
-], ids=["steps", "delta", "max_steps", "lambda", "group", "cost", "num_vectors",
+    (lambda: Threshold("1e-3"), "delta_max: not a number: '1e-3'"),
+    (lambda: NormConfig(lambda_override="0.3"), "lambda override: not a number: '0.3'"),
+    (lambda: ExperimentSpec("precision", lambda_override="x"), "lambda override: not a number: 'x'"),
+    (lambda: ExperimentSpec("precision", dims=(64, 0)), "dims must be >= 1"),
+    (lambda: FixedSteps((1, 2)), r"n_iter: not an integer: \(1, 2\)"),
+    (lambda: ExperimentSpec("precision", seed=[0]), r"seed: not an integer: \[0\]"),
+], ids=["steps", "delta", "max_steps", "lambda", "group", "cost", "cost-negative", "num_vectors",
         "steps-float", "steps-bool", "max_steps-float", "stopping", "num_vectors-float",
-        "dims-float", "steps-list", "seed", "seed-float", "newton_iters-float", "magic-float"])
+        "dims-float", "steps-list", "seed", "seed-float", "newton_iters-float", "magic-float",
+        "delta-str", "lambda-str", "spec-lambda-str", "dims-zero", "steps-tuple", "seed-list"])
 def test_construction_checks(build, message):
     with pytest.raises(UsageError, match=message):
         build()
@@ -52,6 +61,18 @@ def test_numpy_integer_counts_are_accepted():
     spec = ExperimentSpec("precision", dims=(np.int16(8),), num_vectors=np.int64(2),
                           seed=np.uint32(1), steps=(np.int8(4),))
     assert spec == ExperimentSpec("precision", dims=(8,), num_vectors=2, seed=1, steps=(4,))
+    assert StageCosts(control_fixed=np.int64(3)) == StageCosts(control_fixed=3)
+
+
+def test_numeric_rates_of_any_type_are_accepted():
+    # a rate that compares as a positive number is taken as it is; delta_max
+    # may be infinite (one step), an update rate may not
+    for rate in (1, 0.5, np.float32(0.25), np.float16(2.0), Fraction(1, 3)):
+        assert Threshold(rate).delta_max == rate
+        assert NormConfig(lambda_override=rate).lambda_override == rate
+    assert Threshold(np.inf).delta_max == np.inf
+    with pytest.raises(UsageError, match="^lambda override must be positive and finite$"):
+        NormConfig(lambda_override=np.inf)
 
 
 @pytest.mark.parametrize("obj", SETTINGS, ids=lambda o: type(o).__name__)

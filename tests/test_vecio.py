@@ -145,6 +145,8 @@ def text_file(draw):
 @given(text_file())
 @example(b"-0,1,2,3\n-0\n")
 @example(b"1,2,\r3,4\n")
+@example(b"1,2\n3,4\r5,6\n7,8\n")
+@example(b"1,2\r\r\n3\n")
 @settings(max_examples=100, deadline=None)
 def test_text_reader_equals_float_of_each_token(raw):
     with tempfile.TemporaryDirectory() as tmp:
@@ -168,22 +170,60 @@ def test_json_numbers_are_read_by_orjson():
     assert [len(row) for row in rows] == [3, 2, 3]
 
 
-@pytest.mark.parametrize("raw", [
-    b"-0,1\n", b"1,-0", b"1,-0 ,2\n", b".5,1\n", b"+1,1\n", b"1_0,1\n", b"nan,1\n",
-    b"1e400,1\n", b"1,2\r,3,4\n", b"\xef\xbb\xbf1,2\n", b"1,2,\n", b"\x0c1,2\n",
-])
-def test_other_syntax_is_left_to_float(raw, tmp_path, monkeypatch):
+@pytest.mark.parametrize("raw, sent", [
+    *[(raw, [raw]) for raw in (b"-0,1\n", b"1,-0", b"1,-0 ,2\n", b".5,1\n", b"+1,1\n", b"1_0,1\n",
+                               b"nan,1\n", b"1e400,1\n", b"\xef\xbb\xbf1,2\n", b"1,2,\n", b"\x0c1,2\n")],
+    (b"1,2\r,3,4\n", [b",3,4\n"]),
+    (b"1,2\n3,\xc2\xa04\n5,6\n", [b"3,\xc2\xa04\n"]),
+    (b"1,2\r3,4\r\r\n.5,6\r7\n", [b".5,6\r"]),
+], ids=repr)
+def test_other_syntax_is_left_to_float(raw, sent, tmp_path, monkeypatch):
     # orjson leaves such a line to float(); a lone \r or a non-ASCII byte
-    # leaves the whole file to it
+    # sends only its own line there
     read = []
     monkeypatch.setattr(vecio, "_float_row",
                         lambda path, lineno, line: read.append(line) or np.zeros(1))
-    monkeypatch.setattr(vecio, "_read_float_rows",
-                        lambda path, raw: read.append(raw) or [np.zeros(1)])
     path = tmp_path / "v.txt"
     path.write_bytes(raw)
     read_vectors(path)
-    assert read == [raw if raw in (b"1,2\r,3,4\n", b"\xef\xbb\xbf1,2\n") else raw.decode()]
+    assert read == sent
+
+
+def test_one_odd_line_leaves_the_others_to_orjson(tmp_path, monkeypatch):
+    # a no-break space on line 50 and a lone \r in line 150 of 200 JSON
+    # lines: the \r ends a line of its own, so the file has 201 lines, and
+    # only the line with the non-ASCII byte is read by float()
+    lines = [b",".join(b"%r" % (k + j / 8) for j in range(5)) for k in range(200)]
+    lines[49] = lines[49].replace(b",", b",\xc2\xa0", 1)
+    lines[149] = lines[149].replace(b",", b"\r", 1)
+    raw = b"\n".join(lines) + b"\n"
+    path = tmp_path / "v.txt"
+    path.write_bytes(raw)
+    want = float_reference(path, raw)
+    read = []
+    float_row = vecio._float_row
+    monkeypatch.setattr(vecio, "_float_row",
+                        lambda *args: read.append(args[1:]) or float_row(*args))
+    got, _ = read_vectors(path)
+    assert read == [(50, lines[49] + b"\n")]
+    assert len(got) == len(want) == 201 and all(
+        np.array_equal(g.view(np.int64), w.view(np.int64)) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("raw, line, message", [
+    (b"1,2\n3,oops\n4,\xff5\n", 2, "could not convert string to float: 'oops'"),
+    (b"1,2\n\xff\n3,oops\n", 2, "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+                                  "position 0: invalid start byte"),
+    (b"1,2\r3,4\r5,\xe2\x82\n", 3, "not UTF-8 text: 'utf-8' codec can't decode bytes in "
+                                      "position 2-3: invalid continuation byte"),
+], ids=["bad-token-first", "byte-first", "after-lone-cr"])
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, raw, line, message):
+    # bad lines are reported in file order, a byte that is not UTF-8 too
+    path = tmp_path / "v.txt"
+    path.write_bytes(raw)
+    with pytest.raises(DataFormatError) as exc:
+        read_vectors(path)
+    assert str(exc.value) == f"{path}:{line}: {message}"
 
 
 @pytest.mark.parametrize("bad", [False, True], ids=["rows", "error"])

@@ -19,7 +19,9 @@ reports each tree's median minor page faults per timed pass (`getrusage`
 `ru_minflt` taken around each pass), once over the rounds the tree ran
 first and once over those it ran second: where a pass's temporaries land
 depends on what ran before it, so a fault difference means something only
-if it holds in both slots.
+if it holds in both slots.  A pass that leaves more threads alive than
+there were before the passes ends the run with a non-zero exit, naming the
+tree: a leaked worker would run on beside the passes that follow it.
 
 With `--setup`, each round times one fresh import of the seven modules
 that perfbench's set-up imports, per tree.  One untimed import of each
@@ -47,6 +49,7 @@ import resource
 import statistics
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -157,15 +160,23 @@ def main() -> int:
     libs = {key: load_tree(tree) for key, tree in trees.items()}
     outputs = {}
 
+    def checked_pass(key: str) -> tuple[float, int, list[bytes]]:
+        result = run_pass(libs[key], ops)
+        if threading.active_count() > threads:
+            raise SystemExit(f"{key}: {threading.active_count()} threads alive after a pass, "
+                             f"{threads} before the passes")
+        return result
+
     def measure(key: str) -> tuple[float, int]:
-        seconds, faults, out = run_pass(libs[key], ops)
+        seconds, faults, out = checked_pass(key)
         outputs.setdefault(key, out)  # the first timed outputs
         return seconds, faults
 
     with tempfile.TemporaryDirectory() as tmp:
         ops = WORKLOADS[args.workload].generate(libs["a"], args.seed, Path(tmp))
-        for lib in libs.values():
-            run_pass(lib, ops)  # warm-up
+        threads = threading.active_count()
+        for key in libs:
+            checked_pass(key)  # warm-up
         passes = alternate(args.rounds, measure)
 
     same = outputs["a"] == outputs["b"]

@@ -42,12 +42,14 @@ def check_integers(name: str, *values, at_least: int | None = None) -> None:
 
 def check_positive(name: str, value, finite: bool = True) -> None:
     """`value` is greater than 0, and less than infinity when `finite`; a
-    value that is not, or that does not compare with numbers, is a
-    UsageError naming the setting `name`."""
+    value that is not, a bool, or a value that does not compare with
+    numbers is a UsageError naming the setting `name`."""
     try:
         ok = value > 0 and (not finite or value < np.inf)
     except (TypeError, ValueError):
-        raise UsageError(f"{name}: not a number: {value!r}") from None
+        ok = None
+    if ok is None or isinstance(value, (bool, np.bool_)):
+        raise UsageError(f"{name}: not a number: {value!r}")
     if not ok:
         raise UsageError(f"{name} must be positive" + (" and finite" if finite else ""))
 

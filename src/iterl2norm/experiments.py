@@ -72,13 +72,14 @@ class ExperimentSpec(namedtuple(
         self = super().__new__(cls, *args, **kwargs)
         if self.kind not in KINDS:
             raise UsageError(f"unknown experiment kind {self.kind!r}")
-        # `_replace` skips `__new__`: it only fills the defaults, before the checks
-        empty = {name: default for name, default in zip(("formats", "dims", "steps"),
-                                                        _DEFAULTS[self.kind])
-                 if not getattr(self, name)}
+        # `_replace` skips `__new__`: it only stores the sequences as tuples
+        # (a numpy array compares element by element, and has no truth
+        # value when longer than one) and fills the defaults, before the checks
+        filled = {name: tuple(getattr(self, name)) or default
+                  for name, default in zip(("formats", "dims", "steps"), _DEFAULTS[self.kind])}
         if self.fisr_magic is None:
-            empty["fisr_magic"] = {}
-        self = self._replace(**empty)
+            filled["fisr_magic"] = {}
+        self = self._replace(**filled)
         for f in self.formats:
             if f not in FORMATS:
                 raise UsageError(f"unknown format {f!r}")
@@ -127,18 +128,21 @@ def _rng(spec: ExperimentSpec, fmt_name: str, d: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed, spawn_key=key)))
 
 
-def _draw_inputs(spec: ExperimentSpec, fmt: FormatSpec, d: int,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """The batch of `spec.num_vectors` vectors of length d for one format:
-    uniform on [-1, 1) in binary64, rounded to the format, in `out` (a
-    C-contiguous float64 array of shape (num_vectors, d)) when it is given.
-    Bit for bit `uniform(-1.0, 1.0)`, which computes -1 + 2*u from the same
-    doubles u, and 2*u is exact."""
-    x = np.empty((spec.num_vectors, d)) if out is None else out
-    _rng(spec, fmt.name, d).random(out=x)
-    x *= 2.0
-    x -= 1.0
-    return round_array(x, fmt, out=x)
+def _draw_inputs(spec: ExperimentSpec, fmt: FormatSpec, d: int) -> np.ndarray:
+    """The batch of `spec.num_vectors` vectors of length d for one format,
+    drawn at once on the caller's thread: the inputs `_error_runs` draws
+    for that batch, which tests compare its rows against."""
+    return _inputs(_rng(spec, fmt.name, d).random((spec.num_vectors, d)), fmt)
+
+
+def _inputs(u: np.ndarray, fmt: FormatSpec) -> np.ndarray:
+    """A batch's inputs from its Philox doubles `u`, in place: uniform on
+    [-1, 1) in binary64, rounded to the format.  Bit for bit
+    `uniform(-1.0, 1.0)`, which computes -1 + 2*u from the same doubles u,
+    and 2*u is exact."""
+    u *= 2.0
+    u -= 1.0
+    return round_array(u, fmt, out=u)
 
 
 # ---------------------------------------------------------------------------
@@ -154,18 +158,45 @@ def _error_runs(spec: ExperimentSpec):
     (format, d, steps, method, BatchNormResult, ErrorStats) one run at a
     time (steps is None for FISR).
 
+    The draw of the next batch overlaps the arithmetic of this one: while
+    the caller's thread computes batch k, one worker thread fills batch
+    k+1's Philox doubles.  The worker runs numpy's `Generator.random` and
+    nothing else, which releases the interpreter lock; the generator is
+    built here, and the scaling and rounding of the doubles (`_inputs`)
+    run here too, so no function of the package runs on the worker (a
+    tracer that rebinds them keeps one span stack).  An exception of the
+    worker's draw is raised here, and the worker is joined when the loop
+    ends, fails, or is closed.
+
     Every batch of a call writes into one set of `Buffers`, sized for the
     largest batch (num_vectors x max(dims)); each batch uses views of their
-    first n*d elements: the draw "x" (which then takes each run's errors),
-    the reference "ref", and the vector stages "x32" and "y" (see
-    `shift_batch`).  Each yielded result owns its arrays."""
+    first n*d elements: its draw (which then takes each run's errors), the
+    reference "ref", and the vector stages "x32" and "y" (see
+    `shift_batch`).  The draws alternate between "x0" and "x1", so the
+    worker never writes into the batch being computed.  Each yielded
+    result owns its arrays."""
+    # the thread pool loads `logging`: imported where an error table runs,
+    # not with the CLI
+    from concurrent.futures import ThreadPoolExecutor
+
     buffers = Buffers(spec.num_vectors * max(spec.dims))
-    for name in spec.formats:
-        fmt = FORMATS[name]
-        for d in spec.dims:
-            shape = (spec.num_vectors, d)
-            x = _draw_inputs(spec, fmt, d, out=buffers.take("x", shape, np.float64))
-            ref = reference_batch(fmt, x, out=buffers.take("ref", shape, np.float64))
+    batches = [(name, d) for name in spec.formats for d in spec.dims]
+
+    def draw(k: int):
+        """Start filling batch k's draw buffer on the worker."""
+        name, d = batches[k]
+        u = buffers.take(f"x{k % 2}", (spec.num_vectors, d), np.float64)
+        return worker.submit(_rng(spec, name, d).random, out=u)
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        drawn = draw(0)
+        for k, (name, d) in enumerate(batches):
+            u = drawn.result()
+            if k + 1 < len(batches):
+                drawn = draw(k + 1)
+            fmt = FORMATS[name]
+            x = _inputs(u, fmt)
+            ref = reference_batch(fmt, x, out=buffers.take("ref", x.shape, np.float64))
             shifted = shift_batch(fmt, x, buffers)
             err = x  # the draw is not read again: its buffer takes each run's errors
             runs = normalize_steps(fmt, shifted, spec.steps, spec.lambda_override)

@@ -2,6 +2,7 @@ import errno
 import json
 import os
 import stat
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,14 @@ from iterl2norm.errors import DataFormatError
 from iterl2norm.experiments import ExperimentSpec, csv_text, run_latency
 from iterl2norm.fpformat import BF16, FP16, FP32, round_array
 from iterl2norm.vecio import write_vectors
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_a_call():
+    # the error tables' draw worker is joined however a call ends
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
 
 
 def run(capsys, *argv):
@@ -220,11 +229,12 @@ class TestExitCodes:
         {"stage_costs": {"control_fixed": -1}},
     ], ids=["newton-negative", "magic-too-large", "cost-negative"])
     def test_out_of_range_config_is_2(self, capsys, tmp_path, monkeypatch, cfg):
-        # the spec rejects a setting it cannot run before anything is drawn
+        # the spec rejects a setting it cannot run before anything is drawn:
+        # every draw starts by building its generator
         def draw(*args, **kwargs):
             raise AssertionError("inputs drawn before the settings were checked")
 
-        monkeypatch.setattr(experiments, "_draw_inputs", draw)
+        monkeypatch.setattr(experiments, "_rng", draw)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         code, out, err = run(capsys, "compare-fisr", "--format", "fp32", "--dims", "16",

@@ -1,12 +1,13 @@
 import hashlib
 import json
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from iterl2norm import __version__
+from iterl2norm import __version__, experiments
 from iterl2norm.errors import DataFormatError, RangeOverflowError, UsageError
 from iterl2norm.baselines import fisr_batch, reference_batch
 from iterl2norm.experiments import (
@@ -23,7 +24,9 @@ from iterl2norm.experiments import (
     run_precision,
     write_csv,
     _draw_inputs,
+    _error_runs,
     _fmt_cell,
+    _inputs,
     _rng,
 )
 from iterl2norm.fpformat import BF16, FORMATS, FP16, FP32, round_array
@@ -193,14 +196,101 @@ class TestDraw:
         # draws failed to write would hold a stale value
         spec = small_spec("precision", formats=(fmt.name,), num_vectors=5)
         buffers = Buffers()
-        _draw_inputs(spec, fmt, 2000, out=buffers.take("x", (5, 2000), np.float64))
+        _rng(spec, fmt.name, 2000).random(out=buffers.take("x0", (5, 2000), np.float64))
         for d in (1, 37, 64, 1000):
-            out = buffers.take("x", (5, d), np.float64)
-            got = _draw_inputs(spec, fmt, d, out=out)
+            u = _rng(spec, fmt.name, d).random(out=buffers.take("x0", (5, d), np.float64))
+            got = _inputs(u, fmt)
             want = round_array(_rng(spec, fmt.name, d).uniform(-1.0, 1.0, size=(5, d)), fmt)
-            assert got is out
-            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
-                                                             want.tobytes())
+            assert got is u
+            for x in (got, _draw_inputs(spec, fmt, d)):
+                assert (x.dtype, x.shape, x.tobytes()) == (want.dtype, want.shape,
+                                                           want.tobytes())
+
+
+class TestDrawWorker:
+    """The error tables draw the next batch on one worker thread, which runs
+    only `Generator.random`."""
+
+    SPEC = ExperimentSpec(kind="compare-fisr", formats=("fp32", "bf16"), dims=(64, 4096, 37),
+                          num_vectors=4, seed=3)
+
+    @staticmethod
+    def watch_draws(monkeypatch, fail_at=None):
+        """Wrap `experiments._rng` so that building a batch's generator
+        records ("rng", format, d) in the returned list of events, and its
+        draw records the thread it runs on; the draw of batch (format, d)
+        `fail_at` raises the returned exception."""
+        events, boom = [], OSError("draw failed")
+        real_rng = experiments._rng
+
+        class Watched:
+            def __init__(self, spec, name, d):
+                events.append(("rng", name, d))
+                self.gen, self.fail = real_rng(spec, name, d), (name, d) == fail_at
+
+            def random(self, *, out):
+                events.append(threading.current_thread())
+                if self.fail:
+                    raise boom
+                return self.gen.random(out=out)
+
+        monkeypatch.setattr(experiments, "_rng", Watched)
+        return events, boom
+
+    def test_next_draw_starts_before_this_batch_computes(self, monkeypatch):
+        # batch k+1's generator is built, and its draw handed to the
+        # worker, before batch k's reference is computed
+        events, _ = self.watch_draws(monkeypatch)
+
+        def reference(fmt, x, out):
+            events.append(("ref", fmt.name, x.shape[1]))
+            return reference_batch(fmt, x, out=out)
+
+        monkeypatch.setattr(experiments, "reference_batch", reference)
+        before = threading.active_count()
+        run_compare_fisr(self.SPEC)
+        assert threading.active_count() == before
+        batches = [(name, d) for name in self.SPEC.formats for d in self.SPEC.dims]
+        want = [("rng", *batches[0])]
+        for k, batch in enumerate(batches):
+            want += [("rng", *b) for b in batches[k + 1:k + 2]] + [("ref", *batch)]
+        assert [e for e in events if isinstance(e, tuple)] == want
+        workers = {e for e in events if isinstance(e, threading.Thread)}
+        assert len(workers) == 1 and threading.current_thread() not in workers
+
+    @pytest.mark.parametrize("fail_at", [("fp32", 64), ("bf16", 4096)], ids=["first", "later"])
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, fail_at):
+        _, boom = self.watch_draws(monkeypatch, fail_at)
+        before = threading.active_count()
+        with pytest.raises(OSError) as excinfo:
+            run_compare_fisr(self.SPEC)
+        assert excinfo.value is boom
+        assert threading.active_count() == before
+
+    def test_caller_exception_joins_the_worker(self, monkeypatch):
+        # the second batch fails after the third batch's draw has started
+        calls = []
+
+        def reference(fmt, x, out):
+            calls.append(x.shape)
+            if len(calls) == 2:
+                raise RuntimeError("reference failed")
+            return reference_batch(fmt, x, out=out)
+
+        monkeypatch.setattr(experiments, "reference_batch", reference)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="reference failed"):
+            run_precision(ExperimentSpec("precision", formats=self.SPEC.formats,
+                                         dims=self.SPEC.dims, num_vectors=4))
+        assert threading.active_count() == before
+
+    def test_closed_generator_joins_the_worker(self):
+        before = threading.active_count()
+        runs = _error_runs(self.SPEC)
+        first = next(runs)
+        assert first[:4] == ("fp32", 64, 5, "iterl2norm")
+        runs.close()
+        assert threading.active_count() == before
 
 
 # Lengths that are not monotone, not all multiples of the 64-element chunk,

@@ -4,7 +4,9 @@ module that only tests read cannot sit in the package unnoticed.  The CLI
 loads no `dataclasses`: the value types are named tuples, whose classes
 cost a fraction of a generated dataclass's at import.  Nor does it load
 `orjson`, whose import loads `zoneinfo` and `uuid`: `vecio` imports it
-where a decimal is first read or written."""
+where a decimal is first read or written.  Nor `concurrent.futures`, whose
+import loads `logging`: the error tables import their thread pool where
+they run."""
 
 import os
 import subprocess
@@ -47,3 +49,7 @@ def test_cli_loads_no_dataclasses():
 
 def test_cli_loads_no_orjson():
     assert "orjson" not in loaded_by("iterl2norm.cli")
+
+
+def test_cli_loads_no_thread_pool():
+    assert "concurrent.futures" not in loaded_by("iterl2norm.cli")

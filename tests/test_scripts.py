@@ -2,6 +2,7 @@
 the package API they use fails here."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,21 @@ def test_ab_passes_of_the_tree_against_itself(tmp_path):
     assert faults[10] == "-" and int(faults[12]) >= 0
     ratio = lines[-1].split()
     assert ratio[0] == "ratio" and float(ratio[1]) > 0 and ratio[-1] in ("0/1", "1/1")
+
+
+def test_ab_passes_fails_on_a_leaked_thread(tmp_path):
+    # tree B's CLI starts a thread that outlives each call
+    leaky = tmp_path / "leaky"
+    shutil.copytree(ROOT / "src", leaky / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(leaky / "src" / "iterl2norm" / "cli.py", "a") as f:
+        f.write("\n\nimport threading\n_main = main\n\n\ndef main(argv=None):\n"
+                "    threading.Thread(target=threading.Event().wait, daemon=True).start()\n"
+                "    return _main(argv)\n")
+    proc = run_script("ab_passes.py", "--a", str(ROOT), "--b", str(leaky),
+                      "--workload", "file_bin", "--rounds", "1", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("b: ") and "threads alive after a pass" in proc.stderr
 
 
 def test_ab_passes_setup_of_the_tree_against_itself(tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from iterl2norm.errors import UsageError
-from iterl2norm.experiments import ErrorStats, ExperimentSpec
+from iterl2norm.experiments import PRECISION_DIMS, ErrorStats, ExperimentSpec
 from iterl2norm.fpformat import FORMATS, FP16, FP32, FormatSpec
 from iterl2norm.latency import StageCosts
 from iterl2norm.norm_core import FixedSteps, NormConfig, Threshold
@@ -46,10 +46,15 @@ SETTINGS = [FixedSteps(), Threshold(1e-3), NormConfig(), StageCosts(),
     (lambda: ExperimentSpec("precision", dims=(64, 0)), "dims must be >= 1"),
     (lambda: FixedSteps((1, 2)), r"n_iter: not an integer: \(1, 2\)"),
     (lambda: ExperimentSpec("precision", seed=[0]), r"seed: not an integer: \[0\]"),
+    (lambda: Threshold(True), "^delta_max: not a number: True$"),
+    (lambda: NormConfig(lambda_override=True), "^lambda override: not a number: True$"),
+    (lambda: ExperimentSpec("precision", lambda_override=np.True_),
+     "^lambda override: not a number: np.True_$"),
 ], ids=["steps", "delta", "max_steps", "lambda", "group", "cost", "cost-negative", "num_vectors",
         "steps-float", "steps-bool", "max_steps-float", "stopping", "num_vectors-float",
         "dims-float", "steps-list", "seed", "seed-float", "newton_iters-float", "magic-float",
-        "delta-str", "lambda-str", "spec-lambda-str", "dims-zero", "steps-tuple", "seed-list"])
+        "delta-str", "lambda-str", "spec-lambda-str", "dims-zero", "steps-tuple", "seed-list",
+        "delta-bool", "lambda-bool", "spec-lambda-numpy-bool"])
 def test_construction_checks(build, message):
     with pytest.raises(UsageError, match=message):
         build()
@@ -62,6 +67,17 @@ def test_numpy_integer_counts_are_accepted():
                           seed=np.uint32(1), steps=(np.int8(4),))
     assert spec == ExperimentSpec("precision", dims=(8,), num_vectors=2, seed=1, steps=(4,))
     assert StageCosts(control_fixed=np.int64(3)) == StageCosts(control_fixed=3)
+
+
+@pytest.mark.parametrize("dims", [np.array([64]), np.array([64, 128])], ids=["one", "two"])
+def test_array_sequences_are_stored_as_tuples(dims):
+    spec = ExperimentSpec("precision", formats=np.array(["fp32"]), dims=dims,
+                          steps=np.array([3]))
+    assert all(type(v) is tuple for v in (spec.formats, spec.dims, spec.steps))
+    assert spec == ExperimentSpec("precision", formats=("fp32",), dims=tuple(dims.tolist()),
+                                  steps=(3,))
+    assert hash(spec.dims) == hash(tuple(dims.tolist()))
+    assert ExperimentSpec("precision", dims=np.array([], dtype=int)).dims == PRECISION_DIMS
 
 
 def test_numeric_rates_of_any_type_are_accepted():

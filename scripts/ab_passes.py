@@ -14,8 +14,10 @@ first in odd ones.
 With `--workload`, the workload's inputs, from `perfbench/workloads.py` of
 this checkout, are generated once.  After one untimed warm-up pass of each
 tree, each round times one pass of each tree, and the first timed outputs
-of the two trees are compared byte for byte.  The line before the last
-reports each tree's median minor page faults per timed pass (`getrusage`
+of the two trees are compared byte for byte.  One line per op of the
+workload follows, with each tree's median seconds for that op and their
+ratio (B/A), so that a change can be located by op.  The line before the
+last reports each tree's median minor page faults per timed pass (`getrusage`
 `ru_minflt` taken around each pass), once over the rounds the tree ran
 first and once over those it ran second: where a pass's temporaries land
 depends on what ran before it, so a fault difference means something only
@@ -76,21 +78,21 @@ def load_tree(tree: Path) -> SimpleNamespace:
     return lib
 
 
-def run_pass(lib, ops) -> tuple[float, int, list[bytes]]:
-    """One pass of the workload's CLI calls: (seconds inside `cli.main`,
-    minor page faults of the pass, each call's output bytes)."""
-    total, outputs = 0.0, []
+def run_pass(lib, ops) -> tuple[list[float], int, list[bytes]]:
+    """One pass of the workload's CLI calls: (each call's seconds inside
+    `cli.main`, minor page faults of the pass, each call's output bytes)."""
+    seconds, outputs = [], []
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for op in ops:
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             t0 = time.perf_counter()
             code = lib.cli.main(op.argv)
-            total += time.perf_counter() - t0
+            seconds.append(time.perf_counter() - t0)
         if code != 0:
             raise SystemExit(f"{op.name}: exit code {code}: {sink.getvalue().strip()[-300:]}")
         outputs.append(op.output.read_bytes())
-    return total, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults, outputs
+    return seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults, outputs
 
 
 def time_import(tree: Path) -> float:
@@ -160,14 +162,14 @@ def main() -> int:
     libs = {key: load_tree(tree) for key, tree in trees.items()}
     outputs = {}
 
-    def checked_pass(key: str) -> tuple[float, int, list[bytes]]:
+    def checked_pass(key: str) -> tuple[list[float], int, list[bytes]]:
         result = run_pass(libs[key], ops)
         if threading.active_count() > threads:
             raise SystemExit(f"{key}: {threading.active_count()} threads alive after a pass, "
                              f"{threads} before the passes")
         return result
 
-    def measure(key: str) -> tuple[float, int]:
+    def measure(key: str) -> tuple[list[float], int]:
         seconds, faults, out = checked_pass(key)
         outputs.setdefault(key, out)  # the first timed outputs
         return seconds, faults
@@ -182,9 +184,12 @@ def main() -> int:
     same = outputs["a"] == outputs["b"]
     print(f"{head}workload: {args.workload}  seed: {args.seed}  rounds: {args.rounds}  "
           f"outputs: {'same' if same else 'DIFFER'}")
+    for k, op in enumerate(ops):
+        a, b = (statistics.median(sec[k] for sec, _ in passes[key]) for key in trees)
+        print(f"op {op.name}  a {a:.6f}  b {b:.6f}  ratio {b / a:.3f}")
     print("minflt per pass  " + "  ".join(
         f"{key} {by_slot(key, [flt for _, flt in passes[key]])}" for key in trees))
-    report([b[0] / a[0] for a, b in zip(passes["a"], passes["b"])])
+    report([sum(b) / sum(a) for (a, _), (b, _) in zip(passes["a"], passes["b"])])
     return 0 if same else 1
 
 

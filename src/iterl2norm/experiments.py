@@ -17,7 +17,7 @@ import json
 import math
 from collections import namedtuple
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -61,10 +61,11 @@ RNG_NAME = "philox"
 class ExperimentSpec(namedtuple(
         "ExperimentSpec", "kind formats dims num_vectors seed steps lambda_override "
         "stage_costs fisr_newton_iters fisr_magic",
-        defaults=((), (), 1000, 0, (), None, StageCosts(), 1, None))):
+        defaults=((), (), 1000, 0, (), None, StageCosts(), 1, ()))):
     """One experiment run; `formats`, `dims` and `steps` left empty take the
-    kind's defaults, and `fisr_magic` (format name -> constant) left None
-    is empty."""
+    kind's defaults.  `fisr_magic`, the FISR constants that replace a
+    format's default, is given as a mapping or as (format name, constant)
+    pairs and stored as those pairs, sorted, so that a spec hashes."""
 
     __slots__ = ()
 
@@ -75,10 +76,18 @@ class ExperimentSpec(namedtuple(
         # `_replace` skips `__new__`: it only stores the sequences as tuples
         # (a numpy array compares element by element, and has no truth
         # value when longer than one) and fills the defaults, before the checks
-        filled = {name: tuple(getattr(self, name)) or default
-                  for name, default in zip(("formats", "dims", "steps"), _DEFAULTS[self.kind])}
-        if self.fisr_magic is None:
-            filled["fisr_magic"] = {}
+        filled = {}
+        for name, default in zip(("formats", "dims", "steps"), _DEFAULTS[self.kind]):
+            value = getattr(self, name)
+            if isinstance(value, str) or not isinstance(value, Iterable):
+                raise UsageError(f"{name} must be a sequence, not {value!r}")
+            filled[name] = tuple(value) or default
+        try:
+            magic = dict(self.fisr_magic or ())
+            filled["fisr_magic"] = tuple(sorted(magic.items()))
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"fisr_magic must map format names to constants, not "
+                             f"{self.fisr_magic!r}") from exc
         self = self._replace(**filled)
         for f in self.formats:
             if f not in FORMATS:
@@ -94,8 +103,12 @@ class ExperimentSpec(namedtuple(
         check_lambda(self.lambda_override)
         if self.kind == "compare-fisr":
             for f in self.formats:
-                checked_fisr_magic(FORMATS[f], self.fisr_magic.get(f), self.fisr_newton_iters)
+                checked_fisr_magic(FORMATS[f], magic.get(f), self.fisr_newton_iters)
         return self
+
+    def magic(self, fmt_name: str) -> int | None:
+        """The FISR constant given for the format, or None (its default)."""
+        return dict(self.fisr_magic).get(fmt_name)
 
 
 class ErrorStats(NamedTuple):
@@ -126,13 +139,6 @@ class NormalizeSummary(NamedTuple):
 def _rng(spec: ExperimentSpec, fmt_name: str, d: int) -> np.random.Generator:
     key = (_KIND_IDS[spec.kind], _FORMAT_IDS[fmt_name], d)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed, spawn_key=key)))
-
-
-def _draw_inputs(spec: ExperimentSpec, fmt: FormatSpec, d: int) -> np.ndarray:
-    """The batch of `spec.num_vectors` vectors of length d for one format,
-    drawn at once on the caller's thread: the inputs `_error_runs` draws
-    for that batch, which tests compare its rows against."""
-    return _inputs(_rng(spec, fmt.name, d).random((spec.num_vectors, d)), fmt)
 
 
 def _inputs(u: np.ndarray, fmt: FormatSpec) -> np.ndarray:
@@ -203,7 +209,7 @@ def _error_runs(spec: ExperimentSpec):
             for steps, out in zip(spec.steps, runs):
                 yield name, d, steps, "iterl2norm", out, _error_stats(out.z, ref, err)
             if spec.kind == "compare-fisr":
-                out = fisr_batch(fmt, shifted, magic=spec.fisr_magic.get(name),
+                out = fisr_batch(fmt, shifted, magic=spec.magic(name),
                                  newton_iters=spec.fisr_newton_iters)
                 yield name, d, None, "fisr", out, _error_stats(out.z, ref, err)
 
@@ -425,9 +431,9 @@ def csv_text(result: ExperimentResult) -> str:
             # reproduces the FISR rows
             iters = spec.fisr_newton_iters
             fisr = {} if iters == 1 else {"newton_iters": iters}
-            fisr |= {f"{name}_magic": f"{spec.fisr_magic[name]:#x}"
+            fisr |= {f"{name}_magic": f"{spec.magic(name):#x}"
                      for name, magic in _DEFAULT_MAGIC.items()
-                     if spec.fisr_magic.get(name, magic) != magic}
+                     if spec.magic(name) not in (None, magic)}
             if fisr:
                 buf.write(f"# fisr={json.dumps(fisr)}\n")
     for note in result.notes:

@@ -18,12 +18,12 @@ FP16 rounds with Veltkamp's split (Dekker, "A floating-point technique for
 extending the available precision", 1971): with t = x * (2^13 + 1) in
 binary32, or t = x * (2^42 + 1) in binary64, t - (t - x) is x rounded to
 its 11 leading bits, ties to even, which is x rounded to binary16 wherever
-binary16 is normal, 2^-14 <= |x| < 65520.  Outside that range (zeros,
-subnormals, values that overflow, +-inf and NaN) the split is wrong (it keeps
-11 bits below 2^-14, gives 65536 at and above 65520, and NaN for +-inf), so
-one min/max check finds whether any element lies there, and only those
-elements are converted through numpy's binary16 and patched in by index.  A
-sweep of all 2^32 binary32 patterns matched
+binary16 is normal, 2^-14 <= |x| < 65520, and +-0 for +-0.  Outside that
+range (subnormals, values that overflow, +-inf and NaN) the split is wrong
+(it keeps 11 bits below 2^-14, gives 65536 at and above 65520, and NaN for
++-inf), so one min/max check finds whether any element lies there, and
+only those elements are converted through numpy's binary16 and patched in
+by index.  A sweep of all 2^32 binary32 patterns matched
 `x.astype(float16).astype(float32)` bit for bit, NaN patterns included; in
 binary64, every binary16 tie, the values next to each tie and 4.9M random
 values matched `x.astype(float16).astype(float64)`.
@@ -184,26 +184,33 @@ _SPLIT32, _SPLIT64 = np.float32(2**13 + 1), np.float64(2**42 + 1)
 _FP16_NORMAL = (np.float32(2.0**-14), np.float32(65520.0))  # [min normal, overflow)
 
 
-def _outside_fp16_normal(mag: np.ndarray) -> np.ndarray | None:
+def _outside_fp16_normal(mag: np.ndarray, zeros: bool = False) -> np.ndarray | None:
     """The flat (C-order) indices of the elements of `mag` (absolute values)
     that lie outside binary16's normal range [2^-14, 65520) (zeros,
-    subnormals, overflow, +-inf and NaN), or None when there is none: one
-    min/max check decides, and only then is each element compared."""
+    subnormals, overflow, +-inf and NaN), or None when there is none, or,
+    with `zeros`, none but zeros: one min/max check decides, and only then
+    is each element compared.  Under a minimum of 0, the elements below
+    2^-14 are all zeros when they are as many as the zeros."""
     low, high = _FP16_NORMAL
-    if not mag.size or (mag.min() >= low and mag.max() < high):  # NaN fails both
+    if not mag.size:
         return None
+    least = mag.min()
+    if (least >= low or (zeros and least == 0)) and mag.max() < high:  # NaN fails both
+        if least >= low or np.count_nonzero(mag < low) == np.count_nonzero(mag == 0):
+            return None
     return np.flatnonzero(~((mag >= low) & (mag < high)))
 
 
 def _round_fp16(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     """Round binary32 or binary64 values to binary16 with ties to even into
     `out` (None: a new array); the result has x's dtype.  Veltkamp's split
-    rounds every element; the elements outside binary16's normal range are
-    then patched by index with numpy's binary16 conversion.  Only then can
-    the split warn: it overflows near the carry's maximum and gives
-    inf - inf for +-inf."""
+    rounds every element, and maps +-0 to itself: unless an element other
+    than a zero lies outside binary16's normal range, that is all.  Else
+    the elements outside it, zeros included, are patched by index with
+    numpy's binary16 conversion.  Only then can the split warn: it
+    overflows near the carry's maximum and gives inf - inf for +-inf."""
     t = np.abs(x)
-    odd = _outside_fp16_normal(t)
+    odd = _outside_fp16_normal(t, zeros=True)
     if odd is None:
         return _veltkamp(x, t, out)
     with np.errstate(over="ignore", invalid="ignore"):

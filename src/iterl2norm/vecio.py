@@ -9,11 +9,33 @@ Two containers:
   elements are 4-byte IEEE singles; fp16 are 2-byte IEEE halves; bf16 are
   2-byte raw bit patterns.
 
-Decimals go through orjson, which prints and parses binary64 in C: every
-value written is the `repr` of its float64, and every text file reads as
-`float()` of each token would read it.  orjson is imported where a text
-line is parsed or a decimal is written: its import loads `zoneinfo` and
-`uuid`, which a process that never reads or writes a decimal need not pay.
+Every value written is the `repr` of its float64, and every text file
+reads as `float()` of each token would read it.  Decimals are parsed by
+orjson, which parses binary64 in C.  They are written three ways:
+
+* A text row of fp16 or bf16 values is joined from a token table of that
+  format: the `repr` token of each of its 65,536 bit patterns that the
+  file's write has met.  Each text file's write builds its table empty
+  and fills it on demand, never in advance: before a block of rows (about
+  16K values) is written, the patterns it holds that the table lacks are
+  rendered by one `_reprs` call.  A row qualifies when each of its values
+  encodes to a pattern that decodes to the same bits in the value's own
+  precision (float32 or float64).  A table costs a 65,536-slot object
+  array (512 KiB) and a 64 KiB mask, plus about 50 bytes per token held
+  (a file of one format holds a few thousand patterns), and is freed
+  with the write: one kept for the process would live on in each stale
+  copy of a module that is imported afresh, until the cycle collector
+  finds it.
+* Any other text row (fp32 rows, and rows that are not all format
+  values) is one `orjson.dumps` of its slice of a block that was widened
+  to float64 and checked at once for values outside orjson's fixed
+  notation; a row that holds such a value is rendered by `_reprs`.
+* The sidecar's values are rendered by `_reprs`, one call per array.
+
+`_reprs` prints with orjson and writes the values orjson would spell
+otherwise by `repr`.  orjson is imported where a text line is parsed or a
+decimal is written: its import loads `zoneinfo` and `uuid`, which a
+process that never reads or writes a decimal need not pay.
 """
 
 from __future__ import annotations
@@ -30,7 +52,14 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 import numpy as np
 
 from .errors import DataFormatError
-from .fpformat import FORMATS, FormatSpec, bits_to_binary32, values_to_bits
+from .fpformat import (
+    FORMATS,
+    FormatSpec,
+    _carried,
+    bits_to_binary32,
+    bits_to_values,
+    values_to_bits,
+)
 
 if TYPE_CHECKING:
     from .norm_core import BatchNormResult
@@ -183,11 +212,12 @@ def write_vectors(path: str | Path, vectors: np.ndarray | list[np.ndarray],
                   fmt: FormatSpec, binary: bool) -> None:
     """Write vectors, an (n, d) array or a list of rows, to a binary
     container of `fmt`, or to a text file with the `repr` of each value,
-    widened to float64, and a newline after each row.  A binary container
-    is encoded from float32 values (the binary32 carry, as `normalize`
-    outputs are) as they are, and from any others read as float64."""
+    widened to float64, and a newline after each row (see `_text_lines`).
+    A binary container is encoded from float32 values (the binary32 carry,
+    as `normalize` outputs are) as they are, and from any others read as
+    float64."""
     if not binary:
-        write_file(path, (_reprs(v) + b"\n" for v in vectors))
+        write_file(path, _text_lines(vectors, fmt))
         return
     if not isinstance(vectors, np.ndarray):
         if len({len(v) for v in vectors}) != 1:
@@ -290,3 +320,115 @@ def _reprs(v: np.ndarray) -> bytes:
     for k, value in zip(others.tolist(), v[others].tolist()):
         tokens[k] = repr(value).encode()
     return b",".join(tokens)
+
+
+# ---------------------------------------------------------------------------
+# The token path: a table for fp16 and bf16 values, orjson for the others
+# ---------------------------------------------------------------------------
+
+# Values per block of text rows: a block is checked and classified by a few
+# numpy passes, and its lines then written one row at a time.
+_TEXT_BLOCK = 1 << 14
+
+
+class _TokenTable:
+    """The `repr` token of each bit pattern of a 16-bit format (fp16 or
+    bf16) that one write has met: an object array with one slot per
+    pattern, None until a fill renders it."""
+
+    def __init__(self, fmt: FormatSpec) -> None:
+        self.fmt = fmt
+        self.tokens = np.full(1 << 16, None, dtype=object)
+        self.filled = np.zeros(1 << 16, dtype=bool)
+
+    def patterns(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(patterns, ok) for the float32 or float64 array `flat`: each
+        value's bit pattern in the format, and whether that pattern decodes
+        to the value's own bits, in `flat`'s precision.  Only where `ok`
+        holds is the pattern's token the value's `repr`."""
+        with np.errstate(over="ignore", invalid="ignore"):  # a value the format lacks
+            if self.fmt.name == "bf16":
+                bits = flat.astype(np.float32, copy=False).view(np.uint32) >> np.uint32(16)
+            else:
+                bits = flat.astype(np.float16).view(np.uint16)
+            decoded = (bits_to_binary32 if flat.dtype == np.float32
+                       else bits_to_values)(bits, self.fmt)
+        word = f"u{flat.itemsize}"
+        return bits, decoded.view(word) == flat.view(word)
+
+    def fill(self, patterns: np.ndarray) -> None:
+        """Render the tokens of the `patterns` the table lacks, by one
+        `_reprs` call."""
+        lacked = np.zeros_like(self.filled)
+        lacked[patterns[~self.filled[patterns]]] = True
+        new = np.flatnonzero(lacked)  # not np.unique, which imports numpy.ma
+        if new.size:
+            self.tokens[new] = np.array(_reprs(bits_to_values(new, self.fmt)).split(b","),
+                                        dtype=object)
+            self.filled[new] = True
+
+
+def _text_lines(vectors: Iterable, fmt: FormatSpec) -> Iterator[bytes]:
+    """The text lines of `vectors`, one row at a time: each value's `repr`,
+    widened to float64, joined by commas, with a newline.
+
+    The rows are taken in blocks of about _TEXT_BLOCK values (a longer row
+    alone), each block's values checked and classified at once.  Under
+    fp16 or bf16, a row of format values is joined from the format's token
+    table; any other row is one `orjson.dumps` of its slice of the block in
+    float64, or `_reprs` of that slice where it holds a value outside
+    orjson's fixed notation."""
+    import orjson
+
+    table = _TokenTable(fmt) if fmt.total_bits == 16 else None
+    dumps, option = orjson.dumps, orjson.OPT_SERIALIZE_NUMPY
+    for block in _blocks(vectors):
+        flat = _carried(np.concatenate(block))
+        ends = np.cumsum([len(row) for row in block]).tolist()
+        tabled = [False] * len(ends)
+        if table is not None:
+            patterns, ok = table.patterns(flat)
+            tabled = _rows_where(ok, ends)
+            table.fill(patterns[ok])
+            tokens = table.tokens[patterns]  # a row's are its values' where `tabled`
+        if not all(tabled):
+            with np.errstate(invalid="ignore"):  # a signaling NaN widens to a quiet one
+                wide = flat.astype(np.float64, copy=False)
+            magnitude = np.abs(wide)
+            in_range = (magnitude >= 1e-4) & (magnitude < 1e16)
+            fixed = _rows_where(in_range | (wide == 0), ends)
+        start = 0
+        for k, end in enumerate(ends):
+            if tabled[k]:
+                yield b",".join(tokens[start:end].tolist())
+            elif fixed[k]:
+                yield memoryview(dumps(wide[start:end], option=option))[1:-1]
+            else:
+                yield _reprs(wide[start:end])
+            yield b"\n"
+            start = end
+
+
+def _blocks(vectors: Iterable) -> Iterator[list]:
+    """The rows of `vectors` in runs of at least _TEXT_BLOCK values, but the
+    last run."""
+    block, size = [], 0
+    for row in vectors:
+        block.append(row)
+        size += len(row)
+        if size >= _TEXT_BLOCK:
+            yield block
+            block, size = [], 0
+    if block:
+        yield block
+
+
+def _rows_where(ok: np.ndarray, ends: list[int]) -> list[bool]:
+    """Per row (ending at each of `ends`), whether `ok` holds on all of its
+    values."""
+    rows = [True] * len(ends)
+    if ok.all():
+        return rows
+    for k in np.searchsorted(ends, np.flatnonzero(~ok), side="right").tolist():
+        rows[k] = False
+    return rows

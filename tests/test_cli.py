@@ -1,4 +1,5 @@
 import errno
+import io
 import json
 import os
 import stat
@@ -266,15 +267,22 @@ class TestExitCodes:
         # the disk fills up while the third row is written
         inp, dest = tmp_path / "v.txt", tmp_path / "z.txt"
         inp.write_text("1,2,3,4\n" * 5)
-        reprs, calls = vecio._reprs, []
 
-        def reprs_until_full(v):
-            calls.append(None)
-            if len(calls) == 3:
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return reprs(v)
+        class FillingFile(io.BufferedWriter):
+            rows = 0
 
-        monkeypatch.setattr(vecio, "_reprs", reprs_until_full)
+            def write(self, chunk):
+                if self.rows == 2:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                self.rows += bytes(chunk).count(b"\n")
+                return super().write(chunk)
+
+        def open_filling(path, mode, **kwargs):
+            if Path(path) != dest:
+                return open(path, mode, **kwargs)
+            return FillingFile(io.FileIO(path, "w"))
+
+        monkeypatch.setattr(vecio, "open", open_filling, raising=False)
         code, out, err = run(capsys, "normalize", "--input", str(inp), "--out", str(dest))
         assert (code, out) == (3, "")
         assert err == f"data error: cannot write {dest}: No space left on device\n"

@@ -23,7 +23,6 @@ from iterl2norm.experiments import (
     run_normalize,
     run_precision,
     write_csv,
-    _draw_inputs,
     _error_runs,
     _fmt_cell,
     _inputs,
@@ -43,6 +42,12 @@ from iterl2norm.vecio import read_vectors, write_vectors
 
 def read_sidecar(path) -> list[dict]:
     return [json.loads(line) for line in Path(path).read_text().splitlines()]
+
+
+def drawn_inputs(spec, fmt, d) -> np.ndarray:
+    """The batch `_error_runs` draws for one format and d, drawn at once: the
+    spec's Philox doubles, scaled and rounded by `_inputs`."""
+    return _inputs(_rng(spec, fmt.name, d).random((spec.num_vectors, d)), fmt)
 
 
 def small_spec(kind, **kw):
@@ -178,7 +183,7 @@ class TestConvergence:
         want = []
         for name in spec.formats:
             fmt = FORMATS[name]
-            x = _draw_inputs(spec, fmt, 48)
+            x = drawn_inputs(spec, fmt, 48)
             ref = reference_batch(fmt, x)
             for steps in spec.steps:
                 z = normalize_batch(fmt, x, config=NormConfig(FixedSteps(steps), lam)).z
@@ -202,7 +207,7 @@ class TestDraw:
             got = _inputs(u, fmt)
             want = round_array(_rng(spec, fmt.name, d).uniform(-1.0, 1.0, size=(5, d)), fmt)
             assert got is u
-            for x in (got, _draw_inputs(spec, fmt, d)):
+            for x in (got, drawn_inputs(spec, fmt, d)):
                 assert (x.dtype, x.shape, x.tobytes()) == (want.dtype, want.shape,
                                                            want.tobytes())
 
@@ -317,7 +322,7 @@ class TestErrorRuns:
         for name in formats:
             fmt = FORMATS[name]
             for d in AWKWARD_DIMS:
-                x = _draw_inputs(spec, fmt, d)
+                x = drawn_inputs(spec, fmt, d)
                 ref = reference_batch(fmt, x)
                 runs = [("iterl2norm", normalize_batch(fmt, x))]
                 if kind == "compare-fisr":

@@ -240,6 +240,55 @@ class TestFp16Split:
             self.check(np.array([0.75, edge, -3.0], dtype=np.float32))
 
 
+class TestFp16Zeros:
+    """Veltkamp's split maps +-0 to itself, sign included, so an array whose
+    only elements outside fp16's normal range are zeros takes no patch; among
+    other such elements the zeros are patched with them.  Either way, in
+    both carries and whether `round_array` walks blocks or not, the result
+    is numpy's binary16 round trip bit for bit."""
+
+    OTHERS = [2.0**-24, -3 * 2.0**-24, 2.0**-15, 65520.0, -65520.0, np.inf, -np.inf, np.nan]
+
+    @staticmethod
+    def check(x):
+        word = f"u{x.itemsize}"
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = x.astype(np.float16).astype(x.dtype).view(word)
+        into = np.empty_like(x)
+        in_place = x.copy()
+        for got in (round_array(x, FP16), round_array(x, FP16, out=into),
+                    round_array(in_place, FP16, out=in_place)):
+            np.testing.assert_array_equal(got.view(word), want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [1, 5, 3 * fpformat._BLOCK + 7], ids=["one", "five", "blocks"])
+    def test_zeros_alone(self, dtype, size):
+        for x in (np.zeros(size, dtype), np.full(size, -0.0, dtype),
+                  np.resize(np.array([0.0, -0.0], dtype), size)):
+            self.check(x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [6, 3 * fpformat._BLOCK + 7], ids=["short", "blocks"])
+    @pytest.mark.parametrize("other", [None] + OTHERS)
+    def test_zeros_among_normal_values(self, dtype, size, other):
+        rng = np.random.default_rng(size)
+        x = (rng.uniform(0.5, 2.0, size) * rng.choice([-1.0, 1.0], size)).astype(dtype)
+        x[::3] = 0.0
+        x[1::5] = -0.0
+        if other is not None:
+            x[-2] = other  # in the last block
+        self.check(x)
+        odd = fpformat._outside_fp16_normal(np.abs(x), zeros=True)
+        assert (odd is None) == (other is None)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zeros_are_outside_for_the_encoder(self, dtype):
+        # `_fp16_bits` cannot rebias a zero, so zeros still count there
+        x = np.array([1.0, 0.0, -0.0], dtype)
+        assert fpformat._outside_fp16_normal(np.abs(x)).tolist() == [1, 2]
+        assert values_to_bits(x, FP16).tolist() == [0x3C00, 0x0000, 0x8000]
+
+
 class TestRoundInto:
     """round_array(x, fmt, out=o) writes what round_array(x, fmt) returns into
     o, bit for bit, whether o is x or another array, in either precision

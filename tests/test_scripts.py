@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -52,6 +54,14 @@ def test_ab_passes_of_the_tree_against_itself(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert "outputs: same" in lines[0]
+    # one line per op, one op per format and d: its medians and their ratio
+    ops = [line.split() for line in lines[1:-2]]
+    assert [op[1] for op in ops] == [f"{f}_d{d}" for f in ("fp32", "fp16", "bf16")
+                                     for d in (64, 1024)]
+    for op in ops:
+        assert op[0] == "op" and op[2::2] == ["a", "b", "ratio"]
+        a, b, ratio = map(float, op[3::2])
+        assert a > 0 and b > 0 and ratio == pytest.approx(b / a, rel=0.01)  # printed rounded
     # each tree's faults over the rounds it ran first, then second: in one
     # round A ran first and B second
     faults = lines[-2].split()

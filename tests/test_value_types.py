@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from iterl2norm.baselines import BF16_MAGIC, FP32_MAGIC
 from iterl2norm.errors import UsageError
 from iterl2norm.experiments import PRECISION_DIMS, ErrorStats, ExperimentSpec
 from iterl2norm.fpformat import FORMATS, FP16, FP32, FormatSpec
@@ -50,11 +51,18 @@ SETTINGS = [FixedSteps(), Threshold(1e-3), NormConfig(), StageCosts(),
     (lambda: NormConfig(lambda_override=True), "^lambda override: not a number: True$"),
     (lambda: ExperimentSpec("precision", lambda_override=np.True_),
      "^lambda override: not a number: np.True_$"),
+    (lambda: ExperimentSpec("precision", dims=64), "^dims must be a sequence, not 64$"),
+    (lambda: ExperimentSpec("precision", formats="fp32"),
+     "^formats must be a sequence, not 'fp32'$"),
+    (lambda: ExperimentSpec("convergence", steps=5), "^steps must be a sequence, not 5$"),
+    (lambda: ExperimentSpec("compare-fisr", fisr_magic=5),
+     "^fisr_magic must map format names to constants, not 5$"),
 ], ids=["steps", "delta", "max_steps", "lambda", "group", "cost", "cost-negative", "num_vectors",
         "steps-float", "steps-bool", "max_steps-float", "stopping", "num_vectors-float",
         "dims-float", "steps-list", "seed", "seed-float", "newton_iters-float", "magic-float",
         "delta-str", "lambda-str", "spec-lambda-str", "dims-zero", "steps-tuple", "seed-list",
-        "delta-bool", "lambda-bool", "spec-lambda-numpy-bool"])
+        "delta-bool", "lambda-bool", "spec-lambda-numpy-bool", "dims-int", "formats-str",
+        "steps-int", "magic-int"])
 def test_construction_checks(build, message):
     with pytest.raises(UsageError, match=message):
         build()
@@ -109,10 +117,24 @@ def test_defaults_and_repr():
     assert repr(Threshold(1e-3)) == "Threshold(delta_max=0.001, max_steps=50)"
     assert repr(FP16) == "FormatSpec(fp16)"
     assert StageCosts(iteration_per_step=10) == StageCosts()._replace(iteration_per_step=10)
-    # the kind's defaults fill the empty fields; each spec has its own magic table
-    spec, other = ExperimentSpec("convergence"), ExperimentSpec("convergence")
+    # the kind's defaults fill the empty fields; no FISR constant is given
+    spec = ExperimentSpec("convergence")
     assert (spec.formats, spec.dims, spec.steps[-1]) == (("fp32", "fp16", "bf16"), (1024,), 10)
-    assert spec.fisr_magic == {} and spec.fisr_magic is not other.fisr_magic
+    assert spec.fisr_magic == () and spec.magic("fp32") is None
+
+
+@pytest.mark.parametrize("obj", SETTINGS, ids=lambda o: type(o).__name__)
+def test_equal_settings_hash_alike(obj):
+    assert hash(obj) == hash(type(obj)(*obj)) and {obj: 1}[type(obj)(*obj)] == 1
+
+
+def test_fisr_magic_is_stored_as_sorted_pairs():
+    given = {"fp32": FP32_MAGIC + 1, "bf16": BF16_MAGIC}
+    spec = ExperimentSpec("compare-fisr", fisr_magic=given)
+    assert spec.fisr_magic == (("bf16", BF16_MAGIC), ("fp32", FP32_MAGIC + 1))
+    same = ExperimentSpec("compare-fisr", fisr_magic=reversed(list(given.items())))
+    assert same == spec and hash(same) == hash(spec)
+    assert (spec.magic("fp32"), spec.magic("fp16")) == (FP32_MAGIC + 1, None)
 
 
 def test_format_spec_compares_and_hashes_by_value():

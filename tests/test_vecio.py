@@ -85,6 +85,109 @@ def test_reprs_of_random_binary32_and_binary64_patterns():
     assert_reprs(bits.view(np.float64))
 
 
+def split_rows(values: np.ndarray, lengths) -> list[np.ndarray]:
+    """`values` cut into consecutive rows of the given lengths, repeated, the
+    last row taking what is left."""
+    cuts = np.cumsum(np.resize(lengths, len(values)))
+    return np.split(values, cuts[cuts < len(values)])
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """The token tables the writes of a test build, in the order built."""
+    built = []
+
+    class Recorded(vecio._TokenTable):
+        def __init__(self, fmt):
+            super().__init__(fmt)
+            built.append(self)
+
+    monkeypatch.setattr(vecio, "_TokenTable", Recorded)
+    return built
+
+
+@pytest.fixture
+def rendered(monkeypatch):
+    """The length of each array that `_reprs` renders in a test."""
+    lengths = []
+    reprs = vecio._reprs
+    monkeypatch.setattr(vecio, "_reprs", lambda v: lengths.append(len(v)) or reprs(v))
+    return lengths
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("fmt", [FP16, BF16], ids=["fp16", "bf16"])
+def test_text_rows_of_every_16_bit_pattern(tmp_path, tables, rendered, fmt, dtype):
+    # every pattern twice, each time shuffled, so that rows mix zeros,
+    # subnormals, infinities and NaNs with normal values, rows of one and
+    # two values among them; the second time the table is warm
+    rng = np.random.default_rng(7)
+    bits = np.concatenate([rng.permutation(1 << 16), rng.permutation(1 << 16)])
+    wide = bits_to_values(bits, fmt)
+    values = vecio.bits_to_binary32(bits, fmt) if dtype == np.float32 else wide
+    lengths = [1, 2, 7, 1, 300, 1000, 64]
+    path = tmp_path / "v.txt"
+    write_vectors(path, split_rows(values, lengths), fmt, binary=False)
+    assert path.read_bytes() == repr_lines(split_rows(wide, lengths))
+    # one table, which rendered each pattern once; a NaN may take the
+    # fallback, where the carry quiets it
+    assert len(tables) == 1
+    table = tables[0]
+    assert table.filled[bits[~np.isnan(wide)]].all()
+    fills = [n for n in rendered if n > 1000]  # longer than any row
+    assert sum(fills) == table.filled.sum()
+    # a second file of the same values builds its own table
+    write_vectors(path, split_rows(values[::-1], lengths), fmt, binary=False)
+    assert path.read_bytes() == repr_lines(split_rows(wide[::-1], lengths))
+    assert len(tables) == 2 and (tables[1].filled == table.filled).all()
+
+
+@pytest.mark.parametrize("fmt", [FP16, BF16], ids=["fp16", "bf16"])
+def test_table_is_filled_on_demand(tmp_path, tables, rendered, fmt):
+    rows = [np.array([1.5, -0.25, 3.0], np.float32), np.array([1.5], np.float32)]
+    write_vectors(tmp_path / "v.txt", rows, fmt, binary=False)
+    # one rendering of the three patterns met, none for the rows
+    assert rendered == [3]
+    assert (tmp_path / "v.txt").read_bytes() == repr_lines(rows)
+    (table,) = tables
+    assert table.filled.sum() == 3
+    assert sorted(table.tokens[table.filled].tolist()) == [b"-0.25", b"1.5", b"3.0"]
+    assert sum(token is not None for token in table.tokens) == 3
+    # rows of several blocks: the later blocks find their patterns filled
+    many = [rows[0]] * (2 * vecio._TEXT_BLOCK // 3 + 1)
+    write_vectors(tmp_path / "v.txt", many, fmt, binary=False)
+    assert (tmp_path / "v.txt").read_bytes() == repr_lines(many)
+    assert rendered == [3, 3] and len(tables) == 2
+
+
+@pytest.mark.parametrize("fmt", [FP16, BF16], ids=["fp16", "bf16"])
+@pytest.mark.parametrize("odd", [1.0 + 2.0 ** -30, 1e300, 0.1, 2.0 ** -140, 1e-5])
+def test_a_row_with_one_value_the_format_lacks(tmp_path, tables, rendered, fmt, odd):
+    within = round_array(np.linspace(-3.0, 3.0, 9), fmt)
+    rows = [within, np.concatenate([within[:4], [odd], within[4:]]), within[:1],
+            np.array([odd])]
+    assert not np.array_equal(round_array(rows[1], fmt), rows[1])
+    write_vectors(tmp_path / "v.txt", rows, fmt, binary=False)
+    assert (tmp_path / "v.txt").read_bytes() == repr_lines(rows)
+    # the fill, then the two rows that hold the value, if orjson would not
+    # print them (`1e300`, a subnormal and `1e-05` are outside its fixed notation)
+    fixed = 1e-4 <= odd < 1e16
+    assert rendered == [9] + ([] if fixed else [10, 1])
+    # the pattern the value rounds to is not filled for it
+    assert tables[0].filled.sum() == 9
+
+
+def test_fp32_text_rows_over_several_blocks(tmp_path):
+    # random binary32 patterns, every class of value among them, in float32
+    # and in float64 rows
+    bits = np.random.default_rng(8).integers(0, 1 << 32, 3 * vecio._TEXT_BLOCK, dtype=np.uint32)
+    with np.errstate(invalid="ignore"):  # a signaling NaN widens to a quiet one
+        for rows in (split_rows(bits.view(np.float32), [1, 500, 33]),
+                     split_rows(bits.view(np.float32).astype(np.float64), [1000, 2])):
+            write_vectors(tmp_path / "v.txt", rows, FP32, binary=False)
+            assert (tmp_path / "v.txt").read_bytes() == repr_lines(rows)
+
+
 def test_reprs_at_the_fixed_notation_bounds():
     edges = [1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), 1e16, np.nextafter(1e16, 0),
              np.nextafter(1e16, np.inf), 5e-324, 2.2250738585072014e-308, 1e-310,

@@ -14,7 +14,8 @@ first in odd ones.
 With `--workload`, the workload's inputs, from `perfbench/workloads.py` of
 this checkout, are generated once.  After one untimed warm-up pass of each
 tree, each round times one pass of each tree, and the first timed outputs
-of the two trees are compared byte for byte.  One line per op of the
+of the two trees (each `normalize` call's output and its `<out>.meta.jsonl`
+sidecar, and each experiment's CSV) are compared byte for byte.  One line per op of the
 workload follows, with each tree's median seconds for that op and their
 ratio (B/A), so that a change can be located by op.  The line before the
 last reports each tree's median minor page faults per timed pass (`getrusage`
@@ -80,7 +81,8 @@ def load_tree(tree: Path) -> SimpleNamespace:
 
 def run_pass(lib, ops) -> tuple[list[float], int, list[bytes]]:
     """One pass of the workload's CLI calls: (each call's seconds inside
-    `cli.main`, minor page faults of the pass, each call's output bytes)."""
+    `cli.main`, minor page faults of the pass, each call's output bytes,
+    followed by its diagnostics sidecar's for a `normalize` call)."""
     seconds, outputs = [], []
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for op in ops:
@@ -92,6 +94,8 @@ def run_pass(lib, ops) -> tuple[list[float], int, list[bytes]]:
         if code != 0:
             raise SystemExit(f"{op.name}: exit code {code}: {sink.getvalue().strip()[-300:]}")
         outputs.append(op.output.read_bytes())
+        if op.kind != "csv":  # a `normalize` call writes a sidecar too
+            outputs.append(Path(f"{op.output}.meta.jsonl").read_bytes())
     return seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults, outputs
 
 

@@ -21,11 +21,16 @@ class RangeOverflowError(ArithmeticError):
     overflowed the target format; the iteration cannot run.
 
     `row` is the first row of the batch whose squared norm overflowed, or
-    None; the message names the first of that row's stages that did."""
+    None; the message names the first of that row's stages that did.  For
+    a batch of several parts (`norm_core.shift_batches`), `row` is a row of
+    the first part that has one, and `failures` holds (part, row, message)
+    for the first such row of each part that has one."""
 
-    def __init__(self, message: str, row: int | None = None) -> None:
+    def __init__(self, message: str, row: int | None = None,
+                 failures: tuple[tuple[int, int, str], ...] = ()) -> None:
         super().__init__(message)
         self.row = row
+        self.failures = failures
 
 
 def check_integers(name: str, *values, at_least: int | None = None) -> None:

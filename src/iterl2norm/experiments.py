@@ -33,6 +33,7 @@ from .norm_core import (
     normalize_batches,
     normalize_steps,
     shift_batch,
+    shift_batches,
 )
 from .vecio import read_vectors, remove_output, write_file, write_sidecar, write_vectors
 
@@ -280,13 +281,15 @@ def run_normalize(in_path: str, out_path: str, config: NormConfig = NormConfig()
     A binary file names its own format (`fmt_name`, if given, must match
     it); a text file is read as `fmt_name`, default fp32.  Vectors, gamma
     and beta are rounded to the format, unless a binary file of the format
-    holds them; the vectors of one length form one batch, and
-    `normalize_batches` solves for `a` once over every batch of the file.
+    holds them (a text file's rows by one rounding); the vectors of one
+    length form one batch, `shift_batches` runs the vector stages of every
+    batch in one pass, and `normalize_batches` solves for `a` once over
+    every batch of the file.
     Every parameter length is checked before anything is computed; a NaN or
     infinite gamma or beta value is a data error.  A non-finite input value
     (a data error), and a finite value that rounds to infinity, a sum, a
     mean-shifted value or a squared norm that overflows the format (range
-    errors, named by `shift_batch`), name the first such vector of the
+    errors, named by `shift_batches`), name the first such vector of the
     file, the data error first.  An output or sidecar
     file that cannot be written is a data error, and leaves no output
     behind: the `<out>` this run opened is removed if it is a regular file."""
@@ -310,34 +313,33 @@ def run_normalize(in_path: str, out_path: str, config: NormConfig = NormConfig()
             raise DataFormatError(f"vector {i}: {label} length "
                                   f"{len(params[i % len(params)])} != d {lengths[i]}")
 
-    # One batch per vector length and one solve for the whole file; outputs
-    # and sidecar keep the file order.  A file of one length (every binary
-    # file) is its own batch, and its outputs are that batch's array.
+    # One batch per vector length, whose vector stages run in one pass, and
+    # one solve for the whole file; outputs and sidecar keep the file order.
+    # A file of one length (every binary file) is its own batch, and its
+    # outputs are that batch's array.
     groups = _rows_by_length(lengths)
     single = len(groups) == 1
-    parts, failed = [], []
-    for rows in groups:
-        x = np.asarray(vectors) if single else np.array([vectors[i] for i in rows])
+    xs = [vectors] if file_fmt is not None else _rounded_batches(vectors, groups, fmt)
+    try:
+        shifted = shift_batches(fmt, xs)
+    except RangeOverflowError as exc:
+        # every row with a NaN or infinite value fails, so the file's first
+        # such row is the data error to report; else the first failed row
+        # (of each batch's first, and the stage that overflowed) is the
+        # range error
+        _check_finite(vectors)
+        row, what = min((groups[g][r], message) for g, r, message in exc.failures)
+        raise RangeOverflowError(f"vector {row}: {what}") from None
+    parts = []
+    for rows, sh in zip(groups, shifted):
         # a shared gamma or beta is its one (d,) vector; per-row ones are stacked
         gamma, beta = (None if p is None else p[0] if len(p) == 1 else
                        np.array([p[i] for i in rows]) for p in (gammas, betas))
-        try:
-            parts.append((shift_batch(fmt, x if file_fmt is not None else round_array(x, fmt)),
-                          gamma, beta))
-        except RangeOverflowError as exc:
-            # the group's first failed row, and the stage that overflowed
-            failed.append((rows[exc.row], str(exc)))
-    if failed:
-        # every row with a NaN or infinite value fails, so the file's first
-        # such row is the data error to report; else the first failed row
-        # is the range error
-        _check_finite(vectors)
-        row, what = min(failed)
-        raise RangeOverflowError(f"vector {row}: {what}")
+        parts.append((sh, gamma, beta))
     batches = list(zip(groups, normalize_batches(fmt, parts, config), strict=True))
-    # the results hold no shifted batch: free them, and a re-stacked x,
-    # gamma or beta, before writing
-    del parts, x, gamma, beta
+    # the results hold no shifted batch: free them, the rounded rows, and a
+    # re-stacked gamma or beta, before writing
+    del parts, shifted, xs, gamma, beta
     if single:
         outputs = batches[0][1].z
     else:
@@ -369,6 +371,17 @@ def _rows_by_length(lengths: np.ndarray) -> list[list[int]]:
     order = np.argsort(lengths, kind="stable")
     groups = np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1)
     return sorted((g.tolist() for g in groups), key=lambda rows: rows[0])
+
+
+def _rounded_batches(vectors: list[np.ndarray], groups: list[list[int]],
+                     fmt: FormatSpec) -> list[np.ndarray]:
+    """The text rows of each batch (the file indices of `groups`) as one
+    (n, d) array, rounded to the format: views of one array of every row in
+    batch order, rounded at once."""
+    flat = np.concatenate([vectors[i] for rows in groups for i in rows])
+    round_array(flat, fmt, out=flat)
+    ends = np.cumsum([len(rows) * len(vectors[rows[0]]) for rows in groups])
+    return [x.reshape(len(rows), -1) for rows, x in zip(groups, np.split(flat, ends[:-1]))]
 
 
 def _check_finite(vectors: np.ndarray | list[np.ndarray], where: str = "") -> None:

@@ -369,36 +369,54 @@ def bits_to_values(bits: np.ndarray, fmt: FormatSpec) -> np.ndarray:
 CHUNK_SIZE = 64
 
 
-def tree_sum_values(values: np.ndarray, fmt: FormatSpec) -> np.ndarray:
-    """Sum each row of `values`, shape (n, d) with d >= 1, in the macro's
-    fixed reduction order.
+def tree_sum_values(values: np.ndarray | list[np.ndarray], fmt: FormatSpec) -> np.ndarray:
+    """Sum each row of `values`, shape (n, d) with d >= 1, or of each of
+    several such parts (a list of arrays, each of its own d), in the
+    macro's fixed reduction order.
 
     Consecutive chunks of CHUNK_SIZE elements are each reduced by a balanced
     pairwise-adjacent binary tree; the per-chunk partial sums are then
     accumulated sequentially in chunk order, mirroring the partial-sum
     buffer.  The last chunk is zero-padded.  Each 2-input add rounds once.
 
-    The result has shape (n,) and the precision of `values` (see
-    :func:`_carried`).  The first level adds adjacent pairs, and no pair
-    straddles two chunks, so it is added straight from `values` without
-    padding them: the pairs of each row, then, for an odd d, the last
-    element plus a pad zero, then the zero sums of the pad.  Each tree
-    level is rounded in place; the accumulation is `_accumulate`.
+    The result has one sum per row, the rows of the parts in order, and the
+    precision of `values` (see :func:`_carried`; float64 if any part is not
+    float32).  The first level adds adjacent pairs, and no pair straddles
+    two chunks, so each part adds it straight from its rows, into its own
+    rows of one chunk array shared by every part, without padding them: the
+    pairs of each row, then, for an odd d, the last element plus a pad
+    zero, then the zero sums of the pad.  The other levels run once over
+    that array, each rounded in place.  The chain (`_accumulate`) then runs
+    once over a (most chunks, rows) matrix of the partial sums, in which a
+    row of fewer chunks is padded with -0: x + (-0) is x for every x, so a
+    pad changes no sum, and -0 is finite, so it keeps every shortcut of the
+    chain.  For one part that matrix is the transposed partials, unpadded.
     """
-    arr = _carried(values)
-    n, d = arr.shape
-    nchunk, half = -(-d // CHUNK_SIZE), d // 2
-    level = np.empty((n, nchunk * CHUNK_SIZE // 2), dtype=arr.dtype)
-    np.add(arr[:, 0:2 * half:2], arr[:, 1:2 * half:2], out=level[:, :half])
-    if d % 2:
-        np.add(arr[:, -1], 0.0, out=level[:, half])  # -0 + 0 is +0
-    level[:, d - half:] = 0.0
-    level = level.reshape(n, nchunk, CHUNK_SIZE // 2)
+    parts = [_carried(v) for v in values] if isinstance(values, list) else [_carried(values)]
+    dtype = np.result_type(*parts)
+    shapes = [(p.shape[0], -(-p.shape[1] // CHUNK_SIZE)) for p in parts]  # (rows, chunks)
+    level = np.empty((sum(n * c for n, c in shapes), CHUNK_SIZE // 2), dtype=dtype)
+    start = 0
+    for arr, (n, nchunk) in zip(parts, shapes):
+        d, half = arr.shape[1], arr.shape[1] // 2
+        part = level[start:start + n * nchunk].reshape(n, nchunk * CHUNK_SIZE // 2)
+        start += n * nchunk
+        np.add(arr[:, 0:2 * half:2], arr[:, 1:2 * half:2], out=part[:, :half])
+        if d % 2:
+            np.add(arr[:, -1], 0.0, out=part[:, half])  # -0 + 0 is +0
+        part[:, d - half:] = 0.0
     round_array(level, fmt, out=level)
     while level.shape[-1] > 1:  # CHUNK_SIZE is a power of two: no odd level
-        level = level[..., 0::2] + level[..., 1::2]
+        level = level[:, 0::2] + level[:, 1::2]
         round_array(level, fmt, out=level)
-    return _accumulate(level[..., 0].T.copy(), fmt)  # one contiguous row per chunk
+    sums = level[:, 0]
+    # one contiguous row per chunk, one column per row of every part
+    chain = np.full((max(c for _, c in shapes), sum(n for n, _ in shapes)), -0.0, dtype=dtype)
+    start = row = 0
+    for n, nchunk in shapes:
+        chain[:nchunk, row:row + n] = sums[start:start + n * nchunk].reshape(n, nchunk).T
+        start, row = start + n * nchunk, row + n
+    return _accumulate(chain, fmt)
 
 
 def _accumulate(partials: np.ndarray, fmt: FormatSpec) -> np.ndarray:

@@ -2,16 +2,20 @@
 
 Pipeline: the mean shift and the squared norm through the adder trees
 (the phases mean_sum, mean_mul, mean_shift and inner_product of
-`latency.PHASES`, all in `shift_batch`), exponent-based
+`latency.PHASES`, all in `shift_batches`), exponent-based
 initialization of the iteration scalar `a`, update-rate selection, the
 division-free fixed-point iteration da = lambda*m*a*(1 - m*a^2), and the
 final scale/shift.  `a` converges to 1/||y||_2, so sqrt(d)*a*y is the
 layer-norm core without any divide or square root at runtime.
 
 Every entry point runs one batched datapath, split at the solve for `a`:
-the vector stages (`shift_batch`), one solve, then the scale and shift
-stages.  Only the solve varies: the iteration, FISR (`baselines`), or an
-injected value; one solve may cover several batches (`normalize_batches`).
+the vector stages (`shift_batches`, which runs a batch made of parts of
+several lengths in one pass; `shift_batch` is its one-part case), one
+solve, then the scale and shift stages.  Only the solve varies: the
+iteration, FISR (`baselines`), or an injected value; one solve may cover
+several batches (`normalize_batches`).  A threshold solve drops a row
+from its loop once the row repeats with period 2, and reports it as
+running it to the cap would.
 The single-vector API is a batch of one.  The iteration runs in the target
 format's emulated arithmetic (the hardware iteration datapath uses the same
 format multipliers and adders); `init_a_values` and `iterate_values` run in
@@ -143,10 +147,16 @@ def iterate_values(a0: np.ndarray, m: np.ndarray, lam: np.ndarray,
     (binary64 difference) is <= delta_max, or after max_steps with
     converged False; a stopped row keeps its value in later trajectory
     columns; a row whose `a` leaves the finite range stops there, not
-    converged.  Under FixedSteps every row whose final `a` is finite counts
-    as converged.  Returns (trajectory of shape (n, steps run + 1), steps
-    per row, converged per row); the final `a` is the trajectory's last
-    column.
+    converged.  A row still running whose new `a` equals, bit for bit, its
+    `a` from two steps back repeats with period 2 from there on (a step is
+    a fixed map of `a` for the row's m and lambda), with the same change at
+    every step, so it can never stop: the loop runs on without it, and it
+    reports max_steps steps, not converged, and a trajectory that
+    alternates between its last two values up to column max_steps, as
+    running it to the cap would.  The loop ends once no row runs.  Under
+    FixedSteps every row whose final `a` is finite counts as converged.
+    Returns (trajectory of shape (n, steps run + 1), steps per row,
+    converged per row); the final `a` is the trajectory's last column.
     """
     threshold = isinstance(stop, Threshold)
 
@@ -157,6 +167,8 @@ def iterate_values(a0: np.ndarray, m: np.ndarray, lam: np.ndarray,
     a = np.asarray(a0, dtype=m.dtype)
     lam = np.asarray(lam, dtype=np.float64)
     active = np.ones(a.shape, dtype=bool)
+    cycling = np.zeros(a.shape, dtype=bool)  # left the loop in a 2-cycle
+    word = f"u{a.itemsize}"  # compares the bits of two trajectory columns
     # a fixed-step row runs every step; a threshold row counts its own
     steps = np.full(a.shape, 0 if threshold else stop.n_iter, dtype=np.int64)
     traj = [a]
@@ -173,14 +185,24 @@ def iterate_values(a0: np.ndarray, m: np.ndarray, lam: np.ndarray,
             da = rnd(t4 * t3)
             new_a = rnd(a + da)
             if threshold:
-                new_a = np.where(active, new_a, a)
+                # a cycling row's step is computed like any other: its
+                # trajectory keeps alternating
+                new_a = np.where(active | cycling, new_a, a)
                 steps += active
                 # binary64 change against the binary64 delta_max
                 change = np.abs(new_a.astype(np.float64) - a)
                 active &= np.isfinite(new_a) & (change > stop.delta_max)
+                if len(traj) > 1:
+                    repeats = active & (new_a.view(word) == traj[-2].view(word))
+                    cycling |= repeats
+                    active &= ~repeats
             a = new_a
             traj.append(a)
-    converged = np.isfinite(a) & ~active if threshold else np.isfinite(a)
+        if threshold and cycling.any():
+            while len(traj) <= stop.max_steps:
+                traj.append(np.where(cycling, traj[-2], traj[-1]))
+            steps[cycling] = stop.max_steps
+    converged = np.isfinite(a) & ~active & ~cycling if threshold else np.isfinite(a)
     return np.stack(traj, axis=1), steps, converged
 
 
@@ -189,7 +211,8 @@ def iterate_values(a0: np.ndarray, m: np.ndarray, lam: np.ndarray,
 # ---------------------------------------------------------------------------
 #
 # The datapath runs in three parts, as the macro does: the vector stages of
-# each batch (`_shifted`), one scalar solve for `a` over the live rows
+# each batch (`_shifted`, or `shift_batches` over several batches at
+# once), one scalar solve for `a` over the live rows
 # (m > 0) of every batch at hand, then the scale and shift stages of each
 # batch (`_finish`).  A solve is a value, (trajectory, steps, converged) for
 # the live rows; `a` is the trajectory's last column.  Every solve is
@@ -222,7 +245,7 @@ class Buffers:
     buffer's last taker left there.  `size` is the element count each buffer
     starts with: the caller's largest batch, so that no buffer is
     reallocated on the way up.  The datapath takes two, both float32:
-    "x32" and "y" in `shift_batch`."""
+    "x32" and "y" in `shift_batches`."""
 
     def __init__(self, size: int = 0) -> None:
         self.size = size
@@ -252,51 +275,101 @@ class Shifted(NamedTuple):
 
 
 def shift_batch(fmt: FormatSpec, x: np.ndarray, buffers: Buffers | None = None) -> Shifted:
-    """The vector stages of x, shape (n, d), narrowed to binary32 once, in
-    the order and under the names of `latency.PHASES`: mean_sum reduces each
-    row through the adder trees, mean_mul multiplies the sum by the
-    pre-stored constant 1/d, mean_shift subtracts the mean from each
-    element, and inner_product reduces the squares of the shifted row.  A
-    squared norm that is not finite raises RangeOverflowError naming the
-    first such row, with the first of its stages that is not finite as the
-    message: a NaN in x, a value of x in the carry (an infinity in x, or a
-    finite value that overflows binary32, is a value out of range), the
-    sum, a mean-shifted value, or else the squared norm.
+    """The vector stages of x, shape (n, d): the one-part batch of
+    :func:`shift_batches`, whose `Shifted` it returns."""
+    return shift_batches(fmt, [x], buffers)[0]
 
-    A float32 x (a binary file's decoded rows) is the carry as it is, and
-    y's squares go to a new array; any other x is narrowed into a binary32
-    copy, which then takes y's squares.  y and that copy are new arrays, or
-    with `buffers` the buffers "y" and "x32"."""
+
+def shift_batches(fmt: FormatSpec, parts: list[np.ndarray],
+                  buffers: Buffers | None = None) -> list[Shifted]:
+    """The vector stages of a batch made of several parts, each an (n, d)
+    array of its own d, in one pass, narrowed to binary32 once: one
+    `Shifted` per part, in order.  They run in the order and under the
+    names of `latency.PHASES`: mean_sum reduces each row through the adder
+    trees, mean_mul multiplies the sum by the pre-stored constant 1/d of
+    its part, mean_shift subtracts the mean from each element, and
+    inner_product reduces the squares of the shifted row.  The roundings
+    and each tree (`tree_sum_values`) run once over the rows of every part,
+    and each row gets what a batch of its part alone would give it.
+
+    A squared norm that is not finite raises RangeOverflowError naming the
+    first such row of the first part that has one, with the first of its
+    stages that is not finite as the message: a NaN in x, a value of x in
+    the carry (an infinity in x, or a finite value that overflows binary32,
+    is a value out of range), the sum, a mean-shifted value, or else the
+    squared norm.  Its `failures` name that row and stage for every part
+    that has such a row.
+
+    One float32 part (a binary file's decoded rows) is the carry as it is,
+    and y's squares go to a new array; else every part is narrowed into
+    one binary32 copy, which then takes y's squares.  y is one array that
+    each part's `y` is a view of, and so are the means and the squared
+    norms.  y and that copy are new arrays, or with `buffers` the buffers
+    "y" and "x32" (each of the size of every part together)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        x = np.asarray(x)
-        if x.ndim != 2:
-            raise UsageError("x must have shape (n, d)")
-        if x.shape[1] < 1:
-            raise UsageError("d must be >= 1")
-        x32 = x
+        parts = [np.asarray(x) for x in parts]
+        rows, elements = [], []  # each part's slice of the rows, and of the elements, of all
+        n = size = 0
+        for x in parts:
+            if x.ndim != 2:
+                raise UsageError("x must have shape (n, d)")
+            if x.shape[1] < 1:
+                raise UsageError("d must be >= 1")
+            rows.append(slice(n, n + x.shape[0]))
+            elements.append(slice(size, size + x.size))
+            n, size = n + x.shape[0], size + x.size
+        if not parts:
+            return []
+
+        def views(flat: np.ndarray) -> list[np.ndarray]:
+            """Each part's rows in `flat`, an array of the elements of all."""
+            return [flat[span].reshape(x.shape) for span, x in zip(elements, parts)]
+
         own = None  # the binary32 copy of x made here: it takes y's squares
-        if x.dtype != np.float32:
-            own = x32 = _take(buffers, "x32", x.shape, np.float32)
-            own[...] = x
+        if len(parts) == 1 and parts[0].dtype == np.float32:
+            x32 = parts
+        else:
+            own = _take(buffers, "x32", (size,), np.float32)
+            x32 = views(own)
+            for dst, x in zip(x32, parts):
+                dst[...] = x
         total = tree_sum_values(x32, fmt)  # mean_sum
-        mean = round_array(total * stored_constant(1.0 / x.shape[1], fmt), fmt)  # mean_mul
-        y = _take(buffers, "y", x.shape, np.float32)
-        np.subtract(x32, mean[:, None], out=y)  # mean_shift
-        round_array(y, fmt, out=y)
-        sq = np.multiply(y, y, out=own)  # inner_product
-        m = tree_sum_values(round_array(sq, fmt, out=sq), fmt)
+        inv_d = stored_constant(1.0 / parts[0].shape[1], fmt)
+        if len(parts) > 1:  # one constant per row, in the carry's precision
+            inv_d = np.repeat(np.array([stored_constant(1.0 / x.shape[1], fmt) for x in parts],
+                                       dtype=total.dtype), [x.shape[0] for x in parts])
+        mean = round_array(total * inv_d, fmt)  # mean_mul
+        flat_y = _take(buffers, "y", (size,), np.float32)
+        y = views(flat_y)
+        for dst, src, span in zip(y, x32, rows):
+            np.subtract(src, mean[span, None], out=dst)  # mean_shift
+        round_array(flat_y, fmt, out=flat_y)
+        sq = np.multiply(flat_y, flat_y, out=own)  # inner_product
+        m = tree_sum_values(views(round_array(sq, fmt, out=sq)), fmt)
         finite = np.isfinite(m)
         if not finite.all():
-            # a non-finite x, sum or y makes m non-finite too; the copy of a
-            # row of x is narrowed again, as y's squares may overwrite it
-            row = int(np.argmin(finite))
-            stages = (("value out of range for", x[row].astype(np.float32)),
-                      ("sum overflowed", total[row]), ("mean-shifted value overflowed", y[row]))
-            what = next((w for w, v in stages if not np.isfinite(v).all()),
-                        "squared norm overflowed")
-            message = "x contains NaN values" if np.isnan(x[row]).any() else f"{what} {fmt.name}"
-            raise RangeOverflowError(message, row=row)
-    return Shifted(y, mean, m)
+            # a non-finite x, sum or y makes m non-finite too
+            failures = []
+            for g, (x, yg, span) in enumerate(zip(parts, y, rows)):
+                if not finite[span].all():
+                    row = int(np.argmin(finite[span]))
+                    failures.append((g, row, _failed_stage(fmt, x[row], total[span][row],
+                                                           yg[row])))
+            _, row, message = failures[0]
+            raise RangeOverflowError(message, row=row, failures=tuple(failures))
+    return [Shifted(yg, mean[span], m[span]) for yg, span in zip(y, rows)]
+
+
+def _failed_stage(fmt: FormatSpec, x: np.ndarray, total, y: np.ndarray) -> str:
+    """The message for a row whose squared norm is not finite: its input
+    row `x`, its sum and its shifted row `y`.  The row of x is narrowed
+    again, as y's squares may have overwritten its binary32 copy."""
+    if np.isnan(x).any():
+        return "x contains NaN values"
+    stages = (("value out of range for", x.astype(np.float32)),
+              ("sum overflowed", total), ("mean-shifted value overflowed", y))
+    what = next((w for w, v in stages if not np.isfinite(v).all()), "squared norm overflowed")
+    return f"{what} {fmt.name}"
 
 
 def _shifted(fmt: FormatSpec, x: np.ndarray | Shifted, gamma: np.ndarray | None,

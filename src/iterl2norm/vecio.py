@@ -30,12 +30,16 @@ orjson, which parses binary64 in C.  They are written three ways:
   values) is one `orjson.dumps` of its slice of a block that was widened
   to float64 and checked at once for values outside orjson's fixed
   notation; a row that holds such a value is rendered by `_reprs`.
-* The sidecar's values are rendered by `_reprs`, one call per array.
+* The sidecar's values (the means, the squared norms and the trajectory
+  entries of every batch of a file) are rendered by one `_reprs` call
+  per file.
 
-`_reprs` prints with orjson and writes the values orjson would spell
-otherwise by `repr`.  orjson is imported where a text line is parsed or a
-decimal is written: its import loads `zoneinfo` and `uuid`, which a
-process that never reads or writes a decimal need not pay.
+`_reprs` prints with orjson, one token per value, and writes the values
+orjson would spell otherwise by `repr`.  A text line of JSON numbers is
+parsed by orjson into a list, and its row built by `np.fromiter`.  orjson
+is imported where a text line is parsed or a decimal is written: its
+import loads `zoneinfo` and `uuid`, which a process that never reads or
+writes a decimal need not pay.
 """
 
 from __future__ import annotations
@@ -168,9 +172,10 @@ def _json_row(line: bytes) -> np.ndarray | None:
     import orjson
 
     try:
-        vec = np.array(orjson.loads(b"[" + line + b"]"), dtype=np.float64)
+        values = orjson.loads(b"[" + line + b"]")
     except orjson.JSONDecodeError:
         return None
+    vec = np.fromiter(values, np.float64, len(values))
     if not vec.all() and _INTEGER_MINUS_ZERO.search(line):
         return None
     return vec
@@ -273,21 +278,29 @@ def write_sidecar(path: str | Path, batches: list[tuple[list[int], BatchNormResu
     rows and its BatchNormResult.  Each line is the one
     `json.JSONEncoder(allow_nan=False)` writes for those keys, with a NaN or
     infinite value (which JSON has no token for) written as null."""
-    lines: list = [None] * sum(len(rows) for rows, _ in batches)
+    results = [res for _, res in batches]
+    # every value of every batch, rendered at once: the means, the squared
+    # norms, then the trajectory entries written, in row order
+    values = np.concatenate([res.mean for res in results] + [res.m for res in results] + [
+        res.a_trajectory[np.arange(res.a_trajectory.shape[1]) <= res.steps[:, None]]
+        for res in results])
+    n = sum(len(rows) for rows, _ in batches)
+    tokens = _nulls(_reprs(values), values)
+    mean, m, traj = tokens[:n], tokens[n:2 * n], tokens[2 * n:]
+    steps = np.concatenate([res.steps for res in results]).tolist()
+    converged = np.concatenate([res.converged for res in results]).tolist()
+    lines: list = [None] * n
+    done = end = 0  # the rows, and the trajectory entries, of the batches before
     for rows, res in batches:
-        # the trajectory entries written, in row order
-        written = np.arange(res.a_trajectory.shape[1]) <= res.steps[:, None]
-        mean, m, traj = (_nulls(_reprs(v).split(b","), v)
-                         for v in (res.mean, res.m, res.a_trajectory[written]))
-        d = res.z.shape[1]
-        steps, converged = res.steps.tolist(), res.converged.tolist()
-        end = 0
-        for j, i in enumerate(rows):
-            start, end = end, end + steps[j] + 1
-            lines[i] = (b'{"index": %d, "d": %d, "mean": %b, "m": %b, "a_trajectory": [%b], '
-                        b'"steps": %d, "converged": %b}\n'
-                        % (i, d, mean[j], m[j], b", ".join(traj[start:end]), steps[j],
-                           _JSON_BOOL[converged[j]]))
+        line = (b'{"index": %%d, "d": %d, "mean": %%b, "m": %%b, "a_trajectory": [%%b], '
+                b'"steps": %%d, "converged": %%b}\n' % res.z.shape[1])
+        batch = slice(done, done + len(rows))
+        done = batch.stop
+        for i, mean_i, m_i, steps_i, converged_i in zip(rows, mean[batch], m[batch],
+                                                        steps[batch], converged[batch]):
+            start, end = end, end + steps_i + 1
+            lines[i] = line % (i, mean_i, m_i, b", ".join(traj[start:end]), steps_i,
+                               _JSON_BOOL[converged_i])
     write_file(path, lines)
 
 
@@ -298,9 +311,9 @@ def _nulls(tokens: list[bytes], values: np.ndarray) -> list[bytes]:
     return tokens
 
 
-def _reprs(v: np.ndarray) -> bytes:
-    """The `repr`s of the values of the 1-D array v, widened to float64,
-    joined by commas, as ASCII.
+def _reprs(v: np.ndarray) -> list[bytes]:
+    """The `repr` of each value of the 1-D array v (of one value or more),
+    widened to float64, as ASCII: one token per value.
 
     orjson prints the shortest round-trip digits, which are `repr`'s
     wherever both write fixed notation: at +-0 and for 1e-4 <= |v| < 1e16.
@@ -310,16 +323,14 @@ def _reprs(v: np.ndarray) -> bytes:
     import orjson
 
     v = np.ascontiguousarray(v, dtype=np.float64)
-    text = orjson.dumps(v, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    tokens = orjson.dumps(v, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
     magnitude = np.abs(v)
     fixed = (magnitude >= 1e-4) & (magnitude < 1e16)
-    if fixed.all():
-        return text
-    tokens = text.split(b",")
-    others = np.flatnonzero(~fixed & (v != 0))
-    for k, value in zip(others.tolist(), v[others].tolist()):
-        tokens[k] = repr(value).encode()
-    return b",".join(tokens)
+    if not fixed.all():
+        others = np.flatnonzero(~fixed & (v != 0))
+        for k, value in zip(others.tolist(), v[others].tolist()):
+            tokens[k] = repr(value).encode()
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +374,7 @@ class _TokenTable:
         lacked[patterns[~self.filled[patterns]]] = True
         new = np.flatnonzero(lacked)  # not np.unique, which imports numpy.ma
         if new.size:
-            self.tokens[new] = np.array(_reprs(bits_to_values(new, self.fmt)).split(b","),
+            self.tokens[new] = np.array(_reprs(bits_to_values(new, self.fmt)),
                                         dtype=object)
             self.filled[new] = True
 
@@ -404,7 +415,7 @@ def _text_lines(vectors: Iterable, fmt: FormatSpec) -> Iterator[bytes]:
             elif fixed[k]:
                 yield memoryview(dumps(wide[start:end], option=option))[1:-1]
             else:
-                yield _reprs(wide[start:end])
+                yield b",".join(_reprs(wide[start:end]))
             yield b"\n"
             start = end
 

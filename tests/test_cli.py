@@ -1,6 +1,7 @@
 import errno
 import io
 import json
+import math
 import os
 import stat
 import threading
@@ -383,6 +384,29 @@ class TestExitCodes:
         assert (code, err) == (4, f"range error: vector 1: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("start", range(6))
+    @pytest.mark.parametrize("bad", [None, "1,inf", "nan,1,2", "-inf,1,2,3"])
+    def test_first_failed_row_of_several_lengths(self, capsys, tmp_path, start, bad):
+        # rows of three lengths, most of which fail at some stage: the file's
+        # first failed row is named, whichever batch holds it; a NaN or an
+        # infinity (in a row after them all) is the data error before them
+        rows = [("1,2,3,4", None), ("60000,60000", "sum overflowed"), ("1,2,3", None),
+                ("-65504,65504,65504", "mean-shifted value overflowed"),
+                ("1,2,3,70000", "value out of range for"),
+                ("300,-300,1,2", "squared norm overflowed"),
+                ("1,-300,300", "squared norm overflowed")][start:]
+        rows += [] if bad is None else [(bad, "non-finite value")]
+        inp, out = tmp_path / "v.txt", tmp_path / "z.txt"
+        inp.write_text("".join(f"{row}\n" for row, _ in rows))
+        code, _, err = run(capsys, "normalize", "--format", "fp16", "--input", str(inp),
+                           "--out", str(out), "--delta-max", "1e-3")
+        if bad is None:
+            i = next(i for i, (_, what) in enumerate(rows) if what)
+            assert (code, err) == (4, f"range error: vector {i}: {rows[i][1]} fp16\n")
+        else:
+            assert (code, err) == (3, f"data error: vector {len(rows) - 1}: non-finite value\n")
+        assert not out.exists()
+
     def test_binary_sum_overflow_is_4(self, capsys, tmp_path):
         # float32 rows: the sum that names the cause overflows binary32
         inp, out = tmp_path / "v.bin", tmp_path / "z.bin"
@@ -528,6 +552,36 @@ class TestOutputs:
         assert code == 0
         assert "normalized 1 vectors" in msg
         assert out.exists() and (str(out) + ".meta.jsonl") in msg
+
+    def test_threshold_sidecar_of_cycling_rows(self, capsys, tmp_path):
+        # bf16 rows of two lengths whose m spreads over two binades: under
+        # --delta-max 1e-3 some rows end in a 2-cycle.  Each sidecar line is
+        # the threshold rule on the row's 50-step trajectory (--steps 50): it
+        # stops after the first step whose change is <= 1e-3, or runs 50
+        # steps, not converged
+        rng = np.random.default_rng(5)
+        rows = []
+        for k in range(48):
+            y = rng.uniform(-1, 1, 64 if k % 3 else 100)
+            y *= math.sqrt(2.0 ** (5 + k / 24) / np.var(y) / len(y))
+            rows.append(round_array(y, BF16))
+        inp = tmp_path / "v.txt"
+        write_vectors(inp, rows, BF16, binary=False)
+        for out, flags in (("z", ("--delta-max", "1e-3")), ("z50", ("--steps", "50"))):
+            code, _, err = run(capsys, "normalize", "--format", "bf16", "--input", str(inp),
+                               "--out", str(tmp_path / out), *flags)
+            assert (code, err) == (0, "")
+        want, cycles = [], 0
+        for line in (tmp_path / "z50.meta.jsonl").read_text().splitlines():
+            row = strict_json(line)
+            traj = row["a_trajectory"]
+            steps = next((k for k in range(1, 51) if not abs(traj[k] - traj[k - 1]) > 1e-3), 50)
+            converged = abs(traj[steps] - traj[steps - 1]) <= 1e-3
+            cycles += not converged and traj[50] == traj[48] != traj[49]
+            want.append(json.dumps(row | {"a_trajectory": traj[:steps + 1], "steps": steps,
+                                          "converged": converged}) + "\n")
+        assert (tmp_path / "z.meta.jsonl").read_text() == "".join(want)
+        assert cycles >= 3
 
     def test_integer_minus_zero_row(self, capsys, tmp_path):
         inp, out = tmp_path / "v.txt", tmp_path / "z.txt"

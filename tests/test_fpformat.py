@@ -687,6 +687,41 @@ class TestPartialSumChain:
             assert ((steps != 0) & (np.abs(steps) < math.ldexp(1.0, 1 - fmt.bias))).any()
 
 
+class TestTreeSumOfParts:
+    """tree_sum_values of several parts, each of its own d, in one pass:
+    each row's sum is the one a call on its part alone gives, bit for bit,
+    through every shortcut of the chain, with a -0 pad after a row's last
+    chunk."""
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("carries", [(np.float32,), (np.float64,),
+                                         (np.float32, np.float64)],
+                             ids=["float32", "float64", "mixed"])
+    @pytest.mark.parametrize("finite", [True, False], ids=["finite", "non-finite"])
+    def test_equals_one_call_per_part(self, fmt, carries, finite):
+        # chains of 17, 1, 192 and 2 chunks, then rows 63 and 65 long;
+        # the -0 rows keep a -0 sum after the pads of the longer chains
+        parts = [chunked(chain_rows(fmt, k)[0 if finite else 1]) for k in (17, 1, 192, 2)]
+        rng = np.random.default_rng(4)
+        parts += [round_array(rng.uniform(-1, 1, (3, d)), fmt) for d in (63, 65)]
+        parts = [x.astype(carries[k % len(carries)]) for k, x in enumerate(parts)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = tree_sum_values(parts, fmt)
+            want = np.concatenate([tree_sum_values(x, fmt) for x in parts])
+        carry = np.float32 if carries == (np.float32,) else np.float64
+        assert got.dtype == carry
+        assert np.array_equal(got.astype(np.float64).view(np.uint64),
+                              want.astype(np.float64).view(np.uint64))
+        if finite:
+            # the -0 row of each chain, its fifth, sums to -0
+            starts = np.cumsum([0] + [len(x) for x in parts[:3]])
+            assert all(got[k + 4] == 0 and np.signbit(got[k + 4]) for k in starts)
+
+    def test_one_part_of_a_list_is_the_array(self):
+        x = round_array(np.random.default_rng(9).uniform(-1, 1, (4, 130)), BF16)
+        assert np.array_equal(tree_sum_values([x], BF16), tree_sum_values(x, BF16))
+
+
 class TestTreeSum:
     """tree_sum_values sums each row of an (n, d) array, d >= 1."""
 

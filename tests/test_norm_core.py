@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iterl2norm import fpformat
+from iterl2norm import fpformat, norm_core
 from iterl2norm.errors import RangeOverflowError, UsageError
 from iterl2norm.fpformat import (
     BF16,
@@ -30,6 +30,7 @@ from iterl2norm.norm_core import (
     normalize_steps,
     select_lambda_values,
     shift_batch,
+    shift_batches,
 )
 from iterl2norm.baselines import fisr_batch, reference_batch
 
@@ -793,3 +794,184 @@ class TestOutputStages:
         assert bits(res.z) == want
         assert not live.all()
         assert (np.signbit(res.z[live]) & (res.z[live] == 0.0)).any() == (beta_shape == "-0")
+
+
+# ---------------------------------------------------------------------------
+# The vector stages of several lengths in one pass
+# ---------------------------------------------------------------------------
+
+JOINT_DIMS = (1, 2, 17, 63, 64, 65, 129, 300, 1024)
+
+
+def joint_parts(fmt, seed: int, dtypes=(np.float64,)) -> list[np.ndarray]:
+    """One (n, d) part per length of JOINT_DIMS, in a shuffled order, the
+    dtype of each drawn from `dtypes`.  Each part holds a row of -0 (its
+    sum is -0 where d is a multiple of 64, with no pad in its last chunk,
+    and +0 elsewhere), a constant row, and rows whose m spans binades."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for d in rng.permutation(JOINT_DIMS):
+        x = rng.uniform(-1, 1, (int(rng.integers(2, 6)), d))
+        x *= 2.0 ** rng.integers(-6, 1, (len(x), 1))
+        x[0] = -0.0
+        x[1] = 0.75
+        parts.append(round_array(x, fmt).astype(rng.choice(dtypes)))
+    return parts
+
+
+def assert_same_shifted(got, want):
+    for name, a, b in zip(("y", "mean", "m"), got, want, strict=True):
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
+
+
+class TestJointVectorStages:
+    """`shift_batches` runs the parts of a batch, one per length, in one
+    pass, and gives each part what `shift_batch` of that part alone gives,
+    bit for bit."""
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("dtypes", [(np.float32,), (np.float64,), (np.float32, np.float64)],
+                             ids=["float32", "float64", "mixed"])
+    @pytest.mark.parametrize("buffered", [False, True], ids=["new", "buffers"])
+    def test_equals_one_pass_per_length(self, fmt, dtypes, buffered):
+        parts = joint_parts(fmt, seed=len(dtypes), dtypes=dtypes)
+        got = shift_batches(fmt, parts, Buffers() if buffered else None)
+        for x, sh in zip(parts, got, strict=True):
+            assert_same_shifted(sh, shift_batch(fmt, x))
+            d = x.shape[1]
+            # the -0 row: a -0 pad in the partial-sum chain keeps its sum -0
+            assert np.signbit(sh.mean[0]) == (d % 64 == 0)
+            assert sh.m[0] == 0  # zero variance
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    def test_parts_are_views_of_one_array_each(self, fmt):
+        parts = joint_parts(fmt, seed=7)
+        buffers = Buffers()
+        got = shift_batches(fmt, parts, buffers)
+        for field in range(3):  # y, mean and m
+            base = got[0][field].base
+            assert base is not None and all(sh[field].base is base for sh in got)
+        size = sum(x.size for x in parts)
+        y = buffers.take("y", (size,), np.float32)
+        assert np.shares_memory(y, got[0].y) and np.shares_memory(y, got[-1].y)
+        # the one-part batch is the same pass
+        assert_same_shifted(shift_batches(fmt, parts[:1])[0], got[0])
+        assert shift_batches(fmt, []) == []
+
+    def test_a_float32_part_alone_is_not_copied(self):
+        # one float32 part is the carry as it is; with several, each is
+        # narrowed into one copy that takes y's squares
+        x = round_array(np.random.default_rng(1).uniform(-1, 1, (3, 70)), FP16).astype(np.float32)
+        buffers = Buffers()
+        shift_batches(FP16, [x], buffers)
+        assert "x32" not in buffers._flat
+        shift_batches(FP16, [x, x[:, :5]], buffers)
+        assert buffers._flat["x32"].size == x.size + 15
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_each_part_names_its_first_failed_row(self, dtype):
+        # part 0 has no failure; part 1 fails at rows 1 and 2 (the first is
+        # named); part 2's first failure is a NaN; part 3's an element out
+        # of range, part 4's a mean-shifted value
+        parts = [np.ones((2, 3)),
+                 np.array([[1.0, 2.0, 3.0, 4.0], [300.0, -300.0, 1.0, 2.0], [60000.0] * 4]),
+                 np.array([[1.0, 2.0], [1.0, np.nan]]),
+                 np.array([[1.0, 2.0, 3.0, 4.0, 5.0], [1.0, np.inf, 2.0, 3.0, 4.0]]),
+                 np.array([[-65504.0, 65504.0, 65504.0, 0.0, 0.0, 0.0]])]
+        with pytest.raises(RangeOverflowError, match="^squared norm overflowed fp16$") as info:
+            shift_batches(FP16, [x.astype(dtype) for x in parts])
+        assert info.value.row == 1
+        assert info.value.failures == (
+            (1, 1, "squared norm overflowed fp16"), (2, 1, "x contains NaN values"),
+            (3, 1, "value out of range for fp16"), (4, 0, "mean-shifted value overflowed fp16"))
+        # each as a part of its own names the same row and stage
+        for g, row, message in info.value.failures:
+            with pytest.raises(RangeOverflowError, match=f"^{message}$") as alone:
+                shift_batch(FP16, parts[g].astype(dtype))
+            assert (alone.value.row, alone.value.failures) == (row, ((0, row, message),))
+
+
+# ---------------------------------------------------------------------------
+# Threshold solves stop at proven 2-cycles
+# ---------------------------------------------------------------------------
+
+def threshold_oracle(fixed: np.ndarray, stop: Threshold):
+    """(trajectory, steps, converged) of a Threshold solve, from the
+    FixedSteps(stop.max_steps) trajectory `fixed` of the same rows: a row
+    stops after the first step whose a is not finite or whose binary64
+    change is not above delta_max, converged if that a is finite; a row
+    that never stops reports max_steps, not converged.  A stopped row keeps
+    its a up to the largest step count."""
+    with np.errstate(invalid="ignore"):
+        change = np.abs(fixed[:, 1:].astype(np.float64) - fixed[:, :-1])
+        stops = ~np.isfinite(fixed[:, 1:]) | ~(change > stop.delta_max)
+    stopped = stops.any(axis=1)
+    steps = np.where(stopped, stops.argmax(axis=1) + 1, stop.max_steps)
+    converged = stopped & np.isfinite(fixed[np.arange(len(fixed)), steps])
+    cols = np.minimum(np.arange(steps.max(initial=0) + 1), steps[:, None])
+    return np.take_along_axis(fixed, cols, axis=1), steps, converged
+
+
+def solve(m: np.ndarray, stop, fmt):
+    return iterate_values(init_a_values(m, fmt), m, select_lambda_values(m), stop, fmt)
+
+
+def positive_values(fmt) -> np.ndarray:
+    """Every positive finite fp16 or bf16 value (subnormals included), in
+    the binary32 carry."""
+    if fmt is FP16:
+        return np.arange(1, 0x7C00, dtype=np.uint16).view(np.float16).astype(np.float32)
+    return (np.arange(1, 0x7F80, dtype=np.uint32) << np.uint32(16)).view(np.float32)
+
+
+def assert_same_solve(got, want):
+    for name, a, b in zip(("trajectory", "steps", "converged"), got, want, strict=True):
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
+
+
+class TestCycleStop:
+    """Under Threshold, a row whose `a` repeats its value from two steps
+    back leaves the loop, and reports what running it to the cap gives:
+    the trajectory, steps and converged of the threshold rule applied to
+    the FixedSteps(max_steps) trajectory, bit for bit."""
+
+    @pytest.mark.parametrize("fmt", [FP16, BF16], ids=lambda f: f.name)
+    @pytest.mark.parametrize("max_steps", [1, 7, 50])
+    def test_every_16_bit_m(self, fmt, max_steps):
+        m = positive_values(fmt)
+        fixed = solve(m, FixedSteps(max_steps), fmt)[0]
+        for delta in (1e-2, 1e-3, 1e-5):
+            stop = Threshold(delta, max_steps)
+            got = solve(m, stop, fmt)
+            assert_same_solve(got, threshold_oracle(fixed, stop))
+        if max_steps == 50:
+            # the sweep meets 2-cycles: rows that run to the cap and end
+            # with a(50) == a(48) != a(49)
+            traj, steps, converged = got
+            cycles = ~converged & (traj[:, -1] == traj[:, -3]) & (traj[:, -1] != traj[:, -2])
+            assert cycles.sum() > 1000
+
+    @given(m=st.lists(st.integers(1, 0x7F7FFFFF), min_size=1, max_size=12),
+           delta=st.sampled_from([1e-1, 1e-2, 1e-3, 1e-6, 1e-9]),
+           max_steps=st.integers(1, 50))
+    @settings(max_examples=150, deadline=None)
+    def test_fp32_m(self, m, delta, max_steps):
+        m = np.array(m, dtype=np.uint32).view(np.float32)
+        stop = Threshold(delta, max_steps)
+        assert_same_solve(solve(m, stop, FP32),
+                          threshold_oracle(solve(m, FixedSteps(max_steps), FP32)[0], stop))
+
+    def test_a_two_cycle_ends_the_loop(self, monkeypatch):
+        # bf16 m = 185 alternates between 0.07275390625 and 0.07421875 from
+        # step 2 on, 1.46e-3 apart: the loop ends at its first repeat, step
+        # 4, and the trajectory is filled out to max_steps from there
+        m = np.array([185.0], dtype=np.float32)
+        calls = []
+        rounding = norm_core.round_array
+        monkeypatch.setattr(norm_core, "round_array",
+                            lambda *args, **kwargs: calls.append(1) or rounding(*args, **kwargs))
+        traj, steps, converged = solve(m, Threshold(1e-3, 50), BF16)
+        assert len(calls) == 6 * 4  # six roundings a step
+        assert steps.tolist() == [50] and converged.tolist() == [False]
+        assert traj.shape == (1, 51)
+        assert traj[0, 2:].tolist() == [0.07275390625, 0.07421875] * 24 + [0.07275390625]

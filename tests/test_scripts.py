@@ -89,6 +89,21 @@ def test_ab_passes_fails_on_a_leaked_thread(tmp_path):
     assert proc.stderr.startswith("b: ") and "threads alive after a pass" in proc.stderr
 
 
+def test_ab_passes_compares_the_sidecars(tmp_path):
+    # tree B writes the same outputs, but one byte of each sidecar differs
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src", other / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(other / "src" / "iterl2norm" / "vecio.py", "a") as f:
+        f.write("\n\n_write_sidecar = write_sidecar\n\n\ndef write_sidecar(path, batches):\n"
+                "    _write_sidecar(path, batches)\n"
+                "    text = Path(path).read_bytes()\n"
+                "    Path(path).write_bytes(text.replace(b'\"index\": 0,', b'\"index\": 9,', 1))\n")
+    proc = run_script("ab_passes.py", "--a", str(ROOT), "--b", str(other),
+                      "--workload", "file_bin", "--rounds", "1", cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "outputs: DIFFER" in proc.stdout.splitlines()[0]
+
+
 def test_ab_passes_setup_of_the_tree_against_itself(tmp_path):
     proc = run_script("ab_passes.py", "--a", str(ROOT), "--b", str(ROOT),
                       "--setup", "--rounds", "2", cwd=tmp_path)

@@ -58,8 +58,8 @@ def test_text_rows_equal_per_element_repr(tmp_path, fmt):
 # ---------------------------------------------------------------------------
 
 def assert_reprs(values: np.ndarray) -> None:
-    """`_reprs` writes the `repr` of every value, joined by commas."""
-    got = _reprs(values).split(b",")
+    """`_reprs` writes the `repr` of every value, one token each."""
+    got = _reprs(values)
     want = [repr(v).encode() for v in values.tolist()]
     bad = [k for k, (g, w) in enumerate(zip(got, want)) if g != w]
     assert len(got) == len(want) and not bad, \
@@ -271,6 +271,16 @@ def test_json_numbers_are_read_by_orjson():
     raw = b"1,2.5,-3e-7\n\n 0.25 ,\t-0.0\r\n\t\r\n1E+5,-0e0,12345678901234567890123"
     rows = [_json_row(line) for line in raw.splitlines(keepends=True) if line.strip()]
     assert [len(row) for row in rows] == [3, 2, 3]
+
+
+def test_integer_tokens_read_as_float():
+    # orjson reads an integer token as an int, of any size; the row holds
+    # float() of each token, correctly rounded past 2^53 and 2^64
+    line = (b"9007199254740993,-9223372036854775808,18446744073709551615,"
+            b"123456789012345678901234567890,7,-3,0,1e308,5e-324\n")
+    want = np.array([float(tok) for tok in line.split(b",")])
+    row = _json_row(line)
+    assert row.dtype == np.float64 and row.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("raw, sent", [

@@ -193,7 +193,8 @@ def iterate_values(a0: np.ndarray, m: np.ndarray, lam: np.ndarray,
                 change = np.abs(new_a.astype(np.float64) - a)
                 active &= np.isfinite(new_a) & (change > stop.delta_max)
                 if len(traj) > 1:
-                    repeats = active & (new_a.view(word) == traj[-2].view(word))
+                    repeats = new_a.view(word) == traj[-2].view(word)
+                    repeats &= active
                     cycling |= repeats
                     active &= ~repeats
             a = new_a

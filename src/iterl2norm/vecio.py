@@ -279,6 +279,9 @@ def write_sidecar(path: str | Path, batches: list[tuple[list[int], BatchNormResu
     `json.JSONEncoder(allow_nan=False)` writes for those keys, with a NaN or
     infinite value (which JSON has no token for) written as null."""
     results = [res for _, res in batches]
+    if not results:
+        write_file(path, [])
+        return
     # every value of every batch, rendered at once: the means, the squared
     # norms, then the trajectory entries written, in row order
     values = np.concatenate([res.mean for res in results] + [res.m for res in results] + [
